@@ -98,7 +98,8 @@ def _model_config(args, vocab_size: int) -> ModelConfig:
 def cmd_train(args) -> int:
     _load_config_file(args)
     seed = _resolve(args, "seed", 0, int)
-    train_data = load_corpus(args.train, split="train")
+    train_data = load_corpus(args.train, split="train",
+                             num_classes=_resolve(args, "num_classes", 2, int))
     sentences = [ex.incomplete for ex in train_data]
     sentences += [ex.complete for ex in train_data if ex.complete]
     vocab = build_vocab(sentences)

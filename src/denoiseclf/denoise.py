@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .encoder import BlockParams, EncoderConfig, _init, _zeros
+from .encoder import (BlockParams, EncoderConfig, _init, _zeros, to_columns,
+                      transformer_block)
 from .tensor import Tensor
 from .tokenizer import ConfigError
 
@@ -117,7 +118,7 @@ class DenoiseStack:
         return second(_activate(first(x), self.cfg.activation))
 
     def compress(self, h_inc: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-        """[H, L] -> latent codes (z1, z2, z) of widths d1, d2, d3."""
+        """[H, N] columns -> latent codes (z1, z2, z) of widths d1, d2, d3."""
         if h_inc.shape[0] != self.cfg.dims[0]:
             raise ConfigError(
                 f"compress expects hidden dim {self.cfg.dims[0]}, "
@@ -128,7 +129,7 @@ class DenoiseStack:
         return z1, z2, z
 
     def reconstruct(self, z: Tensor) -> Tensor:
-        """Latent [d3, L] -> reconstructed embedding [H, L]."""
+        """Latent [d3, N] -> reconstructed embedding [H, N]."""
         if z.shape[0] != self.cfg.dims[3]:
             raise ConfigError(
                 f"reconstruct expects latent dim {self.cfg.dims[3]}, "
@@ -166,9 +167,11 @@ class PostTransformer:
 
 
 def refine(h_rec_partial: Tensor, mask, post: PostTransformer) -> Tensor:
-    """Run [H, L] through the post blocks (transposing in and out)."""
-    from .encoder import transformer_block
-    x = T.transpose(h_rec_partial)
+    """Run [H, B*L] columns (mask [B, L]) through the post blocks, returning
+    the same layout."""
+    mask = np.asarray(mask)
+    x = T.reshape(T.transpose(h_rec_partial),
+                  (*mask.shape, h_rec_partial.shape[0]))
     for blk in post.blocks:
         x = transformer_block(x, mask, blk, post.num_heads)
-    return T.transpose(x)
+    return to_columns(x)

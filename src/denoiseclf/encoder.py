@@ -2,14 +2,17 @@
 
 Input embedding is the sum of token, segment and position table rows. Blocks
 are post-layernorm: attention + residual + LN, then GELU feedforward +
-residual + LN. ``encode_intermediate`` emits the (hidden, sequence) layout
-consumed by the denoising stacks.
+residual + LN. ``embed`` and ``encode_intermediate`` take a list of B
+``TokenSequence``s, so a batch runs as one forward over [B, L, H] rows with
+one mask row per sequence. ``encode_intermediate`` emits the (hidden,
+sequence) column layout consumed by the denoising stacks, [H, B*L].
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -94,51 +97,58 @@ class EncoderParams:
             yield from blk.named_parameters(f"block{i}")
 
 
-def embed(seq: TokenSequence, params: EncoderParams) -> Tensor:
-    """Sum token, segment and position embeddings -> [L, H]."""
-    if max(seq.token_ids) >= params.cfg.vocab_size:
+def field_rows(seqs: Sequence[TokenSequence], name: str) -> np.ndarray:
+    """One field of B sequences as a [B, L] array."""
+    return np.asarray([getattr(s, name) for s in seqs])
+
+
+def embed(seqs: Sequence[TokenSequence], params: EncoderParams) -> Tensor:
+    """Sum token, segment and position embeddings -> [B, L, H]."""
+    token_ids = field_rows(seqs, "token_ids")
+    if token_ids.max() >= params.cfg.vocab_size:
         raise VocabError(
-            f"token id {max(seq.token_ids)} outside vocabulary of size "
+            f"token id {token_ids.max()} outside vocabulary of size "
             f"{params.cfg.vocab_size}")
-    tok = T.take_rows(params.token_table, seq.token_ids)
-    seg = T.take_rows(params.segment_table, seq.segment_ids)
-    pos = T.take_rows(params.position_table, seq.position_ids)
+    tok = T.take_rows(params.token_table, token_ids)
+    seg = T.take_rows(params.segment_table, field_rows(seqs, "segment_ids"))
+    pos = T.take_rows(params.position_table, field_rows(seqs, "position_ids"))
     return tok + seg + pos
 
 
-def _mask_bias(mask) -> tuple[np.ndarray, np.ndarray]:
-    """Additive pre-softmax bias [1, L]: 0 on real keys, -inf-ish on pads.
+def _mask_bias(mask) -> np.ndarray:
+    """Additive pre-softmax bias [..., 1, 1, L] from a [..., L] mask: 0 on
+    real keys, -inf-ish on pads; broadcasts over heads and query positions.
 
-    An all-masked mask falls back to attending to position 0 only, so no
+    An all-masked row falls back to attending to position 0 only, so no
     softmax row can become NaN.
     """
-    m = np.asarray(mask, dtype=np.float64)
-    if m.sum() == 0:
-        m = np.zeros_like(m)
-        m[0] = 1.0
-    return (1.0 - m)[None, :] * -1e9, m
+    m = np.array(mask, dtype=np.float64)
+    m[m.sum(axis=-1) == 0, 0] = 1.0
+    return (1.0 - m)[..., None, None, :] * -1e9
 
 
 def self_attention(x: Tensor, mask, blk: BlockParams, num_heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention over a [L, H] input."""
-    h = x.shape[1]
+    """Multi-head scaled dot-product attention over [..., L, H] rows.
+
+    All heads of all rows run as one batched matmul over [..., heads, L, dh].
+    """
+    *lead, length, h = x.shape
     dh = h // num_heads
-    scale = 1.0 / math.sqrt(dh)
-    bias, _ = _mask_bias(mask)
-    bias_t = Tensor(bias)
-    q = T.matmul(x, blk.wq) + blk.bq
-    k = T.matmul(x, blk.wk) + blk.bk
-    v = T.matmul(x, blk.wv) + blk.bv
-    heads = []
-    for a in range(num_heads):
-        lo, hi = a * dh, (a + 1) * dh
-        qa = T.slice_cols(q, lo, hi)
-        ka = T.slice_cols(k, lo, hi)
-        va = T.slice_cols(v, lo, hi)
-        scores = T.mul(T.matmul(qa, T.transpose(ka)), Tensor(scale)) + bias_t
-        att = T.softmax(scores, axis=1)
-        heads.append(T.matmul(att, va))
-    ctx = T.concat_cols(heads)
+    n = len(lead)
+    # [.., L, nh, dh] -> [.., nh, L, dh] (self-inverse) and -> [.., nh, dh, L]
+    heads_first = (*range(n), n + 1, n, n + 2)
+    keys_last = (*range(n), n + 1, n + 2, n)
+
+    def heads(w, b, axes):
+        split = T.reshape(T.matmul(x, w) + b, (*lead, length, num_heads, dh))
+        return T.transpose(split, axes)
+
+    q = heads(blk.wq, blk.bq, heads_first)
+    k = heads(blk.wk, blk.bk, keys_last)
+    v = heads(blk.wv, blk.bv, heads_first)
+    scores = T.mul(T.matmul(q, k), Tensor(1.0 / math.sqrt(dh)))
+    att = T.softmax(scores + Tensor(_mask_bias(mask)), axis=-1)
+    ctx = T.reshape(T.transpose(T.matmul(att, v), heads_first), x.shape)
     return T.matmul(ctx, blk.wo) + blk.bo
 
 
@@ -150,9 +160,17 @@ def transformer_block(x: Tensor, mask, blk: BlockParams,
     return T.layernorm(x + ff, blk.ln2_g, blk.ln2_b)
 
 
-def encode_intermediate(seq: TokenSequence, params: EncoderParams) -> Tensor:
-    """Run embedding + all blocks, emitting the [H, L] intermediate layout."""
-    x = embed(seq, params)
+def to_columns(x: Tensor) -> Tensor:
+    """[B, L, H] rows -> [H, B*L] columns, sequence b in columns
+    b*L .. b*L + L - 1."""
+    return T.transpose(T.reshape(x, (-1, x.shape[-1])))
+
+
+def encode_intermediate(seqs: Sequence[TokenSequence],
+                        params: EncoderParams) -> Tensor:
+    """Run embedding + all blocks, emitting the [H, B*L] column layout."""
+    x = embed(seqs, params)
+    mask = field_rows(seqs, "attention_mask")
     for blk in params.blocks:
-        x = transformer_block(x, seq.attention_mask, blk, params.cfg.num_heads)
-    return T.transpose(x)
+        x = transformer_block(x, mask, blk, params.cfg.num_heads)
+    return to_columns(x)

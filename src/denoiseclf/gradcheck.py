@@ -13,7 +13,8 @@ import numpy as np
 
 from . import tensor as T
 from .denoise import DenoiseConfig, DenoiseStack
-from .encoder import EncoderConfig, EncoderParams, transformer_block
+from .encoder import (EncoderConfig, EncoderParams, self_attention,
+                      transformer_block)
 from .model import ModelConfig, TextClassifier
 from .tensor import Tensor, finite_difference_check
 from .tokenizer import build_vocab, encode
@@ -113,6 +114,18 @@ def run_block_checks(seed: int = 1) -> list[CheckResult]:
     dn_params = [h] + [p for _, p in dn.named_parameters()]
     results.append(_check_op(
         "denoise_stack", lambda: T.mse_loss(dn(h), dn_target), dn_params))
+
+    # a batch of two rows: one partly masked, one fully masked (which
+    # attends to position 0 only)
+    xb = _param(rng, (2, 4, 8))
+    batch_mask = ((1, 1, 0, 0), (0, 0, 0, 0))
+    batch_target = Tensor(rng.normal(size=(2, 4, 8)))
+    attention_params = [xb] + [p for _, p in blk.named_parameters("blk")][:8]
+    results.append(_check_op(
+        "batched_attention",
+        lambda: T.mse_loss(self_attention(xb, batch_mask, blk, cfg.num_heads),
+                           batch_target),
+        attention_params))
     return results
 
 
@@ -133,11 +146,7 @@ def run_end_to_end_check(seed: int = 2) -> CheckResult:
         p.requires_grad = True
 
     def loss_fn():
-        total = None
-        for seq, label in zip(seqs, labels):
-            item = T.cross_entropy(model.logits(seq), [label])
-            total = item if total is None else total + item
-        return T.mul(total, Tensor(0.5))
+        return T.cross_entropy(model.logits(seqs), labels)
 
     return _check_op("end_to_end_loss", loss_fn, params)
 

@@ -2,18 +2,21 @@
 
 ``mode="stacked"`` routes the intermediate embedding through the denoising
 stacks and post-reconstruction blocks; ``mode="baseline"`` bypasses them,
-classifying straight off the encoder's [CLS] column.
+classifying straight off the encoder's [CLS] column. The forward methods take
+a list of ``TokenSequence``s, which runs as one batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from . import tensor as T
 from .denoise import DenoiseConfig, DenoiseStack, PostTransformer, refine
-from .encoder import EncoderConfig, EncoderParams, _init, _zeros, encode_intermediate
+from .encoder import (EncoderConfig, EncoderParams, _init, _zeros,
+                      encode_intermediate, field_rows)
 from .tensor import Tensor
 from .tokenizer import ConfigError, TokenSequence, Vocabulary, encode
 
@@ -100,29 +103,36 @@ class TextClassifier:
     def encode_sentence(self, sentence: str) -> TokenSequence:
         return encode(sentence, self.vocab, self.config.encoder.seq_len)
 
-    def intermediate(self, seq: TokenSequence) -> Tensor:
-        """Encoder output in [H, L] layout."""
-        return encode_intermediate(seq, self.encoder)
+    def intermediate(self, seqs: Sequence[TokenSequence]) -> Tensor:
+        """Encoder output of B sequences in [H, B*L] layout."""
+        return encode_intermediate(seqs, self.encoder)
 
-    def reconstructed(self, seq: TokenSequence,
+    def reconstructed(self, seqs: Sequence[TokenSequence],
                       h_inc: Tensor | None = None) -> Tensor:
-        """Final [H, L] feature map fed to the head ([CLS] column)."""
+        """Final [H, B*L] feature map fed to the head ([CLS] columns)."""
         if h_inc is None:
-            h_inc = self.intermediate(seq)
+            h_inc = self.intermediate(seqs)
         if self.config.mode == "baseline":
             return h_inc
         partial = self.stack(h_inc)
-        return refine(partial, seq.attention_mask, self.post)
+        return refine(partial, field_rows(seqs, "attention_mask"), self.post)
 
-    def logits(self, seq: TokenSequence) -> Tensor:
-        h_rec = self.reconstructed(seq)
-        cls = T.transpose(T.slice_cols(h_rec, 0, 1))  # [1, H]
-        return T.matmul(cls, self.head.w) + self.head.b  # [1, C]
+    def logits(self, seqs: Sequence[TokenSequence],
+               h_inc: Tensor | None = None) -> Tensor:
+        """[B, C] for B sequences; ``h_inc`` reuses an already computed
+        ``intermediate(seqs)``."""
+        h_rec = self.reconstructed(seqs, h_inc)
+        cls = T.transpose(h_rec[:, ::h_rec.shape[1] // len(seqs)])  # [B, H]
+        return T.matmul(cls, self.head.w) + self.head.b
 
-    def predict(self, seq: TokenSequence) -> tuple[np.ndarray, int]:
-        """Class probabilities and the argmax label (ties -> lowest index)."""
-        probs = T.softmax(self.logits(seq), axis=1).values[0]
-        return probs, int(np.argmax(probs))
+    def predict(self, seqs: Sequence[TokenSequence]
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """Class probabilities [B, C] and argmax labels [B] (ties -> lowest
+        index)."""
+        with T.no_grad():
+            probs = T.softmax(self.logits(seqs), axis=-1).values
+        return probs, np.argmax(probs, axis=-1)
 
     def predict_sentence(self, sentence: str) -> tuple[np.ndarray, int]:
-        return self.predict(self.encode_sentence(sentence))
+        probs, labels = self.predict([self.encode_sentence(sentence)])
+        return probs[0], int(labels[0])

@@ -174,3 +174,13 @@ class TestBadCorpus:
         bad.write_text("notalabel\tsentence here\n")
         assert main(["train", "--train", str(bad),
                      "--outdir", str(tmp_path)] + TRAIN_FAST) == 3
+
+    def test_label_outside_num_classes_exits_at_load(self, tmp_path):
+        paired = tmp_path / "paired.tsv"
+        paired.write_text("0\tgood nite\tgood night\n"
+                          "1\tbad day\tbad day\n"
+                          "2\tsweet dreamz\tsweet dreams\n")
+        out = tmp_path / "run"
+        assert main(["train", "--train", str(paired), "--outdir", str(out),
+                     "--num-classes", "2"] + TRAIN_FAST) == 4
+        assert not out.exists()   # rejected before training wrote anything

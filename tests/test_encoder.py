@@ -33,8 +33,8 @@ class TestEmbed:
                       params.position_table):
             table.values[:] = 0.0
         seq = encode("good night", vocab, max_len=4)
-        out = embed(seq, params)
-        np.testing.assert_array_equal(out.values, np.zeros((4, 8)))
+        out = embed([seq], params)
+        np.testing.assert_array_equal(out.values, np.zeros((1, 4, 8)))
 
     def test_marker_dimension_sums(self, vocab):
         # token table row i carries i, segment row s carries 10*s, position
@@ -47,7 +47,7 @@ class TestEmbed:
         params.segment_table.values[:, 0] = [0.0, 10.0]
         params.position_table.values[:, 0] = 100.0 * np.arange(4)
         seq = encode("good night", vocab, max_len=4)
-        out = embed(seq, params).values[:, 0]
+        out = embed([seq], params).values[0, :, 0]
         expected = [t + 10 * s + 100 * p
                     for t, s, p in zip(seq.token_ids, seq.segment_ids,
                                        seq.position_ids)]
@@ -57,7 +57,7 @@ class TestEmbed:
         params = EncoderParams(tiny_config(), np.random.default_rng(0))
         seq_a = encode("good night", vocab, max_len=4)
         seq_b = encode("bad night", vocab, max_len=4)
-        a, b = embed(seq_a, params).values, embed(seq_b, params).values
+        a, b = embed([seq_a, seq_b], params).values
         assert not np.array_equal(a[1], b[1])
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[2:], b[2:])
@@ -67,7 +67,7 @@ class TestEmbed:
                                np.random.default_rng(0))
         seq = encode("good night", vocab, max_len=4)
         with pytest.raises(VocabError):
-            embed(seq, params)
+            embed([seq], params)
 
 
 class TestSelfAttention:
@@ -178,21 +178,21 @@ class TestEncodeIntermediate:
         cfg = tiny_config(num_layers=2)
         params = EncoderParams(cfg, np.random.default_rng(15))
         seq = encode("good night", vocab, max_len=4)
-        assert encode_intermediate(seq, params).shape == (8, 4)
+        assert encode_intermediate([seq], params).shape == (8, 4)
 
     def test_determinism(self, vocab):
         cfg = tiny_config()
         params = EncoderParams(cfg, np.random.default_rng(16))
         seq = encode("good night", vocab, max_len=4)
-        a = encode_intermediate(seq, params).values
-        b = encode_intermediate(seq, params).values
+        a = encode_intermediate([seq], params).values
+        b = encode_intermediate([seq], params).values
         np.testing.assert_array_equal(a, b)
 
     def test_pair_differing_in_one_word_differ(self, vocab):
         cfg = tiny_config()
         params = EncoderParams(cfg, np.random.default_rng(17))
-        h_inc = encode_intermediate(encode("good night", vocab, 4), params)
-        h_comp = encode_intermediate(encode("bad night", vocab, 4), params)
+        h_inc = encode_intermediate([encode("good night", vocab, 4)], params)
+        h_comp = encode_intermediate([encode("bad night", vocab, 4)], params)
         assert np.abs(h_inc.values - h_comp.values).max(axis=0).max() > 0
 
     def test_pad_invariance_of_cls(self, vocab):
@@ -209,9 +209,9 @@ class TestEncodeIntermediate:
                 pl.values = ps.values.copy()
             else:
                 pl.values[:ps.values.shape[0]] = ps.values.copy()
-        short = encode_intermediate(encode("good night", vocab, 6),
+        short = encode_intermediate([encode("good night", vocab, 6)],
                                     params_short).values
-        long = encode_intermediate(encode("good night", vocab, 10),
+        long = encode_intermediate([encode("good night", vocab, 10)],
                                    params_long).values
         np.testing.assert_allclose(long[:, 0], short[:, 0], atol=1e-9)
 

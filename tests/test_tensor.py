@@ -277,3 +277,127 @@ def test_all_ops_pass_finite_difference_suite(seed):
     from denoiseclf.gradcheck import run_op_checks
     for result in run_op_checks(seed):
         assert result.passed, f"{result.name}: {result.max_rel_err}"
+
+
+class TestErf:
+    """The vectorized erf behind GELU against libm's, in ulps."""
+
+    @staticmethod
+    def ulps(got, ref):
+        return np.abs(got - ref) / np.spacing(np.abs(ref))
+
+    def test_dense_grid_within_a_few_ulp(self):
+        xs = np.linspace(-6.0, 6.0, 600_001)
+        ref = np.array([math.erf(v) for v in xs])
+        # the worst case sits just past the 0.46875 interval boundary,
+        # where erf = 1 - erfc with erfc near 0.5
+        assert self.ulps(T._erf(xs), ref).max() <= 5
+
+    def test_tails(self):
+        big = np.concatenate([np.linspace(6.0, 40.0, 3401), [1e10, 1e300]])
+        np.testing.assert_array_equal(T._erf(big), 1.0)
+        np.testing.assert_array_equal(T._erf(-big), -1.0)
+        tiny = np.array([5e-324, 1e-300, 1e-200, 1e-20, 1e-8])
+        assert self.ulps(T._erf(tiny), [math.erf(v) for v in tiny]).max() <= 1
+        assert self.ulps(T._erf(-tiny),
+                         [math.erf(v) for v in -tiny]).max() <= 1
+
+    def test_special_values(self):
+        out = T._erf(np.array([0.0, -0.0, np.inf, -np.inf, np.nan]))
+        assert out[0] == 0.0 and math.copysign(1.0, out[1]) == -1.0
+        assert out[2] == 1.0 and out[3] == -1.0 and math.isnan(out[4])
+
+    def test_matches_scipy_on_random_points(self):
+        special = pytest.importorskip("scipy.special")
+        xs = np.random.default_rng(0).normal(scale=2.0, size=100_000)
+        assert self.ulps(T._erf(xs), special.erf(xs)).max() <= 6
+
+    def test_gelu_value_uses_it(self):
+        x = np.array([-3.0, -0.5, 0.0, 0.3, 2.0])
+        expected = [0.5 * v * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x]
+        np.testing.assert_allclose(T.gelu(Tensor(x)).values, expected,
+                                   rtol=1e-15, atol=0)
+
+
+class TestBatchAxes:
+    """Leading batch axes on the ops that the batched model uses."""
+
+    def test_matmul_batched_left_operand_matches_rows(self):
+        rng = np.random.default_rng(30)
+        x, w = rng.normal(size=(3, 4, 5)), rng.normal(size=(5, 2))
+        out = T.matmul(Tensor(x), Tensor(w)).values
+        for b in range(3):
+            np.testing.assert_allclose(out[b], x[b] @ w, rtol=1e-14)
+
+    def test_matmul_batched_gradients(self):
+        rng = np.random.default_rng(31)
+        x, w = rand_tensor(rng, (2, 3, 4)), rand_tensor(rng, (4, 2))
+        q, k = rand_tensor(rng, (2, 2, 3, 4)), rand_tensor(rng, (2, 2, 4, 3))
+        assert finite_difference_check(
+            lambda: T.sum_all(T.mul(T.matmul(x, w), T.matmul(x, w))),
+            [x, w]) < 1e-6
+        assert finite_difference_check(
+            lambda: T.sum_all(T.mul(T.matmul(q, k), T.matmul(q, k))),
+            [q, k]) < 1e-6
+
+    def test_matmul_batch_mismatch(self):
+        with pytest.raises(DimensionError):
+            T.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 2))))
+
+    def test_transpose_axes_gradient(self):
+        rng = np.random.default_rng(32)
+        x = rand_tensor(rng, (2, 3, 4))
+        w = Tensor(rng.normal(size=(3, 4, 2)))
+        out = T.transpose(x, (1, 2, 0))
+        assert out.shape == (3, 4, 2)
+        assert finite_difference_check(
+            lambda: T.sum_all(T.mul(T.transpose(x, (1, 2, 0)), w)), [x]) < 1e-6
+
+    def test_index_scatters_repeated_picks(self):
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        out = x[:, [0, 2, 0]]
+        np.testing.assert_array_equal(out.values, [[0, 2, 0], [3, 5, 3]])
+        T.sum_all(out).backward()
+        np.testing.assert_array_equal(x.grad, [[2, 0, 1], [2, 0, 1]])
+
+    def test_index_strided_gradient(self):
+        rng = np.random.default_rng(33)
+        x = rand_tensor(rng, (3, 8))
+        w = Tensor(rng.normal(size=(3, 2)))
+        assert finite_difference_check(
+            lambda: T.sum_all(T.mul(x[:, ::4], w)), [x]) < 1e-6
+
+    def test_take_rows_with_id_matrix(self):
+        table = Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)
+        ids = np.array([[0, 3], [3, 3]])
+        out = T.take_rows(table, ids)
+        assert out.shape == (2, 2, 2)
+        np.testing.assert_array_equal(out.values[1, 0], [6.0, 7.0])
+        T.sum_all(out).backward()
+        np.testing.assert_array_equal(table.grad[:, 0], [1, 0, 0, 3])
+
+    def test_softmax_and_layernorm_on_batches(self):
+        rng = np.random.default_rng(34)
+        s = rand_tensor(rng, (2, 3, 4))
+        g, b = rand_tensor(rng, (4,)), rand_tensor(rng, (4,))
+        w = Tensor(rng.normal(size=(2, 3, 4)))
+        assert finite_difference_check(
+            lambda: T.sum_all(T.mul(T.softmax(s, axis=-1), w)), [s]) < 1e-6
+        assert finite_difference_check(
+            lambda: T.sum_all(T.mul(T.layernorm(s, g, b), w)),
+            [s, g, b]) < 1e-6
+
+    def test_cross_entropy_over_leading_axes(self):
+        rng = np.random.default_rng(35)
+        z = rng.normal(size=(2, 3, 4))
+        labels = np.array([[0, 3, 1], [2, 2, 0]])
+        flat = T.cross_entropy(Tensor(z.reshape(6, 4)), labels.reshape(6))
+        out = T.cross_entropy(Tensor(z), labels)
+        assert float(out.values) == float(flat.values)
+        logits = rand_tensor(rng, (2, 3, 4))
+        assert finite_difference_check(
+            lambda: T.cross_entropy(logits, labels), [logits]) < 1e-6
+
+    def test_cross_entropy_label_shape_must_match(self):
+        with pytest.raises(DimensionError):
+            T.cross_entropy(Tensor(np.zeros((2, 3, 4))), [0, 1])
