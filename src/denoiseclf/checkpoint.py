@@ -24,24 +24,13 @@ import numpy as np
 from .data import atomic_write_bytes
 from .denoise import DenoiseConfig
 from .encoder import EncoderConfig
+from .errors import CheckpointError, CorruptionError, MigrationError  # noqa: F401
 from .model import ModelConfig, TextClassifier
 from .tokenizer import Vocabulary
 
 MAGIC = b"DNCF"
 FORMAT_VERSION = 1
 _DTYPE_F64 = 1
-
-
-class CheckpointError(RuntimeError):
-    """Base class for checkpoint failures."""
-
-
-class MigrationError(CheckpointError):
-    """Raised for an unsupported format version."""
-
-
-class CorruptionError(CheckpointError):
-    """Raised when the file is truncated or fails its checksum."""
 
 
 def _config_dict(cfg: ModelConfig) -> dict:

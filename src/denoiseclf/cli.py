@@ -19,16 +19,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .data import (LabelError, ParseError, atomic_write_text, format_config,
-                   load_corpus, make_dataset, parse_config, split_corpus,
-                   synthetic_corpus)
+from .checkpoint import load_checkpoint, save_checkpoint
+from .data import (atomic_write_text, format_config, load_corpus,
+                   make_dataset, parse_config, split_corpus, synthetic_corpus)
 from .denoise import DenoiseConfig
 from .encoder import EncoderConfig
+from .errors import (CalibrationError, CheckpointError, DataError, LabelError,
+                     ParseError)
 from .gradcheck import run_all
-from .metrics import ConfusionMatrix, DataError, MetricsReport
+from .metrics import ConfusionMatrix, MetricsReport
 from .model import ModelConfig, TextClassifier
-from .noise import CalibrationError, NoiseSpec
+from .noise import NoiseSpec
 from .tokenizer import build_vocab
 from .train import TrainConfig, evaluate, train_phase1, train_phase2
 
@@ -208,7 +209,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    seed = _resolve(args, "seed", 0, int) if hasattr(args, "seed") else 0
+    _load_config_file(args)
+    seed = _resolve(args, "seed", 0, int)
     start = time.time()
     results = run_all(seed)
     ok = True

@@ -16,21 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import LabelError, ParseError
 from .metrics import corpus_wer, ibleu
-from .noise import NoiseSpec, calibrate, corrupt
+from .noise import NoiseSpec, calibrate, corrupt_corpus
 from .tokenizer import normalize
-
-
-class ParseError(ValueError):
-    """Raised for malformed corpus lines; carries the 1-based line number."""
-
-    def __init__(self, path, line_number: int, message: str):
-        super().__init__(f"{path}:{line_number}: {message}")
-        self.line_number = line_number
-
-
-class LabelError(ValueError):
-    """Raised for labels outside the configured class range."""
 
 
 @dataclass(frozen=True)
@@ -87,20 +76,20 @@ def save_corpus(examples: list[PairedExample], path: str | Path,
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a temp file in the same directory, then rename."""
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    """Write ``text`` as UTF-8 via a temp file, then rename."""
+    _atomic_write(path, text.encode("utf-8"))
 
 
 def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
+    """Write ``payload`` via a temp file, then rename."""
+    _atomic_write(path, payload)
+
+
+def _atomic_write(path: str | Path, payload: bytes) -> None:
+    """Write to a temp file in ``path``'s directory, then rename it over
+    ``path``, so a reader sees the old file or the new one, never a part.
+    The public writers call this body, not each other, so wrapping either
+    by name (as ``perfbench/tracer.py`` does) sees each write once."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
@@ -127,7 +116,7 @@ def make_dataset(train_clean: list[tuple[int, str]],
     all_sentences = [s for _, s in train_clean] + [s for _, s in test_clean]
     if spec.target_wer is not None:
         spec = calibrate(all_sentences, spec)
-    noisy = [corrupt(s, spec, i) for i, s in enumerate(all_sentences)]
+    noisy = corrupt_corpus(all_sentences, spec)
     noisy_train = noisy[:len(train_clean)]
     noisy_test = noisy[len(train_clean):]
     train = [PairedExample(label, inc if normalize(inc) else clean, clean)

@@ -20,8 +20,8 @@ import numpy as np
 from . import tensor as T
 from .encoder import (BlockParams, EncoderConfig, _init, _zeros, to_columns,
                       transformer_block)
+from .errors import ConfigError
 from .tensor import Tensor
-from .tokenizer import ConfigError
 
 
 @dataclass(frozen=True)
@@ -140,12 +140,6 @@ class DenoiseStack:
 
     def __call__(self, h_inc: Tensor) -> Tensor:
         return self.reconstruct(self.compress(h_inc)[2])
-
-
-def denoise_loss(h_rec: Tensor, h_comp: Tensor) -> Tensor:
-    """MSE between reconstruction and the detached clean-sentence embedding."""
-    return T.mse_loss(h_rec, h_comp.detach() if h_comp.requires_grad or
-                      h_comp._parents else h_comp)
 
 
 @dataclass

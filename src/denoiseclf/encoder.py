@@ -17,8 +17,9 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
+from .errors import ConfigError, VocabError
 from .tensor import Tensor
-from .tokenizer import ConfigError, TokenSequence, VocabError
+from .tokenizer import TokenSequence
 
 
 @dataclass(frozen=True)

@@ -141,14 +141,11 @@ def run_end_to_end_check(seed: int = 2) -> CheckResult:
     model = TextClassifier(cfg, vocab, seed=seed)
     seqs = [model.encode_sentence("good day"), model.encode_sentence("bad day")]
     labels = [0, 1]
-    params = model.parameters()
-    for p in params:
-        p.requires_grad = True
 
     def loss_fn():
         return T.cross_entropy(model.logits(seqs), labels)
 
-    return _check_op("end_to_end_loss", loss_fn, params)
+    return _check_op("end_to_end_loss", loss_fn, model.parameters())
 
 
 def run_all(seed: int = 0) -> list[CheckResult]:

@@ -14,15 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DataError, UndefinedReferenceError
 from .tokenizer import normalize
-
-
-class DataError(ValueError):
-    """Raised for empty or mismatched metric inputs."""
-
-
-class UndefinedReferenceError(DataError):
-    """Raised when a WER reference is empty (score undefined)."""
 
 
 # -- word error rate --------------------------------------------------------

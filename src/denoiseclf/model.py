@@ -17,8 +17,9 @@ from . import tensor as T
 from .denoise import DenoiseConfig, DenoiseStack, PostTransformer, refine
 from .encoder import (EncoderConfig, EncoderParams, _init, _zeros,
                       encode_intermediate, field_rows)
+from .errors import ConfigError
 from .tensor import Tensor
-from .tokenizer import ConfigError, TokenSequence, Vocabulary, encode
+from .tokenizer import TokenSequence, Vocabulary, encode
 
 MODES = ("stacked", "baseline")
 
@@ -107,21 +108,18 @@ class TextClassifier:
         """Encoder output of B sequences in [H, B*L] layout."""
         return encode_intermediate(seqs, self.encoder)
 
-    def reconstructed(self, seqs: Sequence[TokenSequence],
-                      h_inc: Tensor | None = None) -> Tensor:
-        """Final [H, B*L] feature map fed to the head ([CLS] columns)."""
-        if h_inc is None:
-            h_inc = self.intermediate(seqs)
-        if self.config.mode == "baseline":
-            return h_inc
-        partial = self.stack(h_inc)
-        return refine(partial, field_rows(seqs, "attention_mask"), self.post)
-
     def logits(self, seqs: Sequence[TokenSequence],
-               h_inc: Tensor | None = None) -> Tensor:
-        """[B, C] for B sequences; ``h_inc`` reuses an already computed
-        ``intermediate(seqs)``."""
-        h_rec = self.reconstructed(seqs, h_inc)
+               partial: Tensor | None = None) -> Tensor:
+        """[B, C] for B sequences, read off the [CLS] columns of the final
+        [H, B*L] feature map. In stacked mode ``partial`` reuses an already
+        computed ``stack(intermediate(seqs))``; baseline mode ignores it."""
+        if self.config.mode == "baseline":
+            h_rec = self.intermediate(seqs)
+        else:
+            if partial is None:
+                partial = self.stack(self.intermediate(seqs))
+            h_rec = refine(partial, field_rows(seqs, "attention_mask"),
+                           self.post)
         cls = T.transpose(h_rec[:, ::h_rec.shape[1] // len(seqs)])  # [B, H]
         return T.matmul(cls, self.head.w) + self.head.b
 

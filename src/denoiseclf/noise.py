@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import CalibrationError
 from .metrics import corpus_wer
 from .tokenizer import normalize
 
@@ -47,17 +48,6 @@ CASUAL_SPELLINGS = {
     "good": "goonite",
     "dreams": "dreamz",
 }
-
-
-class CalibrationError(RuntimeError):
-    """Raised when no probability scaling reaches the target noise level."""
-
-    def __init__(self, target: float, achieved: float):
-        super().__init__(
-            f"could not reach target WER {target:.3f}; closest achieved "
-            f"{achieved:.3f}")
-        self.target = target
-        self.achieved = achieved
 
 
 @dataclass(frozen=True)

@@ -15,26 +15,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-
-class DimensionError(ValueError):
-    """Raised when operand shapes are incompatible."""
-
-
-class DegenerateAxisError(ValueError):
-    """Raised when an op needs an axis of length >= 2 but got length 1."""
-
-
-class LabelError(ValueError):
-    """Raised for class labels outside [0, C)."""
-
-
-class OptimizerError(RuntimeError):
-    """Raised when the optimizer is stepped without populated gradients."""
-
-
-def _as_array(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    return arr
+from .errors import (DegenerateAxisError, DimensionError, LabelError,
+                     OptimizerError)
 
 
 class Tensor:
@@ -44,7 +26,7 @@ class Tensor:
 
     def __init__(self, values, requires_grad: bool = False,
                  _parents: tuple = (), _backward: Callable | None = None):
-        self.values = _as_array(values)
+        self.values = np.asarray(values, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents = _parents
@@ -58,13 +40,13 @@ class Tensor:
     def size(self) -> int:
         return self.values.size
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.values.copy())
-
     def zero_grad(self) -> None:
         self.grad = None
 
     def _accumulate(self, g: np.ndarray) -> None:
+        # a constant (untracked, no parents) has no use for a gradient
+        if not (self.requires_grad or self._parents):
+            return
         if self.grad is None:
             self.grad = np.zeros_like(self.values)
         self.grad += g

@@ -13,23 +13,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .errors import ConfigError, CorpusError, VocabError
+
 PAD, UNK, CLS, SEP = "[PAD]", "[UNK]", "[CLS]", "[SEP]"
 RESERVED = (PAD, UNK, CLS, SEP)
 PAD_ID, UNK_ID, CLS_ID, SEP_ID = 0, 1, 2, 3
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+(?:'[a-z0-9]+)*")
-
-
-class CorpusError(ValueError):
-    """Raised for an empty or unusable corpus."""
-
-
-class ConfigError(ValueError):
-    """Raised for invalid tokenizer/encoder configuration."""
-
-
-class VocabError(ValueError):
-    """Raised for token ids outside the vocabulary."""
 
 
 def normalize(sentence: str) -> list[str]:
@@ -69,19 +59,11 @@ class Vocabulary:
                 if t not in RESERVED]
 
     def save(self, path: str | Path) -> None:
-        lines = sorted(self.token_to_id.items(), key=lambda kv: kv[1])
-        Path(path).write_text(
-            "".join(f"{tok}\t{i}\n" for tok, i in lines), encoding="utf-8")
+        Path(path).write_text(self.to_lines(), encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        mapping = {}
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            if not line:
-                continue
-            tok, _, idx = line.partition("\t")
-            mapping[tok] = int(idx)
-        return cls(mapping)
+        return cls.from_lines(Path(path).read_text(encoding="utf-8"))
 
     @classmethod
     def from_lines(cls, text: str) -> "Vocabulary":

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .denoise import denoise_loss
-from .metrics import ConfusionMatrix, DataError
+from .errors import DataError
+from .metrics import ConfusionMatrix
 from .model import TextClassifier
 from .tensor import Adam, Tensor
 
@@ -108,8 +108,8 @@ def phase1_loss(model: TextClassifier, cached, batch) -> Tensor:
     Every map has the same L, so one MSE over the concatenated columns is
     the mean of the per-example MSEs.
     """
-    return denoise_loss(model.stack(_columns(cached, batch, 0)),
-                        _columns(cached, batch, 1))
+    return T.mse_loss(model.stack(_columns(cached, batch, 0)),
+                      _columns(cached, batch, 1))
 
 
 def train_phase1(pairs, model: TextClassifier, cfg: TrainConfig,
@@ -119,10 +119,7 @@ def train_phase1(pairs, model: TextClassifier, cfg: TrainConfig,
         raise DataError("phase 1 needs a non-empty paired corpus")
     _require_pairs(pairs)
     cached = cache_embeddings(pairs, model)
-    params = model.denoise_parameters()
-    for p in params:
-        p.requires_grad = True
-    opt = Adam(params, lr=cfg.phase1_lr, weight_decay=cfg.weight_decay)
+    opt = Adam(model.denoise_parameters(), lr=cfg.phase1_lr, weight_decay=cfg.weight_decay)
     rng = np.random.default_rng(cfg.seed)
     curve = []
     for epoch in range(cfg.phase1_epochs):
@@ -141,9 +138,10 @@ def train_phase1(pairs, model: TextClassifier, cfg: TrainConfig,
     return curve
 
 
-def _aux_loss(model: TextClassifier, exs, h_inc: Tensor) -> Tensor | None:
+def _aux_loss(model: TextClassifier, exs, partial: Tensor) -> Tensor | None:
     """Sum over the batch's paired examples of their reconstruction MSE,
-    divided by the batch size; ``h_inc`` is the batch's [H, B*L] encoding."""
+    divided by the batch size; ``partial`` is the denoise stack's [H, B*L]
+    output for the batch's incomplete sentences."""
     have = [j for j, ex in enumerate(exs) if ex.complete is not None]
     if not have:
         return None
@@ -151,25 +149,26 @@ def _aux_loss(model: TextClassifier, exs, h_inc: Tensor) -> Tensor | None:
         h_comp = model.intermediate(
             [model.encode_sentence(exs[j].complete) for j in have])
     if len(have) < len(exs):
-        seq_len = h_inc.shape[1] // len(exs)
+        seq_len = partial.shape[1] // len(exs)
         cols = (np.asarray(have)[:, None] * seq_len
                 + np.arange(seq_len)).reshape(-1)
-        h_inc = h_inc[:, cols]
-    aux = denoise_loss(model.stack(h_inc), h_comp)
-    return T.mul(aux, Tensor(len(have) / len(exs)))
+        partial = partial[:, cols]
+    return T.mul(T.mse_loss(partial, h_comp), Tensor(len(have) / len(exs)))
 
 
 def phase2_loss(model: TextClassifier, exs, aux_mse_weight: float) -> Tensor:
     """Mean over the batch of each example's cross-entropy plus, for paired
     examples of a stacked model, ``aux_mse_weight`` times its
-    reconstruction MSE."""
+    reconstruction MSE. The aux term reads the stack output of the
+    classification forward, so the stack runs once per step."""
     seqs = [model.encode_sentence(ex.incomplete) for ex in exs]
-    h_inc = model.intermediate(seqs)
-    loss = T.cross_entropy(model.logits(seqs, h_inc), [ex.label for ex in exs])
-    if aux_mse_weight > 0 and model.config.mode == "stacked":
-        aux = _aux_loss(model, exs, h_inc)
-        if aux is not None:
-            loss = loss + T.mul(aux, Tensor(aux_mse_weight))
+    with_aux = aux_mse_weight > 0 and model.config.mode == "stacked"
+    partial = model.stack(model.intermediate(seqs)) if with_aux else None
+    loss = T.cross_entropy(model.logits(seqs, partial),
+                           [ex.label for ex in exs])
+    aux = _aux_loss(model, exs, partial) if with_aux else None
+    if aux is not None:
+        loss = loss + T.mul(aux, Tensor(aux_mse_weight))
     return loss
 
 
@@ -183,10 +182,7 @@ def train_phase2(data, model: TextClassifier, cfg: TrainConfig,
         from .data import PairedExample
         examples += [PairedExample(ex.label, ex.complete, None)
                      for ex in data if ex.complete is not None]
-    params = model.trainable_parameters()
-    for p in params:
-        p.requires_grad = True
-    opt = Adam(params, lr=0.0, weight_decay=cfg.weight_decay)
+    opt = Adam(model.trainable_parameters(), lr=0.0, weight_decay=cfg.weight_decay)
     rng = np.random.default_rng(cfg.seed + 1)
     total_steps = cfg.phase2_epochs * math.ceil(len(examples) / cfg.batch_size)
     history = []

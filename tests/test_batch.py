@@ -7,14 +7,14 @@ import pytest
 
 from denoiseclf import tensor as T
 from denoiseclf.data import PairedExample
-from denoiseclf.denoise import DenoiseConfig, denoise_loss
+from denoiseclf.denoise import DenoiseConfig, DenoiseStack
 from denoiseclf.encoder import EncoderConfig, EncoderParams, self_attention
 from denoiseclf.gradcheck import run_block_checks
 from denoiseclf.model import ModelConfig, TextClassifier
 from denoiseclf.tensor import Tensor
 from denoiseclf.tokenizer import build_vocab
-from denoiseclf.train import (cache_embeddings, evaluate, phase1_loss,
-                              phase2_loss)
+from denoiseclf.train import (TrainConfig, cache_embeddings, evaluate,
+                              phase1_loss, phase2_loss, train_phase2)
 
 PAIRS = [
     PairedExample(0, "good nite", "good night"),
@@ -74,9 +74,10 @@ def reference_phase2(model, exs, aux_mse_weight):
         item = T.cross_entropy(model.logits([seq]), [ex.label])
         if aux_mse_weight > 0 and ex.complete is not None:
             h_inc = model.intermediate([seq])
-            h_comp = model.intermediate(
-                [model.encode_sentence(ex.complete)]).detach()
-            aux = denoise_loss(model.stack(h_inc), h_comp)
+            with T.no_grad():
+                h_comp = model.intermediate(
+                    [model.encode_sentence(ex.complete)])
+            aux = T.mse_loss(model.stack(h_inc), h_comp)
             item = item + T.mul(aux, Tensor(aux_mse_weight))
         total = item if total is None else total + item
     return T.mul(total, Tensor(1.0 / len(exs)))
@@ -134,7 +135,7 @@ class TestBatchedSteps:
             total = None
             for i in batch:
                 h_inc, h_comp = cached[i]
-                item = denoise_loss(model.stack(h_inc), h_comp)
+                item = T.mse_loss(model.stack(h_inc), h_comp)
                 total = item if total is None else total + item
             return T.mul(total, Tensor(1.0 / len(batch)))
 
@@ -161,6 +162,21 @@ class TestBatchedSteps:
         exs = [PairedExample(ex.label, ex.incomplete) for ex in PAIRS[:3]]
         assert_same_step(model, lambda: reference_phase2(model, exs, 0.5),
                          lambda: phase2_loss(model, exs, 0.5))
+
+    def test_one_stack_forward_per_phase2_step(self, monkeypatch):
+        # the aux term reuses the classification forward's stack output
+        calls = []
+        compress = DenoiseStack.compress
+
+        def spy(stack, h_inc):
+            calls.append(h_inc.shape)
+            return compress(stack, h_inc)
+
+        monkeypatch.setattr(DenoiseStack, "compress", spy)
+        model = make_model(seed=5)
+        cfg = TrainConfig(phase2_epochs=2, batch_size=4, aux_mse_weight=0.5)
+        train_phase2(PAIRS, model, cfg)
+        assert len(calls) == 2 * 2   # 2 epochs of 2 steps (6 examples, B=4)
 
     def test_baseline_ignores_aux(self):
         model = make_model("baseline", seed=4)

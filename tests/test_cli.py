@@ -5,6 +5,7 @@ import csv
 
 import pytest
 
+from denoiseclf import cli
 from denoiseclf.cli import main
 from denoiseclf.data import load_corpus, parse_config
 
@@ -167,6 +168,18 @@ class TestGradcheckCommand:
         assert len(lines) >= 12
         assert not any(l.startswith("FAIL") for l in out.splitlines())
 
+    def test_config_file_seed_and_flag_precedence(self, tmp_path,
+                                                  monkeypatch):
+        seeds = []
+        monkeypatch.setattr(cli, "run_all",
+                            lambda seed: seeds.append(seed) or [])
+        cfg = tmp_path / "gradcheck.cfg"
+        cfg.write_text("seed = 3\n")
+        assert main(["gradcheck", "--config", str(cfg)]) == 0
+        assert main(["gradcheck", "--config", str(cfg), "--seed", "5"]) == 0
+        assert main(["gradcheck"]) == 0
+        assert seeds == [3, 5, 0]
+
 
 class TestBadCorpus:
     def test_parse_error_exit_code(self, tmp_path):
@@ -184,3 +197,56 @@ class TestBadCorpus:
         assert main(["train", "--train", str(paired), "--outdir", str(out),
                      "--num-classes", "2"] + TRAIN_FAST) == 4
         assert not out.exists()   # rejected before training wrote anything
+
+
+def _file(root, text):
+    path = root / "input.txt"
+    path.write_text(text)
+    return str(path)
+
+
+def _truncated_checkpoint(workspace, root):
+    payload = (workspace / "run" / "model-stacked.ckpt").read_bytes()
+    path = root / "short.ckpt"
+    path.write_bytes(payload[:len(payload) // 2])
+    return str(path)
+
+
+def _checkpoint(workspace):
+    return str(workspace / "run" / "model-stacked.ckpt")
+
+
+# One command per error category, each reaching its error by a path the
+# single-code tests above do not take. An argv is built from the module's
+# workspace and the test's tmp_path.
+EXIT_CASES = [
+    pytest.param(3, lambda ws, tmp: [
+        "train", "--train", str(tmp / "unused.tsv"),
+        "--config", _file(tmp, "hidden_size 32\n")], id="3-parse"),
+    pytest.param(4, lambda ws, tmp: [
+        "eval", "--checkpoint", _checkpoint(ws),
+        "--test", _file(tmp, "0\tgood day\n5\tbad day\n")], id="4-label"),
+    pytest.param(5, lambda ws, tmp: [
+        "eval", "--checkpoint", _checkpoint(ws), "--test", _file(tmp, "")],
+        id="5-data"),
+    pytest.param(6, lambda ws, tmp: [
+        "prepare", "--target-wer", "1.9", "--synthetic-per-class", "5",
+        "--seed", "3"], id="6-calibration"),
+    pytest.param(7, lambda ws, tmp: [
+        "eval", "--checkpoint", _checkpoint(ws),
+        "--test", str(tmp / "missing.tsv")], id="7-missing-file"),
+    pytest.param(8, lambda ws, tmp: [
+        "train", "--train", _file(tmp, "0\tgood day\n1\tbad day\n"),
+        "--hidden-size", "32", "--num-heads", "3"], id="8-bad-value"),
+    pytest.param(9, lambda ws, tmp: [
+        "eval", "--checkpoint", _truncated_checkpoint(ws, tmp),
+        "--test", str(ws / "data" / "test.tsv")], id="9-checkpoint"),
+]
+
+
+@pytest.mark.parametrize("code,argv", EXIT_CASES)
+def test_each_error_category_exits_with_its_code(code, argv, workspace,
+                                                  tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(argv(workspace, tmp_path) + ["--outdir", str(out)]) == code
+    assert capsys.readouterr().err.startswith("error: ")

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from denoiseclf import tensor as T
 from denoiseclf.denoise import (DenoiseConfig, DenoiseStack, PostTransformer,
-                                denoise_loss, refine)
+                                refine)
 from denoiseclf.encoder import EncoderConfig
 from denoiseclf.tensor import Tensor
 from denoiseclf.tokenizer import ConfigError
@@ -115,13 +116,13 @@ class TestAffineBehaviour:
 class TestLossAndGradients:
     def test_loss_zero_at_perfect_reconstruction(self):
         h = Tensor(np.random.default_rng(11).normal(size=(8, 3)))
-        assert float(denoise_loss(h, Tensor(h.values.copy())).values) == 0.0
+        assert float(T.mse_loss(h, Tensor(h.values.copy())).values) == 0.0
 
     def test_loss_target_receives_no_gradient(self):
         rng = np.random.default_rng(12)
         h_rec = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
         h_comp = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        denoise_loss(h_rec, h_comp).backward()
+        T.mse_loss(h_rec, h_comp).backward()
         assert h_rec.grad is not None
         assert h_comp.grad is None
 
@@ -142,12 +143,12 @@ class TestLossAndGradients:
         opt = Adam(params, lr=1e-2)
         first = None
         for _ in range(60):
-            loss = denoise_loss(stack(h_inc), h_comp)
+            loss = T.mse_loss(stack(h_inc), h_comp)
             if first is None:
                 first = float(loss.values)
             loss.backward()
             opt.step()
-        last = float(denoise_loss(stack(h_inc), h_comp).values)
+        last = float(T.mse_loss(stack(h_inc), h_comp).values)
         assert last < 0.2 * first
 
 

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from denoiseclf.metrics import corpus_wer
-from denoiseclf.noise import (ABBREVIATIONS, CASUAL_SPELLINGS,
-                              CalibrationError, NoiseSpec, calibrate, corrupt,
-                              corrupt_corpus, load_table, save_table)
+from denoiseclf.noise import (ABBREVIATIONS, CalibrationError, NoiseSpec,
+                              calibrate, corrupt, corrupt_corpus, load_table,
+                              save_table)
 
 
 def sample_corpus(n=60, seed=0):
@@ -136,12 +136,3 @@ class TestTables:
         path = tmp_path / "table.tsv"
         path.write_text("# comment\n\nfoo\tbar\n")
         assert load_table(path) == {"foo": "bar"}
-
-    def test_shipped_fixture_tables_match_builtins(self):
-        from pathlib import Path
-
-        import denoiseclf
-        fixtures = Path(denoiseclf.__file__).parent / "fixtures"
-        assert load_table(fixtures / "abbreviations.tsv") == ABBREVIATIONS
-        assert load_table(fixtures / "casual_spellings.tsv") == \
-            CASUAL_SPELLINGS

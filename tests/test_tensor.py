@@ -168,6 +168,11 @@ class TestCrossEntropy:
         with pytest.raises(LabelError):
             T.cross_entropy(Tensor([[0.0, 0.0]]), [2])
 
+    def test_label_error_is_the_corpus_label_error(self):
+        # one class, so the CLI maps both to its label exit code
+        from denoiseclf import data, errors
+        assert LabelError is data.LabelError is errors.LabelError
+
 
 class TestBackward:
     def test_sum_gives_ones(self):
@@ -193,6 +198,14 @@ class TestBackward:
         z.backward()
         np.testing.assert_allclose(x.grad, [5.0 + 4.0])
         np.testing.assert_allclose(y.grad, [2.0])
+
+    def test_untracked_constant_gets_no_gradient(self):
+        rng = np.random.default_rng(7)
+        w = rand_tensor(rng, (3, 4))
+        x = Tensor(rng.normal(size=(4, 2)))
+        T.sum_all(T.matmul(w, x)).backward()
+        assert w.grad is not None
+        assert x.grad is None
 
     def test_repeated_backward_accumulates(self):
         x = Tensor([3.0], requires_grad=True)
