@@ -11,7 +11,7 @@ from denoiseclf.data import synthetic_corpus
 from denoiseclf.metrics import (ConfusionMatrix, corpus_wer, ibleu,
                                 macro_scores, micro_scores, normalize_matrix,
                                 wer)
-from denoiseclf.noise import (NoiseSpec, calibrate, corrupt, corrupt_corpus,
+from denoiseclf.noise import (NoiseSpec, calibrate, corrupt,
                               load_stt_fixture_pairs)
 
 # ---------------------------------------------------------------------------
@@ -35,9 +35,8 @@ corpus = [s for _, s in synthetic_corpus(40, num_classes=2, seed=0)]
 pool = tuple(sorted({w for s in corpus for w in s.split()}))
 spec = NoiseSpec(p_delete=0.1, p_substitute=0.1, pool=pool, seed=0,
                  target_wer=0.25)
-calibrated = calibrate(corpus, spec)
-noisy = corrupt_corpus(corpus, calibrated)
-pooled, mean = corpus_wer(corpus, noisy)
+# the last bisection pass comes back with the spec: its corpus and WER
+calibrated, noisy, (pooled, mean) = calibrate(corpus, spec)
 print(f"  calibrated p_delete={calibrated.p_delete:.3f} "
       f"p_substitute={calibrated.p_substitute:.3f}")
 print(f"  pooled WER = {pooled:.3f}  per-sentence mean = {mean:.3f}")

@@ -21,10 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import atomic_write_bytes
 from .denoise import DenoiseConfig
 from .encoder import EncoderConfig
 from .errors import CheckpointError, CorruptionError, MigrationError  # noqa: F401
+from .fileio import atomic_write_bytes
 from .model import ModelConfig, TextClassifier
 from .tokenizer import Vocabulary
 

@@ -9,14 +9,13 @@ structurally so no evaluation path can read it.
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import LabelError, ParseError
+from .fileio import atomic_write_bytes, atomic_write_text  # noqa: F401
 from .metrics import corpus_wer, ibleu
 from .noise import NoiseSpec, calibrate, corrupt_corpus
 from .tokenizer import normalize
@@ -75,33 +74,6 @@ def save_corpus(examples: list[PairedExample], path: str | Path,
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` as UTF-8 via a temp file, then rename."""
-    _atomic_write(path, text.encode("utf-8"))
-
-
-def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
-    """Write ``payload`` via a temp file, then rename."""
-    _atomic_write(path, payload)
-
-
-def _atomic_write(path: str | Path, payload: bytes) -> None:
-    """Write to a temp file in ``path``'s directory, then rename it over
-    ``path``, so a reader sees the old file or the new one, never a part.
-    The public writers call this body, not each other, so wrapping either
-    by name (as ``perfbench/tracer.py`` does) sees each write once."""
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def make_dataset(train_clean: list[tuple[int, str]],
                  test_clean: list[tuple[int, str]],
                  spec: NoiseSpec, out_dir: str | Path) -> dict:
@@ -115,8 +87,11 @@ def make_dataset(train_clean: list[tuple[int, str]],
     out_dir.mkdir(parents=True, exist_ok=True)
     all_sentences = [s for _, s in train_clean] + [s for _, s in test_clean]
     if spec.target_wer is not None:
-        spec = calibrate(all_sentences, spec)
-    noisy = corrupt_corpus(all_sentences, spec)
+        # calibration's last pass is this dataset; it is not run again
+        spec, noisy, (pooled, mean) = calibrate(all_sentences, spec)
+    else:
+        noisy = corrupt_corpus(all_sentences, spec)
+        pooled, mean = corpus_wer(all_sentences, noisy)
     noisy_train = noisy[:len(train_clean)]
     noisy_test = noisy[len(train_clean):]
     train = [PairedExample(label, inc if normalize(inc) else clean, clean)
@@ -125,7 +100,6 @@ def make_dataset(train_clean: list[tuple[int, str]],
             for (label, clean), inc in zip(test_clean, noisy_test)]
     save_corpus(train, out_dir / "train.tsv", include_complete=True)
     save_corpus(test, out_dir / "test.tsv", include_complete=False)
-    pooled, mean = corpus_wer(all_sentences, noisy)
     manifest = {
         "seed": spec.seed,
         "p_delete": spec.p_delete,

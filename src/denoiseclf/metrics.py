@@ -21,16 +21,37 @@ from .tokenizer import normalize
 # -- word error rate --------------------------------------------------------
 
 def edit_distance(a: list[str], b: list[str]) -> int:
-    """Word-level Levenshtein distance with unit costs."""
-    prev = list(range(len(b) + 1))
-    for i, wa in enumerate(a, start=1):
-        cur = [i]
-        for j, wb in enumerate(b, start=1):
-            cur.append(min(prev[j] + 1,
-                           cur[j - 1] + 1,
-                           prev[j - 1] + (wa != wb)))
-        prev = cur
-    return prev[len(b)]
+    """Word-level Levenshtein distance with unit costs.
+
+    Bit-parallel: bit i of ``pv``/``mv`` says whether cell (i + 1, j) of the
+    DP column is one more/one less than cell (i, j); one column update is a
+    few integer ops on len(a)-bit Python ints, so any length is exact
+    (Myers 1999, in Hyyrö's 2001 form for global distance).
+    """
+    if not a:
+        return len(b)
+    peq: dict[str, int] = {}  # word -> bitmask of its positions in a
+    for i, word in enumerate(a):
+        peq[word] = peq.get(word, 0) | (1 << i)
+    mask = (1 << len(a)) - 1
+    last = 1 << (len(a) - 1)
+    pv, mv, score = mask, 0, len(a)
+    for word in b:
+        eq = peq.get(word, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        # row 0 of the DP grows by one per word of b
+        ph = (ph << 1) | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+    return score
 
 
 def wer(reference: str, hypothesis: str) -> float:
@@ -130,14 +151,6 @@ class ConfusionMatrix:
             raise DataError("confusion matrix counts must be nonnegative")
         cm = cls(arr.shape[0])
         cm.counts = arr
-        return cm
-
-    @classmethod
-    def from_pairs(cls, true_labels, predicted_labels,
-                   num_classes: int) -> "ConfusionMatrix":
-        cm = cls(num_classes)
-        for t, p in zip(true_labels, predicted_labels, strict=True):
-            cm.add(t, p)
         return cm
 
     @property

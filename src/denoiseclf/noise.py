@@ -11,12 +11,16 @@ probabilities by bisection until a corpus hits a target word error rate.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CalibrationError
+from .fileio import atomic_write_text
 from .metrics import corpus_wer
 from .tokenizer import normalize
 
@@ -95,10 +99,11 @@ def corrupt(sentence: str, spec: NoiseSpec, index: int = 0) -> str:
     """
     rng = _rng_for(spec, index)
     out: list[str] = []
-    thresholds = np.cumsum(spec.probabilities())
+    # running sums in the order np.cumsum adds them, so the category
+    # boundaries are the same floats
+    thresholds = list(accumulate(spec.probabilities()))
     for token in normalize(sentence):
-        r = rng.random()
-        category = int(np.searchsorted(thresholds, r, side="right"))
+        category = bisect_right(thresholds, rng.random())
         if category == 0:  # deletion
             continue
         if category == 1:  # substitution
@@ -131,10 +136,22 @@ def _scaled(spec: NoiseSpec, scale: float) -> NoiseSpec:
                    target_wer=None)
 
 
+class Calibration(NamedTuple):
+    """What ``calibrate`` found: the spec within tolerance of the target,
+    the corpus its last pass corrupted with that spec, and the
+    ``(pooled, mean)`` WER of that corpus."""
+    spec: NoiseSpec
+    noisy: list[str]
+    wer: tuple[float, float]
+
+
 def calibrate(corpus: list[str], spec: NoiseSpec,
-              tolerance: float = 0.05, max_iter: int = 30) -> NoiseSpec:
+              tolerance: float = 0.05, max_iter: int = 30) -> Calibration:
     """Scale deletion/substitution probabilities by bisection until the
-    corrupted corpus's pooled WER is within ``tolerance`` of the target."""
+    corrupted corpus's pooled WER is within ``tolerance`` of the target.
+
+    Each pass is one ``corrupt_corpus`` and one ``corpus_wer``; the last
+    pass is returned with its spec, so the caller need not repeat it."""
     target = spec.target_wer
     if target is None or not (0.0 < target <= 2.0):
         raise ValueError(f"target WER must lie in (0, 2], got {target}")
@@ -142,8 +159,9 @@ def calibrate(corpus: list[str], spec: NoiseSpec,
         # nothing to scale; start from an even split
         spec = replace(spec, p_delete=0.25, p_substitute=0.25)
 
-    def achieved(s: NoiseSpec) -> float:
-        return corpus_wer(corpus, corrupt_corpus(corpus, s))[0]
+    def run_pass(s: NoiseSpec) -> Calibration:
+        noisy = corrupt_corpus(corpus, s)
+        return Calibration(s, noisy, corpus_wer(corpus, noisy))
 
     # largest scale keeping every probability valid and the category mass <= 1
     other = spec.p_repeat + spec.p_abbreviate + spec.p_casual
@@ -151,17 +169,17 @@ def calibrate(corpus: list[str], spec: NoiseSpec,
     hi_scale = min(1.0 / max(spec.p_delete, spec.p_substitute),
                    (1.0 - other) / destructive)
     lo, hi = 0.0, hi_scale
-    best_wer = achieved(_scaled(spec, hi))
+    best_wer = run_pass(_scaled(spec, hi)).wer[0]
     if best_wer < target - tolerance:
         raise CalibrationError(target, best_wer)
     for _ in range(max_iter):
         mid = (lo + hi) / 2.0
-        candidate = _scaled(spec, mid)
-        got = achieved(candidate)
+        result = run_pass(_scaled(spec, mid))
+        got = result.wer[0]
         if abs(got - target) < abs(best_wer - target):
             best_wer = got
         if abs(got - target) <= tolerance:
-            return candidate
+            return result
         if got < target:
             lo = mid
         else:
@@ -181,9 +199,8 @@ def load_table(path: str | Path) -> dict[str, str]:
 
 
 def save_table(table: dict[str, str], path: str | Path) -> None:
-    Path(path).write_text(
-        "".join(f"{k}\t{v}\n" for k, v in sorted(table.items())),
-        encoding="utf-8")
+    atomic_write_text(
+        path, "".join(f"{k}\t{v}\n" for k, v in sorted(table.items())))
 
 
 def load_stt_fixture_pairs() -> list[tuple[str, str, str]]:

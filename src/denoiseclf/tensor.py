@@ -40,9 +40,6 @@ class Tensor:
     def size(self) -> int:
         return self.values.size
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def _accumulate(self, g: np.ndarray) -> None:
         # a constant (untracked, no parents) has no use for a gradient
         if not (self.requires_grad or self._parents):
@@ -87,9 +84,6 @@ class Tensor:
 
     def __mul__(self, other):
         return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, Tensor(-np.ones(())))
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -471,10 +465,6 @@ class Adam:
             if self.weight_decay:
                 update = update + self.weight_decay * p.values
             p.values -= self.lr * update
-            p.grad = None
-
-    def zero_grad(self) -> None:
-        for p in self.params:
             p.grad = None
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError, CorpusError, VocabError
+from .fileio import atomic_write_text
 
 PAD, UNK, CLS, SEP = "[PAD]", "[UNK]", "[CLS]", "[SEP]"
 RESERVED = (PAD, UNK, CLS, SEP)
@@ -59,7 +60,7 @@ class Vocabulary:
                 if t not in RESERVED]
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_lines(), encoding="utf-8")
+        atomic_write_text(path, self.to_lines())
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":

@@ -1,10 +1,13 @@
 import pytest
 
+from denoiseclf import data, fileio, noise
 from denoiseclf.data import (LabelError, PairedExample, ParseError,
                              atomic_write_text, format_config, load_corpus,
                              make_dataset, parse_config, save_corpus,
                              split_corpus, synthetic_corpus)
-from denoiseclf.noise import NoiseSpec
+from denoiseclf.metrics import corpus_wer
+from denoiseclf.noise import ABBREVIATIONS, NoiseSpec, save_table
+from denoiseclf.tokenizer import build_vocab
 
 
 class TestLoadCorpus:
@@ -75,6 +78,24 @@ class TestSaveCorpus:
         atomic_write_text(tmp_path / "f.txt", "payload")
         assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
 
+    @pytest.mark.parametrize("write", [
+        lambda path: save_table(ABBREVIATIONS, path),
+        lambda path: build_vocab(["alpha beta"]).save(path),
+    ], ids=["noise.save_table", "Vocabulary.save"])
+    def test_failed_write_keeps_the_old_file(self, write, tmp_path,
+                                             monkeypatch):
+        path = tmp_path / "table.tsv"
+        path.write_text("old\n")
+
+        def crash(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(fileio.os, "replace", crash)
+        with pytest.raises(OSError):
+            write(path)
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["table.tsv"]
+
 
 class TestMakeDataset:
     def make(self, tmp_path, seed=0, target=0.25):
@@ -107,6 +128,48 @@ class TestMakeDataset:
         raw = (tmp_path / "test.tsv").read_text()
         assert all(line.count("\t") == 1
                    for line in raw.splitlines() if line)
+
+    def test_each_calibration_pass_corrupts_and_scores_once(
+            self, tmp_path, monkeypatch):
+        events, specs = [], []
+
+        def spy(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                events.append(name)
+                if name == "corrupt_corpus":
+                    specs.append(args[1])
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (data, noise):
+            spy(module, "corrupt_corpus")
+            spy(module, "corpus_wer")
+        calibrate = data.calibrate
+
+        def calibrate_spy(*args, **kwargs):
+            events.append("calibrate")
+            result = calibrate(*args, **kwargs)
+            events.append("returned")
+            return result
+
+        monkeypatch.setattr(data, "calibrate", calibrate_spy)
+        train, test, manifest = self.make(tmp_path)
+        passes = len(specs)
+        assert passes >= 2
+        assert events == (["calibrate"] + ["corrupt_corpus", "corpus_wer"]
+                          * passes + ["returned"])
+        # every pass tries a new scale; the last one is the written spec
+        assert len({(s.p_delete, s.p_substitute) for s in specs}) == passes
+        assert specs[-1].p_delete == manifest["p_delete"]
+        # the manifest's WER is the WER of the pair on disk
+        noisy = [ex.incomplete for ex in
+                 load_corpus(tmp_path / "train.tsv", split="train")
+                 + load_corpus(tmp_path / "test.tsv", split="test")]
+        clean = [s for _, s in train] + [s for _, s in test]
+        assert corpus_wer(clean, noisy) == (manifest["wer_pooled"],
+                                            manifest["wer_mean"])
 
     def test_deterministic_regeneration(self, tmp_path):
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"

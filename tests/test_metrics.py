@@ -27,6 +27,18 @@ def brute_force_edit_cost(a, b):
                brute_force_edit_cost(a[1:], b[1:]) + (a[0] != b[0]))
 
 
+def dp_edit_distance(a, b):
+    """Wagner-Fischer table, one row at a time; oracle for any length."""
+    prev = list(range(len(b) + 1))
+    for i, wa in enumerate(a, start=1):
+        cur = [i]
+        for j, wb in enumerate(b, start=1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1,
+                           prev[j - 1] + (wa != wb)))
+        prev = cur
+    return prev[-1]
+
+
 class TestWer:
     def test_identical(self):
         assert wer("hello there friend", "hello there friend") == 0.0
@@ -56,6 +68,16 @@ class TestWer:
             for hyp in seqs:
                 assert edit_distance(ref, hyp) == \
                     brute_force_edit_cost(ref, hyp)
+
+    def test_randomized_against_dp(self):
+        # lengths 0-150 cross the 64-word machine-word boundary; small
+        # alphabets repeat words, so a word's position mask has many bits
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            alphabet = [f"w{i}" for i in range(int(rng.integers(1, 9)))]
+            ref, hyp = (list(rng.choice(alphabet, size=int(rng.integers(151))))
+                        for _ in range(2))
+            assert edit_distance(ref, hyp) == dp_edit_distance(ref, hyp)
 
     def test_corpus_pooled_vs_mean(self):
         pooled, mean = corpus_wer(["a b", "a b c d"], ["a x", "a b c d"])

@@ -94,14 +94,14 @@ class TestCalibrate:
         corpus = sample_corpus()
         spec = NoiseSpec(p_delete=0.1, p_substitute=0.1,
                          pool=("zz", "qq", "xx"), seed=7, target_wer=0.3)
-        calibrated = calibrate(corpus, spec)
+        calibrated = calibrate(corpus, spec).spec
         achieved = corpus_wer(corpus, corrupt_corpus(corpus, calibrated))[0]
         assert abs(achieved - 0.3) <= 0.05
 
     def test_works_from_zero_probabilities(self):
         corpus = sample_corpus(seed=1)
         spec = NoiseSpec(pool=("zz", "qq"), seed=11, target_wer=0.2)
-        calibrated = calibrate(corpus, spec)
+        calibrated = calibrate(corpus, spec).spec
         achieved = corpus_wer(corpus, corrupt_corpus(corpus, calibrated))[0]
         assert abs(achieved - 0.2) <= 0.05
 
@@ -109,8 +109,17 @@ class TestCalibrate:
         corpus = sample_corpus(seed=2)
         spec = NoiseSpec(p_delete=0.1, p_substitute=0.1, p_repeat=0.05,
                          pool=("zz",), seed=13, target_wer=0.25)
-        calibrated = calibrate(corpus, spec)
+        calibrated = calibrate(corpus, spec).spec
         assert calibrated.p_repeat == 0.05
+
+    def test_returns_its_last_pass(self):
+        corpus = sample_corpus(seed=4)
+        spec = NoiseSpec(p_delete=0.1, p_substitute=0.1, p_casual=0.1,
+                         pool=("zz", "qq"), seed=19, target_wer=0.3)
+        calibrated, noisy, wers = calibrate(corpus, spec)
+        assert noisy == corrupt_corpus(corpus, calibrated)
+        assert wers == corpus_wer(corpus, noisy)
+        assert abs(wers[0] - 0.3) <= 0.05
 
     def test_unreachable_target_reports_best(self):
         # deletion alone caps pooled WER at 1.0
