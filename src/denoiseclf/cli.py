@@ -178,10 +178,27 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _read_counts(path: str) -> np.ndarray:
+    """The counts CSV that ``eval`` writes. Every cell must be a whole
+    number that fits int64, so a fractional count is rejected, not
+    truncated, and nan, inf or 1e300 cannot cast to garbage."""
+    reader = csv.reader(io.StringIO(Path(path).read_text(encoding="utf-8")))
+    rows = []
+    for row in reader:
+        try:
+            cells = [float(v) for v in row]
+            if not all(abs(v) < 2.0 ** 63 and v.is_integer() for v in cells):
+                raise ValueError
+        except ValueError:
+            raise ParseError(path, reader.line_num, "counts must be whole "
+                             f"numbers below 2**63, got {row}") from None
+        if cells:
+            rows.append(cells)
+    return np.array(rows).astype(np.int64)
+
+
 def cmd_report(args) -> int:
-    rows = list(csv.reader(Path(args.confusion).open(encoding="utf-8")))
-    counts = np.array([[float(v) for v in row] for row in rows if row])
-    cm = ConfusionMatrix.from_counts(counts.astype(np.int64))
+    cm = ConfusionMatrix.from_counts(_read_counts(args.confusion))
     report = MetricsReport.from_confusion(cm)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -1,11 +1,14 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 The whole model is built from the handful of differentiable kernels in this
-module. Each op records a backward closure on the output tensor; calling
-``backward()`` on a scalar walks the graph in reverse topological order and
-accumulates gradients into every tensor that requires them. Ops accept
-leading batch axes, so one graph covers a whole batch. Inside ``no_grad()``
-ops record nothing, so an inference forward holds only its live values.
+module. Each op hands ``_make`` its output values plus, per operand, the
+vector-Jacobian product (VJP) that maps the output's gradient to that
+operand's. ``_make`` keeps only tracked operands, so constants never enter
+the graph. Calling ``backward()`` on a scalar walks the graph in reverse
+topological order, calls each VJP and accumulates the result: the engine
+is the one place that routes gradients. Ops accept leading batch axes, so
+one graph covers a whole batch. Inside ``no_grad()`` ops record nothing, so
+an inference forward holds only its live values.
 """
 
 from __future__ import annotations
@@ -22,28 +25,21 @@ from .errors import (DegenerateAxisError, DimensionError, LabelError,
 class Tensor:
     """An n-dimensional float64 array, optionally tracked for gradients."""
 
-    __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("values", "grad", "requires_grad", "_parents", "_vjps")
 
     def __init__(self, values, requires_grad: bool = False,
-                 _parents: tuple = (), _backward: Callable | None = None):
+                 _parents: tuple = (), _vjps: tuple = ()):
         self.values = np.asarray(values, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents = _parents
-        self._backward = _backward
+        self._vjps = _vjps
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.values.shape
 
-    @property
-    def size(self) -> int:
-        return self.values.size
-
     def _accumulate(self, g: np.ndarray) -> None:
-        # a constant (untracked, no parents) has no use for a gradient
-        if not (self.requires_grad or self._parents):
-            return
         if self.grad is None:
             self.grad = np.zeros_like(self.values)
         self.grad += g
@@ -72,21 +68,15 @@ class Tensor:
                     topo.append(node)
         self._accumulate(np.ones_like(self.values))
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            for parent, vjp in zip(node._parents, node._vjps):
+                parent._accumulate(vjp(node.grad))
 
     # -- convenience operators; the real work lives in the module functions --
     def __add__(self, other):
         return add(self, other)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, key):
         return index(self, key)
@@ -114,8 +104,8 @@ _grad_enabled = True
 
 class no_grad:
     """Context manager: ops inside it build no graph (no parents, no
-    backward closures). The previous mode is restored on exit, also when
-    the block raises."""
+    VJPs). The previous mode is restored on exit, also when the block
+    raises."""
 
     def __enter__(self) -> "no_grad":
         global _grad_enabled
@@ -128,9 +118,17 @@ class no_grad:
         _grad_enabled = self._previous
 
 
-def _make(values: np.ndarray, parents: tuple, backward: Callable | None) -> Tensor:
-    if _grad_enabled and any(p.requires_grad or p._parents for p in parents):
-        return Tensor(values, _parents=parents, _backward=backward)
+def _make(values: np.ndarray, *edges: tuple[Tensor, Callable]) -> Tensor:
+    """An op's output from its values and one ``(operand, vjp)`` pair per
+    differentiable operand. Only tracked operands, parameters and op outputs
+    built from them, become ``_parents`` (with their VJPs in ``_vjps``):
+    backward never visits a constant. With none, or inside ``no_grad``, the
+    output is itself a constant."""
+    if _grad_enabled:
+        kept = [e for e in edges if e[0].requires_grad or e[0]._parents]
+        if kept:
+            parents, vjps = zip(*kept)
+            return Tensor(values, _parents=parents, _vjps=vjps)
     return Tensor(values)
 
 
@@ -141,27 +139,8 @@ def add(a, b) -> Tensor:
     except ValueError:
         raise DimensionError(f"add: shapes {a.shape} and {b.shape} "
                              "are not broadcastable") from None
-
-    def backward(g):
-        a._accumulate(_unbroadcast(g, a.shape))
-        b._accumulate(_unbroadcast(g, b.shape))
-
-    return _make(values, (a, b), backward)
-
-
-def sub(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    try:
-        values = a.values - b.values
-    except ValueError:
-        raise DimensionError(f"sub: shapes {a.shape} and {b.shape} "
-                             "are not broadcastable") from None
-
-    def backward(g):
-        a._accumulate(_unbroadcast(g, a.shape))
-        b._accumulate(-_unbroadcast(g, b.shape))
-
-    return _make(values, (a, b), backward)
+    return _make(values, (a, lambda g: _unbroadcast(g, a.shape)),
+                 (b, lambda g: _unbroadcast(g, b.shape)))
 
 
 def mul(a, b) -> Tensor:
@@ -171,12 +150,8 @@ def mul(a, b) -> Tensor:
     except ValueError:
         raise DimensionError(f"mul: shapes {a.shape} and {b.shape} "
                              "are not broadcastable") from None
-
-    def backward(g):
-        a._accumulate(_unbroadcast(g * b.values, a.shape))
-        b._accumulate(_unbroadcast(g * a.values, b.shape))
-
-    return _make(values, (a, b), backward)
+    return _make(values, (a, lambda g: _unbroadcast(g * b.values, a.shape)),
+                 (b, lambda g: _unbroadcast(g * a.values, b.shape)))
 
 
 def matmul(a, b) -> Tensor:
@@ -190,67 +165,47 @@ def matmul(a, b) -> Tensor:
     except ValueError:
         raise DimensionError(
             f"matmul: incompatible shapes {a.shape} and {b.shape}") from None
-
-    def backward(g):
-        a._accumulate(_unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape))
-        b._accumulate(_unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape))
-
-    return _make(values, (a, b), backward)
+    return _make(
+        values,
+        (a, lambda g: _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape)),
+        (b, lambda g: _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape)))
 
 
 def transpose(x: Tensor, axes: Sequence[int] | None = None) -> Tensor:
     """Permute the axes; ``None`` reverses them, as in numpy."""
     inverse = None if axes is None else tuple(np.argsort(axes))
-
-    def backward(g):
-        x._accumulate(np.transpose(g, inverse))
-    return _make(np.transpose(x.values, axes), (x,), backward)
+    return _make(np.transpose(x.values, axes),
+                 (x, lambda g: np.transpose(g, inverse)))
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     old = x.shape
-
-    def backward(g):
-        x._accumulate(g.reshape(old))
-    return _make(x.values.reshape(shape), (x,), backward)
+    return _make(x.values.reshape(shape), (x, lambda g: g.reshape(old)))
 
 
 def index(x: Tensor, key) -> Tensor:
     """``x[key]`` for any numpy index; backward scatter-adds into the picks."""
-    def backward(g):
+    def vjp(g):
         full = np.zeros_like(x.values)
         np.add.at(full, key, g)
-        x._accumulate(full)
-    return _make(x.values[key], (x,), backward)
+        return full
+    return _make(x.values[key], (x, vjp))
 
 
 def take_rows(table: Tensor, ids) -> Tensor:
     """Gather rows of a 2-D table by an id array of any shape -> ids.shape +
     [width]; backward scatter-adds."""
     idx = np.asarray(ids, dtype=np.int64)
+    # numpy would wrap a negative id around instead of rejecting it
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise DimensionError(
             f"take_rows: index out of range for table with {table.shape[0]} rows")
-
-    def backward(g):
-        full = np.zeros_like(table.values)
-        np.add.at(full, idx, g)
-        table._accumulate(full)
-    return _make(table.values[idx], (table,), backward)
+    return index(table, idx)
 
 
 def sum_all(x: Tensor) -> Tensor:
-    def backward(g):
-        x._accumulate(np.full_like(x.values, float(g)))
-    return _make(np.asarray(x.values.sum()), (x,), backward)
-
-
-def mean_all(x: Tensor) -> Tensor:
-    n = x.values.size
-
-    def backward(g):
-        x._accumulate(np.full_like(x.values, float(g) / n))
-    return _make(np.asarray(x.values.mean()), (x,), backward)
+    return _make(np.asarray(x.values.sum()),
+                 (x, lambda g: np.full_like(x.values, float(g))))
 
 
 # W. J. Cody, "Rational Chebyshev approximations for the error function",
@@ -325,18 +280,15 @@ def gelu(x: Tensor) -> Tensor:
     e = _erf(x.values * inv_sqrt2)
     values = 0.5 * x.values * (1.0 + e)
 
-    def backward(g):
+    def vjp(g):
         pdf = np.exp(-0.5 * x.values ** 2) / math.sqrt(2.0 * math.pi)
-        x._accumulate(g * (0.5 * (1.0 + e) + x.values * pdf))
-    return _make(values, (x,), backward)
+        return g * (0.5 * (1.0 + e) + x.values * pdf)
+    return _make(values, (x, vjp))
 
 
 def tanh(x: Tensor) -> Tensor:
     t = np.tanh(x.values)
-
-    def backward(g):
-        x._accumulate(g * (1.0 - t * t))
-    return _make(t, (x,), backward)
+    return _make(t, (x, lambda g: g * (1.0 - t * t)))
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -345,10 +297,10 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
 
-    def backward(g):
+    def vjp(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
-        x._accumulate(y * (g - dot))
-    return _make(y, (x,), backward)
+        return y * (g - dot)
+    return _make(y, (x, vjp))
 
 
 def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5,
@@ -368,14 +320,13 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5,
     xhat = xc * inv
     values = xhat * gain.values + bias.values
 
-    def backward(g):
-        gain._accumulate(_unbroadcast(g * xhat, gain.shape))
-        bias._accumulate(_unbroadcast(g, bias.shape))
+    def x_vjp(g):
         gx = g * gain.values
-        x._accumulate(inv * (gx
-                             - gx.mean(axis=axis, keepdims=True)
-                             - xhat * (gx * xhat).mean(axis=axis, keepdims=True)))
-    return _make(values, (x, gain, bias), backward)
+        return inv * (gx - gx.mean(axis=axis, keepdims=True)
+                      - xhat * (gx * xhat).mean(axis=axis, keepdims=True))
+    return _make(values, (x, x_vjp),
+                 (gain, lambda g: _unbroadcast(g * xhat, gain.shape)),
+                 (bias, lambda g: _unbroadcast(g, bias.shape)))
 
 
 def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
@@ -391,9 +342,8 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
     diff = pred.values - target.values
     n = diff.size
 
-    def backward(g):
-        pred._accumulate(float(g) * 2.0 * diff / n)
-    return _make(np.asarray((diff ** 2).mean()), (pred,), backward)
+    return _make(np.asarray((diff ** 2).mean()),
+                 (pred, lambda g: float(g) * 2.0 * diff / n))
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -421,11 +371,11 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     nll = lse - z[rows, idx]
     probs = np.exp(z - lse[:, None])
 
-    def backward(g):
+    def vjp(g):
         grad = probs.copy()
         grad[rows, idx] -= 1.0
-        logits._accumulate((float(g) * grad / n).reshape(logits.shape))
-    return _make(np.asarray(nll.mean()), (logits,), backward)
+        return (float(g) * grad / n).reshape(logits.shape)
+    return _make(np.asarray(nll.mean()), (logits, vjp))
 
 
 class Adam:

@@ -5,7 +5,8 @@ Phase 1 freezes the encoder, caches the (incomplete, complete) embedding
 pairs once, and optimizes only the denoising stacks under MSE. Phase 2
 unfreezes everything and minimizes cross-entropy on the incomplete
 sentences, optionally keeping the reconstruction MSE as an auxiliary term.
-Every step runs one forward and one backward over the whole batch.
+Both phases run the same epoch loop; every step runs one forward and one
+backward over the whole batch.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ class TrainConfig:
     batch_size: int = 8
     seed: int = 0
     aux_mse_weight: float = 0.0  # keep reconstruction loss during phase 2
-    include_complete_phase2: bool = False  # also train on complete sentences
 
     def __post_init__(self):
         if self.phase1_epochs <= 0 or self.phase2_epochs <= 0:
@@ -60,12 +60,6 @@ def warmup_linear(step: int, total_steps: int, warmup_proportion: float) -> floa
     if total_steps == w:
         return 1.0
     return max(0.0, (total_steps - step) / (total_steps - w))
-
-
-def _batches(n: int, batch_size: int, rng: np.random.Generator):
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield order[start:start + batch_size]
 
 
 def _require_pairs(pairs) -> None:
@@ -112,6 +106,35 @@ def phase1_loss(model: TextClassifier, cached, batch) -> Tensor:
                       _columns(cached, batch, 1))
 
 
+def _train_epochs(phase: int, epochs: int, n: int, params, batch_loss,
+                  lr_at, seed: int, cfg: TrainConfig, log) -> list[dict]:
+    """The epoch loop of both phases: Adam over ``params``; per step the lr
+    ``lr_at(step)`` (steps count from 1), one forward ``batch_loss(batch)``
+    on a shuffled batch of indices into the ``n`` items, one backward and
+    one Adam step. Makes one record per epoch, its mean loss and last lr,
+    and hands it to ``log`` after the epoch's last step."""
+    opt = Adam(params, weight_decay=cfg.weight_decay)
+    rng = np.random.default_rng(seed)
+    records = []
+    step = 0
+    for epoch in range(epochs):
+        epoch_loss = 0.0
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            step += 1
+            opt.lr = lr_at(step)
+            loss = batch_loss(batch)
+            epoch_loss += float(loss.values) * len(batch)
+            loss.backward()
+            opt.step()
+        records.append({"phase": phase, "epoch": epoch,
+                        "loss": epoch_loss / n, "lr": opt.lr})
+        if log is not None:
+            log(records[-1])
+    return records
+
+
 def train_phase1(pairs, model: TextClassifier, cfg: TrainConfig,
                  log=None) -> list[float]:
     """Train only the denoising stacks; returns the per-epoch mean MSE."""
@@ -119,23 +142,11 @@ def train_phase1(pairs, model: TextClassifier, cfg: TrainConfig,
         raise DataError("phase 1 needs a non-empty paired corpus")
     _require_pairs(pairs)
     cached = cache_embeddings(pairs, model)
-    opt = Adam(model.denoise_parameters(), lr=cfg.phase1_lr, weight_decay=cfg.weight_decay)
-    rng = np.random.default_rng(cfg.seed)
-    curve = []
-    for epoch in range(cfg.phase1_epochs):
-        epoch_loss, count = 0.0, 0
-        for batch in _batches(len(cached), cfg.batch_size, rng):
-            loss = phase1_loss(model, cached, batch)
-            epoch_loss += float(loss.values) * len(batch)
-            count += len(batch)
-            if cfg.phase1_lr > 0:
-                loss.backward()
-                opt.step()
-        curve.append(epoch_loss / count)
-        if log is not None:
-            log({"phase": 1, "epoch": epoch, "loss": curve[-1],
-                 "lr": cfg.phase1_lr})
-    return curve
+    records = _train_epochs(
+        1, cfg.phase1_epochs, len(cached), model.denoise_parameters(),
+        lambda batch: phase1_loss(model, cached, batch),
+        lambda step: cfg.phase1_lr, cfg.seed, cfg, log)
+    return [r["loss"] for r in records]
 
 
 def _aux_loss(model: TextClassifier, exs, partial: Tensor) -> Tensor | None:
@@ -178,33 +189,14 @@ def train_phase2(data, model: TextClassifier, cfg: TrainConfig,
     if not data:
         raise DataError("phase 2 needs a non-empty corpus")
     examples = list(data)
-    if cfg.include_complete_phase2:
-        from .data import PairedExample
-        examples += [PairedExample(ex.label, ex.complete, None)
-                     for ex in data if ex.complete is not None]
-    opt = Adam(model.trainable_parameters(), lr=0.0, weight_decay=cfg.weight_decay)
-    rng = np.random.default_rng(cfg.seed + 1)
     total_steps = cfg.phase2_epochs * math.ceil(len(examples) / cfg.batch_size)
-    history = []
-    step = 0
-    for epoch in range(cfg.phase2_epochs):
-        epoch_loss, count = 0.0, 0
-        for batch in _batches(len(examples), cfg.batch_size, rng):
-            step += 1
-            lr = cfg.phase2_lr * warmup_linear(step, total_steps,
-                                               cfg.warmup_proportion)
-            loss = phase2_loss(model, [examples[i] for i in batch],
-                               cfg.aux_mse_weight)
-            epoch_loss += float(loss.values) * len(batch)
-            count += len(batch)
-            loss.backward()
-            opt.lr = lr
-            opt.step()
-        history.append({"phase": 2, "epoch": epoch,
-                        "loss": epoch_loss / count, "lr": lr})
-        if log is not None:
-            log(history[-1])
-    return history
+    return _train_epochs(
+        2, cfg.phase2_epochs, len(examples), model.trainable_parameters(),
+        lambda batch: phase2_loss(model, [examples[i] for i in batch],
+                                  cfg.aux_mse_weight),
+        lambda step: cfg.phase2_lr * warmup_linear(
+            step, total_steps, cfg.warmup_proportion),
+        cfg.seed + 1, cfg, log)
 
 
 def evaluate(test, model: TextClassifier) -> ConfusionMatrix:

@@ -1,6 +1,6 @@
 """The batch axis: batched forwards and training losses against a
 per-example reference built here from the one-sequence API, plus the
-graph-free ``no_grad`` mode."""
+graph-free ``no_grad`` mode and the constants no graph holds."""
 
 import numpy as np
 import pytest
@@ -212,6 +212,42 @@ class TestBatchedAttention:
         assert results["batched_attention"].passed
 
 
+def graph_leaves(out):
+    """Every tensor without parents that backward can reach from ``out``."""
+    seen, todo, leaves = set(), [out], []
+    while todo:
+        t = todo.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            todo.extend(t._parents)
+            if not t._parents:
+                leaves.append(t)
+    return leaves
+
+
+class TestConstantsStayOutOfTheGraph:
+    def test_attention_scale_and_mask_bias(self):
+        cfg = EncoderConfig(hidden_size=8, seq_len=4, num_layers=1,
+                            num_heads=2, ff_size=12, vocab_size=10)
+        blk = EncoderParams(cfg, np.random.default_rng(20)).blocks[0]
+        x = Tensor(np.random.default_rng(21).normal(size=(2, 4, 8)),
+                   requires_grad=True)
+        out = self_attention(x, [(1, 1, 0, 0), (1, 1, 1, 1)], blk, 2)
+        # the leaves are the input and the attention weights: neither the
+        # 1/sqrt(dh) scale nor the mask bias is reachable
+        attention = [blk.wq, blk.bq, blk.wk, blk.bk, blk.wv, blk.bv,
+                     blk.wo, blk.bo]
+        assert ({id(t) for t in graph_leaves(out)}
+                == {id(t) for t in [x] + attention})
+
+    def test_cached_columns_in_phase1_loss(self):
+        model = make_model()
+        cached = cache_embeddings(PAIRS, model)
+        loss = phase1_loss(model, cached, [4, 0, 3])
+        assert ({id(t) for t in graph_leaves(loss)}
+                == {id(p) for p in model.denoise_parameters()})
+
+
 class TestNoGrad:
     def test_values_bit_identical_to_graph_forward(self):
         model = make_model()
@@ -228,7 +264,7 @@ class TestNoGrad:
             out = model.logits([model.encode_sentence("good nite")])
             loss = T.cross_entropy(out, [0])
         for t in (out, loss):
-            assert t._parents == () and t._backward is None
+            assert t._parents == () and t._vjps == ()
 
     def test_previous_mode_restored_after_exception(self):
         x = Tensor(np.ones(3), requires_grad=True)

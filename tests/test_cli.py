@@ -2,6 +2,8 @@
 tiny synthetic dataset, plus exit-code and precedence behaviour."""
 
 import csv
+import gc
+import warnings
 
 import pytest
 
@@ -143,6 +145,36 @@ class TestEvalAndReport:
         normalized = [[float(v) for v in r] for r in
                       csv.reader((out / "confusion_normalized.csv").open())]
         assert normalized[0] == [0.75, 0.25]
+
+    def test_report_accepts_exponent_form_counts(self, tmp_path):
+        # eval writes counts with .12g, which prints 10**12 as 1e+12
+        counts = tmp_path / "confusion_counts.csv"
+        counts.write_text("1e+12,0\n0,2\n")
+        out = tmp_path / "report"
+        assert main(["report", "--confusion", str(counts),
+                     "--outdir", str(out)]) == 0
+        assert "micro F1 (= micro P = micro R): 1.0000" in (
+            out / "report.txt").read_text()
+
+    @pytest.mark.parametrize("cell", ["1.7", "nan", "inf", "1e300", "two"])
+    def test_report_rejects_non_whole_counts(self, tmp_path, capsys, cell):
+        counts = tmp_path / "confusion_counts.csv"
+        counts.write_text(f"3,0\n{cell},2\n")
+        assert main(["report", "--confusion", str(counts),
+                     "--outdir", str(tmp_path / "report")]) == 3
+        assert f"{counts}:2:" in capsys.readouterr().err
+        assert not (tmp_path / "report").exists()
+
+    def test_report_closes_the_counts_file(self, tmp_path):
+        counts = tmp_path / "confusion_counts.csv"
+        counts.write_text("15,5\n10,20\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["report", "--confusion", str(counts),
+                         "--outdir", str(tmp_path / "report")]) == 0
+            gc.collect()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
 
     def test_eval_missing_checkpoint_exit_code(self, workspace, tmp_path):
         assert main(["eval", "--checkpoint", str(tmp_path / "no.ckpt"),

@@ -1,10 +1,13 @@
-"""Pinned SHA-256 digests of the corruption channel's output.
+"""Pinned SHA-256 digests of the corruption channel's output and of
+checkpoint files.
 
 Regenerated corpora must stay byte-identical across versions of the
 package, not only across runs of one version: a faster kernel in
 ``noise`` or ``metrics`` that shifts one random draw, one threshold or one
-WER float changes these digests. A deliberate change to the channel's
-output has to update them and say so.
+WER float changes these digests. Checkpoints of seeded, untrained models
+pin the parameter init and the file format the same way; a trained
+model's bytes depend on the host's BLAS kernels, so none is pinned. A
+deliberate change to either output has to update its digests and say so.
 """
 
 import hashlib
@@ -12,8 +15,13 @@ import hashlib
 import numpy as np
 import pytest
 
+from denoiseclf.checkpoint import save_checkpoint
 from denoiseclf.data import make_dataset, split_corpus
+from denoiseclf.denoise import DenoiseConfig
+from denoiseclf.encoder import EncoderConfig
+from denoiseclf.model import ModelConfig, TextClassifier
 from denoiseclf.noise import NoiseSpec, corrupt_corpus
+from denoiseclf.tokenizer import build_vocab
 
 # words from both replacement tables, so all five categories change text
 WORDS = ("please", "you", "your", "message", "people", "tomorrow", "thanks",
@@ -82,3 +90,23 @@ def test_corrupt_corpus_output(case):
     spec, expected = CORPUS_DIGESTS[case]
     noisy = corrupt_corpus([s for _, s in labeled_corpus()], spec)
     assert sha256("\n".join(noisy).encode("utf-8")) == expected
+
+
+CHECKPOINT_DIGESTS = {
+    "stacked_tanh": "ab8f20229428612e8e2af4877760470a4f4e4266ce7176334af711b9adb2e71b",
+    "baseline": "ba5983d39508b9ddfa6d20a9336b82d8499fada13162a8d78d54fb5185900b05",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECKPOINT_DIGESTS))
+def test_untrained_checkpoint_bytes(case, tmp_path):
+    vocab = build_vocab([s for _, s in labeled_corpus()])
+    config = ModelConfig(
+        encoder=EncoderConfig(hidden_size=8, seq_len=6, num_layers=1,
+                              num_heads=2, ff_size=12,
+                              vocab_size=len(vocab) + 4, num_classes=3),
+        denoise=DenoiseConfig(dims=(8, 6, 4, 2), activation="tanh"),
+        n_post=1, mode="stacked" if case == "stacked_tanh" else "baseline")
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(TextClassifier(config, vocab, seed=12), path)
+    assert sha256(path.read_bytes()) == CHECKPOINT_DIGESTS[case]

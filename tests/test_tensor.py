@@ -207,6 +207,15 @@ class TestBackward:
         assert w.grad is not None
         assert x.grad is None
 
+    @pytest.mark.parametrize("op, const_shape", [
+        (T.matmul, (4, 2)), (T.add, (4,)), (T.mul, ())],
+        ids=["matmul", "add", "mul"])
+    def test_constant_operand_never_enters_the_graph(self, op, const_shape):
+        rng = np.random.default_rng(8)
+        w = rand_tensor(rng, (3, 4))
+        out = op(w, Tensor(rng.normal(size=const_shape)))
+        assert out._parents == (w,) and len(out._vjps) == 1
+
     def test_repeated_backward_accumulates(self):
         x = Tensor([3.0], requires_grad=True)
         T.sum_all(x).backward()

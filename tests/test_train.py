@@ -6,6 +6,7 @@ from denoiseclf.denoise import DenoiseConfig
 from denoiseclf.encoder import EncoderConfig
 from denoiseclf.metrics import DataError
 from denoiseclf.model import ModelConfig, TextClassifier
+from denoiseclf.tensor import Adam
 from denoiseclf.tokenizer import build_vocab
 from denoiseclf.train import (TrainConfig, cache_embeddings, evaluate,
                               train_phase1, train_phase2, warmup_linear)
@@ -33,6 +34,21 @@ def tiny_model(mode="stacked", seed=0):
         mode=mode,
     )
     return TextClassifier(cfg, vocab, seed=seed)
+
+
+def logged_after_steps(monkeypatch):
+    """A ``log`` callback that stores (Adam steps taken so far, a copy of
+    the record) for every call; a spy on ``Adam.step`` counts the steps."""
+    steps = [0]
+    step = Adam.step
+
+    def counting_step(self):
+        steps[0] += 1
+        step(self)
+
+    monkeypatch.setattr(Adam, "step", counting_step)
+    calls = []
+    return calls, lambda record: calls.append((steps[0], dict(record)))
 
 
 class TestSchedule:
@@ -118,14 +134,19 @@ class TestPhase1:
         for h_inc, h_comp in cached:
             assert not h_inc._parents and not h_comp._parents
 
-    def test_log_callback_schema(self):
-        model = tiny_model()
-        records = []
-        cfg = TrainConfig(phase1_epochs=2, phase1_lr=1e-3, batch_size=3)
-        train_phase1(PAIRS, model, cfg, log=records.append)
-        assert [r["epoch"] for r in records] == [0, 1]
-        assert all(r["phase"] == 1 and "loss" in r and "lr" in r
+    def test_log_callback_schema(self, monkeypatch):
+        calls, log = logged_after_steps(monkeypatch)
+        cfg = TrainConfig(phase1_epochs=3, phase1_lr=1e-3, batch_size=4)
+        curve = train_phase1(PAIRS, tiny_model(), cfg, log=log)
+        # 6 pairs in batches of 4: 2 steps per epoch, logged after the 2nd
+        assert [steps for steps, _ in calls] == [2, 4, 6]
+        records = [r for _, r in calls]
+        assert [(r["phase"], r["epoch"]) for r in records] == [
+            (1, 0), (1, 1), (1, 2)]
+        assert all(set(r) == {"phase", "epoch", "loss", "lr"}
                    for r in records)
+        assert [r["loss"] for r in records] == curve
+        assert all(r["lr"] == cfg.phase1_lr for r in records)
 
 
 class TestPhase2:
@@ -165,15 +186,24 @@ class TestPhase2:
             histories.append(train_phase2(PAIRS, model, cfg))
         assert histories[0][-1]["loss"] != histories[1][-1]["loss"]
 
-    def test_include_complete_phase2_grows_corpus(self):
-        model = tiny_model(seed=6)
-        cfg = TrainConfig(phase2_epochs=1, phase2_lr=1e-3, batch_size=4,
-                          include_complete_phase2=True)
-        # 6 incomplete + 6 complete examples = 12 -> 3 batches of 4
-        steps = []
-        train_phase2(PAIRS, model, cfg, log=steps.append)
-        assert steps[-1]["lr"] == pytest.approx(
-            1e-3 * warmup_linear(3, 3, cfg.warmup_proportion))
+    def test_log_callback_schema(self, monkeypatch):
+        calls, log = logged_after_steps(monkeypatch)
+        cfg = TrainConfig(phase2_epochs=3, phase2_lr=1e-3, batch_size=4,
+                          warmup_proportion=0.5)
+        history = train_phase2(PAIRS, tiny_model(seed=6), cfg, log=log)
+        # 6 examples in batches of 4: 2 steps per epoch, 6 in all
+        assert [steps for steps, _ in calls] == [2, 4, 6]
+        records = [r for _, r in calls]
+        assert records == history
+        assert [(r["phase"], r["epoch"]) for r in records] == [
+            (2, 0), (2, 1), (2, 2)]
+        assert all(set(r) == {"phase", "epoch", "loss", "lr"}
+                   for r in records)
+        # each record carries the lr of its epoch's last step; the last
+        # one is the schedule's end, warmup_linear(total, total, ...)
+        assert [r["lr"] for r in records] == [
+            1e-3 * warmup_linear(s, 6, cfg.warmup_proportion)
+            for s in (2, 4, 6)]
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(DataError):
