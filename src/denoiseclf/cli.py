@@ -25,7 +25,7 @@ from .data import (atomic_write_text, format_config, load_corpus,
 from .denoise import DenoiseConfig
 from .encoder import EncoderConfig
 from .errors import (CalibrationError, CheckpointError, DataError, LabelError,
-                     ParseError)
+                     NonFiniteError, ParseError)
 from .gradcheck import run_all
 from .metrics import ConfusionMatrix, MetricsReport
 from .model import ModelConfig, TextClassifier
@@ -179,9 +179,10 @@ def cmd_eval(args) -> int:
 
 
 def _read_counts(path: str) -> np.ndarray:
-    """The counts CSV that ``eval`` writes. Every cell must be a whole
-    number that fits int64, so a fractional count is rejected, not
-    truncated, and nan, inf or 1e300 cannot cast to garbage."""
+    """The counts CSV that ``eval`` writes. Every row must have as many
+    cells as the first, and every cell must be a whole number that fits
+    int64, so a fractional count is rejected, not truncated, and nan, inf
+    or 1e300 cannot cast to garbage."""
     reader = csv.reader(io.StringIO(Path(path).read_text(encoding="utf-8")))
     rows = []
     for row in reader:
@@ -192,8 +193,12 @@ def _read_counts(path: str) -> np.ndarray:
         except ValueError:
             raise ParseError(path, reader.line_num, "counts must be whole "
                              f"numbers below 2**63, got {row}") from None
-        if cells:
-            rows.append(cells)
+        if not cells:
+            continue
+        if rows and len(cells) != len(rows[0]):
+            raise ParseError(path, reader.line_num, f"expected {len(rows[0])} "
+                             f"counts like the first row, got {len(cells)}")
+        rows.append(cells)
     return np.array(rows).astype(np.int64)
 
 
@@ -304,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 _ERROR_CATEGORIES = (
     (ParseError, 3), (LabelError, 4), (DataError, 5),
     (CalibrationError, 6), (FileNotFoundError, 7), (CheckpointError, 9),
-    (ValueError, 8),
+    (NonFiniteError, 10), (ValueError, 8),
 )
 
 

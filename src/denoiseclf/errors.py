@@ -64,6 +64,11 @@ class OptimizerError(RuntimeError):
     """Raised when the optimizer is stepped without populated gradients."""
 
 
+class NonFiniteError(ArithmeticError):
+    """Raised when an optimizer step meets a NaN or infinite gradient,
+    before any parameter or moment is written."""
+
+
 class CheckpointError(RuntimeError):
     """Base class for checkpoint failures."""
 

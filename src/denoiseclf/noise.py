@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import accumulate
 from pathlib import Path
 from typing import NamedTuple
@@ -86,9 +87,34 @@ class NoiseSpec:
         return (self.p_delete, self.p_substitute, self.p_repeat,
                 self.p_abbreviate, self.p_casual)
 
+    @cached_property
+    def _pool_positions(self) -> dict[str, list[int]]:
+        """Each pool word's positions in the pool, ascending; built once
+        per spec, on its first pool substitution."""
+        positions: dict[str, list[int]] = {}
+        for i, w in enumerate(self.pool):
+            positions.setdefault(w, []).append(i)
+        return positions
+
 
 def _rng_for(spec: NoiseSpec, index: int) -> np.random.Generator:
     return np.random.default_rng((spec.seed, index))
+
+
+def _substitute(spec: NoiseSpec, token: str, rng: np.random.Generator) -> str:
+    """A uniform pick from the pool words other than ``token``, or from the
+    whole pool when it holds nothing else. It makes the one
+    ``rng.integers`` draw and returns the word that indexing the list
+    ``[w for w in spec.pool if w != token]`` would, without building it."""
+    skip = spec._pool_positions.get(token, ())
+    if len(skip) == len(spec.pool):
+        skip = ()
+    j = int(rng.integers(len(spec.pool) - len(skip)))
+    for position in skip:  # ascending: step over each copy at or before j
+        if position > j:
+            break
+        j += 1
+    return spec.pool[j]
 
 
 def corrupt(sentence: str, spec: NoiseSpec, index: int = 0) -> str:
@@ -110,8 +136,7 @@ def corrupt(sentence: str, spec: NoiseSpec, index: int = 0) -> str:
             if spec.substitution_policy == "table":
                 out.append(spec.substitution_table.get(token, token))
             elif spec.pool:
-                choices = [w for w in spec.pool if w != token] or list(spec.pool)
-                out.append(choices[rng.integers(len(choices))])
+                out.append(_substitute(spec, token, rng))
             else:
                 out.append(token)
         elif category == 2:  # repeated-letter stretching

@@ -19,13 +19,14 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import (DegenerateAxisError, DimensionError, LabelError,
-                     OptimizerError)
+                     NonFiniteError, OptimizerError)
 
 
 class Tensor:
     """An n-dimensional float64 array, optionally tracked for gradients."""
 
-    __slots__ = ("values", "grad", "requires_grad", "_parents", "_vjps")
+    __slots__ = ("values", "grad", "requires_grad", "_parents", "_vjps",
+                 "_owns_grad")
 
     def __init__(self, values, requires_grad: bool = False,
                  _parents: tuple = (), _vjps: tuple = ()):
@@ -34,14 +35,27 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents = _parents
         self._vjps = _vjps
+        self._owns_grad = False
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.values.shape
 
     def _accumulate(self, g: np.ndarray) -> None:
+        """Add one gradient contribution. The first is kept as it is when
+        it already has the layout a fresh buffer would have (same shape,
+        both C-contiguous), so the next matmul sees the same strides; any
+        other first contribution lands in a ``zeros_like`` buffer. A kept
+        array may be shared (``add`` hands one ``g`` to both operands), so
+        a later contribution is never written into it in place."""
         if self.grad is None:
-            self.grad = np.zeros_like(self.values)
+            if (g.shape == self.values.shape and g.flags.c_contiguous
+                    and self.values.flags.c_contiguous):
+                self.grad, self._owns_grad = g, False
+                return
+            self.grad, self._owns_grad = np.zeros_like(self.values), True
+        elif not self._owns_grad:
+            self.grad, self._owns_grad = self.grad.copy(), True
         self.grad += g
 
     def backward(self) -> None:
@@ -381,6 +395,12 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 class Adam:
     """Adam with bias correction and decoupled weight decay.
 
+    The parameters' values, the two moments and the gradients each live in
+    one flat float64 vector, in ``params`` order: construction copies the
+    values into the vector and rebinds every ``p.values`` to a view of it,
+    so a step is a handful of numpy calls whatever the number of tensors.
+    A later ``Adam`` over the same tensors rebinds them again, and the
+    earlier one no longer moves them: build one per training run.
     ``step()`` consumes the accumulated gradients and zeroes them.
     """
 
@@ -394,27 +414,44 @@ class Adam:
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self._m = [np.zeros_like(p.values) for p in self.params]
-        self._v = [np.zeros_like(p.values) for p in self.params]
+        self._flat = np.concatenate(
+            [p.values.reshape(-1) for p in self.params] or [np.zeros(0)])
+        start = 0
+        for p in self.params:
+            size = p.values.size
+            p.values = self._flat[start:start + size].reshape(p.values.shape)
+            start += size
+        self._m = np.zeros_like(self._flat)
+        self._v = np.zeros_like(self._flat)
+        self._g = np.empty_like(self._flat)
 
     def step(self) -> None:
         missing = [i for i, p in enumerate(self.params) if p.grad is None]
         if missing:
             raise OptimizerError(
                 f"step() with unpopulated gradients (params {missing})")
+        if self.params:
+            np.concatenate([p.grad.reshape(-1) for p in self.params],
+                           out=self._g)
+        if not np.isfinite(self._g).all():
+            bad = [i for i, p in enumerate(self.params)
+                   if not np.isfinite(p.grad).all()]
+            raise NonFiniteError(
+                f"step() with non-finite gradients in {len(bad)} of "
+                f"{len(self.params)} params, the first at index {bad[0]}")
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for p, m, v in zip(self.params, self._m, self._v):
-            g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if self.weight_decay:
-                update = update + self.weight_decay * p.values
-            p.values -= self.lr * update
+        g, m, v = self._g, self._m, self._v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        if self.weight_decay:
+            update = update + self.weight_decay * self._flat
+        self._flat -= self.lr * update
+        for p in self.params:
             p.grad = None
 
 

@@ -89,6 +89,19 @@ class TestTrain:
         assert {r["phase"] for r in records} == {2}
         assert (run / "model-baseline.ckpt").exists()
 
+    def test_non_finite_gradients_exit_10_without_checkpoint(
+            self, workspace, tmp_path, capsys):
+        # a step size this large overflows the forward of the next step,
+        # so its gradients are NaN before Adam writes anything
+        run = tmp_path / "run-nan"
+        argv = ["train", "--train", str(workspace / "data" / "train.tsv"),
+                "--outdir", str(run)] + TRAIN_FAST + ["--phase2-lr", "1e300"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(argv) == 10
+        assert "non-finite gradients" in capsys.readouterr().err
+        assert list(run.iterdir()) == []
+
     def test_missing_corpus_exit_code(self, tmp_path):
         assert main(["train", "--train", str(tmp_path / "nope.tsv"),
                      "--outdir", str(tmp_path)] + TRAIN_FAST) == 7
@@ -163,6 +176,14 @@ class TestEvalAndReport:
         assert main(["report", "--confusion", str(counts),
                      "--outdir", str(tmp_path / "report")]) == 3
         assert f"{counts}:2:" in capsys.readouterr().err
+        assert not (tmp_path / "report").exists()
+
+    def test_report_rejects_a_ragged_counts_file(self, tmp_path, capsys):
+        counts = tmp_path / "confusion_counts.csv"
+        counts.write_text("3,0\n\n1,2\n4\n")
+        assert main(["report", "--confusion", str(counts),
+                     "--outdir", str(tmp_path / "report")]) == 3
+        assert f"{counts}:4: expected 2 counts" in capsys.readouterr().err
         assert not (tmp_path / "report").exists()
 
     def test_report_closes_the_counts_file(self, tmp_path):

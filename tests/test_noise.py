@@ -3,8 +3,8 @@ import pytest
 
 from denoiseclf.metrics import corpus_wer
 from denoiseclf.noise import (ABBREVIATIONS, CalibrationError, NoiseSpec,
-                              calibrate, corrupt, corrupt_corpus, load_table,
-                              save_table)
+                              _substitute, calibrate, corrupt, corrupt_corpus,
+                              load_table, save_table)
 
 
 def sample_corpus(n=60, seed=0):
@@ -67,6 +67,19 @@ class TestCorrupt:
         spec = NoiseSpec(p_substitute=1.0, pool=("alpha", "beta"))
         out = corrupt("alpha alpha alpha", spec).split()
         assert out == ["beta", "beta", "beta"]
+
+    @pytest.mark.parametrize("pool", [
+        ("a", "b", "c", "d"), ("b", "a", "b", "c", "b"), ("b", "b"), ("b",),
+        ("c", "a")], ids=["unique", "repeats", "only_token", "single",
+                          "no_token"])
+    def test_pool_pick_matches_the_list_it_replaces(self, pool):
+        spec = NoiseSpec(pool=pool)
+        for seed in range(40):
+            ref_rng, rng = (np.random.default_rng(seed) for _ in range(2))
+            choices = [w for w in pool if w != "b"] or list(pool)
+            want = choices[ref_rng.integers(len(choices))]
+            assert _substitute(spec, "b", rng) == want
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_determinism_per_seed_and_index(self):
         spec = NoiseSpec(p_delete=0.2, p_substitute=0.3,

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from denoiseclf import tensor as T
 from denoiseclf.tensor import (Adam, DegenerateAxisError, DimensionError,
-                               LabelError, OptimizerError, Tensor,
-                               finite_difference_check)
+                               LabelError, NonFiniteError, OptimizerError,
+                               Tensor, finite_difference_check)
 
 
 def rand_tensor(rng, shape):
@@ -223,6 +223,35 @@ class TestBackward:
         loss2.backward()
         np.testing.assert_allclose(x.grad, [2.0])
 
+    @pytest.mark.parametrize("a_first", [True, False])
+    def test_add_shares_its_gradient_but_a_later_sum_copies(self, a_first):
+        # add's VJPs hand both operands the one g they get; a is then kept
+        # or not, depending on which path reaches it first, and a's second
+        # contribution must not be written into the g that b holds
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([3.0, 4.0], requires_grad=True)
+        s = T.add(a, b)
+        g = np.array([5.0, 7.0])
+        assert s._vjps[0](g) is g and s._vjps[1](g) is g
+        via_add = T.sum_all(T.mul(s, Tensor([5.0, 7.0])))
+        direct = T.sum_all(T.mul(a, Tensor([10.0, 100.0])))
+        (via_add + direct if a_first else direct + via_add).backward()
+        np.testing.assert_array_equal(b.grad, [5.0, 7.0])
+        np.testing.assert_array_equal(a.grad, [15.0, 107.0])
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_first_gradient_gets_the_layout_of_a_fresh_buffer(self, order):
+        # transpose's VJP returns a transposed view of g; storing it, or
+        # storing a C-ordered g for F-ordered values, would change the
+        # strides the next matmul sees
+        rng = np.random.default_rng(9)
+        w = Tensor(np.array(rng.normal(size=(3, 4)), order=order),
+                   requires_grad=True)
+        k = rng.normal(size=(4, 3))
+        T.sum_all(T.mul(T.transpose(w), Tensor(k))).backward()
+        assert w.grad.strides == np.zeros_like(w.values).strides
+        np.testing.assert_array_equal(w.grad, k.T)
+
     def test_two_layer_mlp_finite_differences(self):
         rng = np.random.default_rng(6)
         x = Tensor(rng.normal(size=(2, 4)))
@@ -278,6 +307,116 @@ class TestAdam:
             opt.step()
         warm = losses[20:120]
         assert all(b <= a + 1e-9 for a, b in zip(warm, warm[1:]))
+
+
+def _reference_adam(values, grads, lr, weight_decay, beta1=0.9,
+                    beta2=0.999, eps=1e-8):
+    """Per-tensor Adam, one tensor at a time, in Adam's expression order;
+    ``grads[t][i]`` is tensor i's gradient at step t + 1."""
+    values = [v.copy() for v in values]
+    m = [np.zeros_like(v) for v in values]
+    v2 = [np.zeros_like(v) for v in values]
+    for t, step_grads in enumerate(grads, start=1):
+        bc1, bc2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+        for p, mi, vi, g in zip(values, m, v2, step_grads):
+            mi *= beta1
+            mi += (1.0 - beta1) * g
+            vi *= beta2
+            vi += (1.0 - beta2) * g * g
+            update = (mi / bc1) / (np.sqrt(vi / bc2) + eps)
+            if weight_decay:
+                update = update + weight_decay * p
+            p -= lr * update
+    return values
+
+
+SHAPES = {
+    "mixed_shapes": [(3, 4), (5,), (), (2, 3, 2), (1, 1)],
+    # two slices of one model with an unoptimized tensor between them,
+    # like the encoder and the head of baseline phase 2
+    "two_groups": [(4, 6), (6,), None, (6, 2), (2,)],
+}
+
+
+class TestFlatAdam:
+    @pytest.mark.parametrize("case", sorted(SHAPES))
+    def test_matches_per_tensor_reference_bit_for_bit(self, case):
+        rng = np.random.default_rng(11)
+        tensors = [rand_tensor(rng, shape or (3,)) for shape in SHAPES[case]]
+        params = [t for t, shape in zip(tensors, SHAPES[case]) if shape]
+        frozen = [t for t, shape in zip(tensors, SHAPES[case]) if not shape]
+        frozen_before = [t.values.copy() for t in frozen]
+        grads = [[rng.normal(size=p.shape) for p in params] for _ in range(6)]
+        expected = _reference_adam([p.values for p in params], grads,
+                                   lr=0.05, weight_decay=0.01)
+        opt = Adam(params, lr=0.05, weight_decay=0.01)
+        for step_grads in grads:
+            for p, g in zip(params, step_grads):
+                p.grad = g.copy()
+            opt.step()
+        for p, want in zip(params, expected):
+            assert p.shape == want.shape
+            assert p.values.tobytes() == want.tobytes()
+        for t, before in zip(frozen, frozen_before):
+            assert t.values.tobytes() == before.tobytes()
+
+    def test_rebound_values_still_train(self):
+        # every training call builds its own Adam, so values rebound with
+        # .copy() between calls (as a benchmark restores a snapshot) are
+        # packed afresh and not left behind in an old buffer
+        def make():
+            rng = np.random.default_rng(12)
+            return [rand_tensor(rng, (4, 3)), rand_tensor(rng, (3,))]
+
+        rng = np.random.default_rng(13)
+        x = Tensor(rng.normal(size=(5, 4)))
+        target = Tensor(rng.normal(size=(5, 3)))
+
+        def train(params):
+            opt = Adam(params, lr=0.05, weight_decay=0.01)
+            for _ in range(5):
+                T.mse_loss(T.matmul(x, params[0]) + params[1],
+                           target).backward()
+                opt.step()
+
+        rebound = make()
+        snapshot = [p.values.copy() for p in rebound]
+        train(rebound)
+        for p, initial in zip(rebound, snapshot):
+            p.values = initial.copy()
+        train(rebound)
+        fresh = make()
+        train(fresh)
+        for p, q, initial in zip(rebound, fresh, snapshot):
+            assert not np.array_equal(p.values, initial)
+            assert p.values.tobytes() == q.values.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gradient_raises_before_any_write(self, bad):
+        rng = np.random.default_rng(14)
+        params = [rand_tensor(rng, (2, 3)), rand_tensor(rng, (4,))]
+        grads = [[rng.normal(size=p.shape) for p in params] for _ in range(2)]
+        expected = _reference_adam([p.values for p in params], grads,
+                                   lr=0.1, weight_decay=0.01)
+        opt = Adam(params, lr=0.1, weight_decay=0.01)
+        for p, g in zip(params, grads[0]):
+            p.grad = g.copy()
+        opt.step()
+        before = [p.values.copy() for p in params]
+        params[0].grad = np.ones((2, 3))
+        params[1].grad = np.array([1.0, bad, 1.0, 1.0])
+        with pytest.raises(NonFiniteError, match="1 of 2 params, the first at index 1"):
+            opt.step()
+        assert opt.t == 1
+        for p, b in zip(params, before):
+            assert p.values.tobytes() == b.tobytes()
+        # the moments are untouched too: the next finite step matches a
+        # run that never saw the bad one
+        for p, g in zip(params, grads[1]):
+            p.grad = g.copy()
+        opt.step()
+        for p, want in zip(params, expected):
+            assert p.values.tobytes() == want.tobytes()
 
 
 class TestDeterminism:
