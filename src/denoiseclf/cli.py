@@ -30,7 +30,7 @@ from .gradcheck import run_all
 from .metrics import ConfusionMatrix, MetricsReport
 from .model import ModelConfig, TextClassifier
 from .noise import NoiseSpec
-from .tokenizer import build_vocab
+from .tokenizer import build_vocab, normalize
 from .train import TrainConfig, evaluate, train_phase1, train_phase2
 
 
@@ -150,6 +150,10 @@ def cmd_eval(args) -> int:
     test = load_corpus(args.test, split="test",
                        num_classes=model.config.encoder.num_classes)
     cm = evaluate(test, model)
+    limit = model.config.encoder.seq_len - 2
+    cut = sum(len(normalize(ex.incomplete)) > limit for ex in test)
+    print(f"truncated: {cut} of {len(test)} test sentences cut to {limit} "
+          "tokens", file=sys.stderr)
     wer_pooled = ibleu_score = None
     if args.manifest:
         manifest = parse_config(args.manifest)

@@ -19,7 +19,7 @@ from .encoder import (EncoderConfig, EncoderParams, _init, _zeros,
                       encode_intermediate, field_rows)
 from .errors import ConfigError
 from .tensor import Tensor
-from .tokenizer import TokenSequence, Vocabulary, encode
+from .tokenizer import TokenSequence, Vocabulary, encode, trim_to_longest
 
 MODES = ("stacked", "baseline")
 
@@ -126,9 +126,17 @@ class TextClassifier:
     def predict(self, seqs: Sequence[TokenSequence]
                 ) -> tuple[np.ndarray, np.ndarray]:
         """Class probabilities [B, C] and argmax labels [B] (ties -> lowest
-        index)."""
+        index).
+
+        The forward runs only as wide as the batch's longest sentence: a pad
+        key's softmax weight is exactly 0, every other op works position by
+        position and the head reads the [CLS] column, so cutting pads
+        changes only the summation order. Training keeps full width, because
+        its reconstruction MSE counts the pad columns.
+        """
         with T.no_grad():
-            probs = T.softmax(self.logits(seqs), axis=-1).values
+            probs = T.softmax(self.logits(trim_to_longest(seqs)),
+                              axis=-1).values
         return probs, np.argmax(probs, axis=-1)
 
     def predict_sentence(self, sentence: str) -> tuple[np.ndarray, int]:

@@ -105,6 +105,8 @@ def _coerce(x) -> Tensor:
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a gradient over axes that were broadcast in the forward op."""
+    if g.shape == shape:
+        return g
     if g.ndim > len(shape):
         g = g.sum(axis=tuple(range(g.ndim - len(shape))))
     for ax, n in enumerate(shape):

@@ -12,6 +12,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 from .errors import ConfigError, CorpusError, VocabError
 from .fileio import atomic_write_text
@@ -107,6 +108,20 @@ class TokenSequence:
     position_ids: tuple[int, ...]
     attention_mask: tuple[int, ...]
     max_len: int
+
+
+def trim_to_longest(seqs: Sequence[TokenSequence]) -> list[TokenSequence]:
+    """Cut B sequences to the batch's longest real length.
+
+    ``encode`` makes the mask a prefix, [CLS] tokens [SEP] and then pads, so
+    only pad positions go; a batch holding a sentence that fills ``max_len``
+    keeps its full width.
+    """
+    width = max(sum(s.attention_mask) for s in seqs)
+    return [TokenSequence(s.token_ids[:width], s.segment_ids[:width],
+                          s.position_ids[:width], s.attention_mask[:width],
+                          width)
+            for s in seqs]
 
 
 def encode(sentence: str, vocab: Vocabulary, max_len: int = 32) -> TokenSequence:

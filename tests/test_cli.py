@@ -147,6 +147,21 @@ class TestEvalAndReport:
                   csv.reader((out / "confusion_counts.csv").open())]
         assert len(counts) == 2 and len(counts[0]) == 2
 
+    def test_eval_reports_truncated_sentences_on_stderr(self, workspace,
+                                                         tmp_path, capsys):
+        # seq_len 12 leaves room for 10 tokens; "well-being" is two
+        test = _file(tmp_path, "0\tgood day\n"
+                     "1\t" + "bad " * 10 + "\n"
+                     "0\twell-being " + "good " * 9 + "\n")
+        assert main(["eval", "--checkpoint", _checkpoint(workspace),
+                     "--test", test, "--outdir", str(tmp_path / "eval")]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == \
+            "truncated: 1 of 3 test sentences cut to 10 tokens\n"
+        header, row = list(csv.reader(captured.out.splitlines()))
+        assert header == ["dataset", "mode", "seed", "micro_f1", "macro_p",
+                          "macro_r", "macro_f1", "wer", "ibleu"]
+
     def test_report_from_counts(self, tmp_path):
         counts = tmp_path / "confusion_counts.csv"
         counts.write_text("15,5\n10,20\n")
