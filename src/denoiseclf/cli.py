@@ -96,6 +96,15 @@ def _model_config(args, vocab_size: int) -> ModelConfig:
     )
 
 
+def _report_truncation(sentences, seq_len: int, kind: str) -> None:
+    """One stderr line: how many of ``sentences`` ``encode`` cuts to its
+    ``seq_len - 2`` word tokens."""
+    limit = seq_len - 2
+    cut = sum(len(normalize(s)) > limit for s in sentences)
+    print(f"truncated: {cut} of {len(sentences)} {kind} sentences cut to "
+          f"{limit} tokens", file=sys.stderr)
+
+
 def cmd_train(args) -> int:
     _load_config_file(args)
     seed = _resolve(args, "seed", 0, int)
@@ -105,6 +114,7 @@ def cmd_train(args) -> int:
     sentences += [ex.complete for ex in train_data if ex.complete]
     vocab = build_vocab(sentences)
     config = _model_config(args, len(vocab))
+    _report_truncation(sentences, config.encoder.seq_len, "training")
     model = TextClassifier(config, vocab, seed=seed)
     cfg = TrainConfig(
         phase1_epochs=_resolve(args, "phase1_epochs", 200, int),
@@ -150,10 +160,8 @@ def cmd_eval(args) -> int:
     test = load_corpus(args.test, split="test",
                        num_classes=model.config.encoder.num_classes)
     cm = evaluate(test, model)
-    limit = model.config.encoder.seq_len - 2
-    cut = sum(len(normalize(ex.incomplete)) > limit for ex in test)
-    print(f"truncated: {cut} of {len(test)} test sentences cut to {limit} "
-          "tokens", file=sys.stderr)
+    _report_truncation([ex.incomplete for ex in test],
+                       model.config.encoder.seq_len, "test")
     wer_pooled = ibleu_score = None
     if args.manifest:
         manifest = parse_config(args.manifest)

@@ -70,7 +70,7 @@ class _Affine:
         if x.shape[0] != self.w.shape[1]:
             raise ConfigError(
                 f"affine expects hidden dim {self.w.shape[1]}, got {x.shape[0]}")
-        return T.matmul(self.w, x) + self.b
+        return T.affine(self.w, x, self.b)
 
 
 def _activate(x: Tensor, kind: str | None) -> Tensor:

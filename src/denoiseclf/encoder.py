@@ -141,7 +141,7 @@ def self_attention(x: Tensor, mask, blk: BlockParams, num_heads: int) -> Tensor:
     keys_last = (*range(n), n + 1, n + 2, n)
 
     def heads(w, b, axes):
-        split = T.reshape(T.matmul(x, w) + b, (*lead, length, num_heads, dh))
+        split = T.reshape(T.affine(x, w, b), (*lead, length, num_heads, dh))
         return T.transpose(split, axes)
 
     q = heads(blk.wq, blk.bq, heads_first)
@@ -150,14 +150,14 @@ def self_attention(x: Tensor, mask, blk: BlockParams, num_heads: int) -> Tensor:
     scores = T.mul(T.matmul(q, k), Tensor(1.0 / math.sqrt(dh)))
     att = T.softmax(scores + Tensor(_mask_bias(mask)), axis=-1)
     ctx = T.reshape(T.transpose(T.matmul(att, v), heads_first), x.shape)
-    return T.matmul(ctx, blk.wo) + blk.bo
+    return T.affine(ctx, blk.wo, blk.bo)
 
 
 def transformer_block(x: Tensor, mask, blk: BlockParams,
                       num_heads: int) -> Tensor:
     x = T.layernorm(x + self_attention(x, mask, blk, num_heads),
                     blk.ln1_g, blk.ln1_b)
-    ff = T.matmul(T.gelu(T.matmul(x, blk.w1) + blk.b1), blk.w2) + blk.b2
+    ff = T.affine(T.gelu(T.affine(x, blk.w1, blk.b1)), blk.w2, blk.b2)
     return T.layernorm(x + ff, blk.ln2_g, blk.ln2_b)
 
 

@@ -88,6 +88,13 @@ def run_op_checks(seed: int = 0) -> list[CheckResult]:
     t = _param(rng, (3, 4))
     results.append(_check_op("tanh", lambda: T.sum_all(T.tanh(t)), [t]))
 
+    aa, ab, abias = (_param(rng, (2, 3, 4)), _param(rng, (4, 5)),
+                     _param(rng, (5,)))
+    wa = Tensor(rng.normal(size=(2, 3, 5)))
+    results.append(_check_op(
+        "affine", lambda: T.sum_all(T.mul(T.affine(aa, ab, abias), wa)),
+        [aa, ab, abias]))
+
     return results
 
 

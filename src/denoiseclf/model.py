@@ -121,7 +121,7 @@ class TextClassifier:
             h_rec = refine(partial, field_rows(seqs, "attention_mask"),
                            self.post)
         cls = T.transpose(h_rec[:, ::h_rec.shape[1] // len(seqs)])  # [B, H]
-        return T.matmul(cls, self.head.w) + self.head.b
+        return T.affine(cls, self.head.w, self.head.b)
 
     def predict(self, seqs: Sequence[TokenSequence]
                 ) -> tuple[np.ndarray, np.ndarray]:

@@ -170,9 +170,8 @@ def mul(a, b) -> Tensor:
                  (b, lambda g: _unbroadcast(g * a.values, b.shape)))
 
 
-def matmul(a, b) -> Tensor:
-    """Product over the last two axes; leading (batch) axes broadcast."""
-    a, b = _coerce(a), _coerce(b)
+def _product(a: Tensor, b: Tensor, op: str):
+    """The product over the last two axes and the edges of both factors."""
     av, bv = a.values, b.values
     try:
         if av.ndim < 2 or bv.ndim < 2:
@@ -180,18 +179,40 @@ def matmul(a, b) -> Tensor:
         values = np.matmul(av, bv)
     except ValueError:
         raise DimensionError(
-            f"matmul: incompatible shapes {a.shape} and {b.shape}") from None
-    return _make(
-        values,
+            f"{op}: incompatible shapes {a.shape} and {b.shape}") from None
+    return values, (
         (a, lambda g: _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape)),
         (b, lambda g: _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape)))
 
 
+def matmul(a, b) -> Tensor:
+    """Product over the last two axes; leading (batch) axes broadcast."""
+    values, edges = _product(_coerce(a), _coerce(b), "matmul")
+    return _make(values, *edges)
+
+
+def affine(a, b, bias) -> Tensor:
+    """``matmul(a, b) + bias`` as one op: the bias is added into the
+    product in place and must broadcast to the product's shape. The VJPs
+    are those of ``matmul`` and ``add``. With the operands in the order
+    ``(a, b, bias)``, backward visits them, and sums every gradient, in the
+    same order as for ``add(matmul(a, b), bias)``."""
+    bias = _coerce(bias)
+    values, edges = _product(_coerce(a), _coerce(b), "affine")
+    try:
+        values += bias.values
+    except ValueError:
+        raise DimensionError(f"affine: bias shape {bias.shape} does not "
+                             f"broadcast to {values.shape}") from None
+    return _make(values, *edges,
+                 (bias, lambda g: _unbroadcast(g, bias.shape)))
+
+
 def transpose(x: Tensor, axes: Sequence[int] | None = None) -> Tensor:
     """Permute the axes; ``None`` reverses them, as in numpy."""
-    inverse = None if axes is None else tuple(np.argsort(axes))
-    return _make(np.transpose(x.values, axes),
-                 (x, lambda g: np.transpose(g, inverse)))
+    def vjp(g):
+        return np.transpose(g, None if axes is None else np.argsort(axes))
+    return _make(np.transpose(x.values, axes), (x, vjp))
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
@@ -251,14 +272,20 @@ _INV_SQRT_PI = 5.6418958354775628695e-1
 
 
 def _ratio(num, den, z, head):
-    """Cody's rational function of ``z`` in CALERF's Horner order:
-    ``num[-1]`` leads, ``num[head]`` and ``den[head]`` are the constant
-    terms, and the denominator's leading coefficient is 1."""
-    xnum, xden = num[-1] * z, z
-    for i in range(head):
-        xnum = (xnum + num[i]) * z
-        xden = (xden + den[i]) * z
-    return (xnum + num[head]) / (xden + den[head])
+    """Cody's rational function of the array ``z`` in CALERF's Horner
+    order: ``num[-1]`` leads, ``num[head]`` and ``den[head]`` are the
+    constant terms, and the denominator's leading coefficient is 1. Each
+    step is ``(acc + c) * z``, run in place on two buffers."""
+    xnum = num[-1] * z
+    xnum += num[0]
+    xden = z + den[0]
+    for i in range(1, head + 1):
+        xnum *= z
+        xnum += num[i]
+        xden *= z
+        xden += den[i]
+    xnum /= xden
+    return xnum
 
 
 def _exp_neg_sq(y):
@@ -268,37 +295,57 @@ def _exp_neg_sq(y):
 
 
 def _erf(x) -> np.ndarray:
-    """Elementwise float64 error function (not differentiable; an array op)."""
+    """Elementwise float64 error function (not differentiable; an array op).
+
+    Runs only the branches its input reaches: with every |x| <= 0.46875 it
+    is one rational in x*x, and with none above 4 the big-|x| branch is
+    skipped. Each element gets the same operations on every path."""
     x = np.asarray(x, dtype=np.float64)
     y = np.abs(x)
-    out = np.empty_like(y)
-    small = y <= 0.46875
-    mid = (y > 0.46875) & (y <= 4.0)
-    big = ~(small | mid)   # also NaN, which propagates
-    xs = x[small]
-    z = xs * xs
-    out[small] = xs * _ratio(_ERF_A, _ERF_B, z, 3)
-    ym = y[mid]
+    # NaN compares false, so a NaN anywhere, or an empty input, takes the
+    # full path, whose last branch propagates it
+    top = y.max() if y.size else math.nan
+    if top <= 0.46875:
+        out = _ratio(_ERF_A, _ERF_B, x * x, 3)
+        out *= x
+        return out
+    # branches gather and scatter by flat index, which numpy does several
+    # times faster than by boolean mask
+    xf, yf = x.reshape(-1), y.reshape(-1)
+    out = np.empty_like(yf)
+    small = np.flatnonzero(yf <= 0.46875)
+    xs = xf[small]
+    out[small] = xs * _ratio(_ERF_A, _ERF_B, xs * xs, 3)
+    reaches_big = not top <= 4.0
+    above = yf > 0.46875
+    if reaches_big:
+        above &= yf <= 4.0
+    mid = np.flatnonzero(above)
+    ym = yf[mid]
     erfc_mid = _exp_neg_sq(ym) * _ratio(_ERFC_C, _ERFC_D, ym, 7)
-    # erfc underflows to 0 past ~26.5; the clip keeps inf finite
-    yb = np.minimum(y[big], 30.0)
-    zb = 1.0 / (yb * yb)
-    erfc_big = _exp_neg_sq(yb) * (
-        (_INV_SQRT_PI - zb * _ratio(_ERFC_P, _ERFC_Q, zb, 4)) / yb)
-    out[mid] = np.copysign((0.5 - erfc_mid) + 0.5, x[mid])
-    out[big] = np.copysign((0.5 - erfc_big) + 0.5, x[big])
-    return out
+    out[mid] = np.copysign((0.5 - erfc_mid) + 0.5, xf[mid])
+    if reaches_big:
+        big = np.flatnonzero(~(yf <= 4.0))   # also NaN, which propagates
+        # erfc underflows to 0 past ~26.5; the clip keeps inf finite
+        yb = np.minimum(yf[big], 30.0)
+        zb = 1.0 / (yb * yb)
+        erfc_big = _exp_neg_sq(yb) * (
+            (_INV_SQRT_PI - zb * _ratio(_ERFC_P, _ERFC_Q, zb, 4)) / yb)
+        out[big] = np.copysign((0.5 - erfc_big) + 0.5, xf[big])
+    return out.reshape(x.shape)
 
 
 def gelu(x: Tensor) -> Tensor:
     """Exact GELU: 0.5 x (1 + erf(x / sqrt 2))."""
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    e = _erf(x.values * inv_sqrt2)
-    values = 0.5 * x.values * (1.0 + e)
+    xv = x.values
+    one_plus_e = _erf(xv * (1.0 / math.sqrt(2.0)))
+    one_plus_e += 1.0
+    values = 0.5 * xv
+    values *= one_plus_e
 
     def vjp(g):
-        pdf = np.exp(-0.5 * x.values ** 2) / math.sqrt(2.0 * math.pi)
-        return g * (0.5 * (1.0 + e) + x.values * pdf)
+        pdf = np.exp(-0.5 * xv ** 2) / math.sqrt(2.0 * math.pi)
+        return g * (0.5 * one_plus_e + xv * pdf)
     return _make(values, (x, vjp))
 
 
@@ -309,9 +356,9 @@ def tanh(x: Tensor) -> Tensor:
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stabilized softmax along ``axis``; other axes are batch."""
-    shifted = x.values - x.values.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = x.values - x.values.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
 
     def vjp(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
@@ -329,17 +376,20 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5,
         raise DegenerateAxisError(
             f"layernorm: axis length {n} cannot be normalized")
     gain, bias = _coerce(gain), _coerce(bias)
-    mu = x.values.mean(axis=axis, keepdims=True)
-    xc = x.values - mu
-    var = (xc ** 2).mean(axis=axis, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    values = xhat * gain.values + bias.values
+
+    def mean(v):
+        # np.mean's own arithmetic: add.reduce, then divide by the count
+        return v.sum(axis=axis, keepdims=True) / n
+    xhat = x.values - mean(x.values)
+    values = xhat * xhat
+    inv = 1.0 / np.sqrt(mean(values) + eps)
+    xhat *= inv
+    np.multiply(xhat, gain.values, out=values)
+    values += bias.values
 
     def x_vjp(g):
         gx = g * gain.values
-        return inv * (gx - gx.mean(axis=axis, keepdims=True)
-                      - xhat * (gx * xhat).mean(axis=axis, keepdims=True))
+        return inv * (gx - mean(gx) - xhat * mean(gx * xhat))
     return _make(values, (x, x_vjp),
                  (gain, lambda g: _unbroadcast(g * xhat, gain.shape)),
                  (bias, lambda g: _unbroadcast(g, bias.shape)))

@@ -17,17 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import DataError
+from .errors import DataError, NonFiniteError
 from .metrics import ConfusionMatrix
 from .model import TextClassifier
 from .tensor import Adam, Tensor
 
 # Sentences per forward in graph-free inference (evaluate, cache_embeddings).
 # With pads cut, evaluate at H=64, L=32, 4 heads on 200 noisy sentences ran
-# at about 1490 sentences/s at 4, 2210 at 8 and 2470 at 16 (median of 6
-# runs, 1 BLAS thread, 2-vCPU Xeon host), with peak RSS within 0.3 MB. It
-# stays 8: cache_embeddings shares it and runs at full width, where 16 added
-# about 3.5 MB of peak RSS over 8.
+# at about 2250 sentences/s at 4, 2770 at 8 and 3030 at 16 (median of three
+# sets of 6 runs, 1 BLAS thread, 2-vCPU Xeon host). It stays 8:
+# cache_embeddings shares it and runs at full width, where 16 added about
+# 3.5 MB of peak RSS over 8.
 INFERENCE_CHUNK = 8
 
 
@@ -114,8 +114,10 @@ def _train_epochs(phase: int, epochs: int, n: int, params, batch_loss,
     """The epoch loop of both phases: Adam over ``params``; per step the lr
     ``lr_at(step)`` (steps count from 1), one forward ``batch_loss(batch)``
     on a shuffled batch of indices into the ``n`` items, one backward and
-    one Adam step. Makes one record per epoch, its mean loss and last lr,
-    and hands it to ``log`` after the epoch's last step."""
+    one Adam step. A batch loss that is not finite raises
+    ``NonFiniteError`` before its backward, so Adam writes nothing. Makes
+    one record per epoch, its mean loss and last lr, and hands it to
+    ``log`` after the epoch's last step."""
     opt = Adam(params, weight_decay=cfg.weight_decay)
     rng = np.random.default_rng(seed)
     records = []
@@ -128,7 +130,12 @@ def _train_epochs(phase: int, epochs: int, n: int, params, batch_loss,
             step += 1
             opt.lr = lr_at(step)
             loss = batch_loss(batch)
-            epoch_loss += float(loss.values) * len(batch)
+            value = float(loss.values)
+            if not math.isfinite(value):
+                raise NonFiniteError(
+                    f"phase {phase}, epoch {epoch}, step {step}: batch loss "
+                    f"is {value}")
+            epoch_loss += value * len(batch)
             loss.backward()
             opt.step()
         records.append({"phase": phase, "epoch": epoch,

@@ -92,15 +92,32 @@ class TestTrain:
     def test_non_finite_gradients_exit_10_without_checkpoint(
             self, workspace, tmp_path, capsys):
         # a step size this large overflows the forward of the next step,
-        # so its gradients are NaN before Adam writes anything
+        # so its loss, and the gradients it would give, are NaN: training
+        # stops at the loss, before backward and before Adam writes
         run = tmp_path / "run-nan"
         argv = ["train", "--train", str(workspace / "data" / "train.tsv"),
                 "--outdir", str(run)] + TRAIN_FAST + ["--phase2-lr", "1e300"]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             assert main(argv) == 10
-        assert "non-finite gradients" in capsys.readouterr().err
+        assert "error: phase 2, epoch 0, step 2: batch loss is nan" in \
+            capsys.readouterr().err
         assert list(run.iterdir()) == []
+
+    def test_reports_truncated_training_sentences_on_stderr(
+            self, tmp_path, capsys):
+        # seq_len 12 leaves room for 10 tokens; both sides of a pair count
+        train = _file(tmp_path, "0\tgood day\tgood day\n"
+                      "1\t" + "bad " * 11 + "\t" + "bad " * 10 + "\n"
+                      "0\tgood good\t" + "good " * 12 + "\n")
+        run = tmp_path / "run-t"
+        assert main(["train", "--train", train, "--outdir", str(run)]
+                    + TRAIN_FAST) == 0
+        captured = capsys.readouterr()
+        assert captured.err == \
+            "truncated: 2 of 6 training sentences cut to 10 tokens\n"
+        assert captured.out == \
+            f"checkpoint written to {run / 'model-stacked.ckpt'}\n"
 
     def test_missing_corpus_exit_code(self, tmp_path):
         assert main(["train", "--train", str(tmp_path / "nope.tsv"),

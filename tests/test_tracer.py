@@ -7,6 +7,7 @@ import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import denoiseclf
@@ -68,3 +69,20 @@ def test_a_text_write_is_one_span(tracer_module, tmp_path):
     names = [tracer.names[record[0]] for record in tracer.spans]
     assert names == ["data.atomic_write_text", "data.atomic_write_bytes"]
     assert [record[3] for record in tracer.spans] == [-1, -1]
+
+
+def test_affine_is_one_op_and_not_matmul_time(tracer_module):
+    from denoiseclf import tensor as T
+    tracer = tracer_module.Tracer("t")
+    start = tracer.mark()
+    try:
+        tracer.install()
+        T.affine(T.Tensor(np.ones((4, 6))), T.Tensor(np.ones((6, 3))),
+                 T.Tensor(np.zeros(3)))
+    finally:
+        tracer.uninstall()
+    assert dict(tracer.op_calls) == {"affine": 1}
+    assert set(tracer.op_time) == {"affine"}
+    metrics = tracer.phase_metrics(start, examples=1)
+    assert metrics["tensor.ops_per_example"] == 1.0
+    assert metrics["tensor.matmul_s"] == 0.0

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from denoiseclf import tensor as T
+from denoiseclf import train
 from denoiseclf.data import PairedExample
 from denoiseclf.denoise import DenoiseConfig
 from denoiseclf.encoder import EncoderConfig
+from denoiseclf.errors import NonFiniteError
 from denoiseclf.metrics import DataError
 from denoiseclf.model import ModelConfig, TextClassifier
-from denoiseclf.tensor import Adam
+from denoiseclf.tensor import Adam, Tensor
 from denoiseclf.tokenizer import build_vocab
 from denoiseclf.train import (TrainConfig, cache_embeddings, evaluate,
                               train_phase1, train_phase2, warmup_linear)
@@ -147,6 +150,45 @@ class TestPhase1:
                    for r in records)
         assert [r["loss"] for r in records] == curve
         assert all(r["lr"] == cfg.phase1_lr for r in records)
+
+    def test_non_finite_loss_stops_before_backward_and_adam(
+            self, monkeypatch):
+        def overflowing(model, cached, batch):
+            # a target 1e160 away: the mean square overflows to inf, while
+            # its gradient 2 * diff / n stays finite
+            target = train._columns(cached, batch, 1).values + 1e160
+            with np.errstate(over="ignore"):
+                return T.mse_loss(
+                    model.stack(train._columns(cached, batch, 0)),
+                    Tensor(target))
+
+        model = tiny_model()
+        cached = cache_embeddings(PAIRS, model)
+        loss = overflowing(model, cached, [0, 1])
+        assert loss.values == np.inf
+        loss.backward()
+        assert all(np.isfinite(p.grad).all()
+                   for p in model.denoise_parameters())
+        for p in model.denoise_parameters():
+            p.grad = None
+
+        losses = [train.phase1_loss] * 2 + [overflowing]
+        monkeypatch.setattr(train, "phase1_loss",
+                            lambda *args: losses.pop(0)(*args))
+        snapshot = {}
+
+        def log(record):
+            snapshot.update((name, p.values.copy())
+                            for name, p in model.named_parameters())
+        cfg = TrainConfig(phase1_epochs=3, phase1_lr=1e-2, batch_size=4)
+        # 6 pairs in batches of 4: the third step opens the second epoch
+        with pytest.raises(NonFiniteError,
+                           match=r"^phase 1, epoch 1, step 3: batch loss "
+                                 r"is inf$"):
+            train_phase1(PAIRS, model, cfg, log=log)
+        for name, p in model.named_parameters():
+            np.testing.assert_array_equal(p.values, snapshot[name])
+            assert p.grad is None, name
 
 
 class TestPhase2:
