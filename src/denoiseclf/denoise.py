@@ -57,7 +57,8 @@ class DenoiseConfig:
 
 
 class _Affine:
-    """y = W x + b applied along the hidden axis of a [in, L] tensor."""
+    """The weight [out, in] and bias [out, 1] of y = W x + b, applied along
+    the hidden axis of [in, N] columns."""
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
         # fan-in scaled init: a 0.02-sigma init collapses the six-layer
@@ -65,20 +66,6 @@ class _Affine:
         # amplifying numerical noise
         self.w = _init(rng, (d_out, d_in), std=1.0 / math.sqrt(d_in))
         self.b = _zeros((d_out, 1))
-
-    def __call__(self, x: Tensor) -> Tensor:
-        if x.shape[0] != self.w.shape[1]:
-            raise ConfigError(
-                f"affine expects hidden dim {self.w.shape[1]}, got {x.shape[0]}")
-        return T.affine(self.w, x, self.b)
-
-
-def _activate(x: Tensor, kind: str | None) -> Tensor:
-    if kind == "tanh":
-        return T.tanh(x)
-    if kind == "gelu":
-        return T.gelu(x)
-    return x
 
 
 class DenoiseStack:
@@ -115,7 +102,8 @@ class DenoiseStack:
 
     def _stage(self, x: Tensor, pair) -> Tensor:
         first, second = pair
-        return second(_activate(first(x), self.cfg.activation))
+        return T.mlp(x, first.w, first.b, second.w, second.b,
+                     self.cfg.activation, columns=True)
 
     def compress(self, h_inc: Tensor) -> tuple[Tensor, Tensor, Tensor]:
         """[H, N] columns -> latent codes (z1, z2, z) of widths d1, d2, d3."""

@@ -2,15 +2,15 @@
 
 Input embedding is the sum of token, segment and position table rows. Blocks
 are post-layernorm: attention + residual + LN, then GELU feedforward +
-residual + LN. ``embed`` and ``encode_intermediate`` take a list of B
-``TokenSequence``s, so a batch runs as one forward over [B, L, H] rows with
-one mask row per sequence. ``encode_intermediate`` emits the (hidden,
+residual + LN, the attention and the feedforward each one fused op.
+``embed`` and ``encode_intermediate`` take a list of B ``TokenSequence``s,
+so a batch runs as one forward over [B, L, H] rows with one mask row per
+sequence. ``encode_intermediate`` emits the (hidden,
 sequence) column layout consumed by the denoising stacks, [H, B*L].
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -116,48 +116,18 @@ def embed(seqs: Sequence[TokenSequence], params: EncoderParams) -> Tensor:
     return tok + seg + pos
 
 
-def _mask_bias(mask) -> np.ndarray:
-    """Additive pre-softmax bias [..., 1, 1, L] from a [..., L] mask: 0 on
-    real keys, -inf-ish on pads; broadcasts over heads and query positions.
-
-    An all-masked row falls back to attending to position 0 only, so no
-    softmax row can become NaN.
-    """
-    m = np.array(mask, dtype=np.float64)
-    m[m.sum(axis=-1) == 0, 0] = 1.0
-    return (1.0 - m)[..., None, None, :] * -1e9
-
-
 def self_attention(x: Tensor, mask, blk: BlockParams, num_heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention over [..., L, H] rows.
-
-    All heads of all rows run as one batched matmul over [..., heads, L, dh].
-    """
-    *lead, length, h = x.shape
-    dh = h // num_heads
-    n = len(lead)
-    # [.., L, nh, dh] -> [.., nh, L, dh] (self-inverse) and -> [.., nh, dh, L]
-    heads_first = (*range(n), n + 1, n, n + 2)
-    keys_last = (*range(n), n + 1, n + 2, n)
-
-    def heads(w, b, axes):
-        split = T.reshape(T.affine(x, w, b), (*lead, length, num_heads, dh))
-        return T.transpose(split, axes)
-
-    q = heads(blk.wq, blk.bq, heads_first)
-    k = heads(blk.wk, blk.bk, keys_last)
-    v = heads(blk.wv, blk.bv, heads_first)
-    scores = T.mul(T.matmul(q, k), Tensor(1.0 / math.sqrt(dh)))
-    att = T.softmax(scores + Tensor(_mask_bias(mask)), axis=-1)
-    ctx = T.reshape(T.transpose(T.matmul(att, v), heads_first), x.shape)
-    return T.affine(ctx, blk.wo, blk.bo)
+    """Multi-head scaled dot-product attention over [..., L, H] rows (mask
+    [..., L]), one ``tensor.attention`` op."""
+    return T.attention(x, mask, num_heads, blk.wq, blk.bq, blk.wk, blk.bk,
+                       blk.wv, blk.bv, blk.wo, blk.bo)
 
 
 def transformer_block(x: Tensor, mask, blk: BlockParams,
                       num_heads: int) -> Tensor:
     x = T.layernorm(x + self_attention(x, mask, blk, num_heads),
                     blk.ln1_g, blk.ln1_b)
-    ff = T.affine(T.gelu(T.affine(x, blk.w1, blk.b1)), blk.w2, blk.b2)
+    ff = T.mlp(x, blk.w1, blk.b1, blk.w2, blk.b2, "gelu")
     return T.layernorm(x + ff, blk.ln2_g, blk.ln2_b)
 
 

@@ -95,7 +95,31 @@ def run_op_checks(seed: int = 0) -> list[CheckResult]:
         "affine", lambda: T.sum_all(T.mul(T.affine(aa, ab, abias), wa)),
         [aa, ab, abias]))
 
+    # two leading axes; one partly and one fully masked row
+    ax = _param(rng, (2, 2, 3, 4))
+    att_w = [_param(rng, shape) for _ in range(4) for shape in ((4, 4), (4,))]
+    att_mask = (((1, 1, 0), (1, 1, 1)), ((0, 0, 0), (1, 0, 0)))
+    wt = Tensor(rng.normal(size=(2, 2, 3, 4)))
+    results.append(_check_op(
+        "attention",
+        lambda: T.sum_all(T.mul(T.attention(ax, att_mask, 2, *att_w), wt)),
+        [ax] + att_w))
+
+    for layout, shapes, out_shape in (
+            ("rows", ((2, 3, 4), (4, 5), (5,), (5, 3), (3,)), (2, 3, 3)),
+            ("columns", ((4, 6), (5, 4), (5, 1), (3, 5), (3, 1)), (3, 6))):
+        for activation in (None, "tanh", "gelu"):
+            results.append(_check_mlp(
+                f"mlp_{layout}_{activation or 'none'}",
+                [_param(rng, shape) for shape in shapes],
+                Tensor(rng.normal(size=out_shape)), activation,
+                layout == "columns"))
     return results
+
+
+def _check_mlp(name, operands, weights, activation, columns) -> CheckResult:
+    return _check_op(name, lambda: T.sum_all(T.mul(
+        T.mlp(*operands, activation, columns=columns), weights)), operands)
 
 
 def run_block_checks(seed: int = 1) -> list[CheckResult]:

@@ -3,8 +3,11 @@
 The whole model is built from the handful of differentiable kernels in this
 module. Each op hands ``_make`` its output values plus, per operand, the
 vector-Jacobian product (VJP) that maps the output's gradient to that
-operand's. ``_make`` keeps only tracked operands, so constants never enter
-the graph. Calling ``backward()`` on a scalar walks the graph in reverse
+operand's. The fused kernels, ``attention`` and ``mlp``, each run a whole
+layer as one node and hand ``_make_joint`` one backward that returns the
+gradients of all their tracked operands at once. Both keep only tracked
+operands, so constants never enter the graph and no constant's gradient is
+computed. Calling ``backward()`` on a scalar walks the graph in reverse
 topological order, calls each VJP and accumulates the result: the engine
 is the one place that routes gradients. Ops accept leading batch axes, so
 one graph covers a whole batch. Inside ``no_grad()`` ops record nothing, so
@@ -18,8 +21,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import (DegenerateAxisError, DimensionError, LabelError,
-                     NonFiniteError, OptimizerError)
+from .errors import (ConfigError, DegenerateAxisError, DimensionError,
+                     LabelError, NonFiniteError, OptimizerError)
 
 
 class Tensor:
@@ -63,27 +66,40 @@ class Tensor:
             raise DimensionError(
                 f"backward() needs a scalar, got shape {self.shape}")
         # iterative postorder; state 1 = expanded, 2 = emitted, so shared
-        # subgraphs are emitted exactly once and always before any consumer
+        # subgraphs are emitted exactly once and always before any consumer.
+        # Leaves (no parents) only receive gradients, so the walk skips them
         topo: list[Tensor] = []
         state: dict[int, int] = {}
         stack: list[Tensor] = [self]
         while stack:
             node = stack[-1]
-            st = state.get(id(node), 0)
+            key = id(node)
+            st = state.get(key, 0)
             if st == 0:
-                state[id(node)] = 1
+                state[key] = 1
                 for p in node._parents:
-                    if state.get(id(p), 0) == 0:
+                    if p._parents and id(p) not in state:
                         stack.append(p)
             else:
                 stack.pop()
                 if st == 1:
-                    state[id(node)] = 2
+                    state[key] = 2
                     topo.append(node)
+        # an op output's gradient lives only for this pass: it is dropped
+        # once its VJPs have run, so only the leaves accumulate, and a
+        # second backward over one graph adds exactly the same gradients
         self._accumulate(np.ones_like(self.values))
         for node in reversed(topo):
-            for parent, vjp in zip(node._parents, node._vjps):
-                parent._accumulate(vjp(node.grad))
+            if not node._parents:
+                continue
+            g, node.grad = node.grad, None
+            vjps = node._vjps
+            if type(vjps) is tuple:
+                for parent, vjp in zip(node._parents, vjps):
+                    parent._accumulate(vjp(g))
+            else:
+                for parent, grad in zip(node._parents, vjps(g)):
+                    parent._accumulate(grad)
 
     # -- convenience operators; the real work lives in the module functions --
     def __add__(self, other):
@@ -148,6 +164,25 @@ def _make(values: np.ndarray, *edges: tuple[Tensor, Callable]) -> Tensor:
     return Tensor(values)
 
 
+def _make_joint(values: np.ndarray, operands: Sequence[Tensor],
+                backward: Callable) -> Tensor:
+    """A fused op's output. ``backward(g, need)`` gets the output's
+    gradient and one flag per operand, true for the tracked ones, and
+    returns one entry per operand: the gradient where ``need`` is true,
+    else ``None``, which it must not compute. The tracked operands become
+    ``_parents``; ``_vjps`` is then the one callable that returns their
+    gradients, in the same order."""
+    if _grad_enabled:
+        need = [t.requires_grad or bool(t._parents) for t in operands]
+        if any(need):
+            parents = tuple(t for t, n in zip(operands, need) if n)
+
+            def vjps(g):
+                return [grad for grad, n in zip(backward(g, need), need) if n]
+            return Tensor(values, _parents=parents, _vjps=vjps)
+    return Tensor(values)
+
+
 def add(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     try:
@@ -170,16 +205,32 @@ def mul(a, b) -> Tensor:
                  (b, lambda g: _unbroadcast(g * a.values, b.shape)))
 
 
-def _product(a: Tensor, b: Tensor, op: str):
-    """The product over the last two axes and the edges of both factors."""
-    av, bv = a.values, b.values
+def _matmul(av: np.ndarray, bv: np.ndarray, op: str) -> np.ndarray:
+    """``np.matmul`` over the last two axes; a mismatch is a
+    ``DimensionError`` naming ``op``."""
     try:
         if av.ndim < 2 or bv.ndim < 2:
             raise ValueError
-        values = np.matmul(av, bv)
+        return np.matmul(av, bv)
     except ValueError:
         raise DimensionError(
-            f"{op}: incompatible shapes {a.shape} and {b.shape}") from None
+            f"{op}: incompatible shapes {av.shape} and {bv.shape}") from None
+
+
+def _add_bias(values: np.ndarray, bias: np.ndarray, op: str) -> np.ndarray:
+    """Add ``bias`` into a product in place; it must broadcast to it."""
+    try:
+        values += bias
+    except ValueError:
+        raise DimensionError(f"{op}: bias shape {bias.shape} does not "
+                             f"broadcast to {values.shape}") from None
+    return values
+
+
+def _product(a: Tensor, b: Tensor, op: str):
+    """The product over the last two axes and the edges of both factors."""
+    av, bv = a.values, b.values
+    values = _matmul(av, bv, op)
     return values, (
         (a, lambda g: _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape)),
         (b, lambda g: _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape)))
@@ -199,13 +250,159 @@ def affine(a, b, bias) -> Tensor:
     same order as for ``add(matmul(a, b), bias)``."""
     bias = _coerce(bias)
     values, edges = _product(_coerce(a), _coerce(b), "affine")
-    try:
-        values += bias.values
-    except ValueError:
-        raise DimensionError(f"affine: bias shape {bias.shape} does not "
-                             f"broadcast to {values.shape}") from None
-    return _make(values, *edges,
+    return _make(_add_bias(values, bias.values, "affine"), *edges,
                  (bias, lambda g: _unbroadcast(g, bias.shape)))
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """[..., n] -> [rows, n]: every leading axis becomes one row axis."""
+    return a.reshape(-1, a.shape[-1])
+
+
+def _mask_bias(mask) -> np.ndarray:
+    """Additive pre-softmax bias [..., 1, 1, L] from a [..., L] mask: 0 on
+    real keys, -inf-ish on pads; broadcasts over heads and query positions.
+
+    An all-masked row falls back to attending to position 0 only, so no
+    softmax row can become NaN.
+    """
+    m = np.array(mask, dtype=np.float64)
+    m[m.sum(axis=-1) == 0, 0] = 1.0
+    return (1.0 - m)[..., None, None, :] * -1e9
+
+
+def attention(x, mask, num_heads: int, wq, bq, wk, bk, wv, bv, wo,
+              bo) -> Tensor:
+    """Masked multi-head scaled dot-product attention over [..., L, H]
+    rows, as one op: the q/k/v projections, the split into ``num_heads``
+    heads, the scaled scores plus the mask bias of ``_mask_bias`` (mask
+    [..., L]), softmax over the keys, the context and the output
+    projection. All heads of all rows run as one batched matmul over
+    [..., heads, L, dh]. The forward does the IEEE operations of the
+    composition of ``affine``, ``matmul``, ``mul``, ``add`` and ``softmax``;
+    the backward is hand-written, with every weight gradient one 2-D
+    product over all rows."""
+    operands = [_coerce(t) for t in (x, wq, bq, wk, bk, wv, bv, wo, bo)]
+    xv, wqv, bqv, wkv, bkv, wvv, bvv, wov, bov = (t.values for t in operands)
+    *lead, length, h = xv.shape
+    dh = h // num_heads
+    scale = 1.0 / math.sqrt(dh)
+    n = len(lead)
+    split = (*lead, length, num_heads, dh)
+    # [.., L, nh, dh] -> [.., nh, L, dh] (self-inverse) and -> [.., nh, dh, L]
+    heads_first = (*range(n), n + 1, n, n + 2)
+    keys_last = (*range(n), n + 1, n + 2, n)
+
+    def heads(w, b, axes):
+        projected = _add_bias(_matmul(xv, w, "attention"), b, "attention")
+        return projected.reshape(split).transpose(axes)
+
+    q = heads(wqv, bqv, heads_first)
+    k = heads(wkv, bkv, keys_last)
+    v = heads(wvv, bvv, heads_first)
+    att = np.matmul(q, k)
+    att *= scale
+    bias = _mask_bias(mask)
+    try:
+        att += bias
+    except ValueError:
+        raise DimensionError(f"attention: mask bias {bias.shape} does not "
+                             f"broadcast to scores {att.shape}") from None
+    att -= att.max(axis=-1, keepdims=True)
+    np.exp(att, out=att)
+    att /= att.sum(axis=-1, keepdims=True)
+    ctx = np.matmul(att, v).transpose(heads_first).reshape(xv.shape)
+    values = _add_bias(_matmul(ctx, wov, "attention"), bov, "attention")
+
+    def backward(g, need):
+        grads = [None] * 9
+        if need[7]:
+            grads[7] = np.matmul(_rows(ctx).T, _rows(g))
+        if need[8]:
+            grads[8] = _unbroadcast(g, bov.shape)
+        if not any(need[:7]):
+            return grads
+        g_ctx = np.matmul(g, wov.T).reshape(split).transpose(heads_first)
+        g_v = np.matmul(np.swapaxes(att, -1, -2), g_ctx)
+        # softmax, then the scale; the mask bias is a constant
+        g_att = np.matmul(g_ctx, np.swapaxes(v, -1, -2))
+        g_att -= (g_att * att).sum(axis=-1, keepdims=True)
+        g_att *= att
+        g_att *= scale
+        g_q = np.matmul(g_att, np.swapaxes(k, -1, -2))
+        # the key gradient is formed as [.., nh, L, dh], like the query's
+        g_k = np.matmul(np.swapaxes(g_att, -1, -2), q)
+        g_x = None
+        for i, g_head, w, b in ((1, g_q, wqv, bqv), (3, g_k, wkv, bkv),
+                                (5, g_v, wvv, bvv)):
+            g_proj = g_head.transpose(heads_first).reshape(xv.shape)
+            if need[i]:
+                grads[i] = np.matmul(_rows(xv).T, _rows(g_proj))
+            if need[i + 1]:
+                grads[i + 1] = _unbroadcast(g_proj, b.shape)
+            if need[0]:
+                g_in = np.matmul(g_proj, w.T)
+                g_x = g_in if g_x is None else g_x + g_in
+        grads[0] = g_x
+        return grads
+    return _make_joint(values, operands, backward)
+
+
+def mlp(x, w1, b1, w2, b2, activation: str | None = None,
+        columns: bool = False) -> Tensor:
+    """Two affine maps with ``activation`` (None, "tanh" or "gelu")
+    between them, as one op. By default x is [..., n] rows and each map is
+    ``x @ w + b``, the layout of a transformer block's feed-forward. With
+    ``columns`` x is [n, N] columns and each map is ``w @ x + b``, the
+    layout of a denoise stage. The forward does the IEEE operations of
+    ``affine``, the activation and ``affine``; the backward is
+    hand-written, and in the row layout every weight gradient is one 2-D
+    product over all rows."""
+    operands = [_coerce(t) for t in (x, w1, b1, w2, b2)]
+    xv, w1v, b1v, w2v, b2v = (t.values for t in operands)
+    if columns:
+        if xv.ndim != 2:
+            raise DimensionError(
+                f"mlp: columns must be [n, N], got shape {xv.shape}")
+
+        def product(a, w):
+            return _matmul(w, a, "mlp")
+
+        def input_grad(g, w):
+            return np.matmul(w.T, g)
+
+        def weight_grad(a, g):
+            return np.matmul(g, a.T)
+    else:
+        def product(a, w):
+            return _matmul(a, w, "mlp")
+
+        def input_grad(g, w):
+            return np.matmul(g, w.T)
+
+        def weight_grad(a, g):
+            return np.matmul(_rows(a).T, _rows(g))
+
+    hidden, activation_vjp = _activation(
+        activation, _add_bias(product(xv, w1v), b1v, "mlp"))
+    values = _add_bias(product(hidden, w2v), b2v, "mlp")
+
+    def backward(g, need):
+        grads = [None] * 5
+        if need[3]:
+            grads[3] = weight_grad(hidden, g)
+        if need[4]:
+            grads[4] = _unbroadcast(g, b2v.shape)
+        if any(need[:3]):
+            g_hidden = activation_vjp(input_grad(g, w2v))
+            if need[1]:
+                grads[1] = weight_grad(xv, g_hidden)
+            if need[2]:
+                grads[2] = _unbroadcast(g_hidden, b1v.shape)
+            if need[0]:
+                grads[0] = input_grad(g_hidden, w1v)
+        return grads
+    return _make_joint(values, operands, backward)
 
 
 def transpose(x: Tensor, axes: Sequence[int] | None = None) -> Tensor:
@@ -335,23 +532,36 @@ def _erf(x) -> np.ndarray:
     return out.reshape(x.shape)
 
 
+def _activation(kind: str | None, xv: np.ndarray):
+    """The values of activation ``kind`` at ``xv`` and their VJP: None is
+    the identity, "gelu" the exact 0.5 x (1 + erf(x / sqrt 2))."""
+    if kind is None:
+        return xv, lambda g: g
+    if kind == "tanh":
+        t = np.tanh(xv)
+        return t, lambda g: g * (1.0 - t * t)
+    if kind == "gelu":
+        one_plus_e = _erf(xv * (1.0 / math.sqrt(2.0)))
+        one_plus_e += 1.0
+        values = 0.5 * xv
+        values *= one_plus_e
+
+        def vjp(g):
+            pdf = np.exp(-0.5 * xv ** 2) / math.sqrt(2.0 * math.pi)
+            return g * (0.5 * one_plus_e + xv * pdf)
+        return values, vjp
+    raise ConfigError(f"unknown activation {kind!r}")
+
+
 def gelu(x: Tensor) -> Tensor:
     """Exact GELU: 0.5 x (1 + erf(x / sqrt 2))."""
-    xv = x.values
-    one_plus_e = _erf(xv * (1.0 / math.sqrt(2.0)))
-    one_plus_e += 1.0
-    values = 0.5 * xv
-    values *= one_plus_e
-
-    def vjp(g):
-        pdf = np.exp(-0.5 * xv ** 2) / math.sqrt(2.0 * math.pi)
-        return g * (0.5 * one_plus_e + xv * pdf)
+    values, vjp = _activation("gelu", x.values)
     return _make(values, (x, vjp))
 
 
 def tanh(x: Tensor) -> Tensor:
-    t = np.tanh(x.values)
-    return _make(t, (x, lambda g: g * (1.0 - t * t)))
+    values, vjp = _activation("tanh", x.values)
+    return _make(values, (x, vjp))
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

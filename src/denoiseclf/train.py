@@ -72,7 +72,9 @@ def _require_pairs(pairs) -> None:
                 f"example {i} has no complete sentence; phase 1 needs pairs")
 
 
-def _chunks(items, size: int = INFERENCE_CHUNK):
+def _chunks(items):
+    # the size is read per call, so INFERENCE_CHUNK can be set at run time
+    size = INFERENCE_CHUNK
     for start in range(0, len(items), size):
         yield items[start:start + size]
 
@@ -159,22 +161,48 @@ def train_phase1(pairs, model: TextClassifier, cfg: TrainConfig,
     return [r["loss"] for r in records]
 
 
-def _aux_loss(model: TextClassifier, exs, partial: Tensor) -> Tensor | None:
+def _with_aux(model: TextClassifier, aux_mse_weight: float) -> bool:
+    return aux_mse_weight > 0 and model.config.mode == "stacked"
+
+
+def _encode_examples(model: TextClassifier, exs, complete: bool) -> list:
+    """Each example as (incomplete sequence, label, complete sequence or
+    None); the complete sentence is encoded only when ``complete``."""
+    return [(model.encode_sentence(ex.incomplete), ex.label,
+             model.encode_sentence(ex.complete)
+             if complete and ex.complete is not None else None)
+            for ex in exs]
+
+
+def _aux_loss(model: TextClassifier, comps, partial: Tensor) -> Tensor | None:
     """Sum over the batch's paired examples of their reconstruction MSE,
-    divided by the batch size; ``partial`` is the denoise stack's [H, B*L]
+    divided by the batch size; ``comps`` holds each example's complete
+    sequence or None, and ``partial`` is the denoise stack's [H, B*L]
     output for the batch's incomplete sentences."""
-    have = [j for j, ex in enumerate(exs) if ex.complete is not None]
+    have = [j for j, seq in enumerate(comps) if seq is not None]
     if not have:
         return None
     with T.no_grad():
-        h_comp = model.intermediate(
-            [model.encode_sentence(exs[j].complete) for j in have])
-    if len(have) < len(exs):
-        seq_len = partial.shape[1] // len(exs)
+        h_comp = model.intermediate([comps[j] for j in have])
+    if len(have) < len(comps):
+        seq_len = partial.shape[1] // len(comps)
         cols = (np.asarray(have)[:, None] * seq_len
                 + np.arange(seq_len)).reshape(-1)
         partial = partial[:, cols]
-    return T.mul(T.mse_loss(partial, h_comp), Tensor(len(have) / len(exs)))
+    return T.mul(T.mse_loss(partial, h_comp), Tensor(len(have) / len(comps)))
+
+
+def _encoded_phase2_loss(model: TextClassifier, items,
+                         aux_mse_weight: float) -> Tensor:
+    """``phase2_loss`` of examples already encoded by ``_encode_examples``."""
+    seqs, labels, comps = zip(*items)
+    with_aux = _with_aux(model, aux_mse_weight)
+    partial = model.stack(model.intermediate(seqs)) if with_aux else None
+    loss = T.cross_entropy(model.logits(seqs, partial), list(labels))
+    aux = _aux_loss(model, comps, partial) if with_aux else None
+    if aux is not None:
+        loss = loss + T.mul(aux, Tensor(aux_mse_weight))
+    return loss
 
 
 def phase2_loss(model: TextClassifier, exs, aux_mse_weight: float) -> Tensor:
@@ -182,28 +210,23 @@ def phase2_loss(model: TextClassifier, exs, aux_mse_weight: float) -> Tensor:
     examples of a stacked model, ``aux_mse_weight`` times its
     reconstruction MSE. The aux term reads the stack output of the
     classification forward, so the stack runs once per step."""
-    seqs = [model.encode_sentence(ex.incomplete) for ex in exs]
-    with_aux = aux_mse_weight > 0 and model.config.mode == "stacked"
-    partial = model.stack(model.intermediate(seqs)) if with_aux else None
-    loss = T.cross_entropy(model.logits(seqs, partial),
-                           [ex.label for ex in exs])
-    aux = _aux_loss(model, exs, partial) if with_aux else None
-    if aux is not None:
-        loss = loss + T.mul(aux, Tensor(aux_mse_weight))
-    return loss
+    items = _encode_examples(model, exs, _with_aux(model, aux_mse_weight))
+    return _encoded_phase2_loss(model, items, aux_mse_weight)
 
 
 def train_phase2(data, model: TextClassifier, cfg: TrainConfig,
                  log=None) -> list[dict]:
-    """End-to-end fine-tuning on the classification objective."""
+    """End-to-end fine-tuning on the classification objective. Every
+    sentence is encoded once per call, not once per epoch."""
     if not data:
         raise DataError("phase 2 needs a non-empty corpus")
-    examples = list(data)
-    total_steps = cfg.phase2_epochs * math.ceil(len(examples) / cfg.batch_size)
+    items = _encode_examples(model, data,
+                             _with_aux(model, cfg.aux_mse_weight))
+    total_steps = cfg.phase2_epochs * math.ceil(len(items) / cfg.batch_size)
     return _train_epochs(
-        2, cfg.phase2_epochs, len(examples), model.trainable_parameters(),
-        lambda batch: phase2_loss(model, [examples[i] for i in batch],
-                                  cfg.aux_mse_weight),
+        2, cfg.phase2_epochs, len(items), model.trainable_parameters(),
+        lambda batch: _encoded_phase2_loss(
+            model, [items[i] for i in batch], cfg.aux_mse_weight),
         lambda step: cfg.phase2_lr * warmup_linear(
             step, total_steps, cfg.warmup_proportion),
         cfg.seed + 1, cfg, log)

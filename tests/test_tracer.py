@@ -86,3 +86,40 @@ def test_affine_is_one_op_and_not_matmul_time(tracer_module):
     metrics = tracer.phase_metrics(start, examples=1)
     assert metrics["tensor.ops_per_example"] == 1.0
     assert metrics["tensor.matmul_s"] == 0.0
+
+
+def test_fused_layers_keep_their_spans_and_count_as_their_own_ops(
+        tracer_module):
+    # what ``perfbench/run.py --trace 1`` reads off a stacked forward and
+    # backward: one span per layer function, and the fused kernels booked
+    # under their own names, with no softmax or GELU op of their own
+    from denoiseclf import tensor as T
+    from denoiseclf.denoise import DenoiseConfig
+    from denoiseclf.encoder import EncoderConfig
+    from denoiseclf.model import ModelConfig, TextClassifier
+    from denoiseclf.tokenizer import build_vocab
+
+    vocab = build_vocab(["good day", "bad day"])
+    model = TextClassifier(ModelConfig(
+        encoder=EncoderConfig(hidden_size=8, seq_len=4, num_layers=1,
+                              num_heads=2, ff_size=12,
+                              vocab_size=len(vocab), num_classes=2),
+        denoise=DenoiseConfig(dims=(8, 6, 4, 2), activation="gelu"),
+        n_post=1), vocab, seed=0)
+    seqs = [model.encode_sentence(s) for s in ("good day", "bad")]
+    tracer = tracer_module.Tracer("t")
+    try:
+        tracer.install()
+        T.cross_entropy(model.logits(seqs), [0, 1]).backward()
+    finally:
+        tracer.uninstall()
+    spans = {tracer.names[record[0]] for record in tracer.spans}
+    assert {"encoder.self_attention", "encoder.transformer_block",
+            "denoise.compress", "denoise.reconstruct", "denoise.refine",
+            "tensor.backward"} <= spans
+    # one encoder block and one post block; three stages each way
+    assert tracer.op_calls["attention"] == 2
+    assert tracer.op_calls["mlp"] == 2 + 6
+    assert "softmax" not in tracer.op_calls
+    assert "gelu" not in tracer.op_calls
+    assert "matmul" not in tracer.op_calls

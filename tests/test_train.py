@@ -251,6 +251,26 @@ class TestPhase2:
         with pytest.raises(DataError):
             train_phase2([], tiny_model(), TrainConfig())
 
+    @pytest.mark.parametrize("aux", [0.0, 0.5])
+    def test_each_sentence_is_encoded_once_per_call(self, aux, monkeypatch):
+        # the complete sentences only when the aux term reads them
+        model = tiny_model(seed=9)
+        sentences = []
+        encode = model.encode_sentence
+
+        def spy(sentence):
+            sentences.append(sentence)
+            return encode(sentence)
+
+        monkeypatch.setattr(model, "encode_sentence", spy)
+        cfg = TrainConfig(phase2_epochs=3, phase2_lr=1e-3, batch_size=4,
+                          aux_mse_weight=aux)
+        train_phase2(PAIRS, model, cfg)
+        expected = [ex.incomplete for ex in PAIRS]
+        if aux:
+            expected += [ex.complete for ex in PAIRS]
+        assert sorted(sentences) == sorted(expected)
+
     def test_determinism(self):
         losses = []
         for _ in range(2):
@@ -278,3 +298,19 @@ class TestEvaluate:
                     for ex in PAIRS]
         without = evaluate(stripped, model)
         np.testing.assert_array_equal(with_complete.counts, without.counts)
+
+    def test_chunk_size_is_read_at_call_time(self, monkeypatch):
+        model = tiny_model()
+        sizes = []
+        predict = model.predict
+
+        def spy(seqs):
+            sizes.append(len(seqs))
+            return predict(seqs)
+
+        monkeypatch.setattr(model, "predict", spy)
+        monkeypatch.setattr(train, "INFERENCE_CHUNK", 2)
+        test = PAIRS * 3
+        assert len(test) == 18
+        evaluate(test, model)
+        assert sizes == [2] * 9
