@@ -114,8 +114,8 @@ def cmd_train(args) -> int:
     sentences += [ex.complete for ex in train_data if ex.complete]
     vocab = build_vocab(sentences)
     config = _model_config(args, len(vocab))
-    _report_truncation(sentences, config.encoder.seq_len, "training")
     model = TextClassifier(config, vocab, seed=seed)
+    _report_truncation(sentences, config.encoder.seq_len, "training")
     cfg = TrainConfig(
         phase1_epochs=_resolve(args, "phase1_epochs", 200, int),
         phase1_lr=_resolve(args, "phase1_lr", 1e-3, float),

@@ -1,10 +1,13 @@
 """Denoising reconstruction block: compression/reconstruction MLP stacks.
 
-The compression stack maps the [H, L] intermediate embedding down through
-three stages (each a pair of affine maps applied per sequence position) to a
-narrow latent code; the reconstruction stack mirrors the chain back up to
-[H, L]. Trained against the clean-sentence embedding under MSE, then refined
-by post-reconstruction transformer blocks.
+The compression stack maps each position's H-wide embedding down through
+three stages (each a pair of affine maps) to a narrow latent code; the
+reconstruction stack mirrors the chain back up to H. Trained against the
+clean-sentence embedding under MSE, then refined by post-reconstruction
+transformer blocks. ``DenoiseStack`` and ``refine`` take and return
+[B, L, H] rows; only inside the stack (``compress``, ``reconstruct``) do the
+stages run over [H, B*L] columns, the layout of the paper's notation and of
+the stored [out, in] weights.
 
 The stage maps are affine by default; an optional smooth nonlinearity can be
 switched in between the two affine maps of each stage.
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .encoder import (BlockParams, EncoderConfig, _init, _zeros, to_columns,
+from .encoder import (BlockParams, EncoderConfig, _init, _zeros,
                       transformer_block)
 from .errors import ConfigError
 from .tensor import Tensor
@@ -126,8 +129,19 @@ class DenoiseStack:
         rec1 = self._stage(rec2, self.up[1])
         return self._stage(rec1, self.up[2])
 
-    def __call__(self, h_inc: Tensor) -> Tensor:
-        return self.reconstruct(self.compress(h_inc)[2])
+    def _reconstructed_columns(self, x: Tensor) -> Tensor:
+        """[..., H] rows -> their reconstruction as [H, N] columns."""
+        columns = T.transpose(T.reshape(x, (-1, x.shape[-1])))
+        return self.reconstruct(self.compress(columns)[2])
+
+    def __call__(self, x: Tensor) -> Tensor:
+        """[..., H] rows -> reconstructed rows of the same shape."""
+        return T.reshape(T.transpose(self._reconstructed_columns(x)), x.shape)
+
+    def loss(self, x: Tensor, target: np.ndarray) -> Tensor:
+        """MSE of ``self(x)`` against ``target`` rows, taken over columns."""
+        return T.mse_loss(self._reconstructed_columns(x),
+                          target.reshape(-1, target.shape[-1]).T)
 
 
 @dataclass
@@ -148,12 +162,8 @@ class PostTransformer:
             yield from blk.named_parameters(f"post{i}")
 
 
-def refine(h_rec_partial: Tensor, mask, post: PostTransformer) -> Tensor:
-    """Run [H, B*L] columns (mask [B, L]) through the post blocks, returning
-    the same layout."""
-    mask = np.asarray(mask)
-    x = T.reshape(T.transpose(h_rec_partial),
-                  (*mask.shape, h_rec_partial.shape[0]))
+def refine(x: Tensor, mask, post: PostTransformer) -> Tensor:
+    """Run [B, L, H] rows (mask [B, L]) through the post blocks."""
     for blk in post.blocks:
         x = transformer_block(x, mask, blk, post.num_heads)
-    return to_columns(x)
+    return x

@@ -5,8 +5,8 @@ are post-layernorm: attention + residual + LN, then GELU feedforward +
 residual + LN, the attention and the feedforward each one fused op.
 ``embed`` and ``encode_intermediate`` take a list of B ``TokenSequence``s,
 so a batch runs as one forward over [B, L, H] rows with one mask row per
-sequence. ``encode_intermediate`` emits the (hidden,
-sequence) column layout consumed by the denoising stacks, [H, B*L].
+sequence. Those rows are the one layout every module hands to the next,
+from the embedding through the denoising stacks to the classifier head.
 """
 
 from __future__ import annotations
@@ -131,17 +131,11 @@ def transformer_block(x: Tensor, mask, blk: BlockParams,
     return T.layernorm(x + ff, blk.ln2_g, blk.ln2_b)
 
 
-def to_columns(x: Tensor) -> Tensor:
-    """[B, L, H] rows -> [H, B*L] columns, sequence b in columns
-    b*L .. b*L + L - 1."""
-    return T.transpose(T.reshape(x, (-1, x.shape[-1])))
-
-
 def encode_intermediate(seqs: Sequence[TokenSequence],
                         params: EncoderParams) -> Tensor:
-    """Run embedding + all blocks, emitting the [H, B*L] column layout."""
+    """Run embedding + all blocks -> [B, L, H] rows."""
     x = embed(seqs, params)
     mask = field_rows(seqs, "attention_mask")
     for blk in params.blocks:
         x = transformer_block(x, mask, blk, params.cfg.num_heads)
-    return to_columns(x)
+    return x

@@ -140,8 +140,8 @@ def run_block_checks(seed: int = 1) -> list[CheckResult]:
     results = [_check_op("transformer_block", block_loss, block_params)]
 
     dn = DenoiseStack(DenoiseConfig(dims=(8, 6, 4, 2)), rng)
-    h = _param(rng, (8, 4))
-    dn_target = Tensor(rng.normal(size=(8, 4)))
+    h = Tensor(rng.normal(0.0, 1.0, size=(8, 4)).T.copy(), requires_grad=True)
+    dn_target = Tensor(rng.normal(size=(8, 4)).T)
     dn_params = [h] + [p for _, p in dn.named_parameters()]
     results.append(_check_op(
         "denoise_stack", lambda: T.mse_loss(dn(h), dn_target), dn_params))

@@ -2,7 +2,7 @@
 
 ``mode="stacked"`` routes the intermediate embedding through the denoising
 stacks and post-reconstruction blocks; ``mode="baseline"`` bypasses them,
-classifying straight off the encoder's [CLS] column. The forward methods take
+classifying straight off the encoder's [CLS] row. The forward methods take
 a list of ``TokenSequence``s, which runs as one batch.
 """
 
@@ -67,6 +67,9 @@ class TextClassifier:
             raise ConfigError(
                 f"vocabulary has {len(vocab)} entries but config allows "
                 f"{config.encoder.vocab_size}")
+        if config.encoder.seq_len < 3:   # room for [CLS] and [SEP]
+            raise ConfigError(
+                f"seq_len must be >= 3, got {config.encoder.seq_len}")
         self.config = config
         self.vocab = vocab
         rng = np.random.default_rng(seed)
@@ -105,23 +108,21 @@ class TextClassifier:
         return encode(sentence, self.vocab, self.config.encoder.seq_len)
 
     def intermediate(self, seqs: Sequence[TokenSequence]) -> Tensor:
-        """Encoder output of B sequences in [H, B*L] layout."""
+        """Encoder output of B sequences as [B, L, H] rows."""
         return encode_intermediate(seqs, self.encoder)
 
     def logits(self, seqs: Sequence[TokenSequence],
                partial: Tensor | None = None) -> Tensor:
-        """[B, C] for B sequences, read off the [CLS] columns of the final
-        [H, B*L] feature map. In stacked mode ``partial`` reuses an already
+        """[B, C] for B sequences, read off the [CLS] rows of the final
+        [B, L, H] features. In stacked mode ``partial`` reuses an already
         computed ``stack(intermediate(seqs))``; baseline mode ignores it."""
         if self.config.mode == "baseline":
-            h_rec = self.intermediate(seqs)
+            h = self.intermediate(seqs)
         else:
             if partial is None:
                 partial = self.stack(self.intermediate(seqs))
-            h_rec = refine(partial, field_rows(seqs, "attention_mask"),
-                           self.post)
-        cls = T.transpose(h_rec[:, ::h_rec.shape[1] // len(seqs)])  # [B, H]
-        return T.affine(cls, self.head.w, self.head.b)
+            h = refine(partial, field_rows(seqs, "attention_mask"), self.post)
+        return T.affine(h[:, 0], self.head.w, self.head.b)
 
     def predict(self, seqs: Sequence[TokenSequence]
                 ) -> tuple[np.ndarray, np.ndarray]:
@@ -130,9 +131,9 @@ class TextClassifier:
 
         The forward runs only as wide as the batch's longest sentence: a pad
         key's softmax weight is exactly 0, every other op works position by
-        position and the head reads the [CLS] column, so cutting pads
-        changes only the summation order. Training keeps full width, because
-        its reconstruction MSE counts the pad columns.
+        position and the head reads the [CLS] row, so cutting pads changes
+        only the summation order. Training keeps full width, because its
+        reconstruction MSE counts the pad positions.
         """
         with T.no_grad():
             probs = T.softmax(self.logits(trim_to_longest(seqs)),

@@ -180,16 +180,19 @@ def calibrate(corpus: list[str], spec: NoiseSpec,
     target = spec.target_wer
     if target is None or not (0.0 < target <= 2.0):
         raise ValueError(f"target WER must lie in (0, 2], got {target}")
-    if spec.p_delete == 0 and spec.p_substitute == 0:
-        # nothing to scale; start from an even split
-        spec = replace(spec, p_delete=0.25, p_substitute=0.25)
 
     def run_pass(s: NoiseSpec) -> Calibration:
         noisy = corrupt_corpus(corpus, s)
         return Calibration(s, noisy, corpus_wer(corpus, noisy))
 
-    # largest scale keeping every probability valid and the category mass <= 1
     other = spec.p_repeat + spec.p_abbreviate + spec.p_casual
+    if spec.p_delete == 0 and spec.p_substitute == 0:
+        # nothing to scale; split what the other categories leave evenly
+        start = min(0.25, (1.0 - other) / 2.0)
+        if start <= 0:
+            raise CalibrationError(target, run_pass(spec).wer[0])
+        spec = replace(spec, p_delete=start, p_substitute=start)
+    # largest scale keeping every probability valid and the category mass <= 1
     destructive = spec.p_delete + spec.p_substitute
     hi_scale = min(1.0 / max(spec.p_delete, spec.p_substitute),
                    (1.0 - other) / destructive)

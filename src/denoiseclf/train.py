@@ -73,42 +73,35 @@ def _require_pairs(pairs) -> None:
 
 
 def _chunks(items):
-    # the size is read per call, so INFERENCE_CHUNK can be set at run time
+    """(start, chunk) over ``items``; the size is read per call, so
+    INFERENCE_CHUNK can be set at run time."""
     size = INFERENCE_CHUNK
     for start in range(0, len(items), size):
-        yield items[start:start + size]
+        yield start, items[start:start + size]
 
 
-def cache_embeddings(pairs, model: TextClassifier) -> list[tuple[Tensor, Tensor]]:
-    """Graph-free (h_inc, h_comp), each [H, L], per pair; valid while the
-    encoder is frozen."""
-    cached = []
+def cache_embeddings(pairs, model: TextClassifier
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Graph-free encoder outputs of the incomplete and of the complete
+    sentences, each one [n, L, H] array of rows in pair order; valid while
+    the encoder is frozen."""
+    cfg = model.config.encoder
+    inc, comp = np.empty((2, len(pairs), cfg.seq_len, cfg.hidden_size))
     with T.no_grad():
-        for chunk in _chunks(pairs):
-            h_inc = model.intermediate(
-                [model.encode_sentence(ex.incomplete) for ex in chunk])
-            h_comp = model.intermediate(
-                [model.encode_sentence(ex.complete) for ex in chunk])
-            cached += [(Tensor(a), Tensor(b)) for a, b in zip(
-                np.split(h_inc.values, len(chunk), axis=1),
-                np.split(h_comp.values, len(chunk), axis=1))]
-    return cached
-
-
-def _columns(cached, batch, side: int) -> Tensor:
-    """The batch's cached [H, L] maps side by side -> [H, B*L]."""
-    return Tensor(np.concatenate([cached[i][side].values for i in batch],
-                                 axis=1))
+        for start, chunk in _chunks(pairs):
+            for side, name in ((inc, "incomplete"), (comp, "complete")):
+                side[start:start + len(chunk)] = model.intermediate(
+                    [model.encode_sentence(getattr(ex, name))
+                     for ex in chunk]).values
+    return inc, comp
 
 
 def phase1_loss(model: TextClassifier, cached, batch) -> Tensor:
-    """Mean reconstruction MSE of the batch (indices into ``cached``).
-
-    Every map has the same L, so one MSE over the concatenated columns is
-    the mean of the per-example MSEs.
-    """
-    return T.mse_loss(model.stack(_columns(cached, batch, 0)),
-                      _columns(cached, batch, 1))
+    """Mean reconstruction MSE of the batch, indices into the pairs of
+    ``cached`` from ``cache_embeddings``. Every sentence has the same L, so
+    one MSE over the batch is the mean of the per-example MSEs."""
+    inc, comp = cached
+    return model.stack.loss(Tensor(inc[batch]), comp[batch])
 
 
 def _train_epochs(phase: int, epochs: int, n: int, params, batch_loss,
@@ -155,7 +148,7 @@ def train_phase1(pairs, model: TextClassifier, cfg: TrainConfig,
     _require_pairs(pairs)
     cached = cache_embeddings(pairs, model)
     records = _train_epochs(
-        1, cfg.phase1_epochs, len(cached), model.denoise_parameters(),
+        1, cfg.phase1_epochs, len(pairs), model.denoise_parameters(),
         lambda batch: phase1_loss(model, cached, batch),
         lambda step: cfg.phase1_lr, cfg.seed, cfg, log)
     return [r["loss"] for r in records]
@@ -177,7 +170,7 @@ def _encode_examples(model: TextClassifier, exs, complete: bool) -> list:
 def _aux_loss(model: TextClassifier, comps, partial: Tensor) -> Tensor | None:
     """Sum over the batch's paired examples of their reconstruction MSE,
     divided by the batch size; ``comps`` holds each example's complete
-    sequence or None, and ``partial`` is the denoise stack's [H, B*L]
+    sequence or None, and ``partial`` is the denoise stack's [B, L, H]
     output for the batch's incomplete sentences."""
     have = [j for j, seq in enumerate(comps) if seq is not None]
     if not have:
@@ -185,10 +178,7 @@ def _aux_loss(model: TextClassifier, comps, partial: Tensor) -> Tensor | None:
     with T.no_grad():
         h_comp = model.intermediate([comps[j] for j in have])
     if len(have) < len(comps):
-        seq_len = partial.shape[1] // len(comps)
-        cols = (np.asarray(have)[:, None] * seq_len
-                + np.arange(seq_len)).reshape(-1)
-        partial = partial[:, cols]
+        partial = partial[have]
     return T.mul(T.mse_loss(partial, h_comp), Tensor(len(have) / len(comps)))
 
 
@@ -238,7 +228,7 @@ def evaluate(test, model: TextClassifier) -> ConfusionMatrix:
     if not examples:
         raise DataError("cannot evaluate on an empty test set")
     cm = ConfusionMatrix(model.config.encoder.num_classes)
-    for chunk in _chunks(examples):
+    for _, chunk in _chunks(examples):
         _, labels = model.predict(
             [model.encode_sentence(ex.incomplete) for ex in chunk])
         for ex, label in zip(chunk, labels):

@@ -116,12 +116,12 @@ class TestBatchedForward:
         model = make_model()
         pairs = PAIRS * 4   # more than one inference chunk
         cached = cache_embeddings(pairs, model)
-        assert len(cached) == len(pairs)
-        for ex, (h_inc, h_comp) in zip(pairs, cached):
+        assert [h.shape for h in cached] == [(len(pairs), 6, 8)] * 2
+        for ex, h_inc, h_comp in zip(pairs, *cached):
             for h, sentence in ((h_inc, ex.incomplete),
                                 (h_comp, ex.complete)):
                 single = model.intermediate([model.encode_sentence(sentence)])
-                np.testing.assert_allclose(h.values, single.values,
+                np.testing.assert_allclose(h, single.values[0],
                                            rtol=0, atol=1e-12)
 
 
@@ -134,7 +134,7 @@ class TestBatchedSteps:
         def reference():
             total = None
             for i in batch:
-                h_inc, h_comp = cached[i]
+                h_inc, h_comp = (Tensor(h[i]) for h in cached)
                 item = T.mse_loss(model.stack(h_inc), h_comp)
                 total = item if total is None else total + item
             return T.mul(total, Tensor(1.0 / len(batch)))
@@ -240,7 +240,7 @@ class TestConstantsStayOutOfTheGraph:
         assert ({id(t) for t in graph_leaves(out)}
                 == {id(t) for t in [x] + attention})
 
-    def test_cached_columns_in_phase1_loss(self):
+    def test_cached_rows_in_phase1_loss(self):
         model = make_model()
         cached = cache_embeddings(PAIRS, model)
         loss = phase1_loss(model, cached, [4, 0, 3])

@@ -119,6 +119,19 @@ class TestTrain:
         assert captured.out == \
             f"checkpoint written to {run / 'model-stacked.ckpt'}\n"
 
+    def test_seq_len_below_three_exits_8_before_any_output(
+            self, workspace, tmp_path, capsys):
+        # a sentence needs room for [CLS] and [SEP]: the model rejects the
+        # config before the truncation line and before the outdir exists
+        run = tmp_path / "run-short"
+        argv = ["train", "--train", str(workspace / "data" / "train.tsv"),
+                "--outdir", str(run)] + TRAIN_FAST + ["--seq-len", "2"]
+        assert main(argv) == 8
+        err = capsys.readouterr().err
+        assert "truncated:" not in err
+        assert "seq_len must be >= 3, got 2" in err
+        assert not run.exists()
+
     def test_missing_corpus_exit_code(self, tmp_path):
         assert main(["train", "--train", str(tmp_path / "nope.tsv"),
                      "--outdir", str(tmp_path)] + TRAIN_FAST) == 7

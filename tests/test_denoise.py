@@ -68,8 +68,8 @@ class TestAffineBehaviour:
             if p.values.ndim == 2 and p.values.shape[1] == 1:
                 p.values[:] = 0.0
         rng = np.random.default_rng(4)
-        x = Tensor(rng.normal(size=(8, 5)))
-        y = Tensor(rng.normal(size=(8, 5)))
+        x = Tensor(rng.normal(size=(8, 5)).T)
+        y = Tensor(rng.normal(size=(8, 5)).T)
         fx, fy = stack(x).values, stack(y).values
         np.testing.assert_allclose(
             stack(Tensor(2.5 * x.values)).values, 2.5 * fx, rtol=1e-10)
@@ -87,27 +87,37 @@ class TestAffineBehaviour:
                 p.values[:] = np.eye(4)
             else:
                 p.values[:] = 0.0
-        x = np.random.default_rng(6).normal(size=(4, 3))
+        x = np.random.default_rng(6).normal(size=(4, 3)).T
         np.testing.assert_allclose(stack(Tensor(x)).values, x, atol=1e-12)
 
-    def test_column_locality(self):
-        # each sequence position is mapped independently
+    def test_position_locality(self):
+        # each sequence position (one row) is mapped independently
         stack = DenoiseStack(DenoiseConfig(dims=(8, 6, 4, 2)),
                              np.random.default_rng(7))
         rng = np.random.default_rng(8)
-        x = rng.normal(size=(8, 4))
+        x = rng.normal(size=(8, 4)).T.copy()
         base = stack(Tensor(x)).values
         x2 = x.copy()
-        x2[:, 2] += rng.normal(size=8)
+        x2[2] += rng.normal(size=8)
         out = stack(Tensor(x2)).values
-        changed = np.abs(out - base).max(axis=0) > 0
+        changed = np.abs(out - base).max(axis=1) > 0
         np.testing.assert_array_equal(changed, [False, False, True, False])
+
+    def test_rows_keep_their_shape_and_batch_axis(self):
+        stack = DenoiseStack(DenoiseConfig(dims=(8, 6, 4, 2)),
+                             np.random.default_rng(7))
+        x = np.random.default_rng(8).normal(size=(3, 4, 8))
+        out = stack(Tensor(x)).values
+        assert out.shape == (3, 4, 8)
+        for b in range(3):
+            np.testing.assert_allclose(out[b], stack(Tensor(x[b])).values,
+                                       rtol=0, atol=1e-12)
 
     def test_tanh_activation_breaks_linearity(self):
         stack = DenoiseStack(
             DenoiseConfig(dims=(8, 6, 4, 2), activation="tanh"),
             np.random.default_rng(9))
-        x = Tensor(np.random.default_rng(10).normal(size=(8, 3)))
+        x = Tensor(np.random.default_rng(10).normal(size=(8, 3)).T)
         fx = stack(x).values
         f2x = stack(Tensor(2.0 * x.values)).values
         assert not np.allclose(f2x, 2.0 * fx)
@@ -126,6 +136,29 @@ class TestLossAndGradients:
         assert h_rec.grad is not None
         assert h_comp.grad is None
 
+    def test_loss_is_the_mse_of_the_rows(self):
+        # the stack takes its MSE over columns; the value and the gradients
+        # are those of the MSE over the rows it returns, up to summation
+        # order
+        stack = DenoiseStack(DenoiseConfig(dims=(8, 6, 4, 2)),
+                             np.random.default_rng(13))
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(2, 3, 8))
+        target = rng.normal(size=(2, 3, 8))
+        params = [p for _, p in stack.named_parameters()]
+        results = []
+        for loss_fn in (lambda: stack.loss(Tensor(x), target),
+                        lambda: T.mse_loss(stack(Tensor(x)), Tensor(target))):
+            for p in params:
+                p.grad = None
+            loss = loss_fn()
+            loss.backward()
+            results.append((float(loss.values), [p.grad for p in params]))
+        (loss, grads), (ref_loss, ref_grads) = results
+        assert abs(loss - ref_loss) <= 1e-12 * ref_loss
+        for g, ref in zip(grads, ref_grads):
+            np.testing.assert_allclose(g, ref, rtol=0, atol=1e-12)
+
     def test_stack_gradient_matches_finite_differences(self):
         from denoiseclf.gradcheck import run_block_checks
         results = {r.name: r for r in run_block_checks()}
@@ -137,8 +170,8 @@ class TestLossAndGradients:
         stack = DenoiseStack(DenoiseConfig(dims=(8, 6, 4, 2)),
                              np.random.default_rng(13))
         rng = np.random.default_rng(14)
-        h_inc = Tensor(rng.normal(size=(8, 5)))
-        h_comp = Tensor(rng.normal(scale=0.1, size=(8, 5)))
+        h_inc = Tensor(rng.normal(size=(8, 5)).T)
+        h_comp = Tensor(rng.normal(scale=0.1, size=(8, 5)).T)
         params = [p for _, p in stack.named_parameters()]
         opt = Adam(params, lr=1e-2)
         first = None
@@ -157,13 +190,13 @@ class TestPostTransformer:
         cfg = EncoderConfig(hidden_size=8, seq_len=4, num_layers=1,
                             num_heads=2, ff_size=12, vocab_size=16)
         post = PostTransformer.build(cfg, n_post=2, rng=np.random.default_rng(15))
-        h = Tensor(np.random.default_rng(16).normal(size=(8, 4)))
+        h = Tensor(np.random.default_rng(16).normal(size=(8, 4)).T)
         out = refine(h, [1, 1, 1, 0], post)
-        assert out.shape == (8, 4)
+        assert out.shape == (4, 8)
         assert len(list(post.named_parameters())) == 2 * 16
 
     def test_zero_blocks_is_identity(self):
         post = PostTransformer(blocks=[], num_heads=2)
-        h = Tensor(np.random.default_rng(17).normal(size=(8, 4)))
+        h = Tensor(np.random.default_rng(17).normal(size=(8, 4)).T)
         np.testing.assert_array_equal(refine(h, [1] * 4, post).values,
                                       h.values)

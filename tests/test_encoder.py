@@ -174,11 +174,11 @@ class TestTransformerBlock:
 
 
 class TestEncodeIntermediate:
-    def test_output_shape_is_hidden_by_seq(self, vocab):
+    def test_output_shape_is_batch_by_seq_by_hidden(self, vocab):
         cfg = tiny_config(num_layers=2)
         params = EncoderParams(cfg, np.random.default_rng(15))
         seq = encode("good night", vocab, max_len=4)
-        assert encode_intermediate([seq], params).shape == (8, 4)
+        assert encode_intermediate([seq], params).shape == (1, 4, 8)
 
     def test_determinism(self, vocab):
         cfg = tiny_config()
@@ -196,7 +196,7 @@ class TestEncodeIntermediate:
         assert np.abs(h_inc.values - h_comp.values).max(axis=0).max() > 0
 
     def test_pad_invariance_of_cls(self, vocab):
-        # same content at two padded lengths: the [CLS] column must agree
+        # same content at two padded lengths: the [CLS] row must agree
         cfg_short = tiny_config(seq_len=6)
         rng_a = np.random.default_rng(18)
         params_short = EncoderParams(cfg_short, rng_a)
@@ -213,7 +213,7 @@ class TestEncodeIntermediate:
                                     params_short).values
         long = encode_intermediate([encode("good night", vocab, 10)],
                                    params_long).values
-        np.testing.assert_allclose(long[:, 0], short[:, 0], atol=1e-9)
+        np.testing.assert_allclose(long[0, 0], short[0, 0], atol=1e-9)
 
     def test_full_model_gradient_tiny_config(self):
         from denoiseclf.gradcheck import run_end_to_end_check

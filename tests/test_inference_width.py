@@ -123,7 +123,7 @@ def test_training_runs_at_full_width(monkeypatch):
     widths = embed_widths(monkeypatch)
     cached = cache_embeddings(PAIRS, model)
     assert widths and set(widths) == {SEQ_LEN}
-    assert {h.shape for pair in cached for h in pair} == {(8, SEQ_LEN)}
+    assert {h.shape for h in cached} == {(len(PAIRS), SEQ_LEN, 8)}
     widths.clear()
     phase2_loss(model, PAIRS[:4], aux_mse_weight=0.5)
     # the classification forward and the aux loss's complete sentences

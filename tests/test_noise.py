@@ -118,6 +118,25 @@ class TestCalibrate:
         achieved = corpus_wer(corpus, corrupt_corpus(corpus, calibrated))[0]
         assert abs(achieved - 0.2) <= 0.05
 
+    def test_zero_start_leaves_room_for_the_other_categories(self):
+        # 0.25 each on deletion and substitution would overfill the 0.6
+        # already set; the start splits the 0.4 that is left
+        corpus = sample_corpus(seed=1)
+        spec = NoiseSpec(p_repeat=0.3, p_abbreviate=0.2, p_casual=0.1,
+                         pool=("zz", "qq"), seed=11, target_wer=0.5)
+        calibrated, _, wers = calibrate(corpus, spec)
+        assert calibrated.probabilities()[2:] == (0.3, 0.2, 0.1)
+        assert sum(calibrated.probabilities()) <= 1.0 + 1e-12
+        assert abs(wers[0] - 0.5) <= 0.05
+
+    def test_nothing_left_to_scale(self):
+        corpus = sample_corpus(seed=1)
+        spec = NoiseSpec(p_repeat=0.5, p_abbreviate=0.3, p_casual=0.2,
+                         pool=("zz", "qq"), seed=11, target_wer=0.3)
+        with pytest.raises(CalibrationError) as exc:
+            calibrate(corpus, spec)
+        assert exc.value.target == 0.3
+
     def test_non_destructive_probabilities_preserved(self):
         corpus = sample_corpus(seed=2)
         spec = NoiseSpec(p_delete=0.1, p_substitute=0.1, p_repeat=0.05,

@@ -123,3 +123,8 @@ def test_fused_layers_keep_their_spans_and_count_as_their_own_ops(
     assert "softmax" not in tracer.op_calls
     assert "gelu" not in tracer.op_calls
     assert "matmul" not in tracer.op_calls
+    # the only layout changes are the denoise stack's rows -> columns on
+    # entry and back on exit; the head's [CLS] pick is the one index
+    assert tracer.op_calls["transpose"] == 2
+    assert tracer.op_calls["reshape"] == 2
+    assert tracer.op_calls["index"] == 1
