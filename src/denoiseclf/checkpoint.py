@@ -23,7 +23,8 @@ import numpy as np
 
 from .denoise import DenoiseConfig
 from .encoder import EncoderConfig
-from .errors import CheckpointError, CorruptionError, MigrationError  # noqa: F401
+from .errors import (CheckpointError, CorruptionError,  # noqa: F401
+                     MigrationError, NonFiniteError)
 from .fileio import atomic_write_bytes
 from .model import ModelConfig, TextClassifier
 from .tokenizer import Vocabulary
@@ -59,6 +60,9 @@ def save_checkpoint(model: TextClassifier, path: str | Path) -> None:
     arrays = [(name, p.values) for name, p in model.named_parameters()]
     state_hash = hashlib.sha256()
     for name, values in arrays:
+        if not np.isfinite(values).all():
+            raise NonFiniteError(f"parameter {name} is not finite; "
+                                 "no checkpoint written")
         state_hash.update(name.encode())
         state_hash.update(values.tobytes())
     header = json.dumps({
@@ -141,6 +145,8 @@ def load_checkpoint(path: str | Path) -> TextClassifier:
             raise CorruptionError(
                 f"array {name} has shape {values.shape}, "
                 f"expected {p.values.shape}")
+        if not np.isfinite(values).all():
+            raise CorruptionError(f"array {name} is not finite")
         p.values = values.copy()
         state_hash.update(name.encode())
         state_hash.update(p.values.tobytes())

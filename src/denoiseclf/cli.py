@@ -1,9 +1,9 @@
 """Command-line surface: dataset preparation, training, evaluation,
 reporting, and the gradient-verification suite.
 
-Option precedence is flag > config file > built-in default. Config files
-are flat ``key = value`` text where keys match the long flag names with
-underscores (e.g. ``hidden_size = 32``).
+Each option is declared once, in ``OPTIONS``: flag ``--hidden-size``,
+config key ``hidden_size``. Precedence is flag > config file > the table's
+default. Path flags (``--train``, ``--outdir``, ...) are flag-only.
 """
 
 from __future__ import annotations
@@ -14,86 +14,127 @@ import io
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import (atomic_write_text, format_config, load_corpus,
-                   make_dataset, parse_config, split_corpus, synthetic_corpus)
+from .data import (atomic_write_text, config_lines, format_config,
+                   load_corpus, make_dataset, parse_config, split_corpus,
+                   synthetic_corpus)
 from .denoise import DenoiseConfig
 from .encoder import EncoderConfig
 from .errors import (CalibrationError, CheckpointError, DataError, LabelError,
                      NonFiniteError, ParseError)
 from .gradcheck import run_all
 from .metrics import ConfusionMatrix, MetricsReport
-from .model import ModelConfig, TextClassifier
+from .model import MODES, ModelConfig, TextClassifier
 from .noise import NoiseSpec
 from .tokenizer import build_vocab, normalize
 from .train import TrainConfig, evaluate, train_phase1, train_phase2
 
 
-def _resolve(args: argparse.Namespace, key: str, default, cast=None):
-    """flag > config file > default."""
-    value = getattr(args, key, None)
-    if value is None and getattr(args, "config_values", None):
-        value = args.config_values.get(key)
-    if value is None:
-        return default
-    return cast(value) if cast else value
+def _int_or_empty(text: str) -> int | None:
+    return None if text == "" else int(text)
 
 
-def _load_config_file(args: argparse.Namespace) -> None:
-    args.config_values = (parse_config(args.config)
-                          if getattr(args, "config", None) else {})
+_SEED = ("seed", int, 0, "random seed")
+
+# (name, type or choices, default, help) of each option, per subcommand.
+# The CLI's 200 phase-1 epochs, 5 phase-2 epochs and phase-2 lr 5e-3 suit
+# its small corpora; TrainConfig's 500, 3 and 2e-5 are the paper's scale.
+OPTIONS = {
+    "prepare": (
+        ("target_wer", float, None, "scale the noise to this pooled WER"),
+        ("p_delete", float, 0.1, "word deletion probability"),
+        ("p_substitute", float, 0.1, "word substitution probability"),
+        ("p_repeat", float, 0.02, "word repetition probability"),
+        ("p_abbreviate", float, 0.05, "abbreviation probability"),
+        ("p_casual", float, 0.05, "casual-spelling probability"),
+        ("test_fraction", float, 0.25, "share of sentences held out"),
+        ("synthetic_per_class", int, 60, "built-in corpus size per class"),
+        _SEED),
+    "train": (
+        ("mode", MODES, "stacked", "model to train"),
+        ("hidden_size", int, 32, "hidden width"),
+        ("seq_len", int, 16, "tokens per sentence"),
+        ("num_layers", int, 1, "encoder blocks"),
+        ("num_heads", int, 2, "attention heads"),
+        ("ff_size", int, None, "feed-forward width (default: 2 * hidden)"),
+        ("num_classes", int, 2, "number of classes"),
+        ("n_post", _int_or_empty, None, "post blocks (default: num_layers)"),
+        ("phase1_epochs", int, 200, "reconstruction epochs"),
+        ("phase1_lr", float, 1e-3, "reconstruction learning rate"),
+        ("phase2_epochs", int, 5, "fine-tuning epochs"),
+        ("phase2_lr", float, 5e-3, "fine-tuning peak learning rate"),
+        ("weight_decay", float, 1e-5, "decoupled weight decay"),
+        ("warmup_proportion", float, 0.1, "phase-2 warmup share of steps"),
+        ("batch_size", int, 8, "examples per step"),
+        ("aux_mse_weight", float, 0.0, "phase-2 reconstruction MSE weight"),
+        _SEED),
+    "eval": (_SEED,),
+    "report": (),
+    "gradcheck": (_SEED,),
+}
+_KINDS = {name: kind for opts in OPTIONS.values() for name, kind, *_ in opts}
+
+
+def _command(sub, name: str, func, summary: str) -> argparse.ArgumentParser:
+    """The subparser ``name`` with a flag per table option, each argparse
+    default None, and ``--config`` if it has options."""
+    p = sub.add_parser(name, help=summary)
+    p.set_defaults(func=func, config=None)
+    for option, kind, default, text in OPTIONS[name]:
+        how = {"type": kind} if callable(kind) else {"choices": kind}
+        text += "" if default is None else f" (default: {default})"
+        p.add_argument("--" + option.replace("_", "-"), help=text, **how)
+    if OPTIONS[name]:
+        p.add_argument("--config", help="flat key = value config file")
+    return p
+
+
+def _fill_options(args: argparse.Namespace) -> None:
+    """Set each option not given as a flag from the config file, else from
+    its default. A config key that is no subcommand's option, or a value
+    not of its type or choices, is a ParseError naming the line."""
+    given = {}
+    for lineno, key, text in config_lines(args.config) if args.config else ():
+        if key not in _KINDS:
+            raise ParseError(args.config, lineno, f"unknown key {key!r}")
+        kind = _KINDS[key]
+        try:  # index() raises ValueError for a value not in the choices
+            given[key] = kind(text) if callable(kind) else \
+                kind[kind.index(text)]
+        except ValueError:
+            raise ParseError(args.config, lineno,
+                             f"{key}: invalid value {text!r}") from None
+    for name, _, default, _ in OPTIONS[args.command]:
+        if getattr(args, name) is None:
+            setattr(args, name, given.get(name, default))
+
+
+def _from_options(cls, args, **given):
+    """A ``cls`` whose fields named like an option of the subcommand take
+    that option's value; ``given`` sets or overrides fields."""
+    names = {name for name, *_ in OPTIONS[args.command]}
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)
+                  if f.name in names} | given)
 
 
 def cmd_prepare(args) -> int:
-    _load_config_file(args)
-    seed = _resolve(args, "seed", 0, int)
-    target = _resolve(args, "target_wer", None, float)
-    spec = NoiseSpec(
-        p_delete=_resolve(args, "p_delete", 0.1, float),
-        p_substitute=_resolve(args, "p_substitute", 0.1, float),
-        p_repeat=_resolve(args, "p_repeat", 0.02, float),
-        p_abbreviate=_resolve(args, "p_abbreviate", 0.05, float),
-        p_casual=_resolve(args, "p_casual", 0.05, float),
-        seed=seed,
-        target_wer=target,
-    )
     if args.input:
         rows = load_corpus(args.input, split="train")
         clean = [(ex.label, ex.complete or ex.incomplete) for ex in rows]
     else:
-        clean = synthetic_corpus(
-            _resolve(args, "synthetic_per_class", 60, int), seed=seed)
+        clean = synthetic_corpus(args.synthetic_per_class, seed=args.seed)
     pool = sorted({w for _, s in clean for w in s.split()})
-    spec = replace(spec, pool=tuple(pool))
-    train_clean, test_clean = split_corpus(
-        clean, _resolve(args, "test_fraction", 0.25, float), seed)
+    spec = _from_options(NoiseSpec, args, pool=tuple(pool))
+    train_clean, test_clean = split_corpus(clean, args.test_fraction,
+                                           args.seed)
     manifest = make_dataset(train_clean, test_clean, spec, args.outdir)
     print(format_config(manifest), end="")
     return 0
-
-
-def _model_config(args, vocab_size: int) -> ModelConfig:
-    hidden = _resolve(args, "hidden_size", 32, int)
-    return ModelConfig(
-        encoder=EncoderConfig(
-            hidden_size=hidden,
-            seq_len=_resolve(args, "seq_len", 16, int),
-            num_layers=_resolve(args, "num_layers", 1, int),
-            num_heads=_resolve(args, "num_heads", 2, int),
-            ff_size=_resolve(args, "ff_size", 2 * hidden, int),
-            vocab_size=vocab_size,
-            num_classes=_resolve(args, "num_classes", 2, int),
-        ),
-        denoise=DenoiseConfig.for_hidden_size(hidden),
-        n_post=_resolve(args, "n_post", None,
-                        lambda v: None if v in (None, "") else int(v)),
-        mode=args.mode,
-    )
 
 
 def _report_truncation(sentences, seq_len: int, kind: str) -> None:
@@ -106,27 +147,20 @@ def _report_truncation(sentences, seq_len: int, kind: str) -> None:
 
 
 def cmd_train(args) -> int:
-    _load_config_file(args)
-    seed = _resolve(args, "seed", 0, int)
     train_data = load_corpus(args.train, split="train",
-                             num_classes=_resolve(args, "num_classes", 2, int))
+                             num_classes=args.num_classes)
     sentences = [ex.incomplete for ex in train_data]
     sentences += [ex.complete for ex in train_data if ex.complete]
     vocab = build_vocab(sentences)
-    config = _model_config(args, len(vocab))
-    model = TextClassifier(config, vocab, seed=seed)
+    hidden = args.hidden_size
+    ff_size = 2 * hidden if args.ff_size is None else args.ff_size
+    encoder = _from_options(EncoderConfig, args, vocab_size=len(vocab),
+                            ff_size=ff_size)
+    config = _from_options(ModelConfig, args, encoder=encoder,
+                           denoise=DenoiseConfig.for_hidden_size(hidden))
+    model = TextClassifier(config, vocab, seed=args.seed)
+    cfg = _from_options(TrainConfig, args)
     _report_truncation(sentences, config.encoder.seq_len, "training")
-    cfg = TrainConfig(
-        phase1_epochs=_resolve(args, "phase1_epochs", 200, int),
-        phase1_lr=_resolve(args, "phase1_lr", 1e-3, float),
-        weight_decay=_resolve(args, "weight_decay", 1e-5, float),
-        phase2_epochs=_resolve(args, "phase2_epochs", 5, int),
-        phase2_lr=_resolve(args, "phase2_lr", 5e-3, float),
-        warmup_proportion=_resolve(args, "warmup_proportion", 0.1, float),
-        batch_size=_resolve(args, "batch_size", 8, int),
-        seed=seed,
-        aux_mse_weight=_resolve(args, "aux_mse_weight", 0.0, float),
-    )
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     log_lines: list[str] = []
@@ -155,7 +189,6 @@ def _write_confusion_csv(path: Path, matrix: np.ndarray) -> None:
 
 
 def cmd_eval(args) -> int:
-    _load_config_file(args)
     model = load_checkpoint(args.checkpoint)
     test = load_corpus(args.test, split="test",
                        num_classes=model.config.encoder.num_classes)
@@ -176,8 +209,7 @@ def cmd_eval(args) -> int:
     writer.writerow(["dataset", "mode", "seed", "micro_f1", "macro_p",
                      "macro_r", "macro_f1", "wer", "ibleu"])
     writer.writerow([
-        Path(args.test).stem, model.config.mode,
-        _resolve(args, "seed", 0, int),
+        Path(args.test).stem, model.config.mode, args.seed,
         f"{report.micro_f1:.6f}", f"{report.macro.precision:.6f}",
         f"{report.macro.recall:.6f}", f"{report.macro.f1:.6f}",
         "" if wer_pooled is None else f"{wer_pooled:.6f}",
@@ -243,10 +275,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    _load_config_file(args)
-    seed = _resolve(args, "seed", 0, int)
     start = time.time()
-    results = run_all(seed)
+    results = run_all(args.seed)
     ok = True
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -261,60 +291,27 @@ def build_parser() -> argparse.ArgumentParser:
         prog="denoiseclf",
         description="Noise-robust text classification toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--config", help="flat key = value config file")
-
-    p = sub.add_parser("prepare", help="corrupt a clean corpus into "
-                       "paired train/test splits")
+    p = _command(sub, "prepare", cmd_prepare,
+                 "corrupt a clean corpus into paired train/test splits")
     p.add_argument("--input", help="clean corpus TSV (label<TAB>sentence); "
                    "omitted = built-in synthetic corpus")
     p.add_argument("--outdir", required=True)
-    p.add_argument("--target-wer", dest="target_wer", type=float)
-    for name in ("p-delete", "p-substitute", "p-repeat", "p-abbreviate",
-                 "p-casual"):
-        p.add_argument(f"--{name}", dest=name.replace("-", "_"), type=float)
-    p.add_argument("--test-fraction", dest="test_fraction", type=float)
-    p.add_argument("--synthetic-per-class", dest="synthetic_per_class",
-                   type=int)
-    common(p)
-    p.set_defaults(func=cmd_prepare)
-
-    p = sub.add_parser("train", help="run two-phase training")
+    p = _command(sub, "train", cmd_train, "run two-phase training")
     p.add_argument("--train", required=True, help="paired train TSV")
     p.add_argument("--outdir", required=True)
-    p.add_argument("--mode", choices=("stacked", "baseline"),
-                   default="stacked")
-    p.add_argument("--aux-mse-weight", dest="aux_mse_weight", type=float)
-    for name in ("hidden-size", "seq-len", "num-layers", "num-heads",
-                 "ff-size", "num-classes", "n-post", "phase1-epochs",
-                 "phase2-epochs", "batch-size"):
-        p.add_argument(f"--{name}", dest=name.replace("-", "_"), type=int)
-    for name in ("phase1-lr", "phase2-lr", "weight-decay",
-                 "warmup-proportion"):
-        p.add_argument(f"--{name}", dest=name.replace("-", "_"), type=float)
-    common(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a test split")
+    p = _command(sub, "eval", cmd_eval,
+                 "evaluate a checkpoint on a test split")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--outdir", required=True)
     p.add_argument("--manifest", help="dataset manifest for noise scores")
-    common(p)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("report", help="normalized confusion matrix and "
-                       "macro score table")
+    p = _command(sub, "report", cmd_report,
+                 "normalized confusion matrix and macro score table")
     p.add_argument("--confusion", required=True,
                    help="confusion counts CSV from eval")
     p.add_argument("--outdir", required=True)
-    p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
-    common(p)
-    p.set_defaults(func=cmd_gradcheck)
+    _command(sub, "gradcheck", cmd_gradcheck,
+             "finite-difference gradient suite")
     return parser
 
 
@@ -328,6 +325,7 @@ _ERROR_CATEGORIES = (
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _fill_options(args)
         return args.func(args)
     except Exception as exc:  # categorized nonzero exits
         for etype, code in _ERROR_CATEGORIES:

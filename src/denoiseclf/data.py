@@ -133,8 +133,10 @@ def split_corpus(examples: list[tuple[int, str]], test_fraction: float,
 
 # -- flat key = value config files ------------------------------------------
 
-def parse_config(path: str | Path) -> dict[str, str]:
-    config = {}
+def config_lines(path: str | Path) -> list[tuple[int, str, str]]:
+    """Each ``key = value`` line of a flat config file as (line number, key,
+    value), in file order; blank lines and ``#`` comments are skipped."""
+    lines = []
     for lineno, line in enumerate(
             Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         stripped = line.strip()
@@ -143,8 +145,12 @@ def parse_config(path: str | Path) -> dict[str, str]:
         if "=" not in stripped:
             raise ParseError(path, lineno, "expected key = value")
         key, _, value = stripped.partition("=")
-        config[key.strip()] = value.strip()
-    return config
+        lines.append((lineno, key.strip(), value.strip()))
+    return lines
+
+
+def parse_config(path: str | Path) -> dict[str, str]:
+    return {key: value for _, key, value in config_lines(path)}
 
 
 def format_config(mapping: dict) -> str:

@@ -65,8 +65,9 @@ class OptimizerError(RuntimeError):
 
 
 class NonFiniteError(ArithmeticError):
-    """Raised when an optimizer step meets a NaN or infinite gradient,
-    before any parameter or moment is written."""
+    """Raised when a training loss, an optimizer step's gradient or a
+    parameter about to be saved is NaN or infinite, before anything is
+    written."""
 
 
 class CheckpointError(RuntimeError):
@@ -78,4 +79,5 @@ class MigrationError(CheckpointError):
 
 
 class CorruptionError(CheckpointError):
-    """Raised when the file is truncated or fails its checksum."""
+    """Raised when the file is truncated, fails its checksum or holds a
+    non-finite array."""

@@ -74,7 +74,7 @@ class NoiseSpec:
 
     def __post_init__(self):
         probs = self.probabilities()
-        if any(p < 0 or p > 1 for p in probs):
+        if any(not 0.0 <= p <= 1.0 for p in probs):
             raise ValueError(f"probabilities must lie in [0, 1]: {probs}")
         if sum(probs) > 1.0 + 1e-12:
             raise ValueError(

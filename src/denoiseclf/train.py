@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import DataError, NonFiniteError
+from .errors import ConfigError, DataError, NonFiniteError
 from .metrics import ConfusionMatrix
 from .model import TextClassifier
 from .tensor import Adam, Tensor
@@ -50,6 +50,12 @@ class TrainConfig:
             raise ValueError("warmup proportion must lie in [0, 1]")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
+        for name in ("phase1_lr", "phase2_lr", "weight_decay",
+                     "aux_mse_weight"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0, "
+                                  f"got {value}")
 
 
 def warmup_linear(step: int, total_steps: int, warmup_proportion: float) -> float:
@@ -171,7 +177,9 @@ def _aux_loss(model: TextClassifier, comps, partial: Tensor) -> Tensor | None:
     """Sum over the batch's paired examples of their reconstruction MSE,
     divided by the batch size; ``comps`` holds each example's complete
     sequence or None, and ``partial`` is the denoise stack's [B, L, H]
-    output for the batch's incomplete sentences."""
+    output for the batch's incomplete sentences. The target ``h_comp`` is
+    computed under ``no_grad``, so training holds it constant (a
+    stop-gradient): the encoder gets gradient only through ``partial``."""
     have = [j for j, seq in enumerate(comps) if seq is not None]
     if not have:
         return None
@@ -199,7 +207,10 @@ def phase2_loss(model: TextClassifier, exs, aux_mse_weight: float) -> Tensor:
     """Mean over the batch of each example's cross-entropy plus, for paired
     examples of a stacked model, ``aux_mse_weight`` times its
     reconstruction MSE. The aux term reads the stack output of the
-    classification forward, so the stack runs once per step."""
+    classification forward, so the stack runs once per step. Its target,
+    the complete sentence's embedding, is held constant (see
+    ``_aux_loss``), so finite differences that move the target with the
+    encoder do not match this loss's gradient."""
     items = _encode_examples(model, exs, _with_aux(model, aux_mse_weight))
     return _encoded_phase2_loss(model, items, aux_mse_weight)
 

@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from denoiseclf.checkpoint import (FORMAT_VERSION, CorruptionError,
                                    MigrationError, load_checkpoint,
                                    save_checkpoint)
+from denoiseclf.errors import NonFiniteError
 from denoiseclf.denoise import DenoiseConfig
 from denoiseclf.encoder import EncoderConfig
 from denoiseclf.model import ModelConfig, TextClassifier
@@ -118,4 +121,42 @@ class TestCorruptionDetection:
         path = tmp_path / "m.ckpt"
         path.write_bytes(b"DNCF short")
         with pytest.raises(CorruptionError):
+            load_checkpoint(path)
+
+
+def _state_hash(model) -> str:
+    """The header's parameter hash, as ``save_checkpoint`` forms it."""
+    digest = hashlib.sha256()
+    for name, p in model.named_parameters():
+        digest.update(name.encode())
+        digest.update(p.values.tobytes())
+    return digest.hexdigest()
+
+
+class TestNonFinite:
+    def test_save_refuses_a_nan_parameter_and_writes_nothing(self, tmp_path):
+        model = tiny_model()
+        name, p = list(model.named_parameters())[5]
+        p.values.flat[1] = np.nan
+        with pytest.raises(NonFiniteError, match=f"parameter {name} is not "
+                           "finite; no checkpoint written"):
+            save_checkpoint(model, tmp_path / "m.ckpt")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_load_rejects_a_nan_array_with_valid_hashes(self, tmp_path):
+        model = tiny_model()
+        name, p = list(model.named_parameters())[5]
+        p.values.flat[1] = 1234.5
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        finite_hash = _state_hash(model)
+        p.values.flat[1] = np.nan
+        body = path.read_bytes()[:-32]
+        assert body.count(np.float64(1234.5).tobytes()) == 1
+        body = body.replace(np.float64(1234.5).tobytes(),
+                            np.float64(np.nan).tobytes())
+        body = body.replace(finite_hash.encode(), _state_hash(model).encode())
+        path.write_bytes(body + hashlib.sha256(body).digest())
+        with pytest.raises(CorruptionError,
+                           match=f"array {name} is not finite"):
             load_checkpoint(path)

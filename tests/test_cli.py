@@ -8,6 +8,7 @@ import warnings
 import pytest
 
 from denoiseclf import cli
+from denoiseclf.checkpoint import load_checkpoint
 from denoiseclf.cli import main
 from denoiseclf.data import load_corpus, parse_config
 
@@ -153,6 +154,113 @@ class TestTrain:
                    if line]
         assert sum(r["phase"] == 1 for r in records) == 2
         assert sum(r["phase"] == 2 for r in records) == 1
+
+
+class TestConfigFile:
+    def test_mode_from_the_file_trains_that_model(self, workspace, tmp_path):
+        cfg = _file(tmp_path, "mode = baseline\n")
+        run = tmp_path / "run"
+        assert main(["train", "--train", str(workspace / "data" / "train.tsv"),
+                     "--outdir", str(run), "--config", cfg] + TRAIN_FAST) == 0
+        assert sorted(p.name for p in run.iterdir()) == [
+            "model-baseline.ckpt", "train-baseline.log"]
+
+    def test_empty_n_post_means_encoder_depth(self, workspace, tmp_path):
+        cfg = _file(tmp_path, "n_post =\n")
+        run = tmp_path / "run"
+        assert main(["train", "--train", str(workspace / "data" / "train.tsv"),
+                     "--outdir", str(run), "--config", cfg] + TRAIN_FAST) == 0
+        model = load_checkpoint(run / "model-stacked.ckpt")
+        assert model.config.n_post == model.config.encoder.num_layers == 1
+
+    def test_keys_of_other_subcommands_are_accepted(self, tmp_path,
+                                                    monkeypatch):
+        seeds = []
+        monkeypatch.setattr(cli, "run_all",
+                            lambda seed: seeds.append(seed) or [])
+        cfg = _file(tmp_path, "hidden_size = 16\nmode = baseline\n"
+                    "seed = 4\n")
+        assert main(["gradcheck", "--config", cfg]) == 0
+        assert seeds == [4]
+        out = tmp_path / "data"
+        assert main(["prepare", "--config", cfg, "--outdir", str(out),
+                     "--synthetic-per-class", "5"]) == 0
+        assert parse_config(out / "manifest.txt")["seed"] == "4"
+
+    @pytest.mark.parametrize("text,line,message", [
+        ("seed = 1\nphase_1_epochs = 3\n", 2,
+         "unknown key 'phase_1_epochs'"),
+        ("# paths are flags only\noutdir = x\n", 2, "unknown key 'outdir'"),
+        ("\nhidden_size = abc\n", 2, "hidden_size: invalid value 'abc'"),
+        ("mode = stacked\nmode = bogus\n", 2, "mode: invalid value 'bogus'"),
+        ("n_post = 1.5\n", 1, "n_post: invalid value '1.5'"),
+    ], ids=["misspelt-key", "path-key", "not-an-int", "not-a-choice",
+            "not-an-int-or-empty"])
+    def test_bad_key_or_value_exits_3_naming_the_line(
+            self, workspace, tmp_path, capsys, text, line, message):
+        cfg = _file(tmp_path, text)
+        run = tmp_path / "run"
+        assert main(["train", "--train", str(workspace / "data" / "train.tsv"),
+                     "--outdir", str(run), "--config", cfg]) == 3
+        assert capsys.readouterr().err == f"error: {cfg}:{line}: {message}\n"
+        assert not run.exists()
+
+    def test_unknown_key_stops_gradcheck_before_it_runs(
+            self, tmp_path, capsys, monkeypatch):
+        seeds = []
+        monkeypatch.setattr(cli, "run_all",
+                            lambda seed: seeds.append(seed) or [])
+        cfg = _file(tmp_path, "seed = 2\noutdir = x\n")
+        assert main(["gradcheck", "--config", cfg]) == 3
+        assert capsys.readouterr().err == \
+            f"error: {cfg}:2: unknown key 'outdir'\n"
+        assert seeds == []
+
+
+class TestBadHyperparameters:
+    @pytest.mark.parametrize("flag,value", [
+        ("--phase1-lr", "-1"), ("--phase2-lr", "nan"),
+        ("--aux-mse-weight", "-1"), ("--weight-decay", "nan"),
+        ("--phase2-lr", "inf")])
+    def test_train_exits_8_before_any_output(self, workspace, tmp_path,
+                                             capsys, flag, value):
+        run = tmp_path / "run"
+        assert main(["train", "--train", str(workspace / "data" / "train.tsv"),
+                     "--outdir", str(run)] + TRAIN_FAST + [flag, value]) == 8
+        name = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == \
+            f"error: {name} must be finite and >= 0, got {float(value)}\n"
+        assert not run.exists()
+
+    def test_config_nan_lr_exits_8(self, workspace, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main(["train", "--train", str(workspace / "data" / "train.tsv"),
+                     "--outdir", str(run), "--config",
+                     _file(tmp_path, "phase2_lr = nan\n")]) == 8
+        assert "phase2_lr must be finite and >= 0, got nan" in \
+            capsys.readouterr().err
+        assert not run.exists()
+
+    def test_prepare_nan_probability_exits_8(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert main(["prepare", "--p-delete", "nan", "--outdir", str(out),
+                     "--synthetic-per-class", "5"]) == 8
+        assert capsys.readouterr().err.startswith(
+            "error: probabilities must lie in [0, 1]: (nan,")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["prepare", "train", "eval", "report",
+                                     "gradcheck"])
+def test_help_shows_every_subcommand(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    for name, _, default, _ in cli.OPTIONS[command]:
+        assert "--" + name.replace("_", "-") in out
+        if default is not None:
+            assert f"(default: {default})" in " ".join(out.split())
 
 
 class TestEvalAndReport:
