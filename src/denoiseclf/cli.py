@@ -25,8 +25,8 @@ from .data import (atomic_write_text, config_lines, format_config,
                    synthetic_corpus)
 from .denoise import DenoiseConfig
 from .encoder import EncoderConfig
-from .errors import (CalibrationError, CheckpointError, DataError, LabelError,
-                     NonFiniteError, ParseError)
+from .errors import (CalibrationError, CheckpointError, ConfigError,
+                     DataError, LabelError, NonFiniteError, ParseError)
 from .gradcheck import run_all
 from .metrics import ConfusionMatrix, MetricsReport
 from .model import MODES, ModelConfig, TextClassifier
@@ -160,6 +160,10 @@ def cmd_train(args) -> int:
                            denoise=DenoiseConfig.for_hidden_size(hidden))
     model = TextClassifier(config, vocab, seed=args.seed)
     cfg = _from_options(TrainConfig, args)
+    if cfg.aux_mse_weight and config.mode != "stacked":
+        # _with_aux would drop it: a baseline has no reconstruction loss
+        raise ConfigError(f"aux_mse_weight {cfg.aux_mse_weight} needs mode "
+                          f"stacked, got mode {config.mode}")
     _report_truncation(sentences, config.encoder.seq_len, "training")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -83,8 +83,6 @@ def make_dataset(train_clean: list[tuple[int, str]],
     test split ships only the corrupted text. Emits ``train.tsv``,
     ``test.tsv`` and ``manifest.txt`` and returns the manifest mapping.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     all_sentences = [s for _, s in train_clean] + [s for _, s in test_clean]
     if spec.target_wer is not None:
         # calibration's last pass is this dataset; it is not run again
@@ -98,6 +96,9 @@ def make_dataset(train_clean: list[tuple[int, str]],
              for (label, clean), inc in zip(train_clean, noisy_train)]
     test = [PairedExample(label, inc if normalize(inc) else clean, None)
             for (label, clean), inc in zip(test_clean, noisy_test)]
+    # made only now, so a spec or corpus rejected above leaves no outdir
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     save_corpus(train, out_dir / "train.tsv", include_complete=True)
     save_corpus(test, out_dir / "test.tsv", include_complete=False)
     manifest = {

@@ -84,8 +84,11 @@ def corpus_wer(references: list[str], hypotheses: list[str]) -> tuple[float, flo
 
 # -- BLEU / iBLEU -----------------------------------------------------------
 
-def _ngrams(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+def _ngram_counts(tokens: list[str], max_n: int) -> Counter:
+    """Every n-gram of orders 1..``max_n``, keyed by its tuple, whose
+    length is its order."""
+    return Counter(tuple(tokens[i:i + n]) for n in range(1, max_n + 1)
+                   for i in range(len(tokens) - n + 1))
 
 
 def bleu(references: list[str], hypotheses: list[str], max_n: int = 4) -> float:
@@ -107,22 +110,26 @@ def bleu(references: list[str], hypotheses: list[str], max_n: int = 4) -> float:
     if hyp_len == 0:
         return 0.0
     max_ref = max(len(r) for r in refs)
+    # clipped matches and hypothesis n-grams, indexed by order
+    matches = [0] * (max_n + 1)
+    totals = [0] * (max_n + 1)
+    for ref, hyp in zip(refs, hyps):
+        ref_counts = _ngram_counts(ref, max_n)
+        for gram, count in _ngram_counts(hyp, max_n).items():
+            totals[len(gram)] += count
+            in_ref = ref_counts.get(gram)
+            if in_ref:
+                matches[len(gram)] += min(count, in_ref)
     log_sum = 0.0
     for n in range(1, max_n + 1):
-        matches, total = 0, 0
-        for ref, hyp in zip(refs, hyps):
-            hyp_counts = _ngrams(hyp, n)
-            ref_counts = _ngrams(ref, n)
-            matches += sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
-            total += sum(hyp_counts.values())
-        if total == 0:
+        if totals[n] == 0:
             continue  # hypotheses too short for this order; neutral
-        if matches == 0:
+        if matches[n] == 0:
             if n >= 2 and max_ref < n:
-                matches = 1
+                matches[n] = 1
             else:
                 return 0.0
-        log_sum += math.log(matches / total) / max_n
+        log_sum += math.log(matches[n] / totals[n]) / max_n
     bp = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
     return bp * math.exp(log_sum)
 

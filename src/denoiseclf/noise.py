@@ -6,7 +6,8 @@ category: deletion, substitution, repeated-letter stretching, abbreviation
 replacement, or casual-spelling replacement. The channel is a pure function
 of (sentence, spec, position in corpus), so regenerating a corpus is
 byte-identical under a fixed seed. ``calibrate`` scales the destructive
-probabilities by bisection until a corpus hits a target word error rate.
+probabilities by bisection until a corpus hits a target word error rate; it
+seeds each sentence's generator once and replays that stream on every pass.
 """
 
 from __future__ import annotations
@@ -97,8 +98,14 @@ class NoiseSpec:
         return positions
 
 
-def _rng_for(spec: NoiseSpec, index: int) -> np.random.Generator:
-    return np.random.default_rng((spec.seed, index))
+def _start_states(spec: NoiseSpec, n: int) -> list[tuple[int, int]]:
+    """The PCG64 ``(state, inc)`` pair that ``default_rng((spec.seed, i))``
+    starts from, for each sentence index ``i < n``."""
+    starts = []
+    for i in range(n):
+        pcg = np.random.default_rng((spec.seed, i)).bit_generator.state
+        starts.append((pcg["state"]["state"], pcg["state"]["inc"]))
+    return starts
 
 
 def _substitute(spec: NoiseSpec, token: str, rng: np.random.Generator) -> str:
@@ -117,18 +124,13 @@ def _substitute(spec: NoiseSpec, token: str, rng: np.random.Generator) -> str:
     return spec.pool[j]
 
 
-def corrupt(sentence: str, spec: NoiseSpec, index: int = 0) -> str:
-    """Apply the corruption channel to one sentence.
-
-    ``index`` is the sentence's position in its corpus; together with the
-    spec's seed it fully determines the output.
-    """
-    rng = _rng_for(spec, index)
+def _corrupt_tokens(tokens: list[str], spec: NoiseSpec,
+                    rng: np.random.Generator) -> str:
     out: list[str] = []
     # running sums in the order np.cumsum adds them, so the category
     # boundaries are the same floats
     thresholds = list(accumulate(spec.probabilities()))
-    for token in normalize(sentence):
+    for token in tokens:
         category = bisect_right(thresholds, rng.random())
         if category == 0:  # deletion
             continue
@@ -150,8 +152,36 @@ def corrupt(sentence: str, spec: NoiseSpec, index: int = 0) -> str:
     return " ".join(out)
 
 
-def corrupt_corpus(sentences: list[str], spec: NoiseSpec) -> list[str]:
-    return [corrupt(s, spec, i) for i, s in enumerate(sentences)]
+def corrupt(sentence: str, spec: NoiseSpec, index: int = 0) -> str:
+    """Apply the corruption channel to one sentence.
+
+    ``index`` is the sentence's position in its corpus; together with the
+    spec's seed it fully determines the output.
+    """
+    return _corrupt_tokens(normalize(sentence), spec,
+                           np.random.default_rng((spec.seed, index)))
+
+
+def corrupt_corpus(sentences: list[str], spec: NoiseSpec,
+                   starts: list[tuple[int, int]] | None = None) -> list[str]:
+    """``corrupt(s, spec, i)`` for each sentence ``s`` at position ``i``.
+
+    ``starts`` are ``_start_states(spec, len(sentences))``, which depend
+    only on ``spec.seed``; a caller corrupting one corpus many times passes
+    them so each generator is seeded once. One generator is reset to each
+    sentence's start, which replays a fresh generator's stream bit for bit.
+    """
+    if starts is None:
+        starts = _start_states(spec, len(sentences))
+    rng = np.random.Generator(np.random.PCG64())
+    pcg = rng.bit_generator
+    noisy = []
+    for sentence, (state, inc) in zip(sentences, starts, strict=True):
+        pcg.state = {"bit_generator": "PCG64",
+                     "state": {"state": state, "inc": inc},
+                     "has_uint32": 0, "uinteger": 0}
+        noisy.append(_corrupt_tokens(normalize(sentence), spec, rng))
+    return noisy
 
 
 def _scaled(spec: NoiseSpec, scale: float) -> NoiseSpec:
@@ -181,8 +211,11 @@ def calibrate(corpus: list[str], spec: NoiseSpec,
     if target is None or not (0.0 < target <= 2.0):
         raise ValueError(f"target WER must lie in (0, 2], got {target}")
 
+    # the scaled specs keep spec.seed, so every pass replays these starts
+    starts = _start_states(spec, len(corpus))
+
     def run_pass(s: NoiseSpec) -> Calibration:
-        noisy = corrupt_corpus(corpus, s)
+        noisy = corrupt_corpus(corpus, s, starts)
         return Calibration(s, noisy, corpus_wer(corpus, noisy))
 
     other = spec.p_repeat + spec.p_abbreviate + spec.p_casual

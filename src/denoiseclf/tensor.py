@@ -663,7 +663,10 @@ class Adam:
     so a step is a handful of numpy calls whatever the number of tensors.
     A later ``Adam`` over the same tensors rebinds them again, and the
     earlier one no longer moves them: build one per training run.
-    ``step()`` consumes the accumulated gradients and zeroes them.
+    ``step()`` consumes the accumulated gradients and zeroes them. It
+    raises ``NonFiniteError`` without writing any parameter when a gradient
+    or a value it would write is NaN or infinite; a gradient is checked
+    before the moments move, a new value after.
     """
 
     def __init__(self, params: Iterable[Tensor], lr: float = 1e-3,
@@ -696,8 +699,7 @@ class Adam:
             np.concatenate([p.grad.reshape(-1) for p in self.params],
                            out=self._g)
         if not np.isfinite(self._g).all():
-            bad = [i for i, p in enumerate(self.params)
-                   if not np.isfinite(p.grad).all()]
+            bad = self._non_finite_params(self._g)
             raise NonFiniteError(
                 f"step() with non-finite gradients in {len(bad)} of "
                 f"{len(self.params)} params, the first at index {bad[0]}")
@@ -712,9 +714,25 @@ class Adam:
         update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
         if self.weight_decay:
             update = update + self.weight_decay * self._flat
-        self._flat -= self.lr * update
+        # the new values are formed aside and written only if all are finite
+        np.multiply(self.lr, update, out=update)
+        new = np.subtract(self._flat, update, out=update)
+        if not np.isfinite(new).all():
+            bad = self._non_finite_params(new)
+            raise NonFiniteError(
+                f"step() at lr {self.lr} would write non-finite values to "
+                f"{len(bad)} of {len(self.params)} params, the first at "
+                f"index {bad[0]}")
+        self._flat[...] = new
         for p in self.params:
             p.grad = None
+
+    def _non_finite_params(self, flat: np.ndarray) -> list[int]:
+        """Indices of the params whose slice of ``flat`` holds a NaN or an
+        infinity."""
+        ends = np.cumsum([p.values.size for p in self.params])
+        bad = np.flatnonzero(~np.isfinite(flat))
+        return np.unique(np.searchsorted(ends, bad, side="right")).tolist()
 
 
 def finite_difference_check(loss_fn: Callable[[], Tensor],

@@ -66,6 +66,21 @@ class TestPrepare:
                      "--outdir", str(tmp_path / "x")]) == 6
 
 
+    @pytest.mark.parametrize("argv,code,line", [
+        (["--target-wer", "nan"], 8,
+         "error: target WER must lie in (0, 2], got nan"),
+        (["--synthetic-per-class", "0"], 5, "error: empty corpus"),
+        (["--target-wer", "1.9", "--synthetic-per-class", "5", "--seed", "3"],
+         6, "error: could not reach target WER 1.900; closest achieved 0.871"),
+    ], ids=["nan-target", "empty-corpus", "unreachable-target"])
+    def test_rejected_prepare_leaves_no_outdir(self, tmp_path, capsys, argv,
+                                               code, line):
+        out = tmp_path / "data"
+        assert main(["prepare", "--outdir", str(out)] + argv) == code
+        assert capsys.readouterr().err == line + "\n"
+        assert not out.exists()
+
+
 class TestTrain:
     def test_artifacts(self, workspace):
         run = workspace / "run"
@@ -230,6 +245,16 @@ class TestBadHyperparameters:
         name = flag[2:].replace("-", "_")
         assert capsys.readouterr().err == \
             f"error: {name} must be finite and >= 0, got {float(value)}\n"
+        assert not run.exists()
+
+    def test_aux_weight_for_a_baseline_exits_8(self, workspace, tmp_path,
+                                               capsys):
+        run = tmp_path / "run"
+        assert main(["train", "--train", str(workspace / "data" / "train.tsv"),
+                     "--outdir", str(run), "--mode", "baseline",
+                     "--aux-mse-weight", "0.5"] + TRAIN_FAST) == 8
+        assert capsys.readouterr().err == ("error: aux_mse_weight 0.5 needs "
+                                           "mode stacked, got mode baseline\n")
         assert not run.exists()
 
     def test_config_nan_lr_exits_8(self, workspace, tmp_path, capsys):

@@ -422,6 +422,21 @@ class TestFlatAdam:
             assert p.values.tobytes() == want.tobytes()
 
 
+    def test_non_finite_write_raises_before_any_write(self):
+        big = Tensor(np.array([1.5e308, 1.0]))
+        small = Tensor(np.array([2.0, 3.0]))
+        opt = Adam([small, big], lr=1e308)
+        before = [p.values.copy() for p in (small, big)]
+        small.grad = np.zeros(2)
+        big.grad = np.array([-1.0, 0.0])
+        with pytest.raises(NonFiniteError, match="would write non-finite "
+                           "values to 1 of 2 params, the first at index 1"), \
+                np.errstate(over="ignore"):
+            opt.step()
+        for p, b in zip((small, big), before):
+            assert p.values.tobytes() == b.tobytes()
+
+
 class TestDeterminism:
     def test_identical_seed_bitwise_identical(self):
         def run():
