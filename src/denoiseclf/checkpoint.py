@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -34,18 +35,9 @@ FORMAT_VERSION = 1
 _DTYPE_F64 = 1
 
 
-def _config_dict(cfg: ModelConfig) -> dict:
-    return {
-        "encoder": vars(cfg.encoder).copy(),
-        "denoise": {"dims": list(cfg.denoise.dims),
-                    "hidden_dims": list(cfg.denoise.hidden_dims),
-                    "activation": cfg.denoise.activation},
-        "n_post": cfg.n_post,
-        "mode": cfg.mode,
-    }
-
-
 def _config_from_dict(d: dict) -> ModelConfig:
+    """The header's ``asdict`` config back as dataclasses; JSON turned the
+    denoise chain's tuples into lists."""
     return ModelConfig(
         encoder=EncoderConfig(**d["encoder"]),
         denoise=DenoiseConfig(dims=tuple(d["denoise"]["dims"]),
@@ -66,7 +58,7 @@ def save_checkpoint(model: TextClassifier, path: str | Path) -> None:
         state_hash.update(name.encode())
         state_hash.update(values.tobytes())
     header = json.dumps({
-        "config": _config_dict(model.config),
+        "config": asdict(model.config),
         "vocabulary": model.vocab.to_lines(),
         "state_hash": state_hash.hexdigest(),
     }).encode("utf-8")

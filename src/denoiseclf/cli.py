@@ -204,8 +204,7 @@ def cmd_eval(args) -> int:
         manifest = parse_config(args.manifest)
         wer_pooled = float(manifest.get("wer_pooled", "nan"))
         ibleu_score = float(manifest.get("ibleu", "nan"))
-    report = MetricsReport.from_confusion(cm, wer_pooled=wer_pooled,
-                                          ibleu_score=ibleu_score)
+    report = MetricsReport.from_confusion(cm)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     buf = io.StringIO()

@@ -1,8 +1,10 @@
 """Transformer encoder front half: summed embeddings plus vanilla blocks.
 
-Input embedding is the sum of token, segment and position table rows. Blocks
-are post-layernorm: attention + residual + LN, then GELU feedforward +
-residual + LN, the attention and the feedforward each one fused op.
+Input embedding is the sum of token, segment and position table rows: one
+sentence per input, so the segment row is the attention mask's value and the
+position row is the column index. Blocks are post-layernorm: attention +
+residual + LN, then GELU feedforward + residual + LN, the attention and the
+feedforward each one fused op.
 ``embed`` and ``encode_intermediate`` take a list of B ``TokenSequence``s,
 so a batch runs as one forward over [B, L, H] rows with one mask row per
 sequence. Those rows are the one layout every module hands to the next,
@@ -11,7 +13,7 @@ from the embedding through the denoising stacks to the classifier head.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -33,10 +35,9 @@ class EncoderConfig:
     num_classes: int = 2
 
     def __post_init__(self):
-        for name in ("hidden_size", "seq_len", "num_layers", "num_heads",
-                     "ff_size", "vocab_size", "num_classes"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise ConfigError(f"{f.name} must be positive")
         if self.hidden_size % self.num_heads:
             raise ConfigError(
                 f"hidden_size {self.hidden_size} not divisible by "
@@ -104,15 +105,19 @@ def field_rows(seqs: Sequence[TokenSequence], name: str) -> np.ndarray:
 
 
 def embed(seqs: Sequence[TokenSequence], params: EncoderParams) -> Tensor:
-    """Sum token, segment and position embeddings -> [B, L, H]."""
+    """Sum token, segment and position embeddings -> [B, L, H]; segment
+    row 1 at the real positions and 0 at the pads, position row t at
+    column t."""
     token_ids = field_rows(seqs, "token_ids")
     if token_ids.max() >= params.cfg.vocab_size:
         raise VocabError(
             f"token id {token_ids.max()} outside vocabulary of size "
             f"{params.cfg.vocab_size}")
     tok = T.take_rows(params.token_table, token_ids)
-    seg = T.take_rows(params.segment_table, field_rows(seqs, "segment_ids"))
-    pos = T.take_rows(params.position_table, field_rows(seqs, "position_ids"))
+    seg = T.take_rows(params.segment_table, field_rows(seqs, "attention_mask"))
+    pos = T.take_rows(params.position_table,
+                      np.broadcast_to(np.arange(token_ids.shape[1]),
+                                      token_ids.shape))
     return tok + seg + pos
 
 

@@ -29,10 +29,6 @@ class UndefinedReferenceError(DataError):
     """Raised when a WER reference is empty (score undefined)."""
 
 
-class CorpusError(ValueError):
-    """Raised for an empty or unusable corpus."""
-
-
 class CalibrationError(RuntimeError):
     """Raised when no probability scaling reaches the target noise level."""
 

@@ -234,21 +234,13 @@ def normalize_matrix(cm: ConfusionMatrix) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """All evaluation numbers for one (dataset, model) combination."""
+    """The scores one confusion matrix gives: micro F1, the macro scores
+    and the row-normalized matrix."""
     micro_f1: float
     macro: MacroScores
     normalized_matrix: np.ndarray
-    confusion: ConfusionMatrix
-    wer_pooled: float | None = None
-    wer_mean: float | None = None
-    ibleu: float | None = None
 
     @classmethod
-    def from_confusion(cls, cm: ConfusionMatrix,
-                       wer_pooled: float | None = None,
-                       wer_mean: float | None = None,
-                       ibleu_score: float | None = None) -> "MetricsReport":
+    def from_confusion(cls, cm: ConfusionMatrix) -> "MetricsReport":
         return cls(micro_f1=micro_scores(cm), macro=macro_scores(cm),
-                   normalized_matrix=normalize_matrix(cm), confusion=cm,
-                   wer_pooled=wer_pooled, wer_mean=wer_mean,
-                   ibleu=ibleu_score)
+                   normalized_matrix=normalize_matrix(cm))

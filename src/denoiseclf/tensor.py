@@ -711,12 +711,15 @@ class Adam:
         m += (1.0 - self.beta1) * g
         v *= self.beta2
         v += (1.0 - self.beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-        if self.weight_decay:
-            update = update + self.weight_decay * self._flat
-        # the new values are formed aside and written only if all are finite
-        np.multiply(self.lr, update, out=update)
-        new = np.subtract(self._flat, update, out=update)
+        # the new values are formed aside and written only if all are
+        # finite; that check, not a numpy overflow warning, reports a step
+        # that overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            if self.weight_decay:
+                update = update + self.weight_decay * self._flat
+            np.multiply(self.lr, update, out=update)
+            new = np.subtract(self._flat, update, out=update)
         if not np.isfinite(new).all():
             bad = self._non_finite_params(new)
             raise NonFiniteError(

@@ -2,8 +2,10 @@
 
 Sentences are lower-cased, stripped of punctuation (apostrophes inside words
 survive), whitespace-split, framed as ``[CLS] ... [SEP]`` and padded to a
-fixed length. Segment ids are 1 up to and including the first ``[SEP]`` and
-0 afterwards.
+fixed length. A sequence is its token ids and its attention mask, 1 up to
+and including the ``[SEP]`` and 0 on the pads. With one sentence per input
+the encoder reads the segment row from the mask and the position row from
+the column index.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .errors import ConfigError, CorpusError, VocabError
+from .errors import ConfigError, DataError, VocabError
 from .fileio import atomic_write_text
 
 PAD, UNK, CLS, SEP = "[PAD]", "[UNK]", "[CLS]", "[SEP]"
@@ -89,7 +91,7 @@ def build_vocab(corpus: list[str], min_count: int = 1) -> Vocabulary:
     id assignment is stable regardless of corpus order.
     """
     if not corpus:
-        raise CorpusError("cannot build a vocabulary from an empty corpus")
+        raise DataError("cannot build a vocabulary from an empty corpus")
     counts: Counter[str] = Counter()
     for sentence in corpus:
         counts.update(normalize(sentence))
@@ -104,23 +106,18 @@ def build_vocab(corpus: list[str], min_count: int = 1) -> Vocabulary:
 @dataclass(frozen=True)
 class TokenSequence:
     token_ids: tuple[int, ...]
-    segment_ids: tuple[int, ...]
-    position_ids: tuple[int, ...]
     attention_mask: tuple[int, ...]
-    max_len: int
 
 
 def trim_to_longest(seqs: Sequence[TokenSequence]) -> list[TokenSequence]:
     """Cut B sequences to the batch's longest real length.
 
     ``encode`` makes the mask a prefix, [CLS] tokens [SEP] and then pads, so
-    only pad positions go; a batch holding a sentence that fills ``max_len``
+    only pad positions go; a batch holding a sentence that fills its length
     keeps its full width.
     """
     width = max(sum(s.attention_mask) for s in seqs)
-    return [TokenSequence(s.token_ids[:width], s.segment_ids[:width],
-                          s.position_ids[:width], s.attention_mask[:width],
-                          width)
+    return [TokenSequence(s.token_ids[:width], s.attention_mask[:width])
             for s in seqs]
 
 
@@ -132,15 +129,8 @@ def encode(sentence: str, vocab: Vocabulary, max_len: int = 32) -> TokenSequence
     ids = [CLS_ID] + [vocab.id_of(t) for t in tokens] + [SEP_ID]
     n = len(ids)
     ids += [PAD_ID] * (max_len - n)
-    segments = [1] * n + [0] * (max_len - n)
-    mask = [1] * n + [0] * (max_len - n)
-    return TokenSequence(
-        token_ids=tuple(ids),
-        segment_ids=tuple(segments),
-        position_ids=tuple(range(max_len)),
-        attention_mask=tuple(mask),
-        max_len=max_len,
-    )
+    return TokenSequence(token_ids=tuple(ids),
+                         attention_mask=(1,) * n + (0,) * (max_len - n))
 
 
 def decode(seq: TokenSequence, vocab: Vocabulary) -> list[str]:

@@ -13,13 +13,13 @@ from denoiseclf.model import ModelConfig, TextClassifier
 from denoiseclf.tokenizer import build_vocab
 
 
-def tiny_model(seed=0, mode="stacked"):
+def tiny_model(seed=0, mode="stacked", activation=None, n_post=1):
     cfg = ModelConfig(
         encoder=EncoderConfig(hidden_size=8, seq_len=6, num_layers=1,
                               num_heads=2, ff_size=12, vocab_size=32,
                               num_classes=2),
-        denoise=DenoiseConfig(dims=(8, 6, 4, 2)),
-        n_post=1,
+        denoise=DenoiseConfig(dims=(8, 6, 4, 2), activation=activation),
+        n_post=n_post,
         mode=mode,
     )
     vocab = build_vocab(["good night sweet dreams",
@@ -38,10 +38,13 @@ def assert_models_equal(a, b):
 
 class TestRoundTrip:
     def test_bitwise_identical_parameters(self, tmp_path):
-        model = tiny_model(seed=3)
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(model, path)
-        assert_models_equal(model, load_checkpoint(path))
+        # the config comparison also covers the header's lists turning back
+        # into the denoise chain's tuples
+        for activation, n_post in ((None, 1), ("tanh", 0)):
+            model = tiny_model(seed=3, activation=activation, n_post=n_post)
+            path = tmp_path / "m.ckpt"
+            save_checkpoint(model, path)
+            assert_models_equal(model, load_checkpoint(path))
 
     def test_predictions_survive_round_trip(self, tmp_path):
         model = tiny_model(seed=4)

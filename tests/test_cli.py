@@ -429,6 +429,17 @@ class TestBadCorpus:
                      "--num-classes", "2"] + TRAIN_FAST) == 4
         assert not out.exists()   # rejected before training wrote anything
 
+    def test_empty_corpus_exits_5(self, tmp_path, capsys):
+        # the same data error as eval on an empty test file
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("")
+        out = tmp_path / "run"
+        assert main(["train", "--train", str(empty), "--outdir", str(out)]
+                    + TRAIN_FAST) == 5
+        assert capsys.readouterr().err == \
+            "error: cannot build a vocabulary from an empty corpus\n"
+        assert not out.exists()
+
 
 def _file(root, text):
     path = root / "input.txt"

@@ -6,7 +6,8 @@ from denoiseclf.encoder import (EncoderConfig, EncoderParams, embed,
                                 encode_intermediate, self_attention,
                                 transformer_block)
 from denoiseclf.tensor import Tensor
-from denoiseclf.tokenizer import ConfigError, VocabError, build_vocab, encode
+from denoiseclf.tokenizer import (ConfigError, VocabError, build_vocab, encode,
+                                  trim_to_longest)
 
 
 def tiny_config(**overrides):
@@ -49,9 +50,19 @@ class TestEmbed:
         seq = encode("good night", vocab, max_len=4)
         out = embed([seq], params).values[0, :, 0]
         expected = [t + 10 * s + 100 * p
-                    for t, s, p in zip(seq.token_ids, seq.segment_ids,
-                                       seq.position_ids)]
+                    for p, (t, s) in enumerate(zip(seq.token_ids,
+                                                   seq.attention_mask))]
         np.testing.assert_array_equal(out, expected)
+        # two sentences of 3 and 2 real tokens, cut to width 3: segment row
+        # 1 exactly at each one's real positions, position row t at column t
+        seqs = trim_to_longest([encode("good", vocab, max_len=4),
+                                encode("", vocab, max_len=4)])
+        out = embed(seqs, params).values[:, :, 0]
+        assert out.shape == (2, 3)
+        for row, seq, real in zip(out, seqs, (3, 2)):
+            expected = [t + 10 * (p < real) + 100 * p
+                        for p, t in enumerate(seq.token_ids)]
+            np.testing.assert_array_equal(row, expected)
 
     def test_locality_of_token_change(self, vocab):
         params = EncoderParams(tiny_config(), np.random.default_rng(0))

@@ -82,10 +82,9 @@ def test_trim_keeps_every_real_position():
     vocab = build_vocab([ex.incomplete for ex in PAIRS])
     seqs = [encode(ex.incomplete, vocab, SEQ_LEN) for ex in PAIRS]
     for seq, cut in zip(seqs, trim_to_longest(seqs)):
-        assert len(cut.token_ids) == cut.max_len == LONGEST
+        assert len(cut.token_ids) == len(cut.attention_mask) == LONGEST
         assert sum(cut.attention_mask) == sum(seq.attention_mask)
-        for field in ("token_ids", "segment_ids", "position_ids",
-                      "attention_mask"):
+        for field in ("token_ids", "attention_mask"):
             assert getattr(cut, field) == getattr(seq, field)[:LONGEST]
 
 

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from denoiseclf.tokenizer import (CLS_ID, PAD_ID, SEP_ID, UNK_ID, ConfigError,
-                                  CorpusError, Vocabulary, build_vocab,
-                                  decode, encode, normalize)
+                                  DataError, Vocabulary, build_vocab, decode,
+                                  encode, normalize)
 
 
 class TestBuildVocab:
@@ -18,7 +18,7 @@ class TestBuildVocab:
         assert set(vocab.words()) == {"a"}
 
     def test_empty_corpus(self):
-        with pytest.raises(CorpusError):
+        with pytest.raises(DataError):
             build_vocab([])
 
     def test_stable_under_shuffle(self):
@@ -51,8 +51,7 @@ class TestEncode:
         good, night = vocab.id_of("good"), vocab.id_of("night")
         assert seq.token_ids == (CLS_ID, good, night, SEP_ID, PAD_ID, PAD_ID)
         assert seq.attention_mask == (1, 1, 1, 1, 0, 0)
-        assert seq.segment_ids == (1, 1, 1, 1, 0, 0)
-        assert seq.position_ids == (0, 1, 2, 3, 4, 5)
+        assert len(seq.token_ids) == 6
 
     def test_empty_sentence(self):
         vocab = build_vocab(["x"])
@@ -91,11 +90,11 @@ class TestInvariantsAndRoundTrip:
             sentence = " ".join(rng.choices(
                 [f"tok{i}" for i in range(52)], k=rng.randint(0, 12)))
             seq = encode(sentence, vocab, max_len=10)
-            assert len(seq.token_ids) == len(seq.segment_ids) == \
-                len(seq.attention_mask) == 10
+            assert len(seq.token_ids) == len(seq.attention_mask) == 10
             sep = seq.token_ids.index(SEP_ID)
             for pos in range(10):
-                assert seq.segment_ids[pos] == (1 if pos <= sep else 0)
+                # the mask is the segment id: 1 through [SEP], 0 after
+                assert seq.attention_mask[pos] == (1 if pos <= sep else 0)
                 assert seq.attention_mask[pos] == \
                     (1 if seq.token_ids[pos] != PAD_ID or pos <= sep else 0)
             assert seq.token_ids[0] == CLS_ID

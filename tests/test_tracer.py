@@ -71,6 +71,20 @@ def test_a_text_write_is_one_span(tracer_module, tmp_path):
     assert [record[3] for record in tracer.spans] == [-1, -1]
 
 
+def test_an_encode_records_its_real_tokens_and_width(tracer_module):
+    # the source of tokenizer.real_token_share: the mask of encode's result
+    from denoiseclf import tokenizer
+    vocab = tokenizer.build_vocab(["good night sweet dreams"])
+    sentence = "Good night, sweet!"
+    tracer = tracer_module.Tracer("t")
+    try:
+        tracer.install()
+        tokenizer.encode(sentence, vocab, 8)
+    finally:
+        tracer.uninstall()
+    assert tracer.encodes == [(sentence, 5, 8)]
+
+
 def test_affine_is_one_op_and_not_matmul_time(tracer_module):
     from denoiseclf import tensor as T
     tracer = tracer_module.Tracer("t")
