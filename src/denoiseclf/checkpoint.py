@@ -124,6 +124,7 @@ def load_checkpoint(path: str | Path) -> TextClassifier:
             raise CorruptionError(f"unknown dtype tag {dtype_tag}")
         shape = r.unpack(f"<{ndim}Q")
         n_bytes = 8 * int(np.prod(shape)) if ndim else 8
+        # astype copies, so no parameter is a view of the file's bytes
         arrays[name] = np.frombuffer(
             r.take(n_bytes), dtype="<f8").reshape(shape).astype(np.float64)
     model = TextClassifier(config, vocab, seed=0)
@@ -139,7 +140,7 @@ def load_checkpoint(path: str | Path) -> TextClassifier:
                 f"expected {p.values.shape}")
         if not np.isfinite(values).all():
             raise CorruptionError(f"array {name} is not finite")
-        p.values = values.copy()
+        p.values = values
         state_hash.update(name.encode())
         state_hash.update(p.values.tobytes())
     if state_hash.hexdigest() != header["state_hash"]:

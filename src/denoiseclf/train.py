@@ -22,13 +22,14 @@ from .metrics import ConfusionMatrix
 from .model import TextClassifier
 from .tensor import Adam, Tensor
 
-# Sentences per forward in graph-free inference (evaluate, cache_embeddings).
-# With pads cut, evaluate at H=64, L=32, 4 heads on 200 noisy sentences ran
-# at about 2250 sentences/s at 4, 2770 at 8 and 3030 at 16 (median of three
-# sets of 6 runs, 1 BLAS thread, 2-vCPU Xeon host). It stays 8:
-# cache_embeddings shares it and runs at full width, where 16 added about
-# 3.5 MB of peak RSS over 8.
-INFERENCE_CHUNK = 8
+# Positions (sentences x width) per graph-free inference forward. 256 is
+# the embedding cache's forward at the criterion scale, 8 sentences at
+# L=32, so no forward holds more positions than that one. evaluate packs
+# length-sorted sentences up to it: classify's evaluate (H=64, L=32, 200
+# noisy sentences) ran at 4680 sentences/s against 3360 with 8
+# sentences per trimmed forward (medians of 10 alternating pairs, at
+# reference speed, 1 BLAS thread, 2-vCPU Xeon host).
+INFERENCE_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -78,23 +79,34 @@ def _require_pairs(pairs) -> None:
                 f"example {i} has no complete sentence; phase 1 needs pairs")
 
 
-def _chunks(items):
-    """(start, chunk) over ``items``; the size is read per call, so
-    INFERENCE_CHUNK can be set at run time."""
-    size = INFERENCE_CHUNK
-    for start in range(0, len(items), size):
-        yield start, items[start:start + size]
+def _length_packed(lengths):
+    """Index lists over sentences of real ``lengths``, shortest first (a
+    stable sort): each list grows while its size times its longest length
+    stays within INFERENCE_ROWS, read per call; a sentence longer than the
+    budget runs alone."""
+    budget = INFERENCE_ROWS
+    chunk = []
+    for i in sorted(range(len(lengths)), key=lengths.__getitem__):
+        if chunk and (len(chunk) + 1) * lengths[i] > budget:
+            yield chunk
+            chunk = []
+        chunk.append(i)
+    if chunk:
+        yield chunk
 
 
 def cache_embeddings(pairs, model: TextClassifier
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Graph-free encoder outputs of the incomplete and of the complete
     sentences, each one [n, L, H] array of rows in pair order; valid while
-    the encoder is frozen."""
+    the encoder is frozen. These forwards run at the full width L, so each
+    takes ``INFERENCE_ROWS // L`` sentences (at least one)."""
     cfg = model.config.encoder
+    size = max(1, INFERENCE_ROWS // cfg.seq_len)
     inc, comp = np.empty((2, len(pairs), cfg.seq_len, cfg.hidden_size))
     with T.no_grad():
-        for start, chunk in _chunks(pairs):
+        for start in range(0, len(pairs), size):
+            chunk = pairs[start:start + size]
             for side, name in ((inc, "incomplete"), (comp, "complete")):
                 side[start:start + len(chunk)] = model.intermediate(
                     [model.encode_sentence(getattr(ex, name))
@@ -234,14 +246,16 @@ def train_phase2(data, model: TextClassifier, cfg: TrainConfig,
 
 
 def evaluate(test, model: TextClassifier) -> ConfusionMatrix:
-    """Accumulate predictions over the incomplete sentences only."""
+    """Accumulate predictions over the incomplete sentences only, run in
+    forwards of similar-length sentences (``_length_packed``), since
+    ``predict`` cuts each forward to its longest one."""
     examples = list(test)
     if not examples:
         raise DataError("cannot evaluate on an empty test set")
+    seqs = [model.encode_sentence(ex.incomplete) for ex in examples]
     cm = ConfusionMatrix(model.config.encoder.num_classes)
-    for _, chunk in _chunks(examples):
-        _, labels = model.predict(
-            [model.encode_sentence(ex.incomplete) for ex in chunk])
-        for ex, label in zip(chunk, labels):
-            cm.add(ex.label, int(label))
+    for chunk in _length_packed([sum(s.attention_mask) for s in seqs]):
+        _, labels = model.predict([seqs[i] for i in chunk])
+        for i, label in zip(chunk, labels):
+            cm.add(examples[i].label, int(label))
     return cm

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from denoiseclf import tensor as T
+from denoiseclf import train
 from denoiseclf.data import PairedExample
 from denoiseclf.denoise import DenoiseConfig, DenoiseStack
 from denoiseclf.encoder import EncoderConfig, EncoderParams, self_attention
@@ -41,6 +42,27 @@ def make_model(mode="stacked", seed=0):
     for p in model.parameters():
         p.requires_grad = True
     return model
+
+
+def count_calls(monkeypatch, model, method):
+    """A list that gets the batch size of every call to ``model.method``."""
+    calls = []
+    wrapped = getattr(model, method)
+
+    def spy(seqs):
+        calls.append(len(seqs))
+        return wrapped(seqs)
+
+    monkeypatch.setattr(model, method, spy)
+    return calls
+
+
+def one_by_one(model, test):
+    """Confusion counts of ``predict_sentence`` run on each example."""
+    counts = np.zeros((2, 2), dtype=np.int64)
+    for ex in test:
+        counts[ex.label, model.predict_sentence(ex.incomplete)[1]] += 1
+    return counts
 
 
 def gradients(model, loss_fn):
@@ -103,19 +125,40 @@ class TestBatchedForward:
             np.testing.assert_allclose(p, single_p, rtol=0, atol=1e-12)
             assert label == single_label
 
-    def test_evaluate_matches_one_by_one(self):
+    def test_evaluate_matches_one_by_one(self, monkeypatch):
         model = make_model(seed=3)
-        test = PAIRS * 7   # more than one inference chunk
+        test = PAIRS * 7
+        calls = count_calls(monkeypatch, model, "predict")
+        # lengths 4 and 5: forwards of 4 or 5 sentences, so more than one
+        # inference chunk
+        monkeypatch.setattr(train, "INFERENCE_ROWS", 20)
         cm = evaluate(test, model)
-        expected = np.zeros((2, 2), dtype=np.int64)
-        for ex in test:
-            expected[ex.label, model.predict_sentence(ex.incomplete)[1]] += 1
-        np.testing.assert_array_equal(cm.counts, expected)
+        assert len(calls) >= 3
+        np.testing.assert_array_equal(cm.counts, one_by_one(model, test))
 
-    def test_cache_matches_per_sentence_intermediate(self):
+    def test_evaluate_ignores_sentence_order(self, monkeypatch):
+        model = make_model(seed=3)
+        test = [PairedExample(i % 2, s) for i, s in enumerate(
+            ["bad", "sweet dreamz tonight now", "good nite", "hard work pain",
+             "day", "awful trouble", "happy fun day", "nite bad day",
+             "dreamz", "good good good good good good"])]   # the last fills L
+        assert max(sum(model.encode_sentence(ex.incomplete).attention_mask)
+                   for ex in test) == 6
+        monkeypatch.setattr(train, "INFERENCE_ROWS", 12)
+        expected = one_by_one(model, test)
+        for order in (test, test[::-1]):
+            np.testing.assert_array_equal(evaluate(order, model).counts,
+                                          expected)
+
+    def test_cache_matches_per_sentence_intermediate(self, monkeypatch):
         model = make_model()
-        pairs = PAIRS * 4   # more than one inference chunk
+        pairs = PAIRS * 4
+        calls = count_calls(monkeypatch, model, "intermediate")
+        # 5 sentences per full-width forward of L=6: more than one
+        # inference chunk, the last one short
+        monkeypatch.setattr(train, "INFERENCE_ROWS", 30)
         cached = cache_embeddings(pairs, model)
+        assert len(calls) == 2 * 5
         assert [h.shape for h in cached] == [(len(pairs), 6, 8)] * 2
         for ex, h_inc, h_comp in zip(pairs, *cached):
             for h, sentence in ((h_inc, ex.incomplete),

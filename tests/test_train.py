@@ -297,18 +297,37 @@ class TestEvaluate:
         without = evaluate(stripped, model)
         np.testing.assert_array_equal(with_complete.counts, without.counts)
 
-    def test_chunk_size_is_read_at_call_time(self, monkeypatch):
+    def test_position_budget_is_read_at_call_time(self, monkeypatch):
         model = tiny_model()
-        sizes = []
+        calls = []
         predict = model.predict
 
         def spy(seqs):
-            sizes.append(len(seqs))
+            calls.append(seqs)
             return predict(seqs)
 
         monkeypatch.setattr(model, "predict", spy)
-        monkeypatch.setattr(train, "INFERENCE_CHUNK", 2)
-        test = PAIRS * 3
-        assert len(test) == 18
-        evaluate(test, model)
-        assert sizes == [2] * 9
+        # real lengths 3 to 6 in mixed order; the last sentence is cut to
+        # fill L=6
+        test = [PairedExample(i % 2, s, None) for i, s in enumerate(
+            ["happy fun day", "bad", "good nite", "hard work pain again",
+             "day", "sweet dreamz", "fun", "awful trouble day bad day"])]
+        expected = sorted(model.encode_sentence(ex.incomplete).token_ids
+                          for ex in test)
+        assert len(set(expected)) == len(test)   # each id list is one example
+        for budget, sizes in ((256, [8]), (9, [3, 2, 1, 1, 1]),
+                              (4, [1] * 8)):
+            monkeypatch.setattr(train, "INFERENCE_ROWS", budget)
+            calls.clear()
+            evaluate(test, model)
+            assert [len(call) for call in calls] == sizes
+            lengths = [[sum(s.attention_mask) for s in call]
+                       for call in calls]
+            # a sentence wider than the budget (5 and 6 > 4) runs alone
+            for call in lengths:
+                assert len(call) * max(call) <= budget or len(call) == 1
+            flat = [n for call in lengths for n in call]
+            assert flat == sorted(flat)     # shortest first
+            assert flat[-1] == 6
+            assert sorted(s.token_ids for call in calls
+                          for s in call) == expected
