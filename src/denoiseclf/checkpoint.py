@@ -8,8 +8,9 @@ Layout (little-endian throughout):
 The JSON header carries the model configuration, the vocabulary (as the
 token<TAB>id text), and a hash of the parameter payload. Each array record
 is: u32 name length, utf-8 name, u8 dtype tag (1 = float64), u8 rank,
-u64 dims, raw row-major payload. A checksum mismatch always fails the load;
-a partially constructed model is never returned.
+u64 dims, raw row-major payload. A checksum mismatch, a malformed header or
+an array that does not match the config fails the load with
+``CorruptionError``; a partially constructed model is never returned.
 """
 
 from __future__ import annotations
@@ -110,39 +111,35 @@ def load_checkpoint(path: str | Path) -> TextClassifier:
         raise MigrationError(
             f"checkpoint format {version} not supported "
             f"(expected {FORMAT_VERSION})")
-    (header_len,) = r.unpack("<I")
-    header = json.loads(r.take(header_len).decode("utf-8"))
-    config = _config_from_dict(header["config"])
-    vocab = Vocabulary.from_lines(header["vocabulary"])
-    (count,) = r.unpack("<I")
-    arrays = {}
-    for _ in range(count):
-        (name_len,) = r.unpack("<I")
-        name = r.take(name_len).decode("utf-8")
-        dtype_tag, ndim = r.unpack("<BB")
-        if dtype_tag != _DTYPE_F64:
-            raise CorruptionError(f"unknown dtype tag {dtype_tag}")
-        shape = r.unpack(f"<{ndim}Q")
-        n_bytes = 8 * int(np.prod(shape)) if ndim else 8
-        # astype copies, so no parameter is a view of the file's bytes
-        arrays[name] = np.frombuffer(
-            r.take(n_bytes), dtype="<f8").reshape(shape).astype(np.float64)
-    model = TextClassifier(config, vocab, seed=0)
-    expected = dict(model.named_parameters())
-    if set(arrays) != set(expected):
-        raise CorruptionError("parameter names do not match the config")
-    state_hash = hashlib.sha256()
-    for name, p in model.named_parameters():
-        values = arrays[name]
-        if values.shape != p.values.shape:
+    try:
+        (header_len,) = r.unpack("<I")
+        header = json.loads(r.take(header_len).decode("utf-8"))
+        config = _config_from_dict(header["config"])
+        vocab = Vocabulary.from_lines(header["vocabulary"])
+        (count,) = r.unpack("<I")
+        arrays = {}
+        state_hash = hashlib.sha256()
+        for _ in range(count):
+            (name_len,) = r.unpack("<I")
+            name = r.take(name_len).decode("utf-8")
+            dtype_tag, ndim = r.unpack("<BB")
+            if dtype_tag != _DTYPE_F64:
+                raise CorruptionError(f"unknown dtype tag {dtype_tag}")
+            shape = r.unpack(f"<{ndim}Q")
+            n_bytes = 8 * int(np.prod(shape)) if ndim else 8
+            # astype copies, so no parameter is a view of the file's bytes
+            arrays[name] = np.frombuffer(
+                r.take(n_bytes), dtype="<f8").reshape(shape).astype(np.float64)
+            state_hash.update(name.encode())
+            state_hash.update(arrays[name].tobytes())
+        if state_hash.hexdigest() != header["state_hash"]:
             raise CorruptionError(
-                f"array {name} has shape {values.shape}, "
-                f"expected {p.values.shape}")
-        if not np.isfinite(values).all():
-            raise CorruptionError(f"array {name} is not finite")
-        p.values = values
-        state_hash.update(name.encode())
-        state_hash.update(p.values.tobytes())
-    if state_hash.hexdigest() != header["state_hash"]:
-        raise CorruptionError("parameter payload does not match state hash")
+                "parameter payload does not match state hash")
+        model = TextClassifier(config, vocab, arrays=arrays)
+    except (ValueError, KeyError, TypeError, AttributeError) as err:
+        raise CorruptionError(
+            f"malformed checkpoint: {type(err).__name__}: {err}") from err
+    if len(model.params.tensors) != count:
+        raise CorruptionError(f"checkpoint holds {count} arrays; its config "
+                              f"names {len(model.params.tensors)}")
     return model

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .encoder import (BlockParams, EncoderConfig, _init, _zeros,
+from .encoder import (BlockParams, EncoderConfig, ParamTable,
                       transformer_block)
 from .errors import ConfigError
 from .tensor import Tensor
@@ -59,54 +59,33 @@ class DenoiseConfig:
         return cls(dims=dims, activation=activation)
 
 
-class _Affine:
-    """The weight [out, in] and bias [out, 1] of y = W x + b, applied along
-    the hidden axis of [in, N] columns."""
-
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
-        # fan-in scaled init: a 0.02-sigma init collapses the six-layer
-        # affine chain toward zero and leaves the downstream layernorm
-        # amplifying numerical noise
-        self.w = _init(rng, (d_out, d_in), std=1.0 / math.sqrt(d_in))
-        self.b = _zeros((d_out, 1))
+def _stage_params(p: ParamTable, d_in: int, width: int, d_out: int):
+    """(w1, b1, w2, b2) of one stage, d_in -> width -> d_out. Fan-in scaled
+    init: a 0.02-sigma init collapses the six-layer affine chain toward zero
+    and leaves the downstream layernorm amplifying numerical noise."""
+    return (p.normal("w1", (width, d_in), std=1.0 / math.sqrt(d_in)),
+            p.const("b1", (width, 1)),
+            p.normal("w2", (d_out, width), std=1.0 / math.sqrt(width)),
+            p.const("b2", (d_out, 1)))
 
 
 class DenoiseStack:
-    """Paired compression and reconstruction stacks over the dim chain."""
+    """Paired compression and reconstruction stacks over the dim chain; each
+    stage is the weights [out, in] and biases [out, 1] of two affine maps
+    y = W x + b, applied along the hidden axis of [in, N] columns."""
 
-    def __init__(self, cfg: DenoiseConfig, rng: np.random.Generator):
+    def __init__(self, cfg: DenoiseConfig, p: ParamTable):
         self.cfg = cfg
-        d = cfg.dims
-        a = cfg.hidden_dims
-        # compression: d0 -> a1 -> d1 -> a2 -> d2 -> a3 -> d3
-        self.down = [
-            (_Affine(d[0], a[0], rng), _Affine(a[0], d[1], rng)),
-            (_Affine(d[1], a[1], rng), _Affine(a[1], d[2], rng)),
-            (_Affine(d[2], a[2], rng), _Affine(a[2], d[3], rng)),
-        ]
-        # reconstruction mirrors back: d3 -> a3 -> d2 -> a2 -> d1 -> a1 -> d0
-        self.up = [
-            (_Affine(d[3], a[2], rng), _Affine(a[2], d[2], rng)),
-            (_Affine(d[2], a[1], rng), _Affine(a[1], d[1], rng)),
-            (_Affine(d[1], a[0], rng), _Affine(a[0], d[0], rng)),
-        ]
+        # compression: d0 -> a1 -> d1 -> a2 -> d2 -> a3 -> d3; reconstruction
+        # mirrors it back: d3 -> a3 -> d2 -> a2 -> d1 -> a1 -> d0
+        chain = list(zip(cfg.dims[:-1], cfg.hidden_dims, cfg.dims[1:]))
+        self.down = [_stage_params(p.scope(f"down{i}"), d_in, width, d_out)
+                     for i, (d_in, width, d_out) in enumerate(chain, 1)]
+        self.up = [_stage_params(p.scope(f"up{i}"), d_out, width, d_in)
+                   for i, (d_in, width, d_out) in enumerate(chain[::-1], 1)]
 
-    def named_parameters(self):
-        for i, (first, second) in enumerate(self.down, start=1):
-            yield f"down{i}.w1", first.w
-            yield f"down{i}.b1", first.b
-            yield f"down{i}.w2", second.w
-            yield f"down{i}.b2", second.b
-        for i, (first, second) in enumerate(self.up, start=1):
-            yield f"up{i}.w1", first.w
-            yield f"up{i}.b1", first.b
-            yield f"up{i}.w2", second.w
-            yield f"up{i}.b2", second.b
-
-    def _stage(self, x: Tensor, pair) -> Tensor:
-        first, second = pair
-        return T.mlp(x, first.w, first.b, second.w, second.b,
-                     self.cfg.activation, columns=True)
+    def _stage(self, x: Tensor, stage) -> Tensor:
+        return T.mlp(x, *stage, self.cfg.activation, columns=True)
 
     def compress(self, h_inc: Tensor) -> tuple[Tensor, Tensor, Tensor]:
         """[H, N] columns -> latent codes (z1, z2, z) of widths d1, d2, d3."""
@@ -153,13 +132,10 @@ class PostTransformer:
 
     @classmethod
     def build(cls, cfg: EncoderConfig, n_post: int,
-              rng: np.random.Generator) -> "PostTransformer":
-        return cls(blocks=[BlockParams(cfg, rng) for _ in range(n_post)],
+              p: ParamTable) -> "PostTransformer":
+        return cls(blocks=[BlockParams(cfg, p.scope(f"post{i}"))
+                           for i in range(n_post)],
                    num_heads=cfg.num_heads)
-
-    def named_parameters(self):
-        for i, blk in enumerate(self.blocks):
-            yield from blk.named_parameters(f"post{i}")
 
 
 def refine(x: Tensor, mask, post: PostTransformer) -> Tensor:

@@ -13,13 +13,14 @@ from the embedding through the denoising stacks to the classifier head.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, VocabError
+from .errors import ConfigError, CorruptionError, VocabError
 from .tensor import Tensor
 from .tokenizer import TokenSequence
 
@@ -44,59 +45,89 @@ class EncoderConfig:
                 f"num_heads {self.num_heads}")
 
 
-def _init(rng: np.random.Generator, shape, std: float = 0.02) -> Tensor:
-    """Truncated-normal init (resample beyond 2 sigma), tracked for gradients."""
-    vals = rng.normal(0.0, std, size=shape)
-    bad = np.abs(vals) > 2.0 * std
-    while bad.any():
-        vals[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(vals) > 2.0 * std
-    return Tensor(vals, requires_grad=True)
+class ParamTable:
+    """A model's parameters as one ordered name -> ``Tensor`` map; each is
+    made once, by the call that names it and gives its shape and init.
+    From ``rng``, the weights draw in the order they are made (biases and
+    gains draw nothing). From ``arrays`` (a checkpoint's), each parameter
+    takes the array of its name once its shape and finiteness are checked,
+    and nothing is drawn. ``scope`` gives a sub-module a view that prefixes
+    its names."""
 
+    def __init__(self, rng: np.random.Generator | None = None,
+                 arrays: dict[str, np.ndarray] | None = None):
+        self.rng, self.arrays, self.prefix = rng, arrays, ""
+        self.tensors: dict[str, Tensor] = {}
 
-def _zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=True)
+    def scope(self, name: str) -> "ParamTable":
+        view = copy.copy(self)   # shares the map
+        view.prefix = f"{self.prefix}{name}."
+        return view
 
+    def under(self, *prefixes: str) -> list[Tensor]:
+        """The tensors whose names start with one of ``prefixes``, in order."""
+        return [t for n, t in self.tensors.items() if n.startswith(prefixes)]
 
-def _ones(shape) -> Tensor:
-    return Tensor(np.ones(shape), requires_grad=True)
+    def normal(self, name: str, shape, std: float = 0.02) -> Tensor:
+        """Truncated-normal init: each value beyond 2 sigma is redrawn."""
+        def draw():
+            vals = self.rng.normal(0.0, std, size=shape)
+            bad = np.abs(vals) > 2.0 * std
+            while bad.any():
+                vals[bad] = self.rng.normal(0.0, std, size=int(bad.sum()))
+                bad = np.abs(vals) > 2.0 * std
+            return vals
+        return self._make(name, shape, draw)
+
+    def const(self, name: str, shape, value: float = 0.0) -> Tensor:
+        return self._make(name, shape, lambda: np.full(shape, value))
+
+    def _make(self, name: str, shape, init) -> Tensor:
+        name = self.prefix + name
+        if self.arrays is None:
+            values = init()
+        else:
+            values = self.arrays.get(name)
+            if values is None:
+                raise CorruptionError(f"array {name} is missing")
+            if values.shape != shape:
+                raise CorruptionError(
+                    f"array {name} has shape {values.shape}, "
+                    f"expected {shape}")
+            if not np.isfinite(values).all():
+                raise CorruptionError(f"array {name} is not finite")
+        self.tensors[name] = Tensor(values, requires_grad=True)
+        return self.tensors[name]
 
 
 class BlockParams:
     """One transformer block: attention projections, FFN, two layernorms."""
 
-    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator):
+    def __init__(self, cfg: EncoderConfig, p: ParamTable):
         h, f = cfg.hidden_size, cfg.ff_size
-        self.wq, self.wk, self.wv, self.wo = (_init(rng, (h, h)) for _ in range(4))
-        self.bq, self.bk, self.bv, self.bo = (_zeros((h,)) for _ in range(4))
-        self.w1, self.b1 = _init(rng, (h, f)), _zeros((f,))
-        self.w2, self.b2 = _init(rng, (f, h)), _zeros((h,))
-        self.ln1_g, self.ln1_b = _ones((h,)), _zeros((h,))
-        self.ln2_g, self.ln2_b = _ones((h,)), _zeros((h,))
-
-    def named_parameters(self, prefix: str):
-        for name in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
-                     "w1", "b1", "w2", "b2",
-                     "ln1_g", "ln1_b", "ln2_g", "ln2_b"):
-            yield f"{prefix}.{name}", getattr(self, name)
+        self.wq, self.bq = p.normal("wq", (h, h)), p.const("bq", (h,))
+        self.wk, self.bk = p.normal("wk", (h, h)), p.const("bk", (h,))
+        self.wv, self.bv = p.normal("wv", (h, h)), p.const("bv", (h,))
+        self.wo, self.bo = p.normal("wo", (h, h)), p.const("bo", (h,))
+        self.w1, self.b1 = p.normal("w1", (h, f)), p.const("b1", (f,))
+        self.w2, self.b2 = p.normal("w2", (f, h)), p.const("b2", (h,))
+        self.ln1_g = p.const("ln1_g", (h,), 1.0)
+        self.ln1_b = p.const("ln1_b", (h,))
+        self.ln2_g = p.const("ln2_g", (h,), 1.0)
+        self.ln2_b = p.const("ln2_b", (h,))
 
 
 class EncoderParams:
     """Embedding tables plus a stack of transformer blocks."""
 
-    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator):
+    def __init__(self, cfg: EncoderConfig, p: ParamTable):
         self.cfg = cfg
-        self.token_table = _init(rng, (cfg.vocab_size, cfg.hidden_size))
-        self.segment_table = _init(rng, (2, cfg.hidden_size))
-        self.position_table = _init(rng, (cfg.seq_len, cfg.hidden_size))
-        self.blocks = [BlockParams(cfg, rng) for _ in range(cfg.num_layers)]
-
-    def named_parameters(self):
-        yield "token_table", self.token_table
-        yield "segment_table", self.segment_table
-        yield "position_table", self.position_table
-        for i, blk in enumerate(self.blocks):
-            yield from blk.named_parameters(f"block{i}")
+        h = cfg.hidden_size
+        self.token_table = p.normal("token_table", (cfg.vocab_size, h))
+        self.segment_table = p.normal("segment_table", (2, h))
+        self.position_table = p.normal("position_table", (cfg.seq_len, h))
+        self.blocks = [BlockParams(cfg, p.scope(f"block{i}"))
+                       for i in range(cfg.num_layers)]
 
 
 def field_rows(seqs: Sequence[TokenSequence], name: str) -> np.ndarray:

@@ -13,8 +13,8 @@ import numpy as np
 
 from . import tensor as T
 from .denoise import DenoiseConfig, DenoiseStack
-from .encoder import (EncoderConfig, EncoderParams, self_attention,
-                      transformer_block)
+from .encoder import (EncoderConfig, EncoderParams, ParamTable,
+                      self_attention, transformer_block)
 from .model import ModelConfig, TextClassifier
 from .tensor import Tensor, finite_difference_check
 from .tokenizer import build_vocab, encode
@@ -126,12 +126,12 @@ def run_block_checks(seed: int = 1) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     cfg = EncoderConfig(hidden_size=8, seq_len=4, num_layers=1, num_heads=2,
                         ff_size=12, vocab_size=10, num_classes=2)
-    params = EncoderParams(cfg, rng)
-    blk = params.blocks[0]
+    table = ParamTable(rng)
+    blk = EncoderParams(cfg, table).blocks[0]
     x = _param(rng, (4, 8))
     mask = (1, 1, 1, 0)
     target = Tensor(rng.normal(size=(4, 8)))
-    block_params = [x] + [p for _, p in blk.named_parameters("blk")]
+    block_params = [x] + table.under("block0.")
 
     def block_loss():
         return T.mse_loss(transformer_block(x, mask, blk, cfg.num_heads),
@@ -139,10 +139,10 @@ def run_block_checks(seed: int = 1) -> list[CheckResult]:
 
     results = [_check_op("transformer_block", block_loss, block_params)]
 
-    dn = DenoiseStack(DenoiseConfig(dims=(8, 6, 4, 2)), rng)
+    dn = DenoiseStack(DenoiseConfig(dims=(8, 6, 4, 2)), table.scope("stack"))
     h = Tensor(rng.normal(0.0, 1.0, size=(8, 4)).T.copy(), requires_grad=True)
     dn_target = Tensor(rng.normal(size=(8, 4)).T)
-    dn_params = [h] + [p for _, p in dn.named_parameters()]
+    dn_params = [h] + table.under("stack.")
     results.append(_check_op(
         "denoise_stack", lambda: T.mse_loss(dn(h), dn_target), dn_params))
 
@@ -151,7 +151,7 @@ def run_block_checks(seed: int = 1) -> list[CheckResult]:
     xb = _param(rng, (2, 4, 8))
     batch_mask = ((1, 1, 0, 0), (0, 0, 0, 0))
     batch_target = Tensor(rng.normal(size=(2, 4, 8)))
-    attention_params = [xb] + [p for _, p in blk.named_parameters("blk")][:8]
+    attention_params = [xb] + table.under("block0.")[:8]
     results.append(_check_op(
         "batched_attention",
         lambda: T.mse_loss(self_attention(xb, batch_mask, blk, cfg.num_heads),

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .denoise import DenoiseConfig, DenoiseStack, PostTransformer, refine
-from .encoder import (EncoderConfig, EncoderParams, _init, _zeros,
+from .encoder import (EncoderConfig, EncoderParams, ParamTable,
                       encode_intermediate, field_rows)
 from .errors import ConfigError
 from .tensor import Tensor
@@ -46,23 +46,13 @@ class ModelConfig:
             object.__setattr__(self, "n_post", self.encoder.num_layers)
 
 
-class ClassifierHead:
-    """Linear map from the [CLS] feature to class logits."""
-
-    def __init__(self, hidden_size: int, num_classes: int,
-                 rng: np.random.Generator):
-        if num_classes < 2:
-            raise ConfigError(f"need at least 2 classes, got {num_classes}")
-        self.w = _init(rng, (hidden_size, num_classes))
-        self.b = _zeros((num_classes,))
-
-    def named_parameters(self):
-        yield "head.w", self.w
-        yield "head.b", self.b
-
-
 class TextClassifier:
-    def __init__(self, config: ModelConfig, vocab: Vocabulary, seed: int = 0):
+    """The model; its parameters are the one ordered map ``params.tensors``,
+    in checkpoint order. ``arrays`` (a checkpoint's name -> array map)
+    supplies every parameter in place of draws from ``seed``."""
+
+    def __init__(self, config: ModelConfig, vocab: Vocabulary, seed: int = 0,
+                 *, arrays: dict[str, np.ndarray] | None = None):
         if len(vocab) > config.encoder.vocab_size:
             raise ConfigError(
                 f"vocabulary has {len(vocab)} entries but config allows "
@@ -70,37 +60,35 @@ class TextClassifier:
         if config.encoder.seq_len < 3:   # room for [CLS] and [SEP]
             raise ConfigError(
                 f"seq_len must be >= 3, got {config.encoder.seq_len}")
+        h, c = config.encoder.hidden_size, config.encoder.num_classes
+        if c < 2:
+            raise ConfigError(f"need at least 2 classes, got {c}")
         self.config = config
         self.vocab = vocab
-        rng = np.random.default_rng(seed)
-        self.encoder = EncoderParams(config.encoder, rng)
-        self.stack = DenoiseStack(config.denoise, rng)
-        self.post = PostTransformer.build(config.encoder, config.n_post, rng)
-        self.head = ClassifierHead(config.encoder.hidden_size,
-                                   config.encoder.num_classes, rng)
+        p = self.params = ParamTable(
+            np.random.default_rng(seed) if arrays is None else None, arrays)
+        self.encoder = EncoderParams(config.encoder, p.scope("encoder"))
+        self.stack = DenoiseStack(config.denoise, p.scope("stack"))
+        self.post = PostTransformer.build(config.encoder, config.n_post,
+                                          p.scope("post"))
+        # linear map from the [CLS] feature to class logits
+        self.head_w = p.normal("head.w", (h, c))
+        self.head_b = p.const("head.b", (c,))
 
     # -- parameter groups ---------------------------------------------------
     def named_parameters(self):
-        for name, p in self.encoder.named_parameters():
-            yield f"encoder.{name}", p
-        for name, p in self.stack.named_parameters():
-            yield f"stack.{name}", p
-        for name, p in self.post.named_parameters():
-            yield f"post.{name}", p
-        yield from self.head.named_parameters()
+        return iter(self.params.tensors.items())
 
     def parameters(self):
-        return [p for _, p in self.named_parameters()]
+        return list(self.params.tensors.values())
 
     def denoise_parameters(self):
-        return [p for _, p in self.stack.named_parameters()]
+        return self.params.under("stack.")
 
     def trainable_parameters(self):
         """Parameters updated in phase 2, honoring the mode."""
         if self.config.mode == "baseline":
-            params = [p for _, p in self.encoder.named_parameters()]
-            params += [p for _, p in self.head.named_parameters()]
-            return params
+            return self.params.under("encoder.", "head.")
         return self.parameters()
 
     # -- forward ------------------------------------------------------------
@@ -122,7 +110,7 @@ class TextClassifier:
             if partial is None:
                 partial = self.stack(self.intermediate(seqs))
             h = refine(partial, field_rows(seqs, "attention_mask"), self.post)
-        return T.affine(h[:, 0], self.head.w, self.head.b)
+        return T.affine(h[:, 0], self.head_w, self.head_b)
 
     def predict(self, seqs: Sequence[TokenSequence]
                 ) -> tuple[np.ndarray, np.ndarray]:

@@ -654,6 +654,10 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     return _make(np.asarray(nll.mean()), (logits, vjp))
 
 
+# Adam's moment decay rates and denominator floor (Kingma & Ba's defaults)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Adam with bias correction and decoupled weight decay.
 
@@ -670,13 +674,9 @@ class Adam:
     """
 
     def __init__(self, params: Iterable[Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8, weight_decay: float = 0.0):
+                 weight_decay: float = 0.0):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self._flat = np.concatenate(
@@ -704,18 +704,18 @@ class Adam:
                 f"step() with non-finite gradients in {len(bad)} of "
                 f"{len(self.params)} params, the first at index {bad[0]}")
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
         g, m, v = self._g, self._m, self._v
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        v *= self.beta2
-        v += (1.0 - self.beta2) * g * g
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
         # the new values are formed aside and written only if all are
         # finite; that check, not a numpy overflow warning, reports a step
         # that overflows
         with np.errstate(over="ignore", invalid="ignore"):
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
             if self.weight_decay:
                 update = update + self.weight_decay * self._flat
             np.multiply(self.lr, update, out=update)

@@ -99,18 +99,17 @@ def cache_embeddings(pairs, model: TextClassifier
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Graph-free encoder outputs of the incomplete and of the complete
     sentences, each one [n, L, H] array of rows in pair order; valid while
-    the encoder is frozen. These forwards run at the full width L, so each
-    takes ``INFERENCE_ROWS // L`` sentences (at least one)."""
+    the encoder is frozen. These forwards run at the full width L, so they
+    are packed as sentences of length L: ``INFERENCE_ROWS // L`` per forward
+    (at least one), in pair order."""
     cfg = model.config.encoder
-    size = max(1, INFERENCE_ROWS // cfg.seq_len)
     inc, comp = np.empty((2, len(pairs), cfg.seq_len, cfg.hidden_size))
     with T.no_grad():
-        for start in range(0, len(pairs), size):
-            chunk = pairs[start:start + size]
+        for chunk in _length_packed([cfg.seq_len] * len(pairs)):
             for side, name in ((inc, "incomplete"), (comp, "complete")):
-                side[start:start + len(chunk)] = model.intermediate(
-                    [model.encode_sentence(getattr(ex, name))
-                     for ex in chunk]).values
+                side[chunk] = model.intermediate(
+                    [model.encode_sentence(getattr(pairs[i], name))
+                     for i in chunk]).values
     return inc, comp
 
 

@@ -21,7 +21,7 @@ from denoiseclf.checkpoint import (CheckpointError, load_checkpoint,
 from denoiseclf.data import (PairedExample, load_corpus, make_dataset,
                              parse_config, split_corpus, synthetic_corpus)
 from denoiseclf.denoise import DenoiseConfig, DenoiseStack
-from denoiseclf.encoder import EncoderConfig
+from denoiseclf.encoder import EncoderConfig, ParamTable
 from denoiseclf.metrics import (ConfusionMatrix, bleu, corpus_wer,
                                 edit_distance, ibleu, macro_scores,
                                 micro_scores, wer)
@@ -58,7 +58,7 @@ def test_criterion_1_gradient_integrity():
 
 def test_criterion_2_reference_scale_shapes():
     cfg = DenoiseConfig(dims=(768, 128, 32, 12))
-    stack = DenoiseStack(cfg, np.random.default_rng(0))
+    stack = DenoiseStack(cfg, ParamTable(np.random.default_rng(0)))
     h = Tensor(np.zeros((768, 128)))
     z1, z2, z = stack.compress(h)
     rec = stack.reconstruct(z)

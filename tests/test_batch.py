@@ -9,7 +9,8 @@ from denoiseclf import tensor as T
 from denoiseclf import train
 from denoiseclf.data import PairedExample
 from denoiseclf.denoise import DenoiseConfig, DenoiseStack
-from denoiseclf.encoder import EncoderConfig, EncoderParams, self_attention
+from denoiseclf.encoder import (EncoderConfig, EncoderParams, ParamTable,
+                               self_attention)
 from denoiseclf.gradcheck import run_block_checks
 from denoiseclf.model import ModelConfig, TextClassifier
 from denoiseclf.tensor import Tensor
@@ -232,7 +233,8 @@ class TestBatchedAttention:
     def setup_method(self):
         cfg = EncoderConfig(hidden_size=8, seq_len=4, num_layers=1,
                             num_heads=2, ff_size=12, vocab_size=10)
-        self.blk = EncoderParams(cfg, np.random.default_rng(20)).blocks[0]
+        self.blk = EncoderParams(
+            cfg, ParamTable(np.random.default_rng(20))).blocks[0]
         self.x = np.random.default_rng(21).normal(size=(3, 4, 8))
 
     def test_rows_match_unbatched_calls(self):
@@ -272,7 +274,8 @@ class TestConstantsStayOutOfTheGraph:
     def test_attention_scale_and_mask_bias(self):
         cfg = EncoderConfig(hidden_size=8, seq_len=4, num_layers=1,
                             num_heads=2, ff_size=12, vocab_size=10)
-        blk = EncoderParams(cfg, np.random.default_rng(20)).blocks[0]
+        blk = EncoderParams(
+            cfg, ParamTable(np.random.default_rng(20))).blocks[0]
         x = Tensor(np.random.default_rng(21).normal(size=(2, 4, 8)),
                    requires_grad=True)
         out = self_attention(x, [(1, 1, 0, 0), (1, 1, 1, 1)], blk, 2)

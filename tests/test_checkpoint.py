@@ -1,4 +1,6 @@
 import hashlib
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -163,3 +165,69 @@ class TestNonFinite:
         with pytest.raises(CorruptionError,
                            match=f"array {name} is not finite"):
             load_checkpoint(path)
+
+
+def _with_arrays(path, arrays):
+    """Rewrite the checkpoint at ``path`` to hold ``arrays``, (name, values)
+    pairs in file order, with its state hash and digest recomputed, so the
+    arrays disagree with the config but every hash holds."""
+    body = path.read_bytes()[:-32]
+    (length,) = struct.unpack_from("<I", body, 8)
+    header = json.loads(body[12:12 + length])
+    state_hash = hashlib.sha256()
+    for name, values in arrays:
+        state_hash.update(name.encode())
+        state_hash.update(values.tobytes())
+    header["state_hash"] = state_hash.hexdigest()
+    encoded = json.dumps(header).encode()
+    out = body[:8] + struct.pack("<I", len(encoded)) + encoded
+    out += struct.pack("<I", len(arrays))
+    for name, values in arrays:
+        out += struct.pack("<I", len(name.encode())) + name.encode()
+        out += struct.pack("<BB", 1, values.ndim)
+        out += struct.pack(f"<{values.ndim}Q", *values.shape)
+        out += values.astype("<f8").tobytes()
+    path.write_bytes(out + hashlib.sha256(out).digest())
+
+
+def _renamed(arrays):
+    name, values = arrays[5]
+    return arrays[:5] + [(name + "x", values)] + arrays[6:]
+
+
+def _reshaped(arrays):
+    name, values = arrays[5]
+    return arrays[:5] + [(name, values.reshape(-1))] + arrays[6:]
+
+
+class TestArraysAgainstConfig:
+    # index 5 is encoder.block0.wk, an [8, 8] weight
+    @pytest.mark.parametrize("edit,message", [
+        (_renamed, "array encoder.block0.wk is missing"),
+        (lambda arrays: arrays[:5] + arrays[6:],
+         "array encoder.block0.wk is missing"),
+        (lambda arrays: arrays + [("head.extra", np.zeros(2))],
+         "checkpoint holds 62 arrays; its config names 61"),
+        (_reshaped,
+         r"array encoder.block0.wk has shape \(64,\), expected \(8, 8\)"),
+    ], ids=["renamed", "missing", "extra", "reshaped"])
+    def test_mismatch_raises_corruption_error(self, edit, message, tmp_path):
+        model = tiny_model()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        arrays = [(name, p.values) for name, p in model.named_parameters()]
+        assert arrays[5][0] == "encoder.block0.wk"
+        _with_arrays(path, edit(arrays))
+        with pytest.raises(CorruptionError, match=message):
+            load_checkpoint(path)
+
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        model = tiny_model()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_checkpoint made a generator")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        assert_models_equal(model, load_checkpoint(path))

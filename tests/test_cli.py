@@ -3,6 +3,9 @@ tiny synthetic dataset, plus exit-code and precedence behaviour."""
 
 import csv
 import gc
+import hashlib
+import json
+import struct
 import warnings
 
 import pytest
@@ -492,3 +495,56 @@ def test_each_error_category_exits_with_its_code(code, argv, workspace,
     out = tmp_path / "out"
     assert main(argv(workspace, tmp_path) + ["--outdir", str(out)]) == code
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _set(keys, value):
+    """A header edit that sets the field at the path ``keys``."""
+    def edit(header):
+        record = json.loads(header)
+        target = record
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        return json.dumps(record).encode()
+    return edit
+
+
+def _drop_state_hash(header):
+    record = json.loads(header)
+    del record["state_hash"]
+    return json.dumps(record).encode()
+
+
+# Each edit leaves a checkpoint whose sha256 digest is valid, so only the
+# header's content is at fault.
+HEADER_FAULTS = [
+    pytest.param(_drop_state_hash, "KeyError: 'state_hash'",
+                 id="no-state-hash"),
+    pytest.param(_set(["config", "encoder", "hidden_size"], "x"),
+                 "TypeError: ", id="hidden-size-not-a-number"),
+    pytest.param(lambda header: b"{not json", "JSONDecodeError: ",
+                 id="not-json"),
+    pytest.param(_set(["vocabulary"], "a\tx\n"),
+                 "ValueError: invalid literal for int()", id="vocabulary-id"),
+    pytest.param(_set(["config", "encoder", "num_heads"], 3),
+                 "ConfigError: hidden_size 16 not divisible by num_heads 3",
+                 id="heads-do-not-divide"),
+]
+
+
+@pytest.mark.parametrize("edit,message", HEADER_FAULTS)
+def test_eval_with_a_malformed_header_exits_9(edit, message, workspace,
+                                              tmp_path, capsys):
+    body = (workspace / "run" / "model-stacked.ckpt").read_bytes()[:-32]
+    (length,) = struct.unpack_from("<I", body, 8)
+    header = edit(body[12:12 + length])
+    body = (body[:8] + struct.pack("<I", len(header)) + header
+            + body[12 + length:])
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(body + hashlib.sha256(body).digest())
+    assert main(["eval", "--checkpoint", str(path),
+                 "--test", str(workspace / "data" / "test.tsv"),
+                 "--outdir", str(tmp_path / "out")]) == 9
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed checkpoint: ")
+    assert message in err

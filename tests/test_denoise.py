@@ -6,7 +6,7 @@ import pytest
 from denoiseclf import tensor as T
 from denoiseclf.denoise import (DenoiseConfig, DenoiseStack, PostTransformer,
                                 refine)
-from denoiseclf.encoder import EncoderConfig
+from denoiseclf.encoder import EncoderConfig, ParamTable
 from denoiseclf.tensor import Tensor
 from denoiseclf.tokenizer import ConfigError
 
@@ -41,7 +41,7 @@ class TestConfig:
 class TestShapes:
     def test_paper_scale_latent_shapes(self):
         cfg = DenoiseConfig(dims=(768, 128, 32, 12))
-        stack = DenoiseStack(cfg, np.random.default_rng(0))
+        stack = DenoiseStack(cfg, ParamTable(np.random.default_rng(0)))
         h = Tensor(np.random.default_rng(1).normal(size=(768, 3)))
         z1, z2, z = stack.compress(h)
         assert z1.shape == (128, 3)
@@ -51,7 +51,7 @@ class TestShapes:
 
     def test_wrong_input_width_rejected(self):
         stack = DenoiseStack(DenoiseConfig(dims=(8, 4, 2, 1)),
-                             np.random.default_rng(2))
+                             ParamTable(np.random.default_rng(2)))
         with pytest.raises(ConfigError):
             stack.compress(Tensor(np.zeros((7, 3))))
         with pytest.raises(ConfigError):
@@ -62,9 +62,9 @@ class TestAffineBehaviour:
     def test_pure_affine_chain_is_linear_in_input(self):
         # with zero biases the default (no activation) stack is a single
         # linear map, so f(ax) == a f(x) and f(x+y) == f(x)+f(y)
-        stack = DenoiseStack(DenoiseConfig(dims=(8, 6, 4, 2)),
-                             np.random.default_rng(3))
-        for _, p in stack.named_parameters():
+        table = ParamTable(np.random.default_rng(3))
+        stack = DenoiseStack(DenoiseConfig(dims=(8, 6, 4, 2)), table)
+        for p in table.tensors.values():
             if p.values.ndim == 2 and p.values.shape[1] == 1:
                 p.values[:] = 0.0
         rng = np.random.default_rng(4)
@@ -79,10 +79,10 @@ class TestAffineBehaviour:
 
     def test_identity_chain_can_represent_identity(self):
         # width-preserving chain with identity weights and zero biases
+        table = ParamTable(np.random.default_rng(5))
         stack = DenoiseStack(
-            DenoiseConfig(dims=(4, 4, 4, 4), hidden_dims=(4, 4, 4)),
-            np.random.default_rng(5))
-        for _, p in stack.named_parameters():
+            DenoiseConfig(dims=(4, 4, 4, 4), hidden_dims=(4, 4, 4)), table)
+        for p in table.tensors.values():
             if p.values.shape == (4, 4):
                 p.values[:] = np.eye(4)
             else:
@@ -93,7 +93,7 @@ class TestAffineBehaviour:
     def test_position_locality(self):
         # each sequence position (one row) is mapped independently
         stack = DenoiseStack(DenoiseConfig(dims=(8, 6, 4, 2)),
-                             np.random.default_rng(7))
+                             ParamTable(np.random.default_rng(7)))
         rng = np.random.default_rng(8)
         x = rng.normal(size=(8, 4)).T.copy()
         base = stack(Tensor(x)).values
@@ -105,7 +105,7 @@ class TestAffineBehaviour:
 
     def test_rows_keep_their_shape_and_batch_axis(self):
         stack = DenoiseStack(DenoiseConfig(dims=(8, 6, 4, 2)),
-                             np.random.default_rng(7))
+                             ParamTable(np.random.default_rng(7)))
         x = np.random.default_rng(8).normal(size=(3, 4, 8))
         out = stack(Tensor(x)).values
         assert out.shape == (3, 4, 8)
@@ -116,7 +116,7 @@ class TestAffineBehaviour:
     def test_tanh_activation_breaks_linearity(self):
         stack = DenoiseStack(
             DenoiseConfig(dims=(8, 6, 4, 2), activation="tanh"),
-            np.random.default_rng(9))
+            ParamTable(np.random.default_rng(9)))
         x = Tensor(np.random.default_rng(10).normal(size=(8, 3)).T)
         fx = stack(x).values
         f2x = stack(Tensor(2.0 * x.values)).values
@@ -140,12 +140,12 @@ class TestLossAndGradients:
         # the stack takes its MSE over columns; the value and the gradients
         # are those of the MSE over the rows it returns, up to summation
         # order
-        stack = DenoiseStack(DenoiseConfig(dims=(8, 6, 4, 2)),
-                             np.random.default_rng(13))
+        table = ParamTable(np.random.default_rng(13))
+        stack = DenoiseStack(DenoiseConfig(dims=(8, 6, 4, 2)), table)
         rng = np.random.default_rng(14)
         x = rng.normal(size=(2, 3, 8))
         target = rng.normal(size=(2, 3, 8))
-        params = [p for _, p in stack.named_parameters()]
+        params = list(table.tensors.values())
         results = []
         for loss_fn in (lambda: stack.loss(Tensor(x), target),
                         lambda: T.mse_loss(stack(Tensor(x)), Tensor(target))):
@@ -167,12 +167,12 @@ class TestLossAndGradients:
     def test_training_reduces_reconstruction_error(self):
         # a few Adam steps on a fixed pair must drop the MSE substantially
         from denoiseclf.tensor import Adam
-        stack = DenoiseStack(DenoiseConfig(dims=(8, 6, 4, 2)),
-                             np.random.default_rng(13))
+        table = ParamTable(np.random.default_rng(13))
+        stack = DenoiseStack(DenoiseConfig(dims=(8, 6, 4, 2)), table)
         rng = np.random.default_rng(14)
         h_inc = Tensor(rng.normal(size=(8, 5)).T)
         h_comp = Tensor(rng.normal(scale=0.1, size=(8, 5)).T)
-        params = [p for _, p in stack.named_parameters()]
+        params = list(table.tensors.values())
         opt = Adam(params, lr=1e-2)
         first = None
         for _ in range(60):
@@ -189,11 +189,12 @@ class TestPostTransformer:
     def test_refine_preserves_layout(self):
         cfg = EncoderConfig(hidden_size=8, seq_len=4, num_layers=1,
                             num_heads=2, ff_size=12, vocab_size=16)
-        post = PostTransformer.build(cfg, n_post=2, rng=np.random.default_rng(15))
+        table = ParamTable(np.random.default_rng(15))
+        post = PostTransformer.build(cfg, n_post=2, p=table)
         h = Tensor(np.random.default_rng(16).normal(size=(8, 4)).T)
         out = refine(h, [1, 1, 1, 0], post)
         assert out.shape == (4, 8)
-        assert len(list(post.named_parameters())) == 2 * 16
+        assert len(table.tensors) == 2 * 16
 
     def test_zero_blocks_is_identity(self):
         post = PostTransformer(blocks=[], num_heads=2)

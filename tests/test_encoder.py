@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from denoiseclf import tensor as T
-from denoiseclf.encoder import (EncoderConfig, EncoderParams, embed,
-                                encode_intermediate, self_attention,
+from denoiseclf.encoder import (EncoderConfig, EncoderParams, ParamTable,
+                                embed, encode_intermediate, self_attention,
                                 transformer_block)
 from denoiseclf.tensor import Tensor
 from denoiseclf.tokenizer import (ConfigError, VocabError, build_vocab, encode,
@@ -29,7 +29,8 @@ def test_config_validates_head_divisibility():
 
 class TestEmbed:
     def test_zero_tables_give_zero_output(self, vocab):
-        params = EncoderParams(tiny_config(), np.random.default_rng(0))
+        params = EncoderParams(tiny_config(),
+                               ParamTable(np.random.default_rng(0)))
         for table in (params.token_table, params.segment_table,
                       params.position_table):
             table.values[:] = 0.0
@@ -40,7 +41,8 @@ class TestEmbed:
     def test_marker_dimension_sums(self, vocab):
         # token table row i carries i, segment row s carries 10*s, position
         # row t carries 100*t in dimension 0; output must be the sum
-        params = EncoderParams(tiny_config(), np.random.default_rng(0))
+        params = EncoderParams(tiny_config(),
+                               ParamTable(np.random.default_rng(0)))
         for table in (params.token_table, params.segment_table,
                       params.position_table):
             table.values[:] = 0.0
@@ -65,7 +67,8 @@ class TestEmbed:
             np.testing.assert_array_equal(row, expected)
 
     def test_locality_of_token_change(self, vocab):
-        params = EncoderParams(tiny_config(), np.random.default_rng(0))
+        params = EncoderParams(tiny_config(),
+                               ParamTable(np.random.default_rng(0)))
         seq_a = encode("good night", vocab, max_len=4)
         seq_b = encode("bad night", vocab, max_len=4)
         a, b = embed([seq_a, seq_b], params).values
@@ -75,7 +78,7 @@ class TestEmbed:
 
     def test_out_of_vocab_id(self, vocab):
         params = EncoderParams(tiny_config(vocab_size=4),
-                               np.random.default_rng(0))
+                               ParamTable(np.random.default_rng(0)))
         seq = encode("good night", vocab, max_len=4)
         with pytest.raises(VocabError):
             embed([seq], params)
@@ -84,7 +87,7 @@ class TestEmbed:
 class TestSelfAttention:
     def test_single_token_attends_to_itself(self):
         cfg = tiny_config(seq_len=1, num_heads=1)
-        params = EncoderParams(cfg, np.random.default_rng(1))
+        params = EncoderParams(cfg, ParamTable(np.random.default_rng(1)))
         blk = params.blocks[0]
         x = Tensor(np.random.default_rng(2).normal(size=(1, 8)))
         out = self_attention(x, [1], blk, 1)
@@ -94,7 +97,7 @@ class TestSelfAttention:
 
     def test_zero_queries_give_uniform_attention(self):
         cfg = tiny_config(num_heads=1)
-        params = EncoderParams(cfg, np.random.default_rng(3))
+        params = EncoderParams(cfg, ParamTable(np.random.default_rng(3)))
         blk = params.blocks[0]
         blk.wq.values[:] = 0.0
         blk.bq.values[:] = 0.0
@@ -108,7 +111,7 @@ class TestSelfAttention:
 
     def test_two_token_single_head_hand_oracle(self):
         cfg = tiny_config(seq_len=2, num_heads=1)
-        params = EncoderParams(cfg, np.random.default_rng(5))
+        params = EncoderParams(cfg, ParamTable(np.random.default_rng(5)))
         blk = params.blocks[0]
         rng = np.random.default_rng(6)
         x = Tensor(rng.normal(size=(2, 8)))
@@ -125,7 +128,7 @@ class TestSelfAttention:
 
     def test_attention_rows_sum_to_one_over_unmasked(self):
         cfg = tiny_config(num_heads=2)
-        params = EncoderParams(cfg, np.random.default_rng(7))
+        params = EncoderParams(cfg, ParamTable(np.random.default_rng(7)))
         blk = params.blocks[0]
         rng = np.random.default_rng(8)
         x = rng.normal(size=(4, 8))
@@ -142,7 +145,7 @@ class TestSelfAttention:
 
     def test_all_masked_falls_back_to_first_position(self):
         cfg = tiny_config(num_heads=1)
-        params = EncoderParams(cfg, np.random.default_rng(9))
+        params = EncoderParams(cfg, ParamTable(np.random.default_rng(9)))
         blk = params.blocks[0]
         x = Tensor(np.random.default_rng(10).normal(size=(4, 8)))
         out = self_attention(x, [0, 0, 0, 0], blk, 1)
@@ -152,7 +155,7 @@ class TestSelfAttention:
 class TestTransformerBlock:
     def test_zero_output_projections_reduce_to_layernorms(self):
         cfg = tiny_config()
-        params = EncoderParams(cfg, np.random.default_rng(11))
+        params = EncoderParams(cfg, ParamTable(np.random.default_rng(11)))
         blk = params.blocks[0]
         blk.wo.values[:] = 0.0
         blk.bo.values[:] = 0.0
@@ -171,7 +174,7 @@ class TestTransformerBlock:
 
     def test_pad_positions_do_not_influence_cls(self):
         cfg = tiny_config()
-        params = EncoderParams(cfg, np.random.default_rng(13))
+        params = EncoderParams(cfg, ParamTable(np.random.default_rng(13)))
         blk = params.blocks[0]
         rng = np.random.default_rng(14)
         x = rng.normal(size=(4, 8))
@@ -187,13 +190,13 @@ class TestTransformerBlock:
 class TestEncodeIntermediate:
     def test_output_shape_is_batch_by_seq_by_hidden(self, vocab):
         cfg = tiny_config(num_layers=2)
-        params = EncoderParams(cfg, np.random.default_rng(15))
+        params = EncoderParams(cfg, ParamTable(np.random.default_rng(15)))
         seq = encode("good night", vocab, max_len=4)
         assert encode_intermediate([seq], params).shape == (1, 4, 8)
 
     def test_determinism(self, vocab):
         cfg = tiny_config()
-        params = EncoderParams(cfg, np.random.default_rng(16))
+        params = EncoderParams(cfg, ParamTable(np.random.default_rng(16)))
         seq = encode("good night", vocab, max_len=4)
         a = encode_intermediate([seq], params).values
         b = encode_intermediate([seq], params).values
@@ -201,7 +204,7 @@ class TestEncodeIntermediate:
 
     def test_pair_differing_in_one_word_differ(self, vocab):
         cfg = tiny_config()
-        params = EncoderParams(cfg, np.random.default_rng(17))
+        params = EncoderParams(cfg, ParamTable(np.random.default_rng(17)))
         h_inc = encode_intermediate([encode("good night", vocab, 4)], params)
         h_comp = encode_intermediate([encode("bad night", vocab, 4)], params)
         assert np.abs(h_inc.values - h_comp.values).max(axis=0).max() > 0
@@ -209,13 +212,14 @@ class TestEncodeIntermediate:
     def test_pad_invariance_of_cls(self, vocab):
         # same content at two padded lengths: the [CLS] row must agree
         cfg_short = tiny_config(seq_len=6)
-        rng_a = np.random.default_rng(18)
-        params_short = EncoderParams(cfg_short, rng_a)
+        short = ParamTable(np.random.default_rng(18))
+        params_short = EncoderParams(cfg_short, short)
         cfg_long = tiny_config(seq_len=10)
-        params_long = EncoderParams(cfg_long, np.random.default_rng(19))
+        long = ParamTable(np.random.default_rng(19))
+        params_long = EncoderParams(cfg_long, long)
         # share all weights; copy the shorter position table into the longer
-        for (_, ps), (_, pl) in zip(params_short.named_parameters(),
-                                    params_long.named_parameters()):
+        for (_, ps), (_, pl) in zip(short.tensors.items(),
+                                    long.tensors.items()):
             if pl.values.shape == ps.values.shape:
                 pl.values = ps.values.copy()
             else:
