@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .encoder import (BlockParams, EncoderConfig, ParamTable,
-                      transformer_block)
+from .encoder import (BlockParams, EncoderConfig, ParamTable, check_int,
+                      run_blocks)
 from .errors import ConfigError
 from .tensor import Tensor
 
@@ -47,6 +47,9 @@ class DenoiseConfig:
                 for a, b in zip(self.dims[:-1], self.dims[1:])))
         if len(self.hidden_dims) != 3:
             raise ConfigError("hidden_dims must have one width per stage")
+        for name in ("dims", "hidden_dims"):
+            for i, value in enumerate(getattr(self, name)):
+                check_int(f"{name}[{i}]", value)
         if self.activation not in (None, "tanh", "gelu"):
             raise ConfigError(f"unknown activation {self.activation!r}")
 
@@ -138,8 +141,9 @@ class PostTransformer:
                    num_heads=cfg.num_heads)
 
 
-def refine(x: Tensor, mask, post: PostTransformer) -> Tensor:
-    """Run [B, L, H] rows (mask [B, L]) through the post blocks."""
-    for blk in post.blocks:
-        x = transformer_block(x, mask, blk, post.num_heads)
-    return x
+def refine(x: Tensor, mask, post: PostTransformer,
+           cls_only: bool = False) -> Tensor:
+    """Run [B, L, H] rows (mask [B, L]) through the post blocks; with
+    ``cls_only`` and at least one block, only the [CLS] row of the last
+    (see ``encoder.run_blocks``)."""
+    return run_blocks(x, mask, post.blocks, post.num_heads, cls_only)

@@ -25,6 +25,13 @@ from .tensor import Tensor
 from .tokenizer import TokenSequence
 
 
+def check_int(name: str, value) -> None:
+    """An int field given a float or a bool (a header's ``2.0`` or
+    ``true``) is a ``ConfigError``; both would pass a range check."""
+    if isinstance(value, (bool, float)):
+        raise ConfigError(f"{name} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EncoderConfig:
     hidden_size: int = 64
@@ -37,6 +44,7 @@ class EncoderConfig:
 
     def __post_init__(self):
         for f in fields(self):
+            check_int(f.name, getattr(self, f.name))
             if getattr(self, f.name) <= 0:
                 raise ConfigError(f"{f.name} must be positive")
         if self.hidden_size % self.num_heads:
@@ -152,26 +160,43 @@ def embed(seqs: Sequence[TokenSequence], params: EncoderParams) -> Tensor:
     return tok + seg + pos
 
 
-def self_attention(x: Tensor, mask, blk: BlockParams, num_heads: int) -> Tensor:
+def self_attention(x: Tensor, mask, blk: BlockParams, num_heads: int,
+                   queries: Tensor | None = None) -> Tensor:
     """Multi-head scaled dot-product attention over [..., L, H] rows (mask
-    [..., L]), one ``tensor.attention`` op."""
+    [..., L]), one ``tensor.attention`` op; ``queries`` are the rows its
+    queries and output come from (default: all of x)."""
     return T.attention(x, mask, num_heads, blk.wq, blk.bq, blk.wk, blk.bk,
-                       blk.wv, blk.bv, blk.wo, blk.bo)
+                       blk.wv, blk.bv, blk.wo, blk.bo, queries)
 
 
-def transformer_block(x: Tensor, mask, blk: BlockParams,
-                      num_heads: int) -> Tensor:
-    x = T.layernorm(x + self_attention(x, mask, blk, num_heads),
+def transformer_block(x: Tensor, mask, blk: BlockParams, num_heads: int,
+                      queries: Tensor | None = None) -> Tensor:
+    """One block over [..., L, H] rows; with ``queries`` it computes only
+    those rows, attending over every row of x."""
+    rows = x if queries is None else queries
+    x = T.layernorm(rows + self_attention(x, mask, blk, num_heads, queries),
                     blk.ln1_g, blk.ln1_b)
     ff = T.mlp(x, blk.w1, blk.b1, blk.w2, blk.b2, "gelu")
     return T.layernorm(x + ff, blk.ln2_g, blk.ln2_b)
 
 
-def encode_intermediate(seqs: Sequence[TokenSequence],
-                        params: EncoderParams) -> Tensor:
-    """Run embedding + all blocks -> [B, L, H] rows."""
-    x = embed(seqs, params)
-    mask = field_rows(seqs, "attention_mask")
-    for blk in params.blocks:
-        x = transformer_block(x, mask, blk, params.cfg.num_heads)
+def run_blocks(x: Tensor, mask, blocks: Sequence[BlockParams],
+               num_heads: int, cls_only: bool = False) -> Tensor:
+    """[B, L, H] rows (mask [B, L]) through ``blocks``. With ``cls_only``
+    the last block computes only the [CLS] row, all a classifier head
+    reads: its output is [B, 1, H]."""
+    for i, blk in enumerate(blocks):
+        last = cls_only and i == len(blocks) - 1
+        x = transformer_block(x, mask, blk, num_heads,
+                              x[:, :1] if last else None)
     return x
+
+
+def encode_intermediate(seqs: Sequence[TokenSequence],
+                        params: EncoderParams,
+                        cls_only: bool = False) -> Tensor:
+    """Run embedding + all blocks -> [B, L, H] rows, or with ``cls_only``
+    the [B, 1, H] [CLS] rows (see ``run_blocks``)."""
+    return run_blocks(embed(seqs, params),
+                      field_rows(seqs, "attention_mask"), params.blocks,
+                      params.cfg.num_heads, cls_only)

@@ -114,6 +114,17 @@ def run_op_checks(seed: int = 0) -> list[CheckResult]:
                 [_param(rng, shape) for shape in shapes],
                 Tensor(rng.normal(size=out_shape)), activation,
                 layout == "columns"))
+
+    # queries and output from two separate rows, keys and values from all
+    # of qx; one row with a pad and one fully masked row
+    qx, q_rows = _param(rng, (2, 3, 4)), _param(rng, (2, 2, 4))
+    q_w = [_param(rng, shape) for _ in range(4) for shape in ((4, 4), (4,))]
+    wq = Tensor(rng.normal(size=(2, 2, 4)))
+    results.append(_check_op(
+        "attention_query_rows",
+        lambda: T.sum_all(T.mul(T.attention(
+            qx, ((1, 1, 0), (0, 0, 0)), 2, *q_w, queries=q_rows), wq)),
+        [qx, q_rows] + q_w))
     return results
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .denoise import DenoiseConfig, DenoiseStack, PostTransformer, refine
-from .encoder import (EncoderConfig, EncoderParams, ParamTable,
+from .encoder import (EncoderConfig, EncoderParams, ParamTable, check_int,
                       encode_intermediate, field_rows)
 from .errors import ConfigError
 from .tensor import Tensor
@@ -44,6 +44,7 @@ class ModelConfig:
                 f"hidden size is {self.encoder.hidden_size}")
         if self.n_post is None:
             object.__setattr__(self, "n_post", self.encoder.num_layers)
+        check_int("n_post", self.n_post)
 
 
 class TextClassifier:
@@ -102,14 +103,17 @@ class TextClassifier:
     def logits(self, seqs: Sequence[TokenSequence],
                partial: Tensor | None = None) -> Tensor:
         """[B, C] for B sequences, read off the [CLS] rows of the final
-        [B, L, H] features. In stacked mode ``partial`` reuses an already
+        features. The block that feeds the head computes only that row
+        (``cls_only``); with no post block, stacked mode reads row 0 of the
+        stack output. In stacked mode ``partial`` reuses an already
         computed ``stack(intermediate(seqs))``; baseline mode ignores it."""
         if self.config.mode == "baseline":
-            h = self.intermediate(seqs)
+            h = encode_intermediate(seqs, self.encoder, cls_only=True)
         else:
             if partial is None:
                 partial = self.stack(self.intermediate(seqs))
-            h = refine(partial, field_rows(seqs, "attention_mask"), self.post)
+            h = refine(partial, field_rows(seqs, "attention_mask"), self.post,
+                       cls_only=True)
         return T.affine(h[:, 0], self.head_w, self.head_b)
 
     def predict(self, seqs: Sequence[TokenSequence]

@@ -272,7 +272,7 @@ def _mask_bias(mask) -> np.ndarray:
 
 
 def attention(x, mask, num_heads: int, wq, bq, wk, bk, wv, bv, wo,
-              bo) -> Tensor:
+              bo, queries=None) -> Tensor:
     """Masked multi-head scaled dot-product attention over [..., L, H]
     rows, as one op: the q/k/v projections, the split into ``num_heads``
     heads, the scaled scores plus the mask bias of ``_mask_bias`` (mask
@@ -281,25 +281,37 @@ def attention(x, mask, num_heads: int, wq, bq, wk, bk, wv, bv, wo,
     [..., heads, L, dh]. The forward does the IEEE operations of the
     composition of ``affine``, ``matmul``, ``mul``, ``add`` and ``softmax``;
     the backward is hand-written, with every weight gradient one 2-D
-    product over all rows."""
+    product over all rows.
+
+    ``queries`` ([..., Lq, H], e.g. the [CLS] rows of x) are the rows the
+    queries and the output come from, so the output is [..., Lq, H]; keys
+    and values still come from every row of x. The query path's gradient
+    goes to ``queries`` and the key and value paths' to x.
+
+    The key bias ``bk`` adds q.bk to all of a query's scores, which the
+    softmax cancels: its gradient is exactly zero, handed back as zeros."""
     operands = [_coerce(t) for t in (x, wq, bq, wk, bk, wv, bv, wo, bo)]
     xv, wqv, bqv, wkv, bkv, wvv, bvv, wov, bov = (t.values for t in operands)
-    *lead, length, h = xv.shape
-    dh = h // num_heads
+    # the rows the queries come from, and the operand their gradient goes to
+    qv, q_in = xv, 0
+    if queries is not None:
+        operands.append(_coerce(queries))
+        qv, q_in = operands[9].values, 9
+    n = xv.ndim - 2
+    dh = xv.shape[-1] // num_heads
     scale = 1.0 / math.sqrt(dh)
-    n = len(lead)
-    split = (*lead, length, num_heads, dh)
     # [.., L, nh, dh] -> [.., nh, L, dh] (self-inverse) and -> [.., nh, dh, L]
     heads_first = (*range(n), n + 1, n, n + 2)
     keys_last = (*range(n), n + 1, n + 2, n)
 
-    def heads(w, b, axes):
-        projected = _add_bias(_matmul(xv, w, "attention"), b, "attention")
-        return projected.reshape(split).transpose(axes)
+    def heads(rows, w, b, axes):
+        projected = _add_bias(_matmul(rows, w, "attention"), b, "attention")
+        return projected.reshape(*rows.shape[:-1], num_heads,
+                                 dh).transpose(axes)
 
-    q = heads(wqv, bqv, heads_first)
-    k = heads(wkv, bkv, keys_last)
-    v = heads(wvv, bvv, heads_first)
+    q = heads(qv, wqv, bqv, heads_first)
+    k = heads(xv, wkv, bkv, keys_last)
+    v = heads(xv, wvv, bvv, heads_first)
     att = np.matmul(q, k)
     att *= scale
     bias = _mask_bias(mask)
@@ -311,18 +323,21 @@ def attention(x, mask, num_heads: int, wq, bq, wk, bk, wv, bv, wo,
     att -= att.max(axis=-1, keepdims=True)
     np.exp(att, out=att)
     att /= att.sum(axis=-1, keepdims=True)
-    ctx = np.matmul(att, v).transpose(heads_first).reshape(xv.shape)
+    ctx = np.matmul(att, v).transpose(heads_first).reshape(qv.shape)
     values = _add_bias(_matmul(ctx, wov, "attention"), bov, "attention")
 
     def backward(g, need):
-        grads = [None] * 9
+        grads = [None] * len(operands)
         if need[7]:
             grads[7] = np.matmul(_rows(ctx).T, _rows(g))
         if need[8]:
             grads[8] = _unbroadcast(g, bov.shape)
-        if not any(need[:7]):
+        if need[4]:
+            grads[4] = np.zeros_like(bkv)
+        if not any(need[:4] + need[5:7] + need[9:]):
             return grads
-        g_ctx = np.matmul(g, wov.T).reshape(split).transpose(heads_first)
+        g_ctx = np.matmul(g, wov.T).reshape(
+            *qv.shape[:-1], num_heads, dh).transpose(heads_first)
         g_v = np.matmul(np.swapaxes(att, -1, -2), g_ctx)
         # softmax, then the scale; the mask bias is a constant
         g_att = np.matmul(g_ctx, np.swapaxes(v, -1, -2))
@@ -332,18 +347,19 @@ def attention(x, mask, num_heads: int, wq, bq, wk, bk, wv, bv, wo,
         g_q = np.matmul(g_att, np.swapaxes(k, -1, -2))
         # the key gradient is formed as [.., nh, L, dh], like the query's
         g_k = np.matmul(np.swapaxes(g_att, -1, -2), q)
-        g_x = None
-        for i, g_head, w, b in ((1, g_q, wqv, bqv), (3, g_k, wkv, bkv),
-                                (5, g_v, wvv, bvv)):
-            g_proj = g_head.transpose(heads_first).reshape(xv.shape)
-            if need[i]:
-                grads[i] = np.matmul(_rows(xv).T, _rows(g_proj))
-            if need[i + 1]:
-                grads[i + 1] = _unbroadcast(g_proj, b.shape)
-            if need[0]:
-                g_in = np.matmul(g_proj, w.T)
-                g_x = g_in if g_x is None else g_x + g_in
-        grads[0] = g_x
+        # (weight, bias, head gradient, input rows, input operand); the
+        # key bias's zeros are set above
+        for w, b, g_head, rows, to in ((1, 2, g_q, qv, q_in),
+                                       (3, None, g_k, xv, 0),
+                                       (5, 6, g_v, xv, 0)):
+            g_proj = g_head.transpose(heads_first).reshape(rows.shape)
+            if need[w]:
+                grads[w] = np.matmul(_rows(rows).T, _rows(g_proj))
+            if b is not None and need[b]:
+                grads[b] = _unbroadcast(g_proj, operands[b].shape)
+            if need[to]:
+                g_in = np.matmul(g_proj, operands[w].values.T)
+                grads[to] = g_in if grads[to] is None else grads[to] + g_in
         return grads
     return _make_joint(values, operands, backward)
 

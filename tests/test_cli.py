@@ -5,8 +5,12 @@ import csv
 import gc
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -529,6 +533,16 @@ HEADER_FAULTS = [
     pytest.param(_set(["config", "encoder", "num_heads"], 3),
                  "ConfigError: hidden_size 16 not divisible by num_heads 3",
                  id="heads-do-not-divide"),
+    # an int field given a float or a bool, which a range check would pass
+    pytest.param(_set(["config", "encoder", "num_heads"], 2.0),
+                 "ConfigError: num_heads must be an int, got 2.0",
+                 id="heads-a-float"),
+    pytest.param(_set(["config", "denoise", "dims"], [16, 4.0, 2, 1]),
+                 "ConfigError: dims[1] must be an int, got 4.0",
+                 id="dims-hold-a-float"),
+    pytest.param(_set(["config", "n_post"], True),
+                 "ConfigError: n_post must be an int, got True",
+                 id="n-post-a-bool"),
 ]
 
 
@@ -548,3 +562,41 @@ def test_eval_with_a_malformed_header_exits_9(edit, message, workspace,
     err = capsys.readouterr().err
     assert err.startswith("error: malformed checkpoint: ")
     assert message in err
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _module_run(argv, cwd):
+    """``python -m denoiseclf argv`` in its own process, against the
+    source tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-m", "denoiseclf", *argv],
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=300)
+
+
+class TestModuleEntryPoint:
+    def test_help_and_an_error_code_pass_through(self, tmp_path):
+        done = _module_run(["--help"], tmp_path)
+        assert done.returncode == 0
+        assert done.stdout.startswith("usage: denoiseclf ")
+        done = _module_run(["report", "--confusion", "missing.csv",
+                            "--outdir", "out"], tmp_path)
+        assert done.returncode == 7
+        assert done.stderr.startswith("error: ")
+
+    def test_a_diverging_run_reports_only_its_error(self, workspace,
+                                                    tmp_path):
+        # the forward of step 2 overflows to NaN; numpy warns of nothing on
+        # the way, so stderr is the truncation line and the error line
+        done = _module_run(
+            ["train", "--train", str(workspace / "data" / "train.tsv"),
+             "--outdir", str(tmp_path / "run")] + TRAIN_FAST
+            + ["--phase2-lr", "1e300"], tmp_path)
+        assert done.returncode == 10
+        assert done.stderr.splitlines() == [
+            "truncated: 0 of 60 training sentences cut to 10 tokens",
+            "error: phase 2, epoch 0, step 2: batch loss is nan"]

@@ -138,7 +138,8 @@ def test_fused_layers_keep_their_spans_and_count_as_their_own_ops(
     assert "gelu" not in tracer.op_calls
     assert "matmul" not in tracer.op_calls
     # the only layout changes are the denoise stack's rows -> columns on
-    # entry and back on exit; the head's [CLS] pick is the one index
+    # entry and back on exit; the two indexes are the last block's [CLS]
+    # query rows and the head's [CLS] pick
     assert tracer.op_calls["transpose"] == 2
     assert tracer.op_calls["reshape"] == 2
-    assert tracer.op_calls["index"] == 1
+    assert tracer.op_calls["index"] == 2
