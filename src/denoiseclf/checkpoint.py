@@ -37,16 +37,9 @@ _DTYPE_F64 = 1
 
 
 def _config_from_dict(d: dict) -> ModelConfig:
-    """The header's ``asdict`` config back as dataclasses; JSON turned the
-    denoise chain's tuples into lists."""
-    return ModelConfig(
-        encoder=EncoderConfig(**d["encoder"]),
-        denoise=DenoiseConfig(dims=tuple(d["denoise"]["dims"]),
-                              hidden_dims=tuple(d["denoise"]["hidden_dims"]),
-                              activation=d["denoise"]["activation"]),
-        n_post=d["n_post"],
-        mode=d["mode"],
-    )
+    """The header's ``asdict`` config back as dataclasses."""
+    return ModelConfig(**d | {"encoder": EncoderConfig(**d["encoder"]),
+                              "denoise": DenoiseConfig(**d["denoise"])})
 
 
 def save_checkpoint(model: TextClassifier, path: str | Path) -> None:

@@ -14,8 +14,8 @@ import io
 import json
 import sys
 import time
-from dataclasses import fields
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 
@@ -23,10 +23,10 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (atomic_write_text, config_lines, format_config,
                    load_corpus, make_dataset, parse_config, split_corpus,
                    synthetic_corpus)
-from .denoise import DenoiseConfig
 from .encoder import EncoderConfig
 from .errors import (CalibrationError, CheckpointError, ConfigError,
-                     DataError, LabelError, NonFiniteError, ParseError)
+                     DataError, LabelError, NonFiniteError, ParseError,
+                     field_types)
 from .gradcheck import run_all
 from .metrics import ConfusionMatrix, MetricsReport
 from .model import MODES, ModelConfig, TextClassifier
@@ -35,49 +35,63 @@ from .tokenizer import build_vocab, normalize
 from .train import TrainConfig, evaluate, train_phase1, train_phase2
 
 
-def _int_or_empty(text: str) -> int | None:
-    return None if text == "" else int(text)
+_SEED = ("seed", 0, "random seed")
 
-
-_SEED = ("seed", int, 0, "random seed")
-
-# (name, type or choices, default, help) of each option, per subcommand.
+# (name, default, help[, type or choices]) of each option, per subcommand;
+# the type is stated only where no config field's annotation gives it.
 # The CLI's 200 phase-1 epochs, 5 phase-2 epochs and phase-2 lr 5e-3 suit
 # its small corpora; TrainConfig's 500, 3 and 2e-5 are the paper's scale.
 OPTIONS = {
     "prepare": (
-        ("target_wer", float, None, "scale the noise to this pooled WER"),
-        ("p_delete", float, 0.1, "word deletion probability"),
-        ("p_substitute", float, 0.1, "word substitution probability"),
-        ("p_repeat", float, 0.02, "word repetition probability"),
-        ("p_abbreviate", float, 0.05, "abbreviation probability"),
-        ("p_casual", float, 0.05, "casual-spelling probability"),
-        ("test_fraction", float, 0.25, "share of sentences held out"),
-        ("synthetic_per_class", int, 60, "built-in corpus size per class"),
+        ("target_wer", None, "scale the noise to this pooled WER"),
+        ("p_delete", 0.1, "word deletion probability"),
+        ("p_substitute", 0.1, "word substitution probability"),
+        ("p_repeat", 0.02, "word repetition probability"),
+        ("p_abbreviate", 0.05, "abbreviation probability"),
+        ("p_casual", 0.05, "casual-spelling probability"),
+        ("test_fraction", 0.25, "share of sentences held out", float),
+        ("synthetic_per_class", 60, "built-in corpus size per class", int),
         _SEED),
     "train": (
-        ("mode", MODES, "stacked", "model to train"),
-        ("hidden_size", int, 32, "hidden width"),
-        ("seq_len", int, 16, "tokens per sentence"),
-        ("num_layers", int, 1, "encoder blocks"),
-        ("num_heads", int, 2, "attention heads"),
-        ("ff_size", int, None, "feed-forward width (default: 2 * hidden)"),
-        ("num_classes", int, 2, "number of classes"),
-        ("n_post", _int_or_empty, None, "post blocks (default: num_layers)"),
-        ("phase1_epochs", int, 200, "reconstruction epochs"),
-        ("phase1_lr", float, 1e-3, "reconstruction learning rate"),
-        ("phase2_epochs", int, 5, "fine-tuning epochs"),
-        ("phase2_lr", float, 5e-3, "fine-tuning peak learning rate"),
-        ("weight_decay", float, 1e-5, "decoupled weight decay"),
-        ("warmup_proportion", float, 0.1, "phase-2 warmup share of steps"),
-        ("batch_size", int, 8, "examples per step"),
-        ("aux_mse_weight", float, 0.0, "phase-2 reconstruction MSE weight"),
+        ("mode", "stacked", "model to train", MODES),
+        ("hidden_size", 32, "hidden width"),
+        ("seq_len", 16, "tokens per sentence"),
+        ("num_layers", 1, "encoder blocks"),
+        ("num_heads", 2, "attention heads"),
+        ("ff_size", None, "feed-forward width (default: 2 * hidden)"),
+        ("num_classes", 2, "number of classes"),
+        ("n_post", None, "post blocks (default: num_layers)"),
+        ("phase1_epochs", 200, "reconstruction epochs"),
+        ("phase1_lr", 1e-3, "reconstruction learning rate"),
+        ("phase2_epochs", 5, "fine-tuning epochs"),
+        ("phase2_lr", 5e-3, "fine-tuning peak learning rate"),
+        ("weight_decay", 1e-5, "decoupled weight decay"),
+        ("warmup_proportion", 0.1, "phase-2 warmup share of steps"),
+        ("batch_size", 8, "examples per step"),
+        ("aux_mse_weight", 0.0, "phase-2 reconstruction MSE weight"),
         _SEED),
     "eval": (_SEED,),
     "report": (),
     "gradcheck": (_SEED,),
 }
-_KINDS = {name: kind for opts in OPTIONS.values() for name, kind, *_ in opts}
+
+
+def _parser(kind):
+    """A field's parser: its type; ``X | None`` reads "" as None."""
+    if type(None) not in get_args(kind):
+        return kind
+    inner = get_args(kind)[0]
+
+    def optional(text: str):
+        return None if text == "" else inner(text)
+    optional.__name__ = inner.__name__   # argparse's error names the type
+    return optional
+
+
+_FIELDS = {name: kind for cls in (EncoderConfig, ModelConfig, TrainConfig,
+           NoiseSpec) for name, kind in field_types(cls).items()}
+_KINDS = {name: own[0] if own else _parser(_FIELDS[name])
+          for opts in OPTIONS.values() for name, _, _, *own in opts}
 
 
 def _command(sub, name: str, func, summary: str) -> argparse.ArgumentParser:
@@ -85,7 +99,8 @@ def _command(sub, name: str, func, summary: str) -> argparse.ArgumentParser:
     default None, and ``--config`` if it has options."""
     p = sub.add_parser(name, help=summary)
     p.set_defaults(func=func, config=None)
-    for option, kind, default, text in OPTIONS[name]:
+    for option, default, text, *_ in OPTIONS[name]:
+        kind = _KINDS[option]
         how = {"type": kind} if callable(kind) else {"choices": kind}
         text += "" if default is None else f" (default: {default})"
         p.add_argument("--" + option.replace("_", "-"), help=text, **how)
@@ -109,7 +124,7 @@ def _fill_options(args: argparse.Namespace) -> None:
         except ValueError:
             raise ParseError(args.config, lineno,
                              f"{key}: invalid value {text!r}") from None
-    for name, _, default, _ in OPTIONS[args.command]:
+    for name, default, *_ in OPTIONS[args.command]:
         if getattr(args, name) is None:
             setattr(args, name, given.get(name, default))
 
@@ -117,9 +132,8 @@ def _fill_options(args: argparse.Namespace) -> None:
 def _from_options(cls, args, **given):
     """A ``cls`` whose fields named like an option of the subcommand take
     that option's value; ``given`` sets or overrides fields."""
-    names = {name for name, *_ in OPTIONS[args.command]}
-    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)
-                  if f.name in names} | given)
+    return cls(**{name: getattr(args, name) for name, *_ in
+                  OPTIONS[args.command] if name in field_types(cls)} | given)
 
 
 def cmd_prepare(args) -> int:
@@ -128,8 +142,8 @@ def cmd_prepare(args) -> int:
         clean = [(ex.label, ex.complete or ex.incomplete) for ex in rows]
     else:
         clean = synthetic_corpus(args.synthetic_per_class, seed=args.seed)
-    pool = sorted({w for _, s in clean for w in s.split()})
-    spec = _from_options(NoiseSpec, args, pool=tuple(pool))
+    spec = _from_options(NoiseSpec, args,
+                         pool=sorted({w for _, s in clean for w in s.split()}))
     train_clean, test_clean = split_corpus(clean, args.test_fraction,
                                            args.seed)
     manifest = make_dataset(train_clean, test_clean, spec, args.outdir)
@@ -152,12 +166,10 @@ def cmd_train(args) -> int:
     sentences = [ex.incomplete for ex in train_data]
     sentences += [ex.complete for ex in train_data if ex.complete]
     vocab = build_vocab(sentences)
-    hidden = args.hidden_size
-    ff_size = 2 * hidden if args.ff_size is None else args.ff_size
+    ff_size = 2 * args.hidden_size if args.ff_size is None else args.ff_size
     encoder = _from_options(EncoderConfig, args, vocab_size=len(vocab),
                             ff_size=ff_size)
-    config = _from_options(ModelConfig, args, encoder=encoder,
-                           denoise=DenoiseConfig.for_hidden_size(hidden))
+    config = _from_options(ModelConfig, args, encoder=encoder)
     model = TextClassifier(config, vocab, seed=args.seed)
     cfg = _from_options(TrainConfig, args)
     if cfg.aux_mse_weight and config.mode != "stacked":

@@ -171,10 +171,11 @@ _CLASS_WORDS = (
 
 _FILLER = ("the", "a", "is", "was", "it", "this", "day", "time", "thing",
            "really", "so", "very", "i", "feel", "about")
+WORDS_PER_SENTENCE = 7
 
 
-def synthetic_corpus(n_per_class: int, num_classes: int = 2, seed: int = 0,
-                     words_per_sentence: int = 7) -> list[tuple[int, str]]:
+def synthetic_corpus(n_per_class: int, num_classes: int = 2,
+                     seed: int = 0) -> list[tuple[int, str]]:
     """Labeled sentences whose class is carried by a few indicative words
     mixed with shared filler; used by the demos and experiment harness."""
     if num_classes > len(_CLASS_WORDS):
@@ -187,7 +188,7 @@ def synthetic_corpus(n_per_class: int, num_classes: int = 2, seed: int = 0,
             n_ind = int(rng.integers(2, 4))
             words = list(rng.choice(indicative, size=n_ind))
             words += list(rng.choice(_FILLER,
-                                     size=words_per_sentence - n_ind))
+                                     size=WORDS_PER_SENTENCE - n_ind))
             rng.shuffle(words)
             corpus.append((label, " ".join(words)))
     order = rng.permutation(len(corpus))

@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .encoder import (BlockParams, EncoderConfig, ParamTable, check_int,
-                      run_blocks)
-from .errors import ConfigError
+from .encoder import BlockParams, EncoderConfig, ParamTable, run_blocks
+from .errors import ConfigError, check_fields
 from .tensor import Tensor
 
 
@@ -35,6 +34,7 @@ class DenoiseConfig:
     activation: str | None = None  # None (pure affine), "tanh" or "gelu"
 
     def __post_init__(self):
+        check_fields(self)
         d0, d1, d2, d3 = self.dims
         # default chains compress strictly; equal widths are allowed so a
         # lossless identity stack can be configured
@@ -47,19 +47,16 @@ class DenoiseConfig:
                 for a, b in zip(self.dims[:-1], self.dims[1:])))
         if len(self.hidden_dims) != 3:
             raise ConfigError("hidden_dims must have one width per stage")
-        for name in ("dims", "hidden_dims"):
-            for i, value in enumerate(getattr(self, name)):
-                check_int(f"{name}[{i}]", value)
         if self.activation not in (None, "tanh", "gelu"):
             raise ConfigError(f"unknown activation {self.activation!r}")
 
     @classmethod
-    def for_hidden_size(cls, h: int, activation: str | None = None) -> "DenoiseConfig":
-        """Toy-scale default chain (H, H/4, H/8, H/16)."""
+    def for_hidden_size(cls, h: int) -> "DenoiseConfig":
+        """Toy-scale default chain (H, H/4, H/8, H/16), pure affine."""
         dims = (h, max(h // 4, 4), max(h // 8, 2), max(h // 16, 1))
         if not (dims[0] > dims[1] > dims[2] > dims[3]):
             raise ConfigError(f"hidden size {h} too small for a default chain")
-        return cls(dims=dims, activation=activation)
+        return cls(dims=dims)
 
 
 def _stage_params(p: ParamTable, d_in: int, width: int, d_out: int):

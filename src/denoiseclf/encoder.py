@@ -20,16 +20,9 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, CorruptionError, VocabError
+from .errors import ConfigError, CorruptionError, VocabError, check_fields
 from .tensor import Tensor
 from .tokenizer import TokenSequence
-
-
-def check_int(name: str, value) -> None:
-    """An int field given a float or a bool (a header's ``2.0`` or
-    ``true``) is a ``ConfigError``; both would pass a range check."""
-    if isinstance(value, (bool, float)):
-        raise ConfigError(f"{name} must be an int, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -43,8 +36,8 @@ class EncoderConfig:
     num_classes: int = 2
 
     def __post_init__(self):
+        check_fields(self)
         for f in fields(self):
-            check_int(f.name, getattr(self, f.name))
             if getattr(self, f.name) <= 0:
                 raise ConfigError(f"{f.name} must be positive")
         if self.hidden_size % self.num_heads:

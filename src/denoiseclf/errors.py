@@ -1,4 +1,4 @@
-"""Every exception class the library defines, in one place.
+"""Every exception class the library defines, and the config field check.
 
 The CLI maps them to its exit codes (``cli._ERROR_CATEGORIES``). The
 modules that raise them import them from here, so the import paths next to
@@ -7,6 +7,9 @@ keep working.
 """
 
 from __future__ import annotations
+
+from functools import cache
+from typing import get_args, get_origin, get_type_hints
 
 
 class ParseError(ValueError):
@@ -42,6 +45,34 @@ class CalibrationError(RuntimeError):
 
 class ConfigError(ValueError):
     """Raised for invalid tokenizer/encoder configuration."""
+
+
+# a dataclass's field annotations as types, resolved once per class
+field_types = cache(get_type_hints)
+
+
+def check_fields(config) -> None:
+    """Check each field against its annotation, else raise ConfigError: an
+    int is not a bool, float or str; a float may be an int; ``X | None``
+    may be None; tuple elements match their type; a list becomes a tuple."""
+    for name, kind in field_types(type(config)).items():
+        value = getattr(config, name)
+        if get_origin(kind) is tuple and isinstance(value, list):
+            object.__setattr__(config, name, value := tuple(value))
+        _check(name, kind, value)
+        for i, item in enumerate(value if get_origin(kind) is tuple else ()):
+            _check(f"{name}[{i}]", get_args(kind)[0], item)
+
+
+def _check(name: str, kind, value) -> None:
+    want = get_args(kind)[0] if type(None) in get_args(kind) else kind
+    if type(value) is want or value is None and want is not kind:
+        return
+    accepted = (int, float) if want is float else get_origin(want) or want
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        what = (get_origin(want) or want).__name__
+        article = "an" if what[0].lower() in "aeiou" else "a"
+        raise ConfigError(f"{name} must be {article} {what}, got {value!r}")
 
 
 class VocabError(ValueError):

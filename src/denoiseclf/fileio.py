@@ -1,9 +1,8 @@
 """Atomic file writes: the package's one writer of files.
 
-A leaf module, importing nothing from the package, so every other module
-(``tokenizer`` and ``noise`` as well as ``data`` and ``checkpoint``) can
-write through it. ``data`` re-exports both public writers under their old
-names.
+A leaf module, importing nothing from the package, so every module that
+writes (``data`` and ``checkpoint``) can import it. ``data`` re-exports
+both public writers under their old names.
 """
 
 from __future__ import annotations

@@ -134,9 +134,9 @@ def bleu(references: list[str], hypotheses: list[str], max_n: int = 4) -> float:
     return bp * math.exp(log_sum)
 
 
-def ibleu(references: list[str], hypotheses: list[str], max_n: int = 4) -> float:
+def ibleu(references: list[str], hypotheses: list[str]) -> float:
     """Inverted BLEU: 1 - BLEU. Higher means noisier."""
-    return 1.0 - bleu(references, hypotheses, max_n)
+    return 1.0 - bleu(references, hypotheses)
 
 
 # -- confusion matrices -----------------------------------------------------

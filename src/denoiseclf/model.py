@@ -15,9 +15,9 @@ import numpy as np
 
 from . import tensor as T
 from .denoise import DenoiseConfig, DenoiseStack, PostTransformer, refine
-from .encoder import (EncoderConfig, EncoderParams, ParamTable, check_int,
+from .encoder import (EncoderConfig, EncoderParams, ParamTable,
                       encode_intermediate, field_rows)
-from .errors import ConfigError
+from .errors import ConfigError, check_fields
 from .tensor import Tensor
 from .tokenizer import TokenSequence, Vocabulary, encode, trim_to_longest
 
@@ -32,6 +32,7 @@ class ModelConfig:
     mode: str = "stacked"
 
     def __post_init__(self):
+        check_fields(self)
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.denoise is None:
@@ -44,7 +45,8 @@ class ModelConfig:
                 f"hidden size is {self.encoder.hidden_size}")
         if self.n_post is None:
             object.__setattr__(self, "n_post", self.encoder.num_layers)
-        check_int("n_post", self.n_post)
+        if self.n_post < 0:
+            raise ConfigError(f"n_post must be >= 0, got {self.n_post}")
 
 
 class TextClassifier:

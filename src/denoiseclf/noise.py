@@ -21,8 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CalibrationError
-from .fileio import atomic_write_text
+from .errors import CalibrationError, check_fields
 from .metrics import corpus_wer
 from .tokenizer import normalize
 
@@ -55,6 +54,9 @@ CASUAL_SPELLINGS = {
     "dreams": "dreamz",
 }
 
+WER_TOLERANCE = 0.05   # calibrate stops within this of the target WER
+MAX_BISECTIONS = 30
+
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -68,12 +70,9 @@ class NoiseSpec:
     pool: tuple[str, ...] = ()
     seed: int = 0
     target_wer: float | None = None
-    abbreviation_table: dict[str, str] = field(
-        default_factory=lambda: dict(ABBREVIATIONS))
-    casual_table: dict[str, str] = field(
-        default_factory=lambda: dict(CASUAL_SPELLINGS))
 
     def __post_init__(self):
+        check_fields(self)
         probs = self.probabilities()
         if any(not 0.0 <= p <= 1.0 for p in probs):
             raise ValueError(f"probabilities must lie in [0, 1]: {probs}")
@@ -144,9 +143,9 @@ def _corrupt_tokens(tokens: list[str], spec: NoiseSpec,
         elif category == 2:  # repeated-letter stretching
             out.append(token + token[-1] * int(rng.integers(2, 6)))
         elif category == 3:
-            out.append(spec.abbreviation_table.get(token, token))
+            out.append(ABBREVIATIONS.get(token, token))
         elif category == 4:
-            out.append(spec.casual_table.get(token, token))
+            out.append(CASUAL_SPELLINGS.get(token, token))
         else:
             out.append(token)
     return " ".join(out)
@@ -200,10 +199,10 @@ class Calibration(NamedTuple):
     wer: tuple[float, float]
 
 
-def calibrate(corpus: list[str], spec: NoiseSpec,
-              tolerance: float = 0.05, max_iter: int = 30) -> Calibration:
+def calibrate(corpus: list[str], spec: NoiseSpec) -> Calibration:
     """Scale deletion/substitution probabilities by bisection until the
-    corrupted corpus's pooled WER is within ``tolerance`` of the target.
+    corrupted corpus's pooled WER is within ``WER_TOLERANCE`` of the target,
+    in at most ``MAX_BISECTIONS`` passes after the first.
 
     Each pass is one ``corrupt_corpus`` and one ``corpus_wer``; the last
     pass is returned with its spec, so the caller need not repeat it."""
@@ -231,37 +230,21 @@ def calibrate(corpus: list[str], spec: NoiseSpec,
                    (1.0 - other) / destructive)
     lo, hi = 0.0, hi_scale
     best_wer = run_pass(_scaled(spec, hi)).wer[0]
-    if best_wer < target - tolerance:
+    if best_wer < target - WER_TOLERANCE:
         raise CalibrationError(target, best_wer)
-    for _ in range(max_iter):
+    for _ in range(MAX_BISECTIONS):
         mid = (lo + hi) / 2.0
         result = run_pass(_scaled(spec, mid))
         got = result.wer[0]
         if abs(got - target) < abs(best_wer - target):
             best_wer = got
-        if abs(got - target) <= tolerance:
+        if abs(got - target) <= WER_TOLERANCE:
             return result
         if got < target:
             lo = mid
         else:
             hi = mid
     raise CalibrationError(target, best_wer)
-
-
-def load_table(path: str | Path) -> dict[str, str]:
-    """Read an editable ``from<TAB>to`` replacement table."""
-    table = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line or line.startswith("#"):
-            continue
-        src, _, dst = line.partition("\t")
-        table[src] = dst
-    return table
-
-
-def save_table(table: dict[str, str], path: str | Path) -> None:
-    atomic_write_text(
-        path, "".join(f"{k}\t{v}\n" for k, v in sorted(table.items())))
 
 
 def load_stt_fixture_pairs() -> list[tuple[str, str, str]]:

@@ -592,8 +592,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _make(y, (x, vjp))
 
 
-def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5,
-              axis: int = -1) -> Tensor:
+def layernorm(x: Tensor, gain: Tensor, bias: Tensor, axis: int = -1) -> Tensor:
     """Normalize to zero mean / unit variance along ``axis``, then scale+shift.
 
     Other axes are batch axes; ``gain`` and ``bias`` broadcast over them."""
@@ -608,7 +607,7 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5,
         return v.sum(axis=axis, keepdims=True) / n
     xhat = x.values - mean(x.values)
     values = xhat * xhat
-    inv = 1.0 / np.sqrt(mean(values) + eps)
+    inv = 1.0 / np.sqrt(mean(values) + 1e-5)   # eps
     xhat *= inv
     np.multiply(xhat, gain.values, out=values)
     values += bias.values

@@ -13,11 +13,9 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 from .errors import ConfigError, DataError, VocabError
-from .fileio import atomic_write_text
 
 PAD, UNK, CLS, SEP = "[PAD]", "[UNK]", "[CLS]", "[SEP]"
 RESERVED = (PAD, UNK, CLS, SEP)
@@ -43,9 +41,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.token_to_id)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_id
-
     def id_of(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)
 
@@ -61,13 +56,6 @@ class Vocabulary:
         """Non-reserved tokens, in id order."""
         return [t for t, i in sorted(self.token_to_id.items(), key=lambda kv: kv[1])
                 if t not in RESERVED]
-
-    def save(self, path: str | Path) -> None:
-        atomic_write_text(path, self.to_lines())
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Vocabulary":
-        return cls.from_lines(Path(path).read_text(encoding="utf-8"))
 
     @classmethod
     def from_lines(cls, text: str) -> "Vocabulary":

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DataError, NonFiniteError
+from .errors import ConfigError, DataError, NonFiniteError, check_fields
 from .metrics import ConfusionMatrix
 from .model import TextClassifier
 from .tensor import Adam, Tensor
@@ -46,6 +46,7 @@ class TrainConfig:
     aux_mse_weight: float = 0.0  # keep reconstruction loss during phase 2
 
     def __post_init__(self):
+        check_fields(self)
         if self.phase1_epochs <= 0 or self.phase2_epochs <= 0:
             raise ValueError("epoch counts must be positive")
         if not 0.0 <= self.warmup_proportion <= 1.0:

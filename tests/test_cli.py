@@ -155,6 +155,17 @@ class TestTrain:
         assert "seq_len must be >= 3, got 2" in err
         assert not run.exists()
 
+    def test_negative_n_post_exits_8_before_any_output(
+            self, workspace, tmp_path, capsys):
+        run = tmp_path / "run-negative"
+        argv = ["train", "--train", str(workspace / "data" / "train.tsv"),
+                "--outdir", str(run)] + TRAIN_FAST + ["--n-post", "-2"]
+        assert main(argv) == 8
+        err = capsys.readouterr().err
+        assert "truncated:" not in err
+        assert "n_post must be >= 0, got -2" in err
+        assert not run.exists()
+
     def test_missing_corpus_exit_code(self, tmp_path):
         assert main(["train", "--train", str(tmp_path / "nope.tsv"),
                      "--outdir", str(tmp_path)] + TRAIN_FAST) == 7
@@ -289,7 +300,7 @@ def test_help_shows_every_subcommand(command, capsys):
         main([command, "--help"])
     assert exit_info.value.code == 0
     out = capsys.readouterr().out
-    for name, _, default, _ in cli.OPTIONS[command]:
+    for name, default, *_ in cli.OPTIONS[command]:
         assert "--" + name.replace("_", "-") in out
         if default is not None:
             assert f"(default: {default})" in " ".join(out.split())
@@ -525,7 +536,8 @@ HEADER_FAULTS = [
     pytest.param(_drop_state_hash, "KeyError: 'state_hash'",
                  id="no-state-hash"),
     pytest.param(_set(["config", "encoder", "hidden_size"], "x"),
-                 "TypeError: ", id="hidden-size-not-a-number"),
+                 "ConfigError: hidden_size must be an int, got 'x'",
+                 id="hidden-size-not-a-number"),
     pytest.param(lambda header: b"{not json", "JSONDecodeError: ",
                  id="not-json"),
     pytest.param(_set(["vocabulary"], "a\tx\n"),
@@ -543,6 +555,12 @@ HEADER_FAULTS = [
     pytest.param(_set(["config", "n_post"], True),
                  "ConfigError: n_post must be an int, got True",
                  id="n-post-a-bool"),
+    pytest.param(_set(["config", "denoise", "dims"], [16, "4", 2, 1]),
+                 "ConfigError: dims[1] must be an int, got '4'",
+                 id="dims-hold-a-str"),
+    pytest.param(_set(["config", "n_post"], -1),
+                 "ConfigError: n_post must be >= 0, got -1",
+                 id="n-post-negative"),
 ]
 
 

@@ -6,8 +6,7 @@ from denoiseclf.data import (LabelError, PairedExample, ParseError,
                              make_dataset, parse_config, save_corpus,
                              split_corpus, synthetic_corpus)
 from denoiseclf.metrics import corpus_wer
-from denoiseclf.noise import ABBREVIATIONS, NoiseSpec, save_table
-from denoiseclf.tokenizer import build_vocab
+from denoiseclf.noise import NoiseSpec
 
 
 class TestLoadCorpus:
@@ -79,9 +78,9 @@ class TestSaveCorpus:
         assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
 
     @pytest.mark.parametrize("write", [
-        lambda path: save_table(ABBREVIATIONS, path),
-        lambda path: build_vocab(["alpha beta"]).save(path),
-    ], ids=["noise.save_table", "Vocabulary.save"])
+        lambda path: save_corpus([PairedExample(0, "a b", "a c")], path),
+        lambda path: fileio.atomic_write_bytes(path, b"new\n"),
+    ], ids=["data.save_corpus", "fileio.atomic_write_bytes"])
     def test_failed_write_keeps_the_old_file(self, write, tmp_path,
                                              monkeypatch):
         path = tmp_path / "table.tsv"

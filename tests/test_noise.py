@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from denoiseclf.metrics import corpus_wer
-from denoiseclf.noise import (ABBREVIATIONS, CalibrationError, NoiseSpec,
-                              _substitute, calibrate, corrupt, corrupt_corpus,
-                              load_table, save_table)
+from denoiseclf.noise import (CalibrationError, NoiseSpec, _substitute,
+                              calibrate, corrupt, corrupt_corpus)
 
 
 def sample_corpus(n=60, seed=0):
@@ -166,14 +165,3 @@ class TestCalibrate:
         with pytest.raises(ValueError):
             calibrate(["a b"], NoiseSpec(p_delete=0.1))
 
-
-class TestTables:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "table.tsv"
-        save_table(ABBREVIATIONS, path)
-        assert load_table(path) == ABBREVIATIONS
-
-    def test_comments_and_blanks_skipped(self, tmp_path):
-        path = tmp_path / "table.tsv"
-        path.write_text("# comment\n\nfoo\tbar\n")
-        assert load_table(path) == {"foo": "bar"}

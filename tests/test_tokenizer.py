@@ -104,10 +104,8 @@ class TestInvariantsAndRoundTrip:
 
 
 class TestSerialization:
-    def test_tsv_round_trip(self, tmp_path):
+    def test_tsv_round_trip(self):
         vocab = build_vocab(["alpha beta gamma"])
-        path = tmp_path / "vocab.tsv"
-        vocab.save(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "[PAD]\t0"  # reserved tokens first
-        assert Vocabulary.load(path).token_to_id == vocab.token_to_id
+        text = vocab.to_lines()
+        assert text.splitlines()[0] == "[PAD]\t0"  # reserved tokens first
+        assert Vocabulary.from_lines(text).token_to_id == vocab.token_to_id
