@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +37,18 @@ _DTYPE_F64 = 1
 
 
 def _config_from_dict(d: dict) -> ModelConfig:
-    """The header's ``asdict`` config back as dataclasses."""
-    return ModelConfig(**d | {"encoder": EncoderConfig(**d["encoder"]),
-                              "denoise": DenoiseConfig(**d["denoise"])})
+    """The header's ``asdict`` config back as dataclasses. The header must
+    name every field: one left out would load as its default."""
+    config = ModelConfig(**d | {"encoder": EncoderConfig(**d["encoder"]),
+                                "denoise": DenoiseConfig(**d["denoise"])})
+    for prefix, part, cls in (("", d, ModelConfig),
+                              ("encoder.", d["encoder"], EncoderConfig),
+                              ("denoise.", d["denoise"], DenoiseConfig)):
+        missing = [prefix + f.name for f in fields(cls) if f.name not in part]
+        if missing:
+            raise CorruptionError(
+                f"malformed checkpoint: config omits {', '.join(missing)}")
+    return config
 
 
 def save_checkpoint(model: TextClassifier, path: str | Path) -> None:

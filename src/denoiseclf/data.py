@@ -186,9 +186,12 @@ def synthetic_corpus(n_per_class: int, num_classes: int = 2,
         indicative = _CLASS_WORDS[label]
         for _ in range(n_per_class):
             n_ind = int(rng.integers(2, 4))
-            words = list(rng.choice(indicative, size=n_ind))
-            words += list(rng.choice(_FILLER,
-                                     size=WORDS_PER_SENTENCE - n_ind))
+            # the draw choice() makes with replacement and no p, without
+            # its copy of the word tuple into a string array
+            words = [indicative[i] for i in
+                     rng.integers(0, len(indicative), size=n_ind)]
+            words += [_FILLER[i] for i in rng.integers(
+                0, len(_FILLER), size=WORDS_PER_SENTENCE - n_ind)]
             rng.shuffle(words)
             corpus.append((label, " ".join(words)))
     order = rng.permutation(len(corpus))

@@ -44,19 +44,6 @@ class Vocabulary:
     def id_of(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)
 
-    def token_of(self, idx: int) -> str:
-        if not hasattr(self, "_id_to_token"):
-            self._id_to_token = {i: t for t, i in self.token_to_id.items()}
-        try:
-            return self._id_to_token[idx]
-        except KeyError:
-            raise VocabError(f"unknown token id {idx}") from None
-
-    def words(self) -> list[str]:
-        """Non-reserved tokens, in id order."""
-        return [t for t, i in sorted(self.token_to_id.items(), key=lambda kv: kv[1])
-                if t not in RESERVED]
-
     @classmethod
     def from_lines(cls, text: str) -> "Vocabulary":
         mapping = {}
@@ -119,15 +106,3 @@ def encode(sentence: str, vocab: Vocabulary, max_len: int = 32) -> TokenSequence
     ids += [PAD_ID] * (max_len - n)
     return TokenSequence(token_ids=tuple(ids),
                          attention_mask=(1,) * n + (0,) * (max_len - n))
-
-
-def decode(seq: TokenSequence, vocab: Vocabulary) -> list[str]:
-    """Recover the content tokens (reserved frame tokens dropped)."""
-    out = []
-    for idx, m in zip(seq.token_ids, seq.attention_mask):
-        if not m:
-            break
-        tok = vocab.token_of(idx)
-        if tok not in (CLS, SEP, PAD):
-            out.append(tok)
-    return out

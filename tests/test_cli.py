@@ -512,28 +512,29 @@ def test_each_error_category_exits_with_its_code(code, argv, workspace,
     assert capsys.readouterr().err.startswith("error: ")
 
 
+DROP = object()
+
+
 def _set(keys, value):
-    """A header edit that sets the field at the path ``keys``."""
+    """A header edit that sets the field at the path ``keys``, or deletes
+    it if ``value`` is ``DROP``."""
     def edit(header):
         record = json.loads(header)
         target = record
         for key in keys[:-1]:
             target = target[key]
-        target[keys[-1]] = value
+        if value is DROP:
+            del target[keys[-1]]
+        else:
+            target[keys[-1]] = value
         return json.dumps(record).encode()
     return edit
-
-
-def _drop_state_hash(header):
-    record = json.loads(header)
-    del record["state_hash"]
-    return json.dumps(record).encode()
 
 
 # Each edit leaves a checkpoint whose sha256 digest is valid, so only the
 # header's content is at fault.
 HEADER_FAULTS = [
-    pytest.param(_drop_state_hash, "KeyError: 'state_hash'",
+    pytest.param(_set(["state_hash"], DROP), "KeyError: 'state_hash'",
                  id="no-state-hash"),
     pytest.param(_set(["config", "encoder", "hidden_size"], "x"),
                  "ConfigError: hidden_size must be an int, got 'x'",
@@ -561,6 +562,14 @@ HEADER_FAULTS = [
     pytest.param(_set(["config", "n_post"], -1),
                  "ConfigError: n_post must be >= 0, got -1",
                  id="n-post-negative"),
+    # a field left out must not load as its default: a tanh chain whose
+    # activation went missing would run as affine
+    pytest.param(_set(["config", "denoise", "activation"], DROP),
+                 "config omits denoise.activation", id="no-activation"),
+    pytest.param(_set(["config", "mode"], DROP), "config omits mode",
+                 id="no-mode"),
+    pytest.param(_set(["config", "encoder", "ff_size"], DROP),
+                 "config omits encoder.ff_size", id="no-ff-size"),
 ]
 
 

@@ -1,13 +1,14 @@
-"""Pinned SHA-256 digests of the corruption channel's output and of
-checkpoint files.
+"""Pinned SHA-256 digests of the synthetic corpora, of the corruption
+channel's output and of checkpoint files.
 
 Regenerated corpora must stay byte-identical across versions of the
 package, not only across runs of one version: a faster kernel in
-``noise`` or ``metrics`` that shifts one random draw, one threshold or one
-WER float changes these digests. Checkpoints of seeded, untrained models
-pin the parameter init and the file format the same way; a trained
-model's bytes depend on the host's BLAS kernels, so a tiny trained run's
-losses, parameter checksums and probabilities are pinned to 1e-10 instead.
+``noise``, ``metrics`` or ``data.synthetic_corpus`` that shifts one
+random draw, one threshold or one WER float changes these digests.
+Checkpoints of seeded, untrained models pin the parameter init and the
+file format the same way; a trained model's bytes depend on the host's
+BLAS kernels, so a tiny trained run's losses, parameter checksums and
+probabilities are pinned to 1e-10 instead.
 A deliberate change to any of these outputs has to update its pins and say
 so.
 """
@@ -18,7 +19,8 @@ import numpy as np
 import pytest
 
 from denoiseclf.checkpoint import save_checkpoint
-from denoiseclf.data import PairedExample, make_dataset, split_corpus
+from denoiseclf.data import (PairedExample, make_dataset, split_corpus,
+                             synthetic_corpus)
 from denoiseclf.denoise import DenoiseConfig
 from denoiseclf.encoder import EncoderConfig
 from denoiseclf.model import ModelConfig, TextClassifier
@@ -72,6 +74,25 @@ def test_make_dataset_files(case, tmp_path):
     got = {name: sha256((tmp_path / name).read_bytes())
            for name in DATASET_DIGESTS[case]}
     assert got == DATASET_DIGESTS[case]
+
+
+# (n_per_class, num_classes, seed) of the benchmark workloads at seed 101
+# (prepare, classify, pretrain, finetune), criterion 3 and demo 03
+SYNTHETIC_DIGESTS = {
+    (500, 3, 101): "54abd165b48dfbb29636e2d8efcd7e452dd3492a7538b17faaf8db00211e56ea",
+    (200, 2, 101): "25f9f6ab09ca0a98c23f660bb8d5cf7cebd2fa421d45913f4ef2aa107b3db635",
+    (100, 2, 101): "ea8d19561cb0ac134becebe244dced659d784ebf0d123bfe4fc369ad3f7b2182",
+    (70, 2, 101): "ca213dd0307bff0563ae97ff8dfd7661c2320e349d35810c22471859338bb816",
+    (100, 2, 0): "031b3f7e126f10965d0c695fc49d76d469593a360c513e65ed7ae0b2ccae303c",
+    (50, 2, 7): "b123efda3e5883a93a56fbdb4a49fce92faf30b4d7efd8cd4f474c26e499ce7d",
+}
+
+
+@pytest.mark.parametrize("args", sorted(SYNTHETIC_DIGESTS))
+def test_synthetic_corpus_output(args):
+    corpus = synthetic_corpus(*args)
+    text = "".join(f"{label}\t{sentence}\n" for label, sentence in corpus)
+    assert sha256(text.encode("utf-8")) == SYNTHETIC_DIGESTS[args]
 
 
 CORPUS_DIGESTS = {

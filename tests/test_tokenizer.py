@@ -2,20 +2,20 @@ import random
 
 import pytest
 
-from denoiseclf.tokenizer import (CLS_ID, PAD_ID, SEP_ID, UNK_ID, ConfigError,
-                                  DataError, Vocabulary, build_vocab, decode,
-                                  encode, normalize)
+from denoiseclf.tokenizer import (CLS_ID, PAD_ID, RESERVED, SEP_ID, UNK_ID,
+                                  ConfigError, DataError, Vocabulary,
+                                  build_vocab, encode, normalize)
 
 
 class TestBuildVocab:
     def test_min_count_one(self):
         vocab = build_vocab(["a b", "a"], min_count=1)
-        assert set(vocab.words()) == {"a", "b"}
+        assert set(vocab.token_to_id) - set(RESERVED) == {"a", "b"}
         assert len(vocab) == 6  # 2 words + 4 reserved
 
     def test_min_count_two(self):
         vocab = build_vocab(["a b", "a"], min_count=2)
-        assert set(vocab.words()) == {"a"}
+        assert set(vocab.token_to_id) - set(RESERVED) == {"a"}
 
     def test_empty_corpus(self):
         with pytest.raises(DataError):
@@ -80,7 +80,10 @@ class TestInvariantsAndRoundTrip:
         vocab = build_vocab(["the quick brown fox", "jumps over the dog"])
         sentence = "The quick DOG jumps!"
         seq = encode(sentence, vocab, max_len=10)
-        assert decode(seq, vocab) == ["the", "quick", "dog", "jumps"]
+        token_of = {i: t for t, i in vocab.token_to_id.items()}
+        content = [token_of[i] for i, m in zip(seq.token_ids,
+                                               seq.attention_mask) if m]
+        assert content == ["[CLS]", "the", "quick", "dog", "jumps", "[SEP]"]
 
     def test_segment_rule_on_random_encodings(self):
         corpus = [f"tok{i} tok{i+1} tok{i+2}" for i in range(50)]
