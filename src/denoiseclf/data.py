@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import LabelError, ParseError
+from .errors import DataError, LabelError, ParseError
 from .fileio import atomic_write_bytes, atomic_write_text  # noqa: F401
 from .metrics import corpus_wer, ibleu
 from .noise import NoiseSpec, calibrate, corrupt_corpus
@@ -120,12 +120,18 @@ def make_dataset(train_clean: list[tuple[int, str]],
 
 def split_corpus(examples: list[tuple[int, str]], test_fraction: float,
                  seed: int) -> tuple[list, list]:
-    """Deterministic shuffled split helper for synthetic corpora."""
+    """Deterministic shuffled split helper for synthetic corpora. Raises
+    ``DataError`` when the held-out count leaves no training sentence."""
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test fraction must lie in (0, 1)")
+    if not examples:
+        raise DataError("empty corpus")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(examples))
     n_test = max(1, int(round(test_fraction * len(examples))))
+    if n_test == len(examples):
+        raise DataError(f"test fraction {test_fraction} holds out all "
+                        f"{n_test} sentences and leaves none to train on")
     test_idx = set(order[:n_test].tolist())
     train = [examples[i] for i in range(len(examples)) if i not in test_idx]
     test = [examples[i] for i in range(len(examples)) if i in test_idx]

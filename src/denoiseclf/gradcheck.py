@@ -1,5 +1,6 @@
-"""Finite-difference verification suite for every differentiable kernel and
-for the end-to-end training loss at a tiny configuration.
+"""Finite-difference verification suite for every differentiable kernel, for
+the end-to-end classification loss and for the two objectives the trainer
+optimizes, at tiny configurations.
 
 Central differences with h = 1e-5; an op passes when the max relative error
 against the analytic gradient is below 1e-4.
@@ -12,12 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .data import PairedExample
 from .denoise import DenoiseConfig, DenoiseStack
 from .encoder import (EncoderConfig, EncoderParams, ParamTable,
                       self_attention, transformer_block)
 from .model import ModelConfig, TextClassifier
 from .tensor import Tensor, finite_difference_check
 from .tokenizer import build_vocab, encode
+from .train import cache_embeddings, phase1_loss, phase2_loss
 
 TOLERANCE = 1e-4
 STEP = 1e-5
@@ -190,8 +193,41 @@ def run_end_to_end_check(seed: int = 2) -> CheckResult:
     return _check_op("end_to_end_loss", loss_fn, model.parameters())
 
 
+def run_objective_checks(seed: int = 3) -> list[CheckResult]:
+    """``phase1_loss`` and ``phase2_loss`` at H=8, L=6, 1+1 layers, on
+    four examples of 1-3 words, so every row has pads, and the last one
+    unpaired. ``_aux_loss`` holds its target, the complete sentences'
+    encoding, constant; the aux line moves only parameters outside the
+    encoder, which the target does not depend on, so finite differences
+    hold it fixed too, as training does."""
+    examples = [PairedExample(0, "good nite", "good night"),
+                PairedExample(1, "bad dya", "bad day"),
+                PairedExample(2, "so so dy", "so so day"),
+                PairedExample(1, "bad")]
+    vocab = build_vocab([s for ex in examples
+                         for s in (ex.incomplete, ex.complete) if s])
+    cfg = ModelConfig(
+        encoder=EncoderConfig(hidden_size=8, seq_len=6, num_layers=1,
+                              num_heads=2, ff_size=12,
+                              vocab_size=len(vocab), num_classes=3),
+        denoise=DenoiseConfig(dims=(8, 6, 4, 2), activation="tanh"),
+        n_post=1)
+    model = TextClassifier(cfg, vocab, seed=seed)
+    cached = cache_embeddings(examples[:3], model)
+    return [
+        _check_op("phase1_loss",
+                  lambda: phase1_loss(model, cached, np.arange(3)),
+                  model.denoise_parameters()),
+        _check_op("phase2_loss_aux",
+                  lambda: phase2_loss(model, examples, 0.5),
+                  model.params.under("stack.", "post.", "head.")),
+        _check_op("phase2_loss", lambda: phase2_loss(model, examples, 0.0),
+                  model.parameters())]
+
+
 def run_all(seed: int = 0) -> list[CheckResult]:
     results = run_op_checks(seed)
     results += run_block_checks(seed + 1)
     results.append(run_end_to_end_check(seed + 2))
+    results += run_objective_checks(seed + 3)
     return results

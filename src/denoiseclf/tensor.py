@@ -1,21 +1,23 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 The whole model is built from the handful of differentiable kernels in this
-module. Each op hands ``_make`` its output values plus, per operand, the
-vector-Jacobian product (VJP) that maps the output's gradient to that
-operand's. The fused kernels, ``attention`` and ``mlp``, each run a whole
-layer as one node and hand ``_make_joint`` one backward that returns the
-gradients of all their tracked operands at once. Both keep only tracked
-operands, so constants never enter the graph and no constant's gradient is
-computed. Calling ``backward()`` on a scalar walks the graph in reverse
-topological order, calls each VJP and accumulates the result: the engine
-is the one place that routes gradients. Ops accept leading batch axes, so
-one graph covers a whole batch. Inside ``no_grad()`` ops record nothing, so
-an inference forward holds only its live values.
+module. Every op output is one kind of node: its tracked operands,
+``_parents``, and one callable, ``_vjps``, that maps its gradient to theirs.
+``_make`` builds that callable from one vector-Jacobian product (VJP) per
+operand; the fused kernels, ``attention`` and ``mlp``, each run a whole
+layer as one node and hand ``_make_joint`` one backward for all operands.
+Both keep only tracked operands, so constants never enter the graph and no
+constant's gradient is computed. ``backward()`` on a scalar collects the op
+outputs it reads and runs them newest first: an output is made after its
+operands, so its gradient is whole before its VJPs run. The engine is the
+one place that routes gradients. Ops accept leading batch axes, so one
+graph covers a whole batch. Inside ``no_grad()`` ops record nothing, so an
+inference forward holds only its live values.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -29,16 +31,16 @@ class Tensor:
     """An n-dimensional float64 array, optionally tracked for gradients."""
 
     __slots__ = ("values", "grad", "requires_grad", "_parents", "_vjps",
-                 "_owns_grad")
+                 "_order")
 
     def __init__(self, values, requires_grad: bool = False,
-                 _parents: tuple = (), _vjps: tuple = ()):
+                 _parents: tuple = (), _vjps: Callable | tuple = ()):
         self.values = np.asarray(values, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents = _parents
         self._vjps = _vjps
-        self._owns_grad = False
+        self._order = next(_created) if _parents else 0
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -50,56 +52,37 @@ class Tensor:
         both C-contiguous), so the next matmul sees the same strides; any
         other first contribution lands in a ``zeros_like`` buffer. A kept
         array may be shared (``add`` hands one ``g`` to both operands), so
-        a later contribution is never written into it in place."""
-        if self.grad is None:
-            if (g.shape == self.values.shape and g.flags.c_contiguous
-                    and self.values.flags.c_contiguous):
-                self.grad, self._owns_grad = g, False
-                return
-            self.grad, self._owns_grad = np.zeros_like(self.values), True
-        elif not self._owns_grad:
-            self.grad, self._owns_grad = self.grad.copy(), True
-        self.grad += g
+        a later contribution makes a new sum and never writes in place."""
+        if self.grad is not None:
+            self.grad = self.grad + g
+        elif (g.shape == self.values.shape and g.flags.c_contiguous
+                and self.values.flags.c_contiguous):
+            self.grad = g
+        else:
+            self.grad = np.zeros_like(self.values)
+            self.grad += g
 
     def backward(self) -> None:
         if self.values.size != 1:
             raise DimensionError(
                 f"backward() needs a scalar, got shape {self.shape}")
-        # iterative postorder; state 1 = expanded, 2 = emitted, so shared
-        # subgraphs are emitted exactly once and always before any consumer.
-        # Leaves (no parents) only receive gradients, so the walk skips them
-        topo: list[Tensor] = []
-        state: dict[int, int] = {}
-        stack: list[Tensor] = [self]
-        while stack:
-            node = stack[-1]
-            key = id(node)
-            st = state.get(key, 0)
-            if st == 0:
-                state[key] = 1
-                for p in node._parents:
-                    if p._parents and id(p) not in state:
-                        stack.append(p)
-            else:
-                stack.pop()
-                if st == 1:
-                    state[key] = 2
-                    topo.append(node)
-        # an op output's gradient lives only for this pass: it is dropped
-        # once its VJPs have run, so only the leaves accumulate, and a
-        # second backward over one graph adds exactly the same gradients
+        # the op outputs the loss reads; leaves (no parents) only receive
+        # gradients, so the walk skips them
+        nodes, todo = set(), [self]
+        while todo:
+            node = todo.pop()
+            if node._parents and node not in nodes:
+                nodes.add(node)
+                todo.extend(node._parents)
+        # newest first, every consumer of a node runs before the node. An
+        # op output's gradient lives only for this pass: it is dropped once
+        # its VJPs have run, so only the leaves accumulate, and a second
+        # backward over one graph adds exactly the same gradients
         self._accumulate(np.ones_like(self.values))
-        for node in reversed(topo):
-            if not node._parents:
-                continue
+        for node in sorted(nodes, key=lambda t: t._order, reverse=True):
             g, node.grad = node.grad, None
-            vjps = node._vjps
-            if type(vjps) is tuple:
-                for parent, vjp in zip(node._parents, vjps):
-                    parent._accumulate(vjp(g))
-            else:
-                for parent, grad in zip(node._parents, vjps(g)):
-                    parent._accumulate(grad)
+            for parent, grad in zip(node._parents, node._vjps(g)):
+                parent._accumulate(grad)
 
     # -- convenience operators; the real work lives in the module functions --
     def __add__(self, other):
@@ -132,6 +115,8 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 _grad_enabled = True
+# numbers op outputs in creation order; backward runs them newest first
+_created = itertools.count(1)
 
 
 class no_grad:
@@ -153,14 +138,15 @@ class no_grad:
 def _make(values: np.ndarray, *edges: tuple[Tensor, Callable]) -> Tensor:
     """An op's output from its values and one ``(operand, vjp)`` pair per
     differentiable operand. Only tracked operands, parameters and op outputs
-    built from them, become ``_parents`` (with their VJPs in ``_vjps``):
-    backward never visits a constant. With none, or inside ``no_grad``, the
-    output is itself a constant."""
+    built from them, become ``_parents``, and ``_vjps`` returns their
+    gradients in that order: backward never visits a constant. With none,
+    or inside ``no_grad``, the output is itself a constant."""
     if _grad_enabled:
         kept = [e for e in edges if e[0].requires_grad or e[0]._parents]
         if kept:
-            parents, vjps = zip(*kept)
-            return Tensor(values, _parents=parents, _vjps=vjps)
+            parents, fns = zip(*kept)
+            return Tensor(values, _parents=parents,
+                          _vjps=lambda g: [fn(g) for fn in fns])
     return Tensor(values)
 
 
@@ -170,8 +156,7 @@ def _make_joint(values: np.ndarray, operands: Sequence[Tensor],
     gradient and one flag per operand, true for the tracked ones, and
     returns one entry per operand: the gradient where ``need`` is true,
     else ``None``, which it must not compute. The tracked operands become
-    ``_parents``; ``_vjps`` is then the one callable that returns their
-    gradients, in the same order."""
+    ``_parents``, and ``_vjps`` returns their gradients, as in ``_make``."""
     if _grad_enabled:
         need = [t.requires_grad or bool(t._parents) for t in operands]
         if any(need):

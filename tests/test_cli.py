@@ -79,7 +79,11 @@ class TestPrepare:
         (["--synthetic-per-class", "0"], 5, "error: empty corpus"),
         (["--target-wer", "1.9", "--synthetic-per-class", "5", "--seed", "3"],
          6, "error: could not reach target WER 1.900; closest achieved 0.871"),
-    ], ids=["nan-target", "empty-corpus", "unreachable-target"])
+        (["--synthetic-per-class", "1", "--test-fraction", "0.75"], 5,
+         "error: test fraction 0.75 holds out all 2 sentences and leaves "
+         "none to train on"),
+    ], ids=["nan-target", "empty-corpus", "unreachable-target",
+            "empty-train-split"])
     def test_rejected_prepare_leaves_no_outdir(self, tmp_path, capsys, argv,
                                                code, line):
         out = tmp_path / "data"

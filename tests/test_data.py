@@ -5,6 +5,7 @@ from denoiseclf.data import (LabelError, PairedExample, ParseError,
                              atomic_write_text, format_config, load_corpus,
                              make_dataset, parse_config, save_corpus,
                              split_corpus, synthetic_corpus)
+from denoiseclf.errors import DataError
 from denoiseclf.metrics import corpus_wer
 from denoiseclf.noise import NoiseSpec
 
@@ -198,6 +199,13 @@ class TestSplitCorpus:
     def test_bad_fraction(self):
         with pytest.raises(ValueError):
             split_corpus([(0, "a b")], 1.5, seed=0)
+
+    @pytest.mark.parametrize("corpus", [[], [(0, "a b")], [(0, "a"), (1, "b")]],
+                             ids=["empty", "one", "two"])
+    def test_no_training_sentence_is_a_data_error(self, corpus):
+        # 0.75 of two sentences rounds to both
+        with pytest.raises(DataError):
+            split_corpus(corpus, 0.75, seed=0)
 
 
 class TestConfigFiles:

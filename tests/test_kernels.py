@@ -144,8 +144,9 @@ def test_erf_leaves_its_input_alone():
 
 # -- (b) gelu, layernorm, softmax, transpose -------------------------------
 
-def vjps_of(out: Tensor):
-    return dict(zip((id(p) for p in out._parents), out._vjps))
+def grads_of(out: Tensor, g):
+    """The gradient ``out``'s node hands each parent, keyed by its id."""
+    return dict(zip((id(p) for p in out._parents), out._vjps(g)))
 
 
 @pytest.mark.parametrize("scale", [0.05, 1.0, 4.0])
@@ -158,7 +159,7 @@ def test_gelu_forward_and_vjp(scale):
     out = T.gelu(x)
     values, vjp = ref_gelu(x.values)
     assert same_bits(out.values, values)
-    assert same_bits(vjps_of(out)[id(x)](g), vjp(g))
+    assert same_bits(grads_of(out, g)[id(x)], vjp(g))
 
 
 @pytest.mark.parametrize("shape,axis", [((2, 3, 12), -1), ((12, 5), 0)])
@@ -173,10 +174,10 @@ def test_layernorm_forward_and_three_vjps(shape, axis):
     values, (x_vjp, gain_vjp, bias_vjp) = ref_layernorm(
         x.values, gain.values, bias.values, axis)
     assert same_bits(out.values, values)
-    vjps = vjps_of(out)
-    assert same_bits(vjps[id(x)](g), x_vjp(g))
-    assert same_bits(vjps[id(gain)](g), gain_vjp(g))
-    assert same_bits(vjps[id(bias)](g), bias_vjp(g))
+    grads = grads_of(out, g)
+    assert same_bits(grads[id(x)], x_vjp(g))
+    assert same_bits(grads[id(gain)], gain_vjp(g))
+    assert same_bits(grads[id(bias)], bias_vjp(g))
 
 
 @pytest.mark.parametrize("axis", [-1, 0, 1])
@@ -189,7 +190,7 @@ def test_softmax_forward_and_vjp(axis):
     out = T.softmax(x, axis=axis)
     values, vjp = ref_softmax(raw, axis)
     assert same_bits(out.values, values)
-    assert same_bits(vjps_of(out)[id(x)](g), vjp(g))
+    assert same_bits(grads_of(out, g)[id(x)], vjp(g))
 
 
 @pytest.mark.parametrize("axes", [None, (0, 2, 1, 3), (1, 2, 3, 0),
@@ -201,7 +202,7 @@ def test_transpose_forward_and_vjp(axes):
     assert same_bits(out.values, np.transpose(x.values, axes))
     g = rng.normal(size=out.shape)
     inverse = None if axes is None else tuple(np.argsort(axes))
-    assert same_bits(vjps_of(out)[id(x)](g), np.transpose(g, inverse))
+    assert same_bits(grads_of(out, g)[id(x)], np.transpose(g, inverse))
 
 
 # -- (c) affine against matmul + add ---------------------------------------

@@ -218,7 +218,8 @@ class TestBackward:
         rng = np.random.default_rng(8)
         w = rand_tensor(rng, (3, 4))
         out = op(w, Tensor(rng.normal(size=const_shape)))
-        assert out._parents == (w,) and len(out._vjps) == 1
+        assert out._parents == (w,)
+        assert len(out._vjps(np.ones(out.shape))) == 1
 
     def test_repeated_backward_accumulates(self):
         x = Tensor([3.0], requires_grad=True)
@@ -231,15 +232,20 @@ class TestBackward:
     def test_add_shares_its_gradient_but_a_later_sum_copies(self, a_first):
         # add's VJPs hand both operands the one g they get; a is then kept
         # or not, depending on which path reaches it first, and a's second
-        # contribution must not be written into the g that b holds
+        # contribution must not be written into the g that b holds. Newest
+        # first, the add reaches a first when it is newer than a's other
+        # consumer
         a = Tensor([1.0, 2.0], requires_grad=True)
         b = Tensor([3.0, 4.0], requires_grad=True)
+        direct = T.mul(a, Tensor([10.0, 100.0])) if a_first else None
         s = T.add(a, b)
         g = np.array([5.0, 7.0])
-        assert s._vjps[0](g) is g and s._vjps[1](g) is g
+        g_a, g_b = s._vjps(g)
+        assert g_a is g and g_b is g
         via_add = T.sum_all(T.mul(s, Tensor([5.0, 7.0])))
-        direct = T.sum_all(T.mul(a, Tensor([10.0, 100.0])))
-        (via_add + direct if a_first else direct + via_add).backward()
+        if not a_first:
+            direct = T.mul(a, Tensor([10.0, 100.0]))
+        (via_add + T.sum_all(direct)).backward()
         np.testing.assert_array_equal(b.grad, [5.0, 7.0])
         np.testing.assert_array_equal(a.grad, [15.0, 107.0])
 
@@ -255,6 +261,41 @@ class TestBackward:
         T.sum_all(T.mul(T.transpose(w), Tensor(k))).backward()
         assert w.grad.strides == np.zeros_like(w.values).strides
         np.testing.assert_array_equal(w.grad, k.T)
+
+    def test_op_output_with_three_consumers_sums_them_all(self):
+        # h = 2w is read by add, mul and index: dloss/dh = 1 + c + [3, 0, 0]
+        # (h[:1] broadcasts over three elements)
+        w = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+        h = T.mul(w, Tensor(2.0))
+        T.sum_all(h + h * Tensor([10.0, 20.0, 30.0]) + h[:1]).backward()
+        np.testing.assert_array_equal(w.grad, [28.0, 42.0, 62.0])
+        assert h.grad is None
+
+    def test_long_chain_runs_without_recursion(self):
+        # far deeper than the interpreter's recursion limit
+        x = Tensor([0.0], requires_grad=True)
+        y = x
+        for _ in range(20_000):
+            y = y + Tensor([0.0])
+        T.sum_all(y).backward()
+        np.testing.assert_array_equal(x.grad, [1.0])
+
+    @pytest.mark.parametrize("values", [3.0, [3.0]], ids=["0d", "1d"])
+    def test_scalar_leaf_gets_ones(self, values):
+        x = Tensor(values, requires_grad=True)
+        x.backward()
+        np.testing.assert_array_equal(x.grad, np.ones_like(x.values))
+
+    def test_op_output_shared_by_two_losses(self):
+        # h = w * [3, 4]; the first loss adds [5, 6] * 3|4 and the second,
+        # sum(h * h), adds 2h * 3|4; h keeps no gradient between the passes
+        w = Tensor([1.0, 2.0], requires_grad=True)
+        h = T.mul(w, Tensor([3.0, 4.0]))
+        T.sum_all(h * Tensor([5.0, 6.0])).backward()
+        np.testing.assert_array_equal(w.grad, [15.0, 24.0])
+        assert h.grad is None
+        T.sum_all(h * h).backward()
+        np.testing.assert_array_equal(w.grad, [15.0 + 18.0, 24.0 + 64.0])
 
     def test_two_layer_mlp_finite_differences(self):
         rng = np.random.default_rng(6)
