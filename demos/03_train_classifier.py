@@ -10,16 +10,15 @@ Run with:  python3 demos/03_train_classifier.py
 import tempfile
 from pathlib import Path
 
-from denoiseclf.data import (load_corpus, make_dataset, split_corpus,
-                             synthetic_corpus)
+from denoiseclf.data import (load_corpus, make_dataset, sentences_of,
+                             split_corpus, synthetic_corpus)
 from denoiseclf.denoise import DenoiseConfig
 from denoiseclf.encoder import EncoderConfig
 from denoiseclf.metrics import macro_scores, micro_scores
 from denoiseclf.model import ModelConfig, TextClassifier
 from denoiseclf.noise import NoiseSpec
 from denoiseclf.tokenizer import build_vocab
-from denoiseclf.train import (TrainConfig, evaluate, train_phase1,
-                              train_phase2)
+from denoiseclf.train import TrainConfig, evaluate, fit
 
 # ---------------------------------------------------------------------------
 # 1. Build a paired noisy dataset (clean sentences kept for the train split)
@@ -43,9 +42,7 @@ print(f"  sample pair: {train[0].incomplete!r} <- {train[0].complete!r}")
 # ---------------------------------------------------------------------------
 # 2. Train both modes with the same budget
 # ---------------------------------------------------------------------------
-sentences = [ex.incomplete for ex in train]
-sentences += [ex.complete for ex in train if ex.complete]
-vocab = build_vocab(sentences)
+vocab = build_vocab(sentences_of(train))
 
 
 def run(mode: str):
@@ -58,12 +55,11 @@ def run(mode: str):
     model = TextClassifier(config, vocab, seed=0)
     cfg = TrainConfig(phase1_epochs=30, phase1_lr=5e-3,
                       phase2_epochs=10, phase2_lr=5e-3, batch_size=8, seed=0)
-    if mode == "stacked":
-        # phase 1: freeze the encoder, fit the denoising stacks under MSE
-        curve = train_phase1(train, model, cfg)
+    # phase 1 (stacked only): freeze the encoder, fit the denoising stacks
+    # under MSE; phase 2: end-to-end cross-entropy with linear warmup/decay
+    curve, history = fit(train, model, cfg)
+    if curve:
         print(f"  [{mode}] phase-1 MSE {curve[0]:.4f} -> {curve[-1]:.4f}")
-    # phase 2: end-to-end cross-entropy with linear warmup/decay
-    history = train_phase2(train, model, cfg)
     print(f"  [{mode}] phase-2 CE  {history[0]['loss']:.4f} -> "
           f"{history[-1]['loss']:.4f}")
     return model

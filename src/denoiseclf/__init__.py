@@ -11,7 +11,7 @@ from .model import ModelConfig, TextClassifier
 from .noise import NoiseSpec, calibrate, corrupt
 from .tensor import Adam, Tensor
 from .tokenizer import Vocabulary, build_vocab, encode
-from .train import TrainConfig, evaluate, train_phase1, train_phase2
+from .train import TrainConfig, evaluate, fit, train_phase1, train_phase2
 
 __version__ = "0.1.0"
 
@@ -20,7 +20,7 @@ __all__ = [
     "EncoderConfig", "MetricsReport", "ModelConfig", "NoiseSpec",
     "PairedExample", "Tensor", "TextClassifier", "TrainConfig",
     "Vocabulary", "bleu", "build_vocab", "calibrate", "corrupt", "encode",
-    "evaluate", "ibleu", "load_corpus", "macro_scores", "make_dataset",
-    "micro_scores", "normalize_matrix", "train_phase1", "train_phase2",
-    "wer",
+    "evaluate", "fit", "ibleu", "load_corpus", "macro_scores",
+    "make_dataset", "micro_scores", "normalize_matrix", "train_phase1",
+    "train_phase2", "wer",
 ]

@@ -21,8 +21,8 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (atomic_write_text, config_lines, format_config,
-                   load_corpus, make_dataset, parse_config, split_corpus,
-                   synthetic_corpus)
+                   load_corpus, make_dataset, parse_config, sentences_of,
+                   split_corpus, synthetic_corpus)
 from .encoder import EncoderConfig
 from .errors import (CalibrationError, CheckpointError, ConfigError,
                      DataError, LabelError, NonFiniteError, ParseError,
@@ -32,7 +32,7 @@ from .metrics import ConfusionMatrix, MetricsReport
 from .model import MODES, ModelConfig, TextClassifier
 from .noise import NoiseSpec
 from .tokenizer import build_vocab, normalize
-from .train import TrainConfig, evaluate, train_phase1, train_phase2
+from .train import TrainConfig, evaluate, fit
 
 
 _SEED = ("seed", 0, "random seed")
@@ -163,8 +163,7 @@ def _report_truncation(sentences, seq_len: int, kind: str) -> None:
 def cmd_train(args) -> int:
     train_data = load_corpus(args.train, split="train",
                              num_classes=args.num_classes)
-    sentences = [ex.incomplete for ex in train_data]
-    sentences += [ex.complete for ex in train_data if ex.complete]
+    sentences = sentences_of(train_data)
     vocab = build_vocab(sentences)
     ff_size = 2 * args.hidden_size if args.ff_size is None else args.ff_size
     encoder = _from_options(EncoderConfig, args, vocab_size=len(vocab),
@@ -184,10 +183,7 @@ def cmd_train(args) -> int:
     def log(record):
         log_lines.append(json.dumps(record))
 
-    paired = [ex for ex in train_data if ex.complete is not None]
-    if config.mode == "stacked" and paired:
-        train_phase1(paired, model, cfg, log=log)
-    train_phase2(train_data, model, cfg, log=log)
+    fit(train_data, model, cfg, log=log)
     checkpoint_path = outdir / f"model-{config.mode}.ckpt"
     save_checkpoint(model, checkpoint_path)
     atomic_write_text(outdir / f"train-{config.mode}.log",

@@ -63,11 +63,17 @@ def load_corpus(path: str | Path, split: str = "train",
     return examples
 
 
-def save_corpus(examples: list[PairedExample], path: str | Path,
-                include_complete: bool = True) -> None:
+def sentences_of(examples) -> list[str]:
+    """Every incomplete sentence, then every complete one: all the text a
+    split gives the vocabulary."""
+    return ([ex.incomplete for ex in examples]
+            + [ex.complete for ex in examples if ex.complete is not None])
+
+
+def save_corpus(examples: list[PairedExample], path: str | Path) -> None:
     lines = []
     for ex in examples:
-        if include_complete and ex.complete is not None:
+        if ex.complete is not None:
             lines.append(f"{ex.label}\t{ex.incomplete}\t{ex.complete}")
         else:
             lines.append(f"{ex.label}\t{ex.incomplete}")
@@ -99,8 +105,8 @@ def make_dataset(train_clean: list[tuple[int, str]],
     # made only now, so a spec or corpus rejected above leaves no outdir
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_corpus(train, out_dir / "train.tsv", include_complete=True)
-    save_corpus(test, out_dir / "test.tsv", include_complete=False)
+    save_corpus(train, out_dir / "train.tsv")
+    save_corpus(test, out_dir / "test.tsv")
     manifest = {
         "seed": spec.seed,
         "p_delete": spec.p_delete,

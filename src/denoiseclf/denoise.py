@@ -16,12 +16,12 @@ switched in between the two affine maps of each stage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .encoder import BlockParams, EncoderConfig, ParamTable, run_blocks
+from .encoder import ParamTable, run_blocks
 from .errors import ConfigError, check_fields
 from .tensor import Tensor
 
@@ -123,24 +123,9 @@ class DenoiseStack:
                           target.reshape(-1, target.shape[-1]).T)
 
 
-@dataclass
-class PostTransformer:
-    """Post-reconstruction transformer blocks, structurally identical to the
-    encoder's."""
-    blocks: list = field(default_factory=list)
-    num_heads: int = 1
-
-    @classmethod
-    def build(cls, cfg: EncoderConfig, n_post: int,
-              p: ParamTable) -> "PostTransformer":
-        return cls(blocks=[BlockParams(cfg, p.scope(f"post{i}"))
-                           for i in range(n_post)],
-                   num_heads=cfg.num_heads)
-
-
-def refine(x: Tensor, mask, post: PostTransformer,
+def refine(x: Tensor, mask, blocks, num_heads: int,
            cls_only: bool = False) -> Tensor:
-    """Run [B, L, H] rows (mask [B, L]) through the post blocks; with
-    ``cls_only`` and at least one block, only the [CLS] row of the last
-    (see ``encoder.run_blocks``)."""
-    return run_blocks(x, mask, post.blocks, post.num_heads, cls_only)
+    """Run [B, L, H] rows (mask [B, L]) through the post ``blocks``, a list
+    of ``BlockParams``; with ``cls_only`` and at least one block, only the
+    [CLS] row of the last (see ``encoder.run_blocks``)."""
+    return run_blocks(x, mask, blocks, num_heads, cls_only)

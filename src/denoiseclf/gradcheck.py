@@ -13,13 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import PairedExample
+from .data import PairedExample, sentences_of
 from .denoise import DenoiseConfig, DenoiseStack
 from .encoder import (EncoderConfig, EncoderParams, ParamTable,
                       self_attention, transformer_block)
 from .model import ModelConfig, TextClassifier
 from .tensor import Tensor, finite_difference_check
-from .tokenizer import build_vocab, encode
+from .tokenizer import build_vocab
 from .train import cache_embeddings, phase1_loss, phase2_loss
 
 TOLERANCE = 1e-4
@@ -204,8 +204,7 @@ def run_objective_checks(seed: int = 3) -> list[CheckResult]:
                 PairedExample(1, "bad dya", "bad day"),
                 PairedExample(2, "so so dy", "so so day"),
                 PairedExample(1, "bad")]
-    vocab = build_vocab([s for ex in examples
-                         for s in (ex.incomplete, ex.complete) if s])
+    vocab = build_vocab(sentences_of(examples))
     cfg = ModelConfig(
         encoder=EncoderConfig(hidden_size=8, seq_len=6, num_layers=1,
                               num_heads=2, ff_size=12,

@@ -14,8 +14,8 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
-from .denoise import DenoiseConfig, DenoiseStack, PostTransformer, refine
-from .encoder import (EncoderConfig, EncoderParams, ParamTable,
+from .denoise import DenoiseConfig, DenoiseStack, refine
+from .encoder import (BlockParams, EncoderConfig, EncoderParams, ParamTable,
                       encode_intermediate, field_rows)
 from .errors import ConfigError, check_fields
 from .tensor import Tensor
@@ -72,8 +72,8 @@ class TextClassifier:
             np.random.default_rng(seed) if arrays is None else None, arrays)
         self.encoder = EncoderParams(config.encoder, p.scope("encoder"))
         self.stack = DenoiseStack(config.denoise, p.scope("stack"))
-        self.post = PostTransformer.build(config.encoder, config.n_post,
-                                          p.scope("post"))
+        self.post = [BlockParams(config.encoder, p.scope(f"post.post{i}"))
+                     for i in range(config.n_post)]
         # linear map from the [CLS] feature to class logits
         self.head_w = p.normal("head.w", (h, c))
         self.head_b = p.const("head.b", (c,))
@@ -115,7 +115,7 @@ class TextClassifier:
             if partial is None:
                 partial = self.stack(self.intermediate(seqs))
             h = refine(partial, field_rows(seqs, "attention_mask"), self.post,
-                       cls_only=True)
+                       self.config.encoder.num_heads, cls_only=True)
         return T.affine(h[:, 0], self.head_w, self.head_b)
 
     def predict(self, seqs: Sequence[TokenSequence]

@@ -37,6 +37,9 @@ class Vocabulary:
         for tok, i in zip(RESERVED, range(4)):
             if self.token_to_id.setdefault(tok, i) != i:
                 raise VocabError(f"reserved token {tok} must map to id {i}")
+        if sorted(self.token_to_id.values()) != list(range(len(self))):
+            raise VocabError("vocabulary ids must be the embedding rows "
+                             f"0..{len(self) - 1}, each once")
 
     def __len__(self) -> int:
         return len(self.token_to_id)
@@ -59,8 +62,8 @@ class Vocabulary:
         return "".join(f"{tok}\t{i}\n" for tok, i in lines)
 
 
-def build_vocab(corpus: list[str], min_count: int = 1) -> Vocabulary:
-    """Build a vocabulary from whitespace tokens with count >= min_count.
+def build_vocab(corpus: list[str]) -> Vocabulary:
+    """Build a vocabulary from every word token of the corpus.
 
     Ordering is frequency-descending, ties broken lexicographically, so the
     id assignment is stable regardless of corpus order.
@@ -70,8 +73,7 @@ def build_vocab(corpus: list[str], min_count: int = 1) -> Vocabulary:
     counts: Counter[str] = Counter()
     for sentence in corpus:
         counts.update(normalize(sentence))
-    kept = sorted((t for t, c in counts.items() if c >= min_count),
-                  key=lambda t: (-counts[t], t))
+    kept = sorted(counts, key=lambda t: (-counts[t], t))
     mapping = {tok: i for i, tok in enumerate(RESERVED)}
     for i, tok in enumerate(kept, start=len(RESERVED)):
         mapping[tok] = i

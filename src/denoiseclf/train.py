@@ -248,6 +248,18 @@ def train_phase2(data, model: TextClassifier, cfg: TrainConfig,
         cfg.seed + 1, cfg, log)
 
 
+def fit(data, model: TextClassifier, cfg: TrainConfig,
+        log=None) -> tuple[list[float], list[dict]]:
+    """Phase 1 on the paired examples of ``data`` if the model is stacked
+    and has any, then phase 2 on all of ``data``: phase 1's curve, empty if
+    it did not run, and phase 2's records."""
+    paired = [ex for ex in data if ex.complete is not None]
+    curve = []
+    if model.config.mode == "stacked" and paired:
+        curve = train_phase1(paired, model, cfg, log)
+    return curve, train_phase2(data, model, cfg, log)
+
+
 def evaluate(test, model: TextClassifier) -> ConfusionMatrix:
     """Accumulate predictions over the incomplete sentences only, run in
     forwards of similar-length sentences (``_length_packed``), since

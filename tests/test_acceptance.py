@@ -19,7 +19,8 @@ import pytest
 from denoiseclf.checkpoint import (CheckpointError, load_checkpoint,
                                    save_checkpoint)
 from denoiseclf.data import (PairedExample, load_corpus, make_dataset,
-                             parse_config, split_corpus, synthetic_corpus)
+                             parse_config, sentences_of, split_corpus,
+                             synthetic_corpus)
 from denoiseclf.denoise import DenoiseConfig, DenoiseStack
 from denoiseclf.encoder import EncoderConfig, ParamTable
 from denoiseclf.metrics import (ConfusionMatrix, bleu, corpus_wer,
@@ -77,8 +78,7 @@ def test_criterion_3_denoising_convergence():
     spec = NoiseSpec(p_delete=0.15, p_substitute=0.15, pool=pool, seed=0)
     pairs = [PairedExample(label, corrupt(s, spec, i) or s, s)
              for i, (label, s) in enumerate(corpus)]
-    vocab = build_vocab([p.incomplete for p in pairs] +
-                        [p.complete for p in pairs])
+    vocab = build_vocab(sentences_of(pairs))
     assert len(vocab) <= 120
     # the pure-affine default chain is a rank-limited linear map per
     # position, whose best achievable MSE (PCA floor) sits well above the
@@ -129,9 +129,7 @@ def _robustness_config(vocab_len: int, mode: str) -> ModelConfig:
 
 
 def _stacked_vs_baseline(train, test, seed: int) -> tuple[float, float]:
-    sentences = [ex.incomplete for ex in train]
-    sentences += [ex.complete for ex in train if ex.complete]
-    vocab = build_vocab(sentences)
+    vocab = build_vocab(sentences_of(train))
     clean_train = [PairedExample(ex.label, ex.complete, None)
                    for ex in train]
     cfg = TrainConfig(phase1_epochs=200, phase1_lr=5e-3, phase2_epochs=12,

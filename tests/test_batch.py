@@ -7,7 +7,7 @@ import pytest
 
 from denoiseclf import tensor as T
 from denoiseclf import train
-from denoiseclf.data import PairedExample
+from denoiseclf.data import PairedExample, sentences_of
 from denoiseclf.denoise import DenoiseConfig, DenoiseStack
 from denoiseclf.encoder import (EncoderConfig, EncoderParams, ParamTable,
                                self_attention)
@@ -30,9 +30,7 @@ TOL = 1e-10
 
 
 def make_model(mode="stacked", seed=0):
-    sentences = [ex.incomplete for ex in PAIRS] + \
-        [ex.complete for ex in PAIRS]
-    vocab = build_vocab(sentences)
+    vocab = build_vocab(sentences_of(PAIRS))
     cfg = ModelConfig(
         encoder=EncoderConfig(hidden_size=8, seq_len=6, num_layers=1,
                               num_heads=2, ff_size=12,

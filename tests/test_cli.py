@@ -535,6 +535,8 @@ def _set(keys, value):
     return edit
 
 
+VOCAB_IDS = "VocabError: vocabulary ids must be the embedding rows 0..44"
+
 # Each edit leaves a checkpoint whose sha256 digest is valid, so only the
 # header's content is at fault.
 HEADER_FAULTS = [
@@ -547,6 +549,14 @@ HEADER_FAULTS = [
                  id="not-json"),
     pytest.param(_set(["vocabulary"], "a\tx\n"),
                  "ValueError: invalid literal for int()", id="vocabulary-id"),
+    # the word with id 4 renumbered (JSON escapes the tab and newline): an
+    # id outside 0..n-1 indexes past the embedding table, a repeat shares a row
+    pytest.param(lambda h: h.replace(b"\\t4\\n", b"\\t97\\n"), VOCAB_IDS,
+                 id="vocabulary-id-too-big"),
+    pytest.param(lambda h: h.replace(b"\\t4\\n", b"\\t-3\\n"), VOCAB_IDS,
+                 id="vocabulary-id-negative"),
+    pytest.param(lambda h: h.replace(b"\\t4\\n", b"\\t5\\n"), VOCAB_IDS,
+                 id="vocabulary-id-repeated"),
     pytest.param(_set(["config", "encoder", "num_heads"], 3),
                  "ConfigError: hidden_size 16 not divisible by num_heads 3",
                  id="heads-do-not-divide"),

@@ -4,7 +4,7 @@ from denoiseclf import data, fileio, noise
 from denoiseclf.data import (LabelError, PairedExample, ParseError,
                              atomic_write_text, format_config, load_corpus,
                              make_dataset, parse_config, save_corpus,
-                             split_corpus, synthetic_corpus)
+                             sentences_of, split_corpus, synthetic_corpus)
 from denoiseclf.errors import DataError
 from denoiseclf.metrics import corpus_wer
 from denoiseclf.noise import NoiseSpec
@@ -17,6 +17,8 @@ class TestLoadCorpus:
         examples = load_corpus(path, split="train")
         assert examples[0] == PairedExample(0, "good nite", "good night")
         assert examples[1] == PairedExample(1, "bad day", None)
+        assert sentences_of(examples) == ["good nite", "bad day",
+                                          "good night"]
 
     def test_test_split_drops_complete_column(self, tmp_path):
         path = tmp_path / "test.tsv"
@@ -69,9 +71,8 @@ class TestSaveCorpus:
         assert load_corpus(path) == examples
 
     def test_without_complete_column(self, tmp_path):
-        examples = [PairedExample(0, "good nite", "good night")]
         path = tmp_path / "out.tsv"
-        save_corpus(examples, path, include_complete=False)
+        save_corpus([PairedExample(0, "good nite", None)], path)
         assert path.read_text() == "0\tgood nite\n"
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):

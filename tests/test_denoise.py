@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from denoiseclf import tensor as T
-from denoiseclf.denoise import (DenoiseConfig, DenoiseStack, PostTransformer,
-                                refine)
-from denoiseclf.encoder import EncoderConfig, ParamTable
+from denoiseclf.denoise import DenoiseConfig, DenoiseStack, refine
+from denoiseclf.encoder import BlockParams, EncoderConfig, ParamTable
 from denoiseclf.tensor import Tensor
 from denoiseclf.tokenizer import ConfigError
 
@@ -190,14 +189,13 @@ class TestPostTransformer:
         cfg = EncoderConfig(hidden_size=8, seq_len=4, num_layers=1,
                             num_heads=2, ff_size=12, vocab_size=16)
         table = ParamTable(np.random.default_rng(15))
-        post = PostTransformer.build(cfg, n_post=2, p=table)
+        post = [BlockParams(cfg, table.scope(f"post{i}")) for i in range(2)]
         h = Tensor(np.random.default_rng(16).normal(size=(8, 4)).T)
-        out = refine(h, [1, 1, 1, 0], post)
+        out = refine(h, [1, 1, 1, 0], post, cfg.num_heads)
         assert out.shape == (4, 8)
         assert len(table.tensors) == 2 * 16
 
     def test_zero_blocks_is_identity(self):
-        post = PostTransformer(blocks=[], num_heads=2)
         h = Tensor(np.random.default_rng(17).normal(size=(8, 4)).T)
-        np.testing.assert_array_equal(refine(h, [1] * 4, post).values,
+        np.testing.assert_array_equal(refine(h, [1] * 4, [], 2).values,
                                       h.values)

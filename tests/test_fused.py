@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from denoiseclf import tensor as T
-from denoiseclf.data import PairedExample
+from denoiseclf.data import PairedExample, sentences_of
 from denoiseclf.denoise import DenoiseConfig
 from denoiseclf.encoder import EncoderConfig
 from denoiseclf.errors import DimensionError
@@ -334,8 +334,7 @@ def _examples():
 
 def _model(activation):
     examples = _examples()
-    vocab = build_vocab([ex.incomplete for ex in examples]
-                        + [ex.complete for ex in examples if ex.complete])
+    vocab = build_vocab(sentences_of(examples))
     config = ModelConfig(
         encoder=EncoderConfig(hidden_size=12, seq_len=6, num_layers=1,
                               num_heads=2, ff_size=20,

@@ -19,14 +19,14 @@ import numpy as np
 import pytest
 
 from denoiseclf.checkpoint import save_checkpoint
-from denoiseclf.data import (PairedExample, make_dataset, split_corpus,
-                             synthetic_corpus)
+from denoiseclf.data import (PairedExample, make_dataset, sentences_of,
+                             split_corpus, synthetic_corpus)
 from denoiseclf.denoise import DenoiseConfig
 from denoiseclf.encoder import EncoderConfig
 from denoiseclf.model import ModelConfig, TextClassifier
 from denoiseclf.noise import NoiseSpec, corrupt_corpus
 from denoiseclf.tokenizer import build_vocab
-from denoiseclf.train import TrainConfig, train_phase1, train_phase2
+from denoiseclf.train import TrainConfig, fit
 
 # words from both replacement tables, so all five categories change text
 WORDS = ("please", "you", "your", "message", "people", "tomorrow", "thanks",
@@ -159,8 +159,7 @@ def checksum(values: np.ndarray) -> float:
 
 
 def trained_run():
-    vocab = build_vocab([s for ex in TRAINED_CORPUS
-                         for s in (ex.incomplete, ex.complete) if s])
+    vocab = build_vocab(sentences_of(TRAINED_CORPUS))
     config = ModelConfig(
         encoder=EncoderConfig(hidden_size=8, seq_len=6, num_layers=1,
                               num_heads=2, ff_size=12,
@@ -171,8 +170,7 @@ def trained_run():
     cfg = TrainConfig(phase1_epochs=4, phase1_lr=1e-2, phase2_epochs=3,
                       phase2_lr=2e-2, batch_size=3, seed=3,
                       aux_mse_weight=0.5)
-    curve = train_phase1(TRAINED_CORPUS[:6], model, cfg)
-    records = train_phase2(TRAINED_CORPUS, model, cfg)
+    curve, records = fit(TRAINED_CORPUS, model, cfg)
     probs, _ = model.predict([model.encode_sentence(ex.incomplete)
                               for ex in TRAINED_CORPUS])
     return {"phase1": curve, "phase2": [r["loss"] for r in records],

@@ -37,7 +37,8 @@ def full_row_logits(model, seqs):
         h = model.intermediate(seqs)
     else:
         h = refine(model.stack(model.intermediate(seqs)),
-                   field_rows(seqs, "attention_mask"), model.post)
+                   field_rows(seqs, "attention_mask"), model.post,
+                   model.config.encoder.num_heads)
     return T.affine(h[:, 0], model.head_w, model.head_b)
 
 

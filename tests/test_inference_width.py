@@ -10,13 +10,13 @@ import pytest
 
 from denoiseclf import encoder
 from denoiseclf import tensor as T
-from denoiseclf.data import PairedExample
+from denoiseclf.data import PairedExample, sentences_of
 from denoiseclf.denoise import DenoiseConfig
 from denoiseclf.encoder import EncoderConfig
 from denoiseclf.model import ModelConfig, TextClassifier
 from denoiseclf.tokenizer import build_vocab, encode, trim_to_longest
-from denoiseclf.train import (TrainConfig, cache_embeddings, phase2_loss,
-                              train_phase1, train_phase2)
+from denoiseclf.train import (TrainConfig, cache_embeddings, fit,
+                              phase2_loss)
 
 SEQ_LEN = 10
 PAIRS = [
@@ -35,9 +35,7 @@ TOL = 1e-12
 
 
 def trained_model(mode):
-    sentences = [ex.incomplete for ex in PAIRS] + \
-        [ex.complete for ex in PAIRS]
-    vocab = build_vocab(sentences)
+    vocab = build_vocab(sentences_of(PAIRS))
     cfg = ModelConfig(
         encoder=EncoderConfig(hidden_size=8, seq_len=SEQ_LEN, num_layers=1,
                               num_heads=2, ff_size=12,
@@ -47,9 +45,7 @@ def trained_model(mode):
     model = TextClassifier(cfg, vocab, seed=7)
     train_cfg = TrainConfig(phase1_epochs=3, phase2_epochs=3, phase2_lr=5e-3,
                             batch_size=4, seed=7, aux_mse_weight=0.5)
-    if mode == "stacked":
-        train_phase1(PAIRS, model, train_cfg)
-    train_phase2(PAIRS, model, train_cfg)
+    fit(PAIRS, model, train_cfg)
     return model
 
 

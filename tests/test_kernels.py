@@ -13,20 +13,11 @@ import numpy as np
 import pytest
 
 from denoiseclf import tensor as T
-from denoiseclf.data import PairedExample
-from denoiseclf.denoise import DenoiseConfig
-from denoiseclf.encoder import EncoderConfig
 from denoiseclf.errors import DimensionError
-from denoiseclf.model import ModelConfig, TextClassifier
 from denoiseclf.tensor import Tensor
-from denoiseclf.tokenizer import build_vocab
-from denoiseclf.train import TrainConfig, train_phase1, train_phase2
-
-
-def same_bits(a, b) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    return (a.shape == b.shape and a.dtype == b.dtype
-            and a.tobytes() == b.tobytes())
+from denoiseclf.train import fit
+# the gelu stack, its corpus and its training config that test_fused trains
+from test_fused import CFG, _examples, _model, same_bits
 
 
 # -- references: every branch of every element, by boolean mask -----------
@@ -254,27 +245,8 @@ def test_affine_rejects_incompatible_operands():
 # -- (d) training is the same with the fused op as with matmul + add -------
 
 def _train_gelu_stack():
-    pairs = [("good nite", "good night"), ("sweet dreamz", "sweet dreams"),
-             ("happy fun day", "happy fun day"), ("bad dya", "bad day"),
-             ("awful trubble", "awful trouble"),
-             ("hard work pain", "hard work pain"), ("nice nite", None),
-             ("sad day", None), ("fun fun", None)]
-    examples = [PairedExample(i % 2, inc, comp)
-                for i, (inc, comp) in enumerate(pairs)]
-    vocab = build_vocab([inc for inc, _ in pairs]
-                        + [comp for _, comp in pairs if comp])
-    config = ModelConfig(
-        encoder=EncoderConfig(hidden_size=12, seq_len=6, num_layers=1,
-                              num_heads=2, ff_size=20,
-                              vocab_size=len(vocab), num_classes=2),
-        denoise=DenoiseConfig(dims=(12, 8, 6, 4), activation="gelu"),
-        n_post=1)
-    model = TextClassifier(config, vocab, seed=3)
-    cfg = TrainConfig(phase1_epochs=4, phase1_lr=1e-2, phase2_epochs=3,
-                      phase2_lr=5e-3, batch_size=4, seed=1,
-                      aux_mse_weight=0.1)
-    train_phase1([ex for ex in examples if ex.complete], model, cfg)
-    train_phase2(examples, model, cfg)
+    model = _model("gelu")
+    fit(_examples(), model, CFG)
     return {name: p.values for name, p in model.named_parameters()}
 
 

@@ -8,14 +8,10 @@ from denoiseclf.tokenizer import (CLS_ID, PAD_ID, RESERVED, SEP_ID, UNK_ID,
 
 
 class TestBuildVocab:
-    def test_min_count_one(self):
-        vocab = build_vocab(["a b", "a"], min_count=1)
+    def test_every_word_kept(self):
+        vocab = build_vocab(["a b", "a"])
         assert set(vocab.token_to_id) - set(RESERVED) == {"a", "b"}
         assert len(vocab) == 6  # 2 words + 4 reserved
-
-    def test_min_count_two(self):
-        vocab = build_vocab(["a b", "a"], min_count=2)
-        assert set(vocab.token_to_id) - set(RESERVED) == {"a"}
 
     def test_empty_corpus(self):
         with pytest.raises(DataError):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from denoiseclf import train
-from denoiseclf.data import PairedExample
+from denoiseclf.data import PairedExample, sentences_of
 from denoiseclf.denoise import DenoiseConfig
 from denoiseclf.encoder import EncoderConfig
 from denoiseclf.errors import NonFiniteError
@@ -10,7 +10,7 @@ from denoiseclf.metrics import DataError
 from denoiseclf.model import ModelConfig, TextClassifier
 from denoiseclf.tensor import Adam, Tensor
 from denoiseclf.tokenizer import build_vocab
-from denoiseclf.train import (TrainConfig, cache_embeddings, evaluate,
+from denoiseclf.train import (TrainConfig, cache_embeddings, evaluate, fit,
                               train_phase1, train_phase2, warmup_linear)
 
 PAIRS = [
@@ -24,9 +24,7 @@ PAIRS = [
 
 
 def tiny_model(mode="stacked", seed=0):
-    sentences = [ex.incomplete for ex in PAIRS] + \
-        [ex.complete for ex in PAIRS]
-    vocab = build_vocab(sentences)
+    vocab = build_vocab(sentences_of(PAIRS))
     cfg = ModelConfig(
         encoder=EncoderConfig(hidden_size=8, seq_len=6, num_layers=1,
                               num_heads=2, ff_size=12,
@@ -195,8 +193,7 @@ class TestPhase2:
         cfg = TrainConfig(phase1_epochs=20, phase1_lr=5e-3,
                           phase2_epochs=60, phase2_lr=5e-3, batch_size=3,
                           seed=1)
-        train_phase1(PAIRS, model, cfg)
-        history = train_phase2(PAIRS, model, cfg)
+        _, history = fit(PAIRS, model, cfg)
         assert len(history) == 60
         assert history[-1]["loss"] < history[0]["loss"]
         cm = evaluate(PAIRS, model)
@@ -207,7 +204,8 @@ class TestPhase2:
         before = {name: p.values.copy()
                   for name, p in model.named_parameters()}
         cfg = TrainConfig(phase2_epochs=2, phase2_lr=1e-3, batch_size=3)
-        train_phase2(PAIRS, model, cfg)
+        curve, _ = fit(PAIRS, model, cfg)  # a baseline runs no phase 1
+        assert curve == []
         stack_or_post = [n for n in before
                          if n.startswith(("stack.", "post."))]
         for name in stack_or_post:
@@ -230,7 +228,10 @@ class TestPhase2:
         calls, log = logged_after_steps(monkeypatch)
         cfg = TrainConfig(phase2_epochs=3, phase2_lr=1e-3, batch_size=4,
                           warmup_proportion=0.5)
-        history = train_phase2(PAIRS, tiny_model(seed=6), cfg, log=log)
+        # a stacked model with no pairs runs no phase 1
+        unpaired = [PairedExample(ex.label, ex.incomplete) for ex in PAIRS]
+        curve, history = fit(unpaired, tiny_model(seed=6), cfg, log=log)
+        assert curve == []
         # 6 examples in batches of 4: 2 steps per epoch, 6 in all
         assert [steps for steps, _ in calls] == [2, 4, 6]
         records = [r for _, r in calls]
@@ -249,6 +250,16 @@ class TestPhase2:
         with pytest.raises(DataError):
             train_phase2([], tiny_model(), TrainConfig())
 
+    def test_fit_is_phase_1_on_the_pairs_then_phase_2(self):
+        data = PAIRS + [PairedExample(1, "late train again")]
+        cfg = TrainConfig(phase1_epochs=3, phase2_epochs=2, phase2_lr=1e-3,
+                          batch_size=4, aux_mse_weight=0.5)
+        model, ref = tiny_model(seed=3), tiny_model(seed=3)
+        assert fit(data, model, cfg) == (train_phase1(PAIRS, ref, cfg),
+                                         train_phase2(data, ref, cfg))
+        for (name, p), q in zip(model.named_parameters(), ref.parameters()):
+            assert p.values.tobytes() == q.values.tobytes(), name
+
     @pytest.mark.parametrize("aux", [0.0, 0.5])
     def test_each_sentence_is_encoded_once_per_call(self, aux, monkeypatch):
         # the complete sentences only when the aux term reads them
@@ -264,9 +275,8 @@ class TestPhase2:
         cfg = TrainConfig(phase2_epochs=3, phase2_lr=1e-3, batch_size=4,
                           aux_mse_weight=aux)
         train_phase2(PAIRS, model, cfg)
-        expected = [ex.incomplete for ex in PAIRS]
-        if aux:
-            expected += [ex.complete for ex in PAIRS]
+        expected = sentences_of(PAIRS) if aux else \
+            [ex.incomplete for ex in PAIRS]
         assert sorted(sentences) == sorted(expected)
 
     def test_determinism(self):
