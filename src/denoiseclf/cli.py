@@ -142,8 +142,9 @@ def cmd_prepare(args) -> int:
         clean = [(ex.label, ex.complete or ex.incomplete) for ex in rows]
     else:
         clean = synthetic_corpus(args.synthetic_per_class, seed=args.seed)
-    spec = _from_options(NoiseSpec, args,
-                         pool=sorted({w for _, s in clean for w in s.split()}))
+    # pool words are normalized tokens, as the words they replace are
+    spec = _from_options(NoiseSpec, args, pool=sorted(
+        {w for _, s in clean for w in normalize(s)}))
     train_clean, test_clean = split_corpus(clean, args.test_fraction,
                                            args.seed)
     manifest = make_dataset(train_clean, test_clean, spec, args.outdir)

@@ -59,6 +59,9 @@ def load_corpus(path: str | Path, split: str = "train",
         complete = parts[2] if len(parts) > 2 and parts[2] else None
         if split == "test":
             complete = None
+        if complete is not None and not normalize(complete):
+            raise ParseError(path, lineno, "complete sentence is empty "
+                             "after normalization")
         examples.append(PairedExample(label, incomplete, complete))
     return examples
 
@@ -89,19 +92,24 @@ def make_dataset(train_clean: list[tuple[int, str]],
     test split ships only the corrupted text. Emits ``train.tsv``,
     ``test.tsv`` and ``manifest.txt`` and returns the manifest mapping.
     """
-    all_sentences = [s for _, s in train_clean] + [s for _, s in test_clean]
+    # the clean corpus normalized once, for every pass and metric reading it
+    clean = [normalize(s) for _, s in train_clean + test_clean]
     if spec.target_wer is not None:
         # calibration's last pass is this dataset; it is not run again
-        spec, noisy, (pooled, mean) = calibrate(all_sentences, spec)
+        spec, noisy, (pooled, mean) = calibrate(clean, spec)
     else:
-        noisy = corrupt_corpus(all_sentences, spec)
-        pooled, mean = corpus_wer(all_sentences, noisy)
-    noisy_train = noisy[:len(train_clean)]
-    noisy_test = noisy[len(train_clean):]
-    train = [PairedExample(label, inc if normalize(inc) else clean, clean)
-             for (label, clean), inc in zip(train_clean, noisy_train)]
-    test = [PairedExample(label, inc if normalize(inc) else clean, None)
-            for (label, clean), inc in zip(test_clean, noisy_test)]
+        noisy = corrupt_corpus(clean, spec)
+        pooled, mean = corpus_wer(clean, noisy)
+    noisy_tokens = [normalize(s) for s in noisy]
+
+    def incomplete(i: int, sentence: str) -> str:
+        # a sentence the channel emptied keeps its clean text
+        return noisy[i] if noisy_tokens[i] else sentence
+
+    train = [PairedExample(label, incomplete(i, s), s)
+             for i, (label, s) in enumerate(train_clean)]
+    test = [PairedExample(label, incomplete(i, s), None)
+            for i, (label, s) in enumerate(test_clean, len(train_clean))]
     # made only now, so a spec or corpus rejected above leaves no outdir
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -116,7 +124,7 @@ def make_dataset(train_clean: list[tuple[int, str]],
         "p_casual": spec.p_casual,
         "wer_pooled": pooled,
         "wer_mean": mean,
-        "ibleu": ibleu(all_sentences, noisy),
+        "ibleu": ibleu(clean, noisy_tokens),
         "train_size": len(train),
         "test_size": len(test),
     }

@@ -2,8 +2,12 @@
 the end-to-end classification loss and for the two objectives the trainer
 optimizes, at tiny configurations.
 
-Central differences with h = 1e-5; an op passes when the max relative error
-against the analytic gradient is below 1e-4.
+Central differences D(h) with h = 1e-5; an op passes when the max relative
+error against the analytic gradient is below 1e-4. The one exception is
+the gelu chain's ``phase2_loss_gelu_richardson`` line: it uses the
+Richardson estimate ``(4·D(h/2) − D(h)) / 3`` at the same h. That estimate
+cancels D's O(h²) truncation error; on the gelu chain plain central
+differences read about 3e-3 and the Richardson estimate about 7e-6.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from .denoise import DenoiseConfig, DenoiseStack
 from .encoder import (EncoderConfig, EncoderParams, ParamTable,
                       self_attention, transformer_block)
 from .model import ModelConfig, TextClassifier
-from .tensor import Tensor, finite_difference_check
+from .tensor import Tensor, _max_rel_err, finite_difference_check
 from .tokenizer import build_vocab
 from .train import cache_embeddings, phase1_loss, phase2_loss
 
@@ -193,26 +197,46 @@ def run_end_to_end_check(seed: int = 2) -> CheckResult:
     return _check_op("end_to_end_loss", loss_fn, model.parameters())
 
 
+_OBJECTIVE_EXAMPLES = [PairedExample(0, "good nite", "good night"),
+                       PairedExample(1, "bad dya", "bad day"),
+                       PairedExample(2, "so so dy", "so so day"),
+                       PairedExample(1, "bad")]
+
+
+def _objective_model(activation: str | None, seed: int) -> TextClassifier:
+    vocab = build_vocab(sentences_of(_OBJECTIVE_EXAMPLES))
+    cfg = ModelConfig(
+        encoder=EncoderConfig(hidden_size=8, seq_len=6, num_layers=1,
+                              num_heads=2, ff_size=12,
+                              vocab_size=len(vocab), num_classes=3),
+        denoise=DenoiseConfig(dims=(8, 6, 4, 2), activation=activation),
+        n_post=1)
+    return TextClassifier(cfg, vocab, seed=seed)
+
+
+def _richardson(loss_at) -> float:
+    """``(4·D(h/2) − D(h)) / 3`` of the central difference D at h = STEP."""
+    def central(h):
+        return (loss_at(h) - loss_at(-h)) / (2.0 * h)
+    return (4.0 * central(STEP / 2) - central(STEP)) / 3.0
+
+
 def run_objective_checks(seed: int = 3) -> list[CheckResult]:
     """``phase1_loss`` and ``phase2_loss`` at H=8, L=6, 1+1 layers, on
     four examples of 1-3 words, so every row has pads, and the last one
     unpaired. ``_aux_loss`` holds its target, the complete sentences'
     encoding, constant; the aux line moves only parameters outside the
     encoder, which the target does not depend on, so finite differences
-    hold it fixed too, as training does."""
-    examples = [PairedExample(0, "good nite", "good night"),
-                PairedExample(1, "bad dya", "bad day"),
-                PairedExample(2, "so so dy", "so so day"),
-                PairedExample(1, "bad")]
-    vocab = build_vocab(sentences_of(examples))
-    cfg = ModelConfig(
-        encoder=EncoderConfig(hidden_size=8, seq_len=6, num_layers=1,
-                              num_heads=2, ff_size=12,
-                              vocab_size=len(vocab), num_classes=3),
-        denoise=DenoiseConfig(dims=(8, 6, 4, 2), activation="tanh"),
-        n_post=1)
-    model = TextClassifier(cfg, vocab, seed=seed)
+    hold it fixed too, as training does.
+
+    The first three lines use the tanh chain. ``phase2_loss`` is checked
+    again on the affine chain, the default, with central differences, and
+    on the gelu chain with the Richardson estimate."""
+    examples = _OBJECTIVE_EXAMPLES
+    model = _objective_model("tanh", seed)
     cached = cache_embeddings(examples[:3], model)
+    affine = _objective_model(None, seed)
+    gelu = _objective_model("gelu", seed)
     return [
         _check_op("phase1_loss",
                   lambda: phase1_loss(model, cached, np.arange(3)),
@@ -221,7 +245,13 @@ def run_objective_checks(seed: int = 3) -> list[CheckResult]:
                   lambda: phase2_loss(model, examples, 0.5),
                   model.params.under("stack.", "post.", "head.")),
         _check_op("phase2_loss", lambda: phase2_loss(model, examples, 0.0),
-                  model.parameters())]
+                  model.parameters()),
+        _check_op("phase2_loss_affine",
+                  lambda: phase2_loss(affine, examples, 0.0),
+                  affine.parameters()),
+        CheckResult("phase2_loss_gelu_richardson", _max_rel_err(
+            lambda: phase2_loss(gelu, examples, 0.0), gelu.parameters(),
+            _richardson))]
 
 
 def run_all(seed: int = 0) -> list[CheckResult]:

@@ -3,7 +3,8 @@ confusion-matrix based micro/macro precision, recall and F1.
 
 All functions are pure; word-level metrics share the tokenizer's
 normalization rule (lower-case, punctuation stripped, inner apostrophes
-kept).
+kept). The corpus metrics also take each sentence as its ``normalize``
+tokens, so a caller scoring one corpus many times normalizes it once.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, UndefinedReferenceError
-from .tokenizer import normalize
+from .tokenizer import as_tokens, normalize
 
 
 # -- word error rate --------------------------------------------------------
@@ -63,7 +64,8 @@ def wer(reference: str, hypothesis: str) -> float:
     return edit_distance(ref, normalize(hypothesis)) / len(ref)
 
 
-def corpus_wer(references: list[str], hypotheses: list[str]) -> tuple[float, float]:
+def corpus_wer(references: list[str | list[str]],
+               hypotheses: list[str | list[str]]) -> tuple[float, float]:
     """Pooled WER (total edits / total reference words) and per-sentence mean."""
     if len(references) != len(hypotheses):
         raise DataError(
@@ -71,11 +73,12 @@ def corpus_wer(references: list[str], hypotheses: list[str]) -> tuple[float, flo
     if not references:
         raise DataError("empty corpus")
     edits, words, per_sentence = 0, 0, []
-    for ref, hyp in zip(references, hypotheses):
-        toks = normalize(ref)
+    for i, (ref, hyp) in enumerate(zip(references, hypotheses)):
+        toks = as_tokens(ref)
         if not toks:
-            raise UndefinedReferenceError(f"empty reference {ref!r}")
-        d = edit_distance(toks, normalize(hyp))
+            raise UndefinedReferenceError(
+                f"empty reference {ref!r} at position {i}")
+        d = edit_distance(toks, as_tokens(hyp))
         edits += d
         words += len(toks)
         per_sentence.append(d / len(toks))
@@ -91,7 +94,8 @@ def _ngram_counts(tokens: list[str], max_n: int) -> Counter:
                    for i in range(len(tokens) - n + 1))
 
 
-def bleu(references: list[str], hypotheses: list[str], max_n: int = 4) -> float:
+def bleu(references: list[str | list[str]],
+         hypotheses: list[str | list[str]], max_n: int = 4) -> float:
     """Corpus-level BLEU with modified n-gram precision and brevity penalty.
 
     A zero match count at order n >= 2 is smoothed to 1 only when no
@@ -103,8 +107,8 @@ def bleu(references: list[str], hypotheses: list[str], max_n: int = 4) -> float:
             f"{len(references)} references vs {len(hypotheses)} hypotheses")
     if not references:
         raise DataError("empty corpus")
-    refs = [normalize(r) for r in references]
-    hyps = [normalize(h) for h in hypotheses]
+    refs = [as_tokens(r) for r in references]
+    hyps = [as_tokens(h) for h in hypotheses]
     hyp_len = sum(len(h) for h in hyps)
     ref_len = sum(len(r) for r in refs)
     if hyp_len == 0:
@@ -134,7 +138,8 @@ def bleu(references: list[str], hypotheses: list[str], max_n: int = 4) -> float:
     return bp * math.exp(log_sum)
 
 
-def ibleu(references: list[str], hypotheses: list[str]) -> float:
+def ibleu(references: list[str | list[str]],
+          hypotheses: list[str | list[str]]) -> float:
     """Inverted BLEU: 1 - BLEU. Higher means noisier."""
     return 1.0 - bleu(references, hypotheses)
 

@@ -7,7 +7,8 @@ replacement, or casual-spelling replacement. The channel is a pure function
 of (sentence, spec, position in corpus), so regenerating a corpus is
 byte-identical under a fixed seed. ``calibrate`` scales the destructive
 probabilities by bisection until a corpus hits a target word error rate; it
-seeds each sentence's generator once and replays that stream on every pass.
+normalizes the corpus and seeds each sentence's generator once, and replays
+those tokens and that stream on every pass.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import CalibrationError, check_fields
 from .metrics import corpus_wer
-from .tokenizer import normalize
+from .tokenizer import as_tokens, normalize
 
 # Built-in replacement tables mirroring common informal-text mistakes:
 # abbreviations and casual pronunciation spellings.
@@ -97,13 +98,76 @@ class NoiseSpec:
         return positions
 
 
+# the constants of numpy's SeedSequence hash (``bit_generator.pyx``), whose
+# output NEP 19 keeps stable, and PCG64's 128-bit LCG multiplier
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_WORDS = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _uint32_words(n: int) -> list[int]:
+    """``n`` as SeedSequence reads an int: 32-bit words, least first."""
+    if n < 0:
+        raise ValueError(f"expected non-negative integer, got {n}")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
 def _start_states(spec: NoiseSpec, n: int) -> list[tuple[int, int]]:
     """The PCG64 ``(state, inc)`` pair that ``default_rng((spec.seed, i))``
-    starts from, for each sentence index ``i < n``."""
+    starts from, for each sentence index ``i < n``.
+
+    One pass over uint32 vectors, one lane per sentence, runs
+    ``SeedSequence((spec.seed, i)).generate_state(4, np.uint64)``: hash the
+    entropy words ``[seed words..., i]`` into a 4-word pool, mix the pool,
+    hash it out to 8 words. PCG64's set-seed step then runs on Python ints.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        value = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return value ^ (value >> np.uint32(16))
+
+    entropy = [np.full(n, w, dtype=np.uint32) for w in _uint32_words(spec.seed)]
+    entropy.append(np.arange(n, dtype=np.uint32))
+    # a pool word with no entropy word left hashes a zero
+    entropy += [np.zeros(n, dtype=np.uint32)] * (_POOL_WORDS - len(entropy))
+    pool = [hashmix(word) for word in entropy[:_POOL_WORDS]]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = _INIT_B
+    out = []
+    for i in range(8):
+        value = pool[i % _POOL_WORDS] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        out.append(value ^ (value >> np.uint32(16)))
+    # the 8 words read as 4 little-endian uint64: seed hi, lo, inc hi, lo
+    words = np.stack(out, axis=1).astype(np.uint64)
+    seeds = (words[:, 0::2] | words[:, 1::2] << np.uint64(32)).tolist()
     starts = []
-    for i in range(n):
-        pcg = np.random.default_rng((spec.seed, i)).bit_generator.state
-        starts.append((pcg["state"]["state"], pcg["state"]["inc"]))
+    for seed_hi, seed_lo, inc_hi, inc_lo in seeds:
+        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK128
+        starts.append((state, inc))
     return starts
 
 
@@ -161,13 +225,14 @@ def corrupt(sentence: str, spec: NoiseSpec, index: int = 0) -> str:
                            np.random.default_rng((spec.seed, index)))
 
 
-def corrupt_corpus(sentences: list[str], spec: NoiseSpec,
+def corrupt_corpus(sentences: list[str | list[str]], spec: NoiseSpec,
                    starts: list[tuple[int, int]] | None = None) -> list[str]:
     """``corrupt(s, spec, i)`` for each sentence ``s`` at position ``i``.
 
-    ``starts`` are ``_start_states(spec, len(sentences))``, which depend
-    only on ``spec.seed``; a caller corrupting one corpus many times passes
-    them so each generator is seeded once. One generator is reset to each
+    A sentence may be given as its ``normalize`` tokens. ``starts`` are
+    ``_start_states(spec, len(sentences))``, which depend only on
+    ``spec.seed``; a caller corrupting one corpus many times passes them
+    so each generator is seeded once. One generator is reset to each
     sentence's start, which replays a fresh generator's stream bit for bit.
     """
     if starts is None:
@@ -179,7 +244,7 @@ def corrupt_corpus(sentences: list[str], spec: NoiseSpec,
         pcg.state = {"bit_generator": "PCG64",
                      "state": {"state": state, "inc": inc},
                      "has_uint32": 0, "uinteger": 0}
-        noisy.append(_corrupt_tokens(normalize(sentence), spec, rng))
+        noisy.append(_corrupt_tokens(as_tokens(sentence), spec, rng))
     return noisy
 
 
@@ -199,16 +264,18 @@ class Calibration(NamedTuple):
     wer: tuple[float, float]
 
 
-def calibrate(corpus: list[str], spec: NoiseSpec) -> Calibration:
+def calibrate(corpus: list[str | list[str]], spec: NoiseSpec) -> Calibration:
     """Scale deletion/substitution probabilities by bisection until the
     corrupted corpus's pooled WER is within ``WER_TOLERANCE`` of the target,
     in at most ``MAX_BISECTIONS`` passes after the first.
 
-    Each pass is one ``corrupt_corpus`` and one ``corpus_wer``; the last
-    pass is returned with its spec, so the caller need not repeat it."""
+    Each pass is one ``corrupt_corpus`` and one ``corpus_wer`` on the
+    corpus's tokens, normalized once; the last pass is returned with its
+    spec, so the caller need not repeat it."""
     target = spec.target_wer
     if target is None or not (0.0 < target <= 2.0):
         raise ValueError(f"target WER must lie in (0, 2], got {target}")
+    corpus = [as_tokens(s) for s in corpus]
 
     # the scaled specs keep spec.seed, so every pass replays these starts
     starts = _start_states(spec, len(corpus))

@@ -741,10 +741,20 @@ class Adam:
 def finite_difference_check(loss_fn: Callable[[], Tensor],
                             params: Sequence[Tensor],
                             h: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
+    """Max relative error between analytic and central-difference gradients,
+    ``D(h) = (L(x + h) - L(x - h)) / 2h`` per element.
 
     ``loss_fn`` must rebuild the graph from ``params`` on every call.
     """
+    return _max_rel_err(loss_fn, params,
+                        lambda loss_at: (loss_at(h) - loss_at(-h)) / (2.0 * h))
+
+
+def _max_rel_err(loss_fn: Callable[[], Tensor], params: Sequence[Tensor],
+                 estimate: Callable[[Callable[[float], float]], float]) -> float:
+    """Max relative error between the analytic gradient and ``estimate``,
+    which returns one element's numeric derivative from ``loss_at(d)``, the
+    loss with that element moved by ``d``."""
     loss = loss_fn()
     for p in params:
         p.grad = None
@@ -756,13 +766,14 @@ def finite_difference_check(loss_fn: Callable[[], Tensor],
         flat = p.values.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            with no_grad():
-                flat[i] = orig + h
-                hi = float(loss_fn().values)
-                flat[i] = orig - h
-                lo = float(loss_fn().values)
+
+            def loss_at(d: float) -> float:
+                flat[i] = orig + d
+                with no_grad():
+                    return float(loss_fn().values)
+
+            num = estimate(loss_at)
             flat[i] = orig
-            num = (hi - lo) / (2.0 * h)
             a = ana.reshape(-1)[i]
             # floor the denominator so double-precision FD noise on near-zero
             # gradients does not register as relative error

@@ -29,6 +29,12 @@ def normalize(sentence: str) -> list[str]:
     return _TOKEN_RE.findall(sentence.lower())
 
 
+def as_tokens(sentence: str | list[str]) -> list[str]:
+    """``normalize(sentence)``, or the sentence itself when it is already
+    a token list, so a corpus read many times is normalized once."""
+    return sentence if isinstance(sentence, list) else normalize(sentence)
+
+
 @dataclass
 class Vocabulary:
     token_to_id: dict[str, int] = field(default_factory=dict)

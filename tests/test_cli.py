@@ -18,6 +18,7 @@ from denoiseclf import cli
 from denoiseclf.checkpoint import load_checkpoint
 from denoiseclf.cli import main
 from denoiseclf.data import load_corpus, parse_config
+from denoiseclf.tokenizer import normalize
 
 PREPARE = ["prepare", "--target-wer", "0.25", "--synthetic-per-class", "20",
            "--seed", "3"]
@@ -66,6 +67,22 @@ class TestPrepare:
         assert main(["prepare", "--input", str(src), "--outdir", str(out),
                      "--target-wer", "0.3", "--seed", "1"]) == 0
         assert (out / "train.tsv").exists()
+        # mixed case and punctuation: the substitution pool holds normalized
+        # words, so every token is replaced by another word, never by
+        # itself in another form or with punctuation attached
+        src.write_text("0\tThe cat sat.\n1\tThe Cat sat!\n"
+                       "0\tDogs run, cats sit.\n" * 4)
+        out = tmp_path / "out-mixed"
+        assert main(["prepare", "--input", str(src), "--outdir", str(out),
+                     "--p-substitute", "1", "--p-delete", "0",
+                     "--p-repeat", "0", "--p-abbreviate", "0",
+                     "--p-casual", "0", "--seed", "1"]) == 0
+        rows = load_corpus(out / "train.tsv")
+        assert rows
+        for ex in rows:
+            assert ex.incomplete == " ".join(normalize(ex.incomplete))
+            assert all(a != b for a, b in zip(
+                ex.incomplete.split(), normalize(ex.complete), strict=True))
 
     def test_unreachable_target_exit_code(self, tmp_path):
         assert main(["prepare", "--target-wer", "1.9",
@@ -419,6 +436,8 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         lines = [l for l in out.splitlines() if l.startswith("PASS")]
         assert len(lines) >= 12
+        names = {l.split()[1] for l in lines}
+        assert {"phase2_loss_affine:", "phase2_loss_gelu_richardson:"} <= names
         assert not any(l.startswith("FAIL") for l in out.splitlines())
 
     def test_config_file_seed_and_flag_precedence(self, tmp_path,

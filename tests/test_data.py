@@ -55,6 +55,14 @@ class TestLoadCorpus:
         with pytest.raises(ParseError, match="empty"):
             load_corpus(path)
 
+    def test_empty_complete_sentence_rejected(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        path.write_text("0\tok fine\n0\tok fine\t?!\n")
+        with pytest.raises(ParseError, match=":2: complete sentence is empty"):
+            load_corpus(path)
+        # a test split drops the column unread
+        assert load_corpus(path, split="test")[1].complete is None
+
     def test_invalid_split(self, tmp_path):
         path = tmp_path / "c.tsv"
         path.write_text("0\tok fine\n")

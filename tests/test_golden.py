@@ -63,13 +63,28 @@ DATASET_DIGESTS = {
         "test.tsv": "7fd19863af3b1a9efae4c53a8d9c5b9b9753a058a3baa43ef6552215269b3e4d",
         "manifest.txt": "6380b22ce995ee6467ed2b07b66fc38f66fae9578d29bf57c10c794d7048c76a",
     },
+    # the prepare benchmark workload's dataset at seed 101
+    "prepare": {
+        "train.tsv": "5c27c81ed67100d2a515191e459f00a06c1c8ba5f6f0909248438062b12aa763",
+        "test.tsv": "965dc82f1ab4e67948e4ebbe383b1e3c5932ed90769b4dc7c3e0414899b63dfb",
+        "manifest.txt": "e870b5fc1ba4ba77813d2b11ec48fa38ba04908fe03ad4a3ebbe65ed3339f046",
+    },
 }
 
 
 @pytest.mark.parametrize("case", sorted(DATASET_DIGESTS))
 def test_make_dataset_files(case, tmp_path):
-    spec = all_kinds_spec(target_wer=0.3 if case == "target" else None)
-    train, test = split_corpus(labeled_corpus(), 0.25, 4)
+    if case == "prepare":
+        corpus = synthetic_corpus(500, 3, 101)
+        spec = NoiseSpec(p_delete=0.1, p_substitute=0.1, p_repeat=0.02,
+                         p_abbreviate=0.05, p_casual=0.05,
+                         pool=tuple(sorted({w for _, s in corpus
+                                            for w in s.split()})),
+                         seed=101, target_wer=0.35)
+        train, test = split_corpus(corpus, 0.25, 101)
+    else:
+        spec = all_kinds_spec(target_wer=0.3 if case == "target" else None)
+        train, test = split_corpus(labeled_corpus(), 0.25, 4)
     make_dataset(train, test, spec, tmp_path)
     got = {name: sha256((tmp_path / name).read_bytes())
            for name in DATASET_DIGESTS[case]}

@@ -1,7 +1,8 @@
 """The fast paths of ``prepare`` against the code they replace: ``bleu``
-counting every n-gram order in one pass against the per-order loop, and
+counting every n-gram order in one pass against the per-order loop,
 ``corrupt_corpus`` replaying saved generator starts against one fresh
-generator per sentence."""
+generator per sentence, the start states computed in one vectorized pass
+against ``default_rng``, and the clean corpus normalized once per dataset."""
 
 import math
 from collections import Counter
@@ -9,8 +10,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from denoiseclf import noise
-from denoiseclf.metrics import bleu
+from denoiseclf import data, metrics, noise, tokenizer
+from denoiseclf.data import make_dataset, split_corpus, synthetic_corpus
+from denoiseclf.metrics import bleu, corpus_wer
 from denoiseclf.noise import (NoiseSpec, _start_states, calibrate, corrupt,
                               corrupt_corpus)
 from denoiseclf.tokenizer import normalize
@@ -121,27 +123,88 @@ class TestCorruptCorpusReplay:
             corrupt_corpus(["a b", "c d"], spec, _start_states(spec, 1))
 
 
-def test_calibrate_seeds_each_sentence_once(monkeypatch):
+class TestStartStates:
+    @pytest.mark.parametrize("n", [0, 1, 600])
+    @pytest.mark.parametrize("seed", [0, 7, 101, 2**32 - 1, 2**32,
+                                      2**64 + 3, 2**128 + 9])
+    def test_match_default_rng(self, seed, n):
+        want = []
+        for i in range(n):
+            pcg = np.random.default_rng((seed, i)).bit_generator.state
+            want.append((pcg["state"]["state"], pcg["state"]["inc"]))
+        assert _start_states(NoiseSpec(seed=seed), n) == want
+
+    def test_negative_seed_is_refused(self):
+        with pytest.raises(ValueError):
+            np.random.default_rng((-1, 0))
+        with pytest.raises(ValueError):
+            _start_states(NoiseSpec(seed=-1), 3)
+
+
+def _counting(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that records each call's
+    positional arguments; returns the record."""
     calls = []
-    default_rng = np.random.default_rng
+    real = getattr(module, name)
 
-    def counting(*args, **kwargs):
+    def wrapper(*args, **kwargs):
         calls.append(args)
-        return default_rng(*args, **kwargs)
+        return real(*args, **kwargs)
 
-    passes = []
-    real_corrupt_corpus = noise.corrupt_corpus
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
 
-    def counting_corrupt_corpus(*args, **kwargs):
-        passes.append(args[1])
-        return real_corrupt_corpus(*args, **kwargs)
 
-    monkeypatch.setattr(np.random, "default_rng", counting)
-    monkeypatch.setattr(noise, "corrupt_corpus", counting_corrupt_corpus)
-    rng = default_rng(5)
-    corpus = random_corpus(rng, 50, 3, 9)
+def test_calibrate_seeds_each_sentence_once(monkeypatch):
+    seedings = _counting(monkeypatch, noise, "_start_states")
+    passes = _counting(monkeypatch, noise, "corrupt_corpus")
+    corpus = random_corpus(np.random.default_rng(5), 50, 3, 9)
     spec = NoiseSpec(p_delete=0.1, p_substitute=0.1, pool=WORDS, seed=7,
                      target_wer=0.3)
     calibrate(corpus, spec)
     assert len(passes) >= 3
-    assert calls == [((7, i),) for i in range(len(corpus))]
+    assert [(s.seed, n) for s, n in seedings] == [(7, len(corpus))]
+
+
+def test_make_dataset_normalizes_each_clean_sentence_once(monkeypatch,
+                                                          tmp_path):
+    corpus = synthetic_corpus(20, 3, 5)
+    train, test = split_corpus(corpus, 0.25, 5)
+    spec = NoiseSpec(p_delete=0.1, p_substitute=0.1, p_repeat=0.02,
+                     p_abbreviate=0.05, p_casual=0.05,
+                     pool=tuple(sorted({w for _, s in corpus
+                                        for w in s.split()})),
+                     seed=5, target_wer=0.35)
+    clean = {id(s): s for _, s in train + test}
+    assert len(clean) == len(corpus)
+    # every module that calls normalize by its own name
+    calls = [_counting(monkeypatch, module, "normalize")
+             for module in (tokenizer, noise, metrics, data)]
+    passes = _counting(monkeypatch, noise, "corrupt_corpus")
+    make_dataset(train, test, spec, tmp_path)
+    assert len(passes) >= 3
+    counts = Counter(id(args[0]) for record in calls for args in record)
+    assert [counts[i] for i in clean] == [1] * len(clean)
+
+
+class TestTokenInputs:
+    """A sentence given as its ``normalize`` tokens scores and corrupts as
+    the sentence itself does."""
+
+    def test_corpus_metrics(self):
+        rng = np.random.default_rng(3)
+        refs = random_corpus(rng, 30, 1, 9) + ["The cat, sat!"]
+        hyps = random_corpus(rng, 30, 0, 9) + ["the CAT sat"]
+        ref_tokens = [normalize(s) for s in refs]
+        hyp_tokens = [normalize(s) for s in hyps]
+        assert corpus_wer(ref_tokens, hyp_tokens) == corpus_wer(refs, hyps)
+        assert corpus_wer(ref_tokens, hyps) == corpus_wer(refs, hyps)
+        assert bleu(ref_tokens, hyp_tokens) == bleu(refs, hyps)
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_corrupt_corpus(self, name):
+        corpus = random_corpus(np.random.default_rng(4), 30, 0, 9)
+        corpus += ["The Cat sat.", "?!"]
+        tokens = [normalize(s) for s in corpus]
+        assert corrupt_corpus(tokens, SPECS[name]) == \
+            corrupt_corpus(corpus, SPECS[name])
