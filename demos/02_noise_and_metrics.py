@@ -12,7 +12,7 @@ from denoiseclf.metrics import (ConfusionMatrix, corpus_wer, ibleu,
                                 macro_scores, micro_scores, normalize_matrix,
                                 wer)
 from denoiseclf.noise import (NoiseSpec, calibrate, corrupt,
-                              load_stt_fixture_pairs)
+                              load_stt_fixture_pairs, pool_of)
 
 # ---------------------------------------------------------------------------
 # 1. One sentence through each corruption category
@@ -32,9 +32,8 @@ for name, spec in [
 # ---------------------------------------------------------------------------
 print("\n== calibration to WER 0.25 ==")
 corpus = [s for _, s in synthetic_corpus(40, num_classes=2, seed=0)]
-pool = tuple(sorted({w for s in corpus for w in s.split()}))
-spec = NoiseSpec(p_delete=0.1, p_substitute=0.1, pool=pool, seed=0,
-                 target_wer=0.25)
+spec = NoiseSpec(p_delete=0.1, p_substitute=0.1, pool=pool_of(corpus),
+                 seed=0, target_wer=0.25)
 # the last bisection pass comes back with the spec: its corpus and WER
 calibrated, noisy, (pooled, mean) = calibrate(corpus, spec)
 print(f"  calibrated p_delete={calibrated.p_delete:.3f} "

@@ -16,7 +16,7 @@ from denoiseclf.denoise import DenoiseConfig
 from denoiseclf.encoder import EncoderConfig
 from denoiseclf.metrics import macro_scores, micro_scores
 from denoiseclf.model import ModelConfig, TextClassifier
-from denoiseclf.noise import NoiseSpec
+from denoiseclf.noise import NoiseSpec, pool_of
 from denoiseclf.tokenizer import build_vocab
 from denoiseclf.train import TrainConfig, evaluate, fit
 
@@ -26,9 +26,8 @@ from denoiseclf.train import TrainConfig, evaluate, fit
 out = Path(tempfile.mkdtemp())
 corpus = synthetic_corpus(50, num_classes=2, seed=7)
 train_clean, test_clean = split_corpus(corpus, test_fraction=0.3, seed=7)
-pool = tuple(sorted({w for _, s in corpus for w in s.split()}))
-spec = NoiseSpec(p_delete=0.1, p_substitute=0.1, pool=pool, seed=7,
-                 target_wer=0.30)
+spec = NoiseSpec(p_delete=0.1, p_substitute=0.1,
+                 pool=pool_of(s for _, s in corpus), seed=7, target_wer=0.30)
 manifest = make_dataset(train_clean, test_clean, spec, out)
 print(f"dataset written to {out}")
 print(f"  pooled WER {manifest['wer_pooled']:.3f}, "

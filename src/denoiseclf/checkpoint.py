@@ -23,11 +23,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import atomic_write_bytes
 from .denoise import DenoiseConfig
 from .encoder import EncoderConfig
 from .errors import (CheckpointError, CorruptionError,  # noqa: F401
                      MigrationError, NonFiniteError)
-from .fileio import atomic_write_bytes
 from .model import ModelConfig, TextClassifier
 from .tokenizer import Vocabulary
 

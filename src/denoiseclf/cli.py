@@ -30,7 +30,7 @@ from .errors import (CalibrationError, CheckpointError, ConfigError,
 from .gradcheck import run_all
 from .metrics import ConfusionMatrix, MetricsReport
 from .model import MODES, ModelConfig, TextClassifier
-from .noise import NoiseSpec
+from .noise import NoiseSpec, pool_of
 from .tokenizer import build_vocab, normalize
 from .train import TrainConfig, evaluate, fit
 
@@ -142,9 +142,7 @@ def cmd_prepare(args) -> int:
         clean = [(ex.label, ex.complete or ex.incomplete) for ex in rows]
     else:
         clean = synthetic_corpus(args.synthetic_per_class, seed=args.seed)
-    # pool words are normalized tokens, as the words they replace are
-    spec = _from_options(NoiseSpec, args, pool=sorted(
-        {w for _, s in clean for w in normalize(s)}))
+    spec = _from_options(NoiseSpec, args, pool=pool_of(s for _, s in clean))
     train_clean, test_clean = split_corpus(clean, args.test_fraction,
                                            args.seed)
     manifest = make_dataset(train_clean, test_clean, spec, args.outdir)

@@ -1,6 +1,8 @@
 """Corpus ingestion and emission: TSV paired corpora, noisy-dataset
-generation with a manifest, flat key=value config files, and a synthetic
-labeled-corpus generator for experiments.
+generation with a manifest, flat key=value config files, a synthetic
+labeled-corpus generator for experiments, and the package's one writer of
+files (``atomic_write_text``/``atomic_write_bytes``: temp file, then rename),
+which ``checkpoint`` imports from here.
 
 Corpus files are UTF-8 TSV: ``label<TAB>incomplete<TAB>complete``. Test
 splits omit (or leave empty) the complete column, and the loader drops it
@@ -9,13 +11,14 @@ structurally so no evaluation path can read it.
 
 from __future__ import annotations
 
+import os
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError, LabelError, ParseError
-from .fileio import atomic_write_bytes, atomic_write_text  # noqa: F401
 from .metrics import corpus_wer, ibleu
 from .noise import NoiseSpec, calibrate, corrupt_corpus
 from .tokenizer import normalize
@@ -83,6 +86,33 @@ def save_corpus(examples: list[PairedExample], path: str | Path) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` as UTF-8 via a temp file, then rename."""
+    _atomic_write(path, text.encode("utf-8"))
+
+
+def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
+    """Write ``payload`` via a temp file, then rename."""
+    _atomic_write(path, payload)
+
+
+def _atomic_write(path: str | Path, payload: bytes) -> None:
+    """Write to a temp file in ``path``'s directory, then rename it over
+    ``path``, so a reader sees the old file or the new one, never a part.
+    The public writers call this body, not each other, so wrapping either
+    by name (as ``perfbench/tracer.py`` does) sees each write once."""
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def make_dataset(train_clean: list[tuple[int, str]],
                  test_clean: list[tuple[int, str]],
                  spec: NoiseSpec, out_dir: str | Path) -> dict:
@@ -101,15 +131,15 @@ def make_dataset(train_clean: list[tuple[int, str]],
         noisy = corrupt_corpus(clean, spec)
         pooled, mean = corpus_wer(clean, noisy)
     noisy_tokens = [normalize(s) for s in noisy]
-
-    def incomplete(i: int, sentence: str) -> str:
-        # a sentence the channel emptied keeps its clean text
-        return noisy[i] if noisy_tokens[i] else sentence
-
-    train = [PairedExample(label, incomplete(i, s), s)
+    emptied = [i for i, tokens in enumerate(noisy_tokens) if not tokens]
+    for i in emptied:  # a sentence the channel emptied is written clean
+        noisy[i], noisy_tokens[i] = " ".join(clean[i]), clean[i]
+    if emptied:  # the manifest scores the corpus as written
+        pooled, mean = corpus_wer(clean, noisy_tokens)
+    train = [PairedExample(label, noisy[i], s)
              for i, (label, s) in enumerate(train_clean)]
-    test = [PairedExample(label, incomplete(i, s), None)
-            for i, (label, s) in enumerate(test_clean, len(train_clean))]
+    test = [PairedExample(label, noisy[i], None)
+            for i, (label, _) in enumerate(test_clean, len(train_clean))]
     # made only now, so a spec or corpus rejected above leaves no outdir
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -3,8 +3,10 @@ and informal-typing noise.
 
 Each token of a normalized sentence independently draws one corruption
 category: deletion, substitution, repeated-letter stretching, abbreviation
-replacement, or casual-spelling replacement. The channel is a pure function
-of (sentence, spec, position in corpus), so regenerating a corpus is
+replacement, or casual-spelling replacement. A substitution is a uniform
+pick from the spec's pool (``pool_of`` the clean corpus), or the token
+itself when the pool is empty. The channel is a pure function of
+(sentence, spec, position in corpus), so regenerating a corpus is
 byte-identical under a fixed seed. ``calibrate`` scales the destructive
 probabilities by bisection until a corpus hits a target word error rate; it
 normalizes the corpus and seeds each sentence's generator once, and replays
@@ -14,7 +16,7 @@ those tokens and that stream on every pass.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate
 from pathlib import Path
@@ -66,8 +68,6 @@ class NoiseSpec:
     p_repeat: float = 0.0
     p_abbreviate: float = 0.0
     p_casual: float = 0.0
-    substitution_policy: str = "pool"  # "pool" or "table"
-    substitution_table: dict[str, str] = field(default_factory=dict)
     pool: tuple[str, ...] = ()
     seed: int = 0
     target_wer: float | None = None
@@ -80,9 +80,6 @@ class NoiseSpec:
         if sum(probs) > 1.0 + 1e-12:
             raise ValueError(
                 f"category probabilities sum to {sum(probs):.3f} > 1")
-        if self.substitution_policy not in ("pool", "table"):
-            raise ValueError(
-                f"unknown substitution policy {self.substitution_policy!r}")
 
     def probabilities(self) -> tuple[float, ...]:
         return (self.p_delete, self.p_substitute, self.p_repeat,
@@ -96,6 +93,12 @@ class NoiseSpec:
         for i, w in enumerate(self.pool):
             positions.setdefault(w, []).append(i)
         return positions
+
+
+def pool_of(sentences) -> tuple[str, ...]:
+    """The substitution pool of ``sentences``: their ``normalize`` words,
+    the form of the tokens a substitution replaces, each once, sorted."""
+    return tuple(sorted({w for s in sentences for w in normalize(s)}))
 
 
 # the constants of numpy's SeedSequence hash (``bit_generator.pyx``), whose
@@ -198,12 +201,7 @@ def _corrupt_tokens(tokens: list[str], spec: NoiseSpec,
         if category == 0:  # deletion
             continue
         if category == 1:  # substitution
-            if spec.substitution_policy == "table":
-                out.append(spec.substitution_table.get(token, token))
-            elif spec.pool:
-                out.append(_substitute(spec, token, rng))
-            else:
-                out.append(token)
+            out.append(_substitute(spec, token, rng) if spec.pool else token)
         elif category == 2:  # repeated-letter stretching
             out.append(token + token[-1] * int(rng.integers(2, 6)))
         elif category == 3:

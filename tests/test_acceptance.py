@@ -27,7 +27,8 @@ from denoiseclf.metrics import (ConfusionMatrix, bleu, corpus_wer,
                                 edit_distance, ibleu, macro_scores,
                                 micro_scores, wer)
 from denoiseclf.model import ModelConfig, TextClassifier
-from denoiseclf.noise import NoiseSpec, corrupt, load_stt_fixture_pairs
+from denoiseclf.noise import (NoiseSpec, corrupt, load_stt_fixture_pairs,
+                              pool_of)
 from denoiseclf.tensor import Tensor
 from denoiseclf.tokenizer import build_vocab
 from denoiseclf.train import (TrainConfig, evaluate, train_phase1,
@@ -74,8 +75,8 @@ def test_criterion_2_reference_scale_shapes():
 
 def test_criterion_3_denoising_convergence():
     corpus = synthetic_corpus(100, num_classes=2, seed=0)[:200]
-    pool = tuple(sorted({w for _, s in corpus for w in s.split()}))
-    spec = NoiseSpec(p_delete=0.15, p_substitute=0.15, pool=pool, seed=0)
+    spec = NoiseSpec(p_delete=0.15, p_substitute=0.15,
+                     pool=pool_of(s for _, s in corpus), seed=0)
     pairs = [PairedExample(label, corrupt(s, spec, i) or s, s)
              for i, (label, s) in enumerate(corpus)]
     vocab = build_vocab(sentences_of(pairs))
@@ -110,8 +111,8 @@ def test_criterion_3_denoising_convergence():
 def _noisy_dataset(target_wer: float, seed: int, out_dir):
     corpus = synthetic_corpus(70, num_classes=2, seed=seed)
     train_clean, test_clean = split_corpus(corpus, 0.4, seed)
-    pool = tuple(sorted({w for _, s in corpus for w in s.split()}))
-    spec = NoiseSpec(p_delete=0.1, p_substitute=0.1, pool=pool, seed=seed,
+    spec = NoiseSpec(p_delete=0.1, p_substitute=0.1,
+                     pool=pool_of(s for _, s in corpus), seed=seed,
                      target_wer=target_wer)
     manifest = make_dataset(train_clean, test_clean, spec, out_dir)
     return (load_corpus(out_dir / "train.tsv", split="train"),

@@ -6,6 +6,7 @@ import gc
 import hashlib
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -17,7 +18,8 @@ import pytest
 from denoiseclf import cli
 from denoiseclf.checkpoint import load_checkpoint
 from denoiseclf.cli import main
-from denoiseclf.data import load_corpus, parse_config
+from denoiseclf.data import load_corpus, make_dataset, parse_config
+from denoiseclf.noise import pool_of
 from denoiseclf.tokenizer import normalize
 
 PREPARE = ["prepare", "--target-wer", "0.25", "--synthetic-per-class", "20",
@@ -83,6 +85,48 @@ class TestPrepare:
             assert ex.incomplete == " ".join(normalize(ex.incomplete))
             assert all(a != b for a, b in zip(
                 ex.incomplete.split(), normalize(ex.complete), strict=True))
+
+    def test_input_pool_is_pool_of_the_clean_column(self, tmp_path,
+                                                   monkeypatch):
+        src = tmp_path / "clean.tsv"
+        src.write_text("0\tThe cat sat.\n1\tThe Cat sat!\n"
+                       "0\tDogs run, cats sit.\n1\tbirds FLY\n")
+        specs = []
+
+        def recording(train, test, spec, out_dir):
+            specs.append(spec)
+            return make_dataset(train, test, spec, out_dir)
+
+        monkeypatch.setattr(cli, "make_dataset", recording)
+        assert main(["prepare", "--input", str(src), "--outdir",
+                     str(tmp_path / "out"), "--seed", "1"]) == 0
+        clean = [ex.incomplete for ex in load_corpus(src)]
+        assert [spec.pool for spec in specs] == [pool_of(clean)]
+        assert specs[0].pool == ("birds", "cat", "cats", "dogs", "fly",
+                                 "run", "sat", "sit", "the")
+
+    def test_an_emptied_sentence_is_written_as_its_clean_tokens(
+            self, tmp_path):
+        src = tmp_path / "clean.tsv"
+        src.write_text("0\tThe Cat sat!\n1\tDogs run, cats sit.\n"
+                       "0\tA dog, a CAT.\n1\tBirds FLY high!\n")
+        out = tmp_path / "out"
+        assert main(["prepare", "--input", str(src), "--outdir", str(out),
+                     "--p-delete", "1", "--p-substitute", "0",
+                     "--p-repeat", "0", "--p-abbreviate", "0",
+                     "--p-casual", "0", "--seed", "1"]) == 0
+        clean = {" ".join(normalize(ex.incomplete))
+                 for ex in load_corpus(src)}
+        train = load_corpus(out / "train.tsv")
+        test = load_corpus(out / "test.tsv", split="test")
+        assert train and test
+        for ex in train:
+            assert ex.incomplete == " ".join(normalize(ex.complete))
+        assert {ex.incomplete for ex in train + test} == clean
+        manifest = parse_config(out / "manifest.txt")
+        assert float(manifest["wer_pooled"]) == 0.0
+        assert float(manifest["wer_mean"]) == 0.0
+        assert float(manifest["ibleu"]) == 0.0
 
     def test_unreachable_target_exit_code(self, tmp_path):
         assert main(["prepare", "--target-wer", "1.9",
@@ -533,6 +577,16 @@ def test_each_error_category_exits_with_its_code(code, argv, workspace,
     out = tmp_path / "out"
     assert main(argv(workspace, tmp_path) + ["--outdir", str(out)]) == code
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_readme_exit_code_table_matches_the_error_categories():
+    # README's table restates ``cli._ERROR_CATEGORIES``: one row per code,
+    # naming the class raised, with ``ValueError`` as "any other"
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = re.findall(r"^\| (\d+) \| [^|]+ \| (?:any other )?`(\w+)` \|",
+                      readme.read_text(encoding="utf-8"), re.MULTILINE)
+    assert [(int(code), name) for code, name in rows] == sorted(
+        (code, etype.__name__) for etype, code in cli._ERROR_CATEGORIES)
 
 
 DROP = object()

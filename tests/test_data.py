@@ -1,6 +1,6 @@
 import pytest
 
-from denoiseclf import data, fileio, noise
+from denoiseclf import data, noise
 from denoiseclf.data import (LabelError, PairedExample, ParseError,
                              atomic_write_text, format_config, load_corpus,
                              make_dataset, parse_config, save_corpus,
@@ -8,6 +8,7 @@ from denoiseclf.data import (LabelError, PairedExample, ParseError,
 from denoiseclf.errors import DataError
 from denoiseclf.metrics import corpus_wer
 from denoiseclf.noise import NoiseSpec
+from denoiseclf.tokenizer import normalize
 
 
 class TestLoadCorpus:
@@ -89,8 +90,8 @@ class TestSaveCorpus:
 
     @pytest.mark.parametrize("write", [
         lambda path: save_corpus([PairedExample(0, "a b", "a c")], path),
-        lambda path: fileio.atomic_write_bytes(path, b"new\n"),
-    ], ids=["data.save_corpus", "fileio.atomic_write_bytes"])
+        lambda path: data.atomic_write_bytes(path, b"new\n"),
+    ], ids=["data.save_corpus", "data.atomic_write_bytes"])
     def test_failed_write_keeps_the_old_file(self, write, tmp_path,
                                              monkeypatch):
         path = tmp_path / "table.tsv"
@@ -99,7 +100,7 @@ class TestSaveCorpus:
         def crash(src, dst):
             raise OSError("disk full")
 
-        monkeypatch.setattr(fileio.os, "replace", crash)
+        monkeypatch.setattr(data.os, "replace", crash)
         with pytest.raises(OSError):
             write(path)
         assert path.read_text() == "old\n"
@@ -177,6 +178,25 @@ class TestMakeDataset:
                  load_corpus(tmp_path / "train.tsv", split="train")
                  + load_corpus(tmp_path / "test.tsv", split="test")]
         clean = [s for _, s in train] + [s for _, s in test]
+        assert corpus_wer(clean, noisy) == (manifest["wer_pooled"],
+                                            manifest["wer_mean"])
+
+    def test_emptied_sentences_are_written_clean_and_scored_as_written(
+            self, tmp_path):
+        words = ["Cat!", "dog", "Bird.", "fish", "Owl,", "ant"]
+        train = [(i % 2, w) for i, w in enumerate(words)]
+        test = [(0, "The Cat sat on the mat."), (1, "Dogs run fast")]
+        spec = NoiseSpec(p_delete=0.5, seed=0)
+        clean = [normalize(s) for _, s in train + test]
+        raw = noise.corrupt_corpus(clean, spec)
+        emptied = [i for i, s in enumerate(raw) if not s.split()]
+        assert 0 < len(emptied) < len(raw)  # the case mixes both kinds
+        manifest = make_dataset(train, test, spec, tmp_path)
+        noisy = [ex.incomplete for ex in
+                 load_corpus(tmp_path / "train.tsv", split="train")
+                 + load_corpus(tmp_path / "test.tsv", split="test")]
+        assert noisy == [" ".join(clean[i]) if i in emptied else s
+                         for i, s in enumerate(raw)]
         assert corpus_wer(clean, noisy) == (manifest["wer_pooled"],
                                             manifest["wer_mean"])
 

@@ -3,7 +3,7 @@ import pytest
 
 from denoiseclf.metrics import corpus_wer
 from denoiseclf.noise import (CalibrationError, NoiseSpec, _substitute,
-                              calibrate, corrupt, corrupt_corpus)
+                              calibrate, corrupt, corrupt_corpus, pool_of)
 
 
 def sample_corpus(n=60, seed=0):
@@ -25,9 +25,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             NoiseSpec(p_delete=0.6, p_substitute=0.6)
 
-    def test_unknown_policy(self):
-        with pytest.raises(ValueError):
-            NoiseSpec(substitution_policy="random")
+
+def test_pool_of_holds_each_normalized_word_once_sorted():
+    sentences = ["The cat sat.", "The Cat sat!", "Dogs run, cats sit.",
+                 "the CAT  sat"]
+    assert pool_of(sentences) == ("cat", "cats", "dogs", "run", "sat",
+                                  "sit", "the")
+    assert pool_of([]) == ()
 
 
 class TestCorrupt:
@@ -38,12 +42,6 @@ class TestCorrupt:
     def test_certain_deletion_empties_sentence(self):
         spec = NoiseSpec(p_delete=1.0)
         assert corrupt("a b c d", spec) == ""
-
-    def test_certain_table_substitution(self):
-        spec = NoiseSpec(p_substitute=1.0, substitution_policy="table",
-                         substitution_table={"cat": "hat"})
-        # words absent from the table pass through unchanged
-        assert corrupt("the cat sat", spec) == "the hat sat"
 
     def test_certain_abbreviation(self):
         spec = NoiseSpec(p_abbreviate=1.0)

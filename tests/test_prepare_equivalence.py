@@ -14,7 +14,7 @@ from denoiseclf import data, metrics, noise, tokenizer
 from denoiseclf.data import make_dataset, split_corpus, synthetic_corpus
 from denoiseclf.metrics import bleu, corpus_wer
 from denoiseclf.noise import (NoiseSpec, _start_states, calibrate, corrupt,
-                              corrupt_corpus)
+                              corrupt_corpus, pool_of)
 from denoiseclf.tokenizer import normalize
 
 
@@ -93,10 +93,6 @@ SPECS = {
     "all-five": NoiseSpec(
         p_delete=0.1, p_substitute=0.2, p_repeat=0.2, p_abbreviate=0.1,
         p_casual=0.1, pool=WORDS, seed=8),
-    "table": NoiseSpec(
-        p_delete=0.1, p_substitute=0.5, p_repeat=0.3,
-        substitution_policy="table", substitution_table={"cat": "hat"},
-        seed=5),
     "empty-pool": NoiseSpec(p_delete=0.2, p_substitute=0.5, p_repeat=0.2,
                             seed=11),
 }
@@ -172,8 +168,7 @@ def test_make_dataset_normalizes_each_clean_sentence_once(monkeypatch,
     train, test = split_corpus(corpus, 0.25, 5)
     spec = NoiseSpec(p_delete=0.1, p_substitute=0.1, p_repeat=0.02,
                      p_abbreviate=0.05, p_casual=0.05,
-                     pool=tuple(sorted({w for _, s in corpus
-                                        for w in s.split()})),
+                     pool=pool_of(s for _, s in corpus),
                      seed=5, target_wer=0.35)
     clean = {id(s): s for _, s in train + test}
     assert len(clean) == len(corpus)

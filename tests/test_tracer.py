@@ -71,6 +71,32 @@ def test_a_text_write_is_one_span(tracer_module, tmp_path):
     assert [record[3] for record in tracer.spans] == [-1, -1]
 
 
+def test_a_checkpoint_save_is_one_byte_write(tracer_module, tmp_path):
+    # ``checkpoint`` writes through the writer it imports from ``data``,
+    # and that import is the object the tracer patches
+    from denoiseclf import checkpoint
+    from denoiseclf.denoise import DenoiseConfig
+    from denoiseclf.encoder import EncoderConfig
+    from denoiseclf.model import ModelConfig, TextClassifier
+    from denoiseclf.tokenizer import build_vocab
+
+    vocab = build_vocab(["good day", "bad day"])
+    model = TextClassifier(ModelConfig(
+        encoder=EncoderConfig(hidden_size=8, seq_len=4, num_layers=1,
+                              num_heads=2, ff_size=12,
+                              vocab_size=len(vocab), num_classes=2),
+        denoise=DenoiseConfig(dims=(8, 6, 4, 2))), vocab, seed=0)
+    tracer = tracer_module.Tracer("t")
+    try:
+        tracer.install()
+        checkpoint.save_checkpoint(model, tmp_path / "m.ckpt")
+    finally:
+        tracer.uninstall()
+    names = [tracer.names[record[0]] for record in tracer.spans]
+    assert names == ["checkpoint.save_checkpoint", "data.atomic_write_bytes"]
+    assert [record[3] for record in tracer.spans] == [-1, 0]
+
+
 def test_an_encode_records_its_real_tokens_and_width(tracer_module):
     # the source of tokenizer.real_token_share: the mask of encode's result
     from denoiseclf import tokenizer
