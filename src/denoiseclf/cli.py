@@ -28,7 +28,8 @@ from .errors import (CalibrationError, CheckpointError, ConfigError,
                      DataError, LabelError, NonFiniteError, ParseError,
                      field_types)
 from .gradcheck import run_all
-from .metrics import ConfusionMatrix, MetricsReport
+from .metrics import (ConfusionMatrix, macro_scores, micro_scores,
+                      normalize_matrix)
 from .model import MODES, ModelConfig, TextClassifier
 from .noise import NoiseSpec, pool_of
 from .tokenizer import build_vocab, normalize
@@ -114,7 +115,8 @@ def _fill_options(args: argparse.Namespace) -> None:
     its default. A config key that is no subcommand's option, or a value
     not of its type or choices, is a ParseError naming the line."""
     given = {}
-    for lineno, key, text in config_lines(args.config) if args.config else ():
+    lines = config_lines(args.config) if args.config else {}
+    for key, (lineno, text) in lines.items():
         if key not in _KINDS:
             raise ParseError(args.config, lineno, f"unknown key {key!r}")
         kind = _KINDS[key]
@@ -211,7 +213,7 @@ def cmd_eval(args) -> int:
         manifest = parse_config(args.manifest)
         wer_pooled = float(manifest.get("wer_pooled", "nan"))
         ibleu_score = float(manifest.get("ibleu", "nan"))
-    report = MetricsReport.from_confusion(cm)
+    macro = macro_scores(cm)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     buf = io.StringIO()
@@ -220,8 +222,8 @@ def cmd_eval(args) -> int:
                      "macro_r", "macro_f1", "wer", "ibleu"])
     writer.writerow([
         Path(args.test).stem, model.config.mode, args.seed,
-        f"{report.micro_f1:.6f}", f"{report.macro.precision:.6f}",
-        f"{report.macro.recall:.6f}", f"{report.macro.f1:.6f}",
+        f"{micro_scores(cm):.6f}", f"{macro.precision:.6f}",
+        f"{macro.recall:.6f}", f"{macro.f1:.6f}",
         "" if wer_pooled is None else f"{wer_pooled:.6f}",
         "" if ibleu_score is None else f"{ibleu_score:.6f}",
     ])
@@ -258,26 +260,26 @@ def _read_counts(path: str) -> np.ndarray:
 
 def cmd_report(args) -> int:
     cm = ConfusionMatrix.from_counts(_read_counts(args.confusion))
-    report = MetricsReport.from_confusion(cm)
+    macro = macro_scores(cm)
+    normalized = normalize_matrix(cm)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_confusion_csv(outdir / "confusion_normalized.csv",
-                         report.normalized_matrix)
+    _write_confusion_csv(outdir / "confusion_normalized.csv", normalized)
     lines = ["normalized confusion matrix (rows = true, cols = predicted)"]
-    for row in report.normalized_matrix:
+    for row in normalized:
         lines.append("  " + "  ".join(f"{v:6.3f}" for v in row))
     lines.append("")
-    lines.append(f"micro F1 (= micro P = micro R): {report.micro_f1:.4f}")
-    lines.append(f"macro precision: {report.macro.precision:.4f}")
-    lines.append(f"macro recall:    {report.macro.recall:.4f}")
-    lines.append(f"macro F1:        {report.macro.f1:.4f}")
-    for c, (p, r, f1) in enumerate(zip(report.macro.per_class_precision,
-                                       report.macro.per_class_recall,
-                                       report.macro.per_class_f1)):
+    lines.append(f"micro F1 (= micro P = micro R): {micro_scores(cm):.4f}")
+    lines.append(f"macro precision: {macro.precision:.4f}")
+    lines.append(f"macro recall:    {macro.recall:.4f}")
+    lines.append(f"macro F1:        {macro.f1:.4f}")
+    for c, (p, r, f1) in enumerate(zip(macro.per_class_precision,
+                                       macro.per_class_recall,
+                                       macro.per_class_f1)):
         lines.append(f"class {c}: P={p:.4f} R={r:.4f} F1={f1:.4f}")
-    if report.macro.degenerate_classes:
+    if macro.degenerate_classes:
         lines.append("warning: zero-denominator classes "
-                     f"{list(report.macro.degenerate_classes)} scored as 0")
+                     f"{list(macro.degenerate_classes)} scored as 0")
     text = "\n".join(lines) + "\n"
     atomic_write_text(outdir / "report.txt", text)
     print(text, end="")

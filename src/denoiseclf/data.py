@@ -44,8 +44,9 @@ def load_corpus(path: str | Path, split: str = "train",
         if not line.strip():
             continue
         parts = line.split("\t")
-        if len(parts) < 2:
-            raise ParseError(path, lineno, "expected label<TAB>sentence")
+        if not 2 <= len(parts) <= 3:
+            raise ParseError(path, lineno, "expected label<TAB>incomplete"
+                             f"[<TAB>complete], got {len(parts)} columns")
         try:
             label = int(parts[0])
         except ValueError:
@@ -77,13 +78,11 @@ def sentences_of(examples) -> list[str]:
 
 
 def save_corpus(examples: list[PairedExample], path: str | Path) -> None:
-    lines = []
-    for ex in examples:
-        if ex.complete is not None:
-            lines.append(f"{ex.label}\t{ex.incomplete}\t{ex.complete}")
-        else:
-            lines.append(f"{ex.label}\t{ex.incomplete}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """One TSV line per example, so no examples write an empty file."""
+    atomic_write_text(path, "".join(
+        f"{ex.label}\t{ex.incomplete}"
+        + ("" if ex.complete is None else f"\t{ex.complete}") + "\n"
+        for ex in examples))
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -184,10 +183,11 @@ def split_corpus(examples: list[tuple[int, str]], test_fraction: float,
 
 # -- flat key = value config files ------------------------------------------
 
-def config_lines(path: str | Path) -> list[tuple[int, str, str]]:
-    """Each ``key = value`` line of a flat config file as (line number, key,
-    value), in file order; blank lines and ``#`` comments are skipped."""
-    lines = []
+def config_lines(path: str | Path) -> dict[str, tuple[int, str]]:
+    """Each key of a flat ``key = value`` config file, in file order, with
+    its (line number, value); blank lines and ``#`` comments are skipped,
+    and a key set twice is a ``ParseError`` at its second line."""
+    lines = {}
     for lineno, line in enumerate(
             Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         stripped = line.strip()
@@ -195,13 +195,16 @@ def config_lines(path: str | Path) -> list[tuple[int, str, str]]:
             continue
         if "=" not in stripped:
             raise ParseError(path, lineno, "expected key = value")
-        key, _, value = stripped.partition("=")
-        lines.append((lineno, key.strip(), value.strip()))
+        key, _, value = (part.strip() for part in stripped.partition("="))
+        if key in lines:
+            raise ParseError(path, lineno, f"key {key!r} is already set "
+                             f"on line {lines[key][0]}")
+        lines[key] = (lineno, value)
     return lines
 
 
 def parse_config(path: str | Path) -> dict[str, str]:
-    return {key: value for _, key, value in config_lines(path)}
+    return {key: value for key, (_, value) in config_lines(path).items()}
 
 
 def format_config(mapping: dict) -> str:

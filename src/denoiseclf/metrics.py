@@ -236,16 +236,3 @@ def normalize_matrix(cm: ConfusionMatrix) -> np.ndarray:
     out[nonzero] = counts[nonzero] / sums[nonzero]
     return out
 
-
-@dataclass(frozen=True)
-class MetricsReport:
-    """The scores one confusion matrix gives: micro F1, the macro scores
-    and the row-normalized matrix."""
-    micro_f1: float
-    macro: MacroScores
-    normalized_matrix: np.ndarray
-
-    @classmethod
-    def from_confusion(cls, cm: ConfusionMatrix) -> "MetricsReport":
-        return cls(micro_f1=micro_scores(cm), macro=macro_scores(cm),
-                   normalized_matrix=normalize_matrix(cm))

@@ -4,9 +4,9 @@ and informal-typing noise.
 Each token of a normalized sentence independently draws one corruption
 category: deletion, substitution, repeated-letter stretching, abbreviation
 replacement, or casual-spelling replacement. A substitution is a uniform
-pick from the spec's pool (``pool_of`` the clean corpus), or the token
-itself when the pool is empty. The channel is a pure function of
-(sentence, spec, position in corpus), so regenerating a corpus is
+pick from the spec's pool (``pool_of`` the clean corpus, each word once),
+or the token itself when the pool is empty. The channel is a pure function
+of (sentence, spec, position in corpus), so regenerating a corpus is
 byte-identical under a fixed seed. ``calibrate`` scales the destructive
 probabilities by bisection until a corpus hits a target word error rate; it
 normalizes the corpus and seeds each sentence's generator once, and replays
@@ -80,19 +80,18 @@ class NoiseSpec:
         if sum(probs) > 1.0 + 1e-12:
             raise ValueError(
                 f"category probabilities sum to {sum(probs):.3f} > 1")
+        if len(self._pool_index) < len(self.pool):
+            repeated = next(w for w in self.pool if self.pool.count(w) > 1)
+            raise ValueError(f"pool repeats the word {repeated!r}")
 
     def probabilities(self) -> tuple[float, ...]:
         return (self.p_delete, self.p_substitute, self.p_repeat,
                 self.p_abbreviate, self.p_casual)
 
     @cached_property
-    def _pool_positions(self) -> dict[str, list[int]]:
-        """Each pool word's positions in the pool, ascending; built once
-        per spec, on its first pool substitution."""
-        positions: dict[str, list[int]] = {}
-        for i, w in enumerate(self.pool):
-            positions.setdefault(w, []).append(i)
-        return positions
+    def _pool_index(self) -> dict[str, int]:
+        """Each pool word's position in the pool."""
+        return {w: i for i, w in enumerate(self.pool)}
 
 
 def pool_of(sentences) -> tuple[str, ...]:
@@ -179,15 +178,11 @@ def _substitute(spec: NoiseSpec, token: str, rng: np.random.Generator) -> str:
     whole pool when it holds nothing else. It makes the one
     ``rng.integers`` draw and returns the word that indexing the list
     ``[w for w in spec.pool if w != token]`` would, without building it."""
-    skip = spec._pool_positions.get(token, ())
-    if len(skip) == len(spec.pool):
-        skip = ()
-    j = int(rng.integers(len(spec.pool) - len(skip)))
-    for position in skip:  # ascending: step over each copy at or before j
-        if position > j:
-            break
-        j += 1
-    return spec.pool[j]
+    k = spec._pool_index.get(token)
+    if k is None or len(spec.pool) == 1:
+        return spec.pool[int(rng.integers(len(spec.pool)))]
+    j = int(rng.integers(len(spec.pool) - 1))
+    return spec.pool[j + (j >= k)]
 
 
 def _corrupt_tokens(tokens: list[str], spec: NoiseSpec,

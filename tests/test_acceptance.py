@@ -27,8 +27,7 @@ from denoiseclf.metrics import (ConfusionMatrix, bleu, corpus_wer,
                                 edit_distance, ibleu, macro_scores,
                                 micro_scores, wer)
 from denoiseclf.model import ModelConfig, TextClassifier
-from denoiseclf.noise import (NoiseSpec, corrupt, load_stt_fixture_pairs,
-                              pool_of)
+from denoiseclf.noise import NoiseSpec, load_stt_fixture_pairs, pool_of
 from denoiseclf.tensor import Tensor
 from denoiseclf.tokenizer import build_vocab
 from denoiseclf.train import (TrainConfig, evaluate, train_phase1,
@@ -73,12 +72,12 @@ def test_criterion_2_reference_scale_shapes():
 
 # -- 3. denoising convergence ------------------------------------------------
 
-def test_criterion_3_denoising_convergence():
+def test_criterion_3_denoising_convergence(tmp_path):
     corpus = synthetic_corpus(100, num_classes=2, seed=0)[:200]
     spec = NoiseSpec(p_delete=0.15, p_substitute=0.15,
                      pool=pool_of(s for _, s in corpus), seed=0)
-    pairs = [PairedExample(label, corrupt(s, spec, i) or s, s)
-             for i, (label, s) in enumerate(corpus)]
+    make_dataset(corpus, [], spec, tmp_path)
+    pairs = load_corpus(tmp_path / "train.tsv")
     vocab = build_vocab(sentences_of(pairs))
     assert len(vocab) <= 120
     # the pure-affine default chain is a rank-limited linear map per

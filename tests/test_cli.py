@@ -290,10 +290,13 @@ class TestConfigFile:
          "unknown key 'phase_1_epochs'"),
         ("# paths are flags only\noutdir = x\n", 2, "unknown key 'outdir'"),
         ("\nhidden_size = abc\n", 2, "hidden_size: invalid value 'abc'"),
-        ("mode = stacked\nmode = bogus\n", 2, "mode: invalid value 'bogus'"),
+        ("# stacked or baseline\nmode = bogus\n", 2,
+         "mode: invalid value 'bogus'"),
         ("n_post = 1.5\n", 1, "n_post: invalid value '1.5'"),
+        ("hidden_size = 16\nhidden_size = 32\n", 2,
+         "key 'hidden_size' is already set on line 1"),
     ], ids=["misspelt-key", "path-key", "not-an-int", "not-a-choice",
-            "not-an-int-or-empty"])
+            "not-an-int-or-empty", "key-set-twice"])
     def test_bad_key_or_value_exits_3_naming_the_line(
             self, workspace, tmp_path, capsys, text, line, message):
         cfg = _file(tmp_path, text)
@@ -503,6 +506,17 @@ class TestBadCorpus:
         bad.write_text("notalabel\tsentence here\n")
         assert main(["train", "--train", str(bad),
                      "--outdir", str(tmp_path)] + TRAIN_FAST) == 3
+
+    def test_a_fourth_column_exits_3_naming_the_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("0\tgood nite\tgood night\n1\tbad day\tbad day\tx\n")
+        out = tmp_path / "run"
+        assert main(["train", "--train", str(bad),
+                     "--outdir", str(out)] + TRAIN_FAST) == 3
+        assert capsys.readouterr().err == (
+            f"error: {bad}:2: expected label<TAB>incomplete[<TAB>complete], "
+            "got 4 columns\n")
+        assert not out.exists()
 
     def test_label_outside_num_classes_exits_at_load(self, tmp_path):
         paired = tmp_path / "paired.tsv"

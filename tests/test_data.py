@@ -38,6 +38,13 @@ class TestLoadCorpus:
         with pytest.raises(ParseError, match=":2:"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_a_fourth_column_reports_line_number(self, tmp_path, split):
+        path = tmp_path / "c.tsv"
+        path.write_text("0\tok fine\tok fine\n1\tbad day\tbad day\textra\n")
+        with pytest.raises(ParseError, match=":2: .*got 4 columns"):
+            load_corpus(path, split=split)
+
     def test_non_integer_label(self, tmp_path):
         path = tmp_path / "c.tsv"
         path.write_text("pos\tok fine\n")
@@ -83,6 +90,12 @@ class TestSaveCorpus:
         path = tmp_path / "out.tsv"
         save_corpus([PairedExample(0, "good nite", None)], path)
         assert path.read_text() == "0\tgood nite\n"
+
+    def test_no_rows_writes_an_empty_file(self, tmp_path):
+        path = tmp_path / "out.tsv"
+        save_corpus([], path)
+        assert path.read_bytes() == b""
+        assert load_corpus(path) == []
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         atomic_write_text(tmp_path / "f.txt", "payload")
@@ -248,6 +261,14 @@ class TestConfigFiles:
         path = tmp_path / "run.cfg"
         path.write_text("# a comment\n\nseed = 7\n")
         assert parse_config(path) == {"seed": "7"}
+
+    def test_a_key_set_twice_names_its_second_line(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("hidden_size = 16\n# again\nhidden_size = 32\n")
+        with pytest.raises(ParseError,
+                           match=":3: key 'hidden_size' is already set on "
+                           "line 1"):
+            parse_config(path)
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "run.cfg"

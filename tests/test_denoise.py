@@ -184,7 +184,7 @@ class TestLossAndGradients:
         assert last < 0.2 * first
 
 
-class TestPostTransformer:
+class TestRefine:
     def test_refine_preserves_layout(self):
         cfg = EncoderConfig(hidden_size=8, seq_len=4, num_layers=1,
                             num_heads=2, ff_size=12, vocab_size=16)

@@ -1,13 +1,23 @@
-"""The package's unused-import check, in place of a linter: every name a
-module of ``src/denoiseclf`` imports is read there. ``__init__.py`` and an
-import whose first line says ``# noqa: F401`` re-export on purpose."""
+"""The package's unused-code checks, in place of a linter: every name a
+module of ``src/denoiseclf`` imports is read there, and every top-level
+function or class and every public method of one is used by the program.
+``__init__.py`` and an import whose first line says ``# noqa: F401``
+re-export on purpose."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "denoiseclf"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "denoiseclf"
+# the program: the package's modules (its re-exports aside), the demos and
+# the benchmark; the tests are not users
+PROGRAM = sorted([p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+                 + list((ROOT / "demos").glob("*.py"))
+                 + list((ROOT / "perfbench").glob("*.py")))
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,3 +46,75 @@ def test_the_scan_finds_an_unused_import():
     assert unused_imports("import os\nimport sys\nsys.exit()\n") == \
         ["line 1: os"]
     assert unused_imports("from a import b  # noqa: F401\n") == []
+
+
+def definitions(tree: ast.Module):
+    """Each top-level function or class, and each public method of such a
+    class, with its node."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")):
+                    yield f"{node.name}.{item.name}", item
+
+
+def used_names(tree: ast.Module):
+    """(name, line) for each name the module reads, imports, or spells as
+    part of a dotted string, the way a tracer names what it wraps."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2], node.lineno
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and DOTTED.fullmatch(node.value)):
+            for part in node.value.split("."):
+                yield part, node.lineno
+
+
+def orphans(sources: dict[str, str], checked) -> list[str]:
+    """The definitions in the ``checked`` paths of ``sources`` (path ->
+    text) whose name is used nowhere in ``sources`` outside their own
+    body."""
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    uses = {}
+    for path, tree in trees.items():
+        for name, line in used_names(tree):
+            uses.setdefault(name, []).append((path, line))
+    found = []
+    for path in checked:
+        for qualname, node in definitions(trees[path]):
+            name = qualname.rpartition(".")[2]
+            if not any(where != path
+                       or not node.lineno <= line <= node.end_lineno
+                       for where, line in uses.get(name, ())):
+                found.append(f"{path}: {qualname}")
+    return found
+
+
+def test_every_definition_is_used_by_the_program():
+    sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8")
+               for p in PROGRAM}
+    assert orphans(sources, [p for p in sources if p.startswith("src/")]) \
+        == []
+
+
+def test_the_scan_finds_orphaned_code():
+    lib = ("class Report:\n"
+           "    @classmethod\n"
+           "    def build(cls) -> 'Report':\n"
+           "        return cls()\n"
+           "    def shown(self):\n"
+           "        return self\n"
+           "def helper():\n"
+           "    return helper()\n"
+           "def traced():\n"
+           "    pass\n")
+    user = "SPANS = ('lib.traced',)\nprint(x.shown())\n"
+    assert orphans({"lib.py": lib, "user.py": user}, ["lib.py"]) == \
+        ["lib.py: Report", "lib.py: Report.build", "lib.py: helper"]

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from denoiseclf.metrics import (ConfusionMatrix, DataError, MetricsReport,
+from denoiseclf.metrics import (ConfusionMatrix, DataError,
                                 UndefinedReferenceError, bleu, corpus_wer,
                                 edit_distance, ibleu, macro_scores,
                                 micro_scores, normalize_matrix, wer)
@@ -250,9 +250,3 @@ class TestFixturePairs:
         assert corpus_wer(refs, hyps) == corpus_wer(refs, hyps)
         assert bleu(refs, hyps) == bleu(refs, hyps)
 
-
-def test_metrics_report_micro_equalities():
-    cm = ConfusionMatrix.from_counts([[20, 5], [7, 18]])
-    report = MetricsReport.from_confusion(cm)
-    assert report.micro_f1 == micro_scores(cm)
-    assert report.normalized_matrix.shape == (2, 2)

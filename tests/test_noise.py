@@ -25,6 +25,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             NoiseSpec(p_delete=0.6, p_substitute=0.6)
 
+    @pytest.mark.parametrize("pool", [
+        ("b", "a", "b"), ("b", "b"), ("a", "c", "d", "c")],
+        ids=["repeats", "only_repeats", "repeat_later"])
+    def test_pool_must_hold_each_word_once(self, pool):
+        repeated = next(w for w in pool if pool.count(w) > 1)
+        with pytest.raises(ValueError, match=f"repeats the word '{repeated}'"):
+            NoiseSpec(pool=pool)
+
 
 def test_pool_of_holds_each_normalized_word_once_sorted():
     sentences = ["The cat sat.", "The Cat sat!", "Dogs run, cats sit.",
@@ -66,9 +74,8 @@ class TestCorrupt:
         assert out == ["beta", "beta", "beta"]
 
     @pytest.mark.parametrize("pool", [
-        ("a", "b", "c", "d"), ("b", "a", "b", "c", "b"), ("b", "b"), ("b",),
-        ("c", "a")], ids=["unique", "repeats", "only_token", "single",
-                          "no_token"])
+        ("a", "b", "c", "d"), ("b",), ("c", "a")],
+        ids=["unique", "single", "no_token"])
     def test_pool_pick_matches_the_list_it_replaces(self, pool):
         spec = NoiseSpec(pool=pool)
         for seed in range(40):

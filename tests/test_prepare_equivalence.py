@@ -89,7 +89,7 @@ class TestBleuOnePass:
 SPECS = {
     "substitute-and-repeat": NoiseSpec(
         p_delete=0.05, p_substitute=0.45, p_repeat=0.4,
-        pool=("a", "b", "b", "cat", "zz"), seed=3),
+        pool=("a", "b", "cat", "zz"), seed=3),
     "all-five": NoiseSpec(
         p_delete=0.1, p_substitute=0.2, p_repeat=0.2, p_abbreviate=0.1,
         p_casual=0.1, pool=WORDS, seed=8),
