@@ -70,19 +70,29 @@ def corpus_wer(references: list[str | list[str]],
     if len(references) != len(hypotheses):
         raise DataError(
             f"{len(references)} references vs {len(hypotheses)} hypotheses")
+    refs = reference_tokens(references)
+    return pooled_and_mean(refs, [edit_distance(ref, as_tokens(hyp))
+                                  for ref, hyp in zip(refs, hypotheses)])
+
+
+def reference_tokens(references: list[str | list[str]]) -> list[list[str]]:
+    """Each reference as its tokens, once none is empty: an empty corpus or
+    reference has no WER."""
     if not references:
         raise DataError("empty corpus")
-    edits, words, per_sentence = 0, 0, []
-    for i, (ref, hyp) in enumerate(zip(references, hypotheses)):
-        toks = as_tokens(ref)
-        if not toks:
-            raise UndefinedReferenceError(
-                f"empty reference {ref!r} at position {i}")
-        d = edit_distance(toks, as_tokens(hyp))
-        edits += d
-        words += len(toks)
-        per_sentence.append(d / len(toks))
-    return edits / words, sum(per_sentence) / len(per_sentence)
+    refs = [as_tokens(ref) for ref in references]
+    if [] in refs:
+        i = refs.index([])
+        raise UndefinedReferenceError(
+            f"empty reference {references[i]!r} at position {i}")
+    return refs
+
+
+def pooled_and_mean(refs: list[list[str]],
+                    distances: list[int]) -> tuple[float, float]:
+    """``corpus_wer`` of reference tokens ``refs`` at edit ``distances``."""
+    rates = [d / len(ref) for ref, d in zip(refs, distances)]
+    return sum(distances) / sum(map(len, refs)), sum(rates) / len(rates)
 
 
 # -- BLEU / iBLEU -----------------------------------------------------------

@@ -10,14 +10,15 @@ of (sentence, spec, position in corpus), so regenerating a corpus is
 byte-identical under a fixed seed. ``calibrate`` scales the destructive
 probabilities by bisection until a corpus hits a target word error rate; it
 normalizes the corpus and seeds each sentence's generator once, and replays
-those tokens and that stream on every pass.
+those tokens and that stream on every pass, which stops as soon as its
+bisection step is decided.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate
 from pathlib import Path
 from typing import NamedTuple
@@ -25,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CalibrationError, check_fields
-from .metrics import corpus_wer
+from .metrics import edit_distance, pooled_and_mean, reference_tokens
 from .tokenizer import as_tokens, normalize
 
 # Built-in replacement tables mirroring common informal-text mistakes:
@@ -92,6 +93,12 @@ class NoiseSpec:
     def _pool_index(self) -> dict[str, int]:
         """Each pool word's position in the pool."""
         return {w: i for i, w in enumerate(self.pool)}
+
+    @cached_property
+    def _thresholds(self) -> list[float]:
+        """The category boundaries: running sums in the order np.cumsum
+        adds them, so they are the same floats."""
+        return list(accumulate(self.probabilities()))
 
 
 def pool_of(sentences) -> tuple[str, ...]:
@@ -188,9 +195,7 @@ def _substitute(spec: NoiseSpec, token: str, rng: np.random.Generator) -> str:
 def _corrupt_tokens(tokens: list[str], spec: NoiseSpec,
                     rng: np.random.Generator) -> str:
     out: list[str] = []
-    # running sums in the order np.cumsum adds them, so the category
-    # boundaries are the same floats
-    thresholds = list(accumulate(spec.probabilities()))
+    thresholds = spec._thresholds
     for token in tokens:
         category = bisect_right(thresholds, rng.random())
         if category == 0:  # deletion
@@ -218,27 +223,25 @@ def corrupt(sentence: str, spec: NoiseSpec, index: int = 0) -> str:
                            np.random.default_rng((spec.seed, index)))
 
 
-def corrupt_corpus(sentences: list[str | list[str]], spec: NoiseSpec,
-                   starts: list[tuple[int, int]] | None = None) -> list[str]:
-    """``corrupt(s, spec, i)`` for each sentence ``s`` at position ``i``.
+def corrupt_corpus(sentences: list[str | list[str]],
+                   spec: NoiseSpec) -> list[str]:
+    """``corrupt(s, spec, i)`` for each sentence ``s`` at position ``i``; a
+    sentence may be given as its ``normalize`` tokens."""
+    starts = _start_states(spec, len(sentences))
+    return list(_replay(map(as_tokens, sentences), spec, starts))
 
-    A sentence may be given as its ``normalize`` tokens. ``starts`` are
-    ``_start_states(spec, len(sentences))``, which depend only on
-    ``spec.seed``; a caller corrupting one corpus many times passes them
-    so each generator is seeded once. One generator is reset to each
-    sentence's start, which replays a fresh generator's stream bit for bit.
-    """
-    if starts is None:
-        starts = _start_states(spec, len(sentences))
+
+def _replay(corpus, spec: NoiseSpec, starts: list[tuple[int, int]]):
+    """Yield each token list of ``corpus`` corrupted. One generator is reset
+    to each sentence's start in ``starts`` (``_start_states``), which
+    replays a fresh generator's stream bit for bit."""
     rng = np.random.Generator(np.random.PCG64())
     pcg = rng.bit_generator
-    noisy = []
-    for sentence, (state, inc) in zip(sentences, starts, strict=True):
+    for tokens, (state, inc) in zip(corpus, starts, strict=True):
         pcg.state = {"bit_generator": "PCG64",
                      "state": {"state": state, "inc": inc},
                      "has_uint32": 0, "uinteger": 0}
-        noisy.append(_corrupt_tokens(as_tokens(sentence), spec, rng))
-    return noisy
+        yield _corrupt_tokens(tokens, spec, rng)
 
 
 def _scaled(spec: NoiseSpec, scale: float) -> NoiseSpec:
@@ -257,25 +260,41 @@ class Calibration(NamedTuple):
     wer: tuple[float, float]
 
 
+def _calibration_pass(corpus: list[list[str]],
+                      starts: list[tuple[int, int]], spec: NoiseSpec,
+                      stop=None) -> Calibration | None:
+    """Corrupt and score ``corpus`` at ``spec`` sentence by sentence; None
+    as soon as ``stop`` holds for the running WER, the edits so far over
+    all the corpus's words, which only grows to the pass's pooled WER."""
+    words = sum(map(len, corpus))
+    noisy, distances, edits = [], [], 0
+    for tokens, out in zip(corpus, _replay(corpus, spec, starts)):
+        distances.append(edit_distance(tokens, normalize(out)))
+        edits += distances[-1]
+        if stop is not None and stop(edits / words):
+            return None
+        noisy.append(out)
+    return Calibration(spec, noisy, pooled_and_mean(corpus, distances))
+
+
 def calibrate(corpus: list[str | list[str]], spec: NoiseSpec) -> Calibration:
     """Scale deletion/substitution probabilities by bisection until the
     corrupted corpus's pooled WER is within ``WER_TOLERANCE`` of the target,
     in at most ``MAX_BISECTIONS`` passes after the first.
 
-    Each pass is one ``corrupt_corpus`` and one ``corpus_wer`` on the
-    corpus's tokens, normalized once; the last pass is returned with its
-    spec, so the caller need not repeat it."""
+    A pass stops as soon as its running WER decides the bisection step;
+    the last one runs to the end and is returned with its spec, so the
+    caller need not repeat it. When the target is out of reach, the passes
+    that stopped run again in full to name the closest pooled WER."""
     target = spec.target_wer
     if target is None or not (0.0 < target <= 2.0):
         raise ValueError(f"target WER must lie in (0, 2], got {target}")
-    corpus = [as_tokens(s) for s in corpus]
+    # checked before any pass, since a pass may stop short of a bad sentence
+    corpus = reference_tokens([as_tokens(s) for s in corpus])
 
     # the scaled specs keep spec.seed, so every pass replays these starts
-    starts = _start_states(spec, len(corpus))
-
-    def run_pass(s: NoiseSpec) -> Calibration:
-        noisy = corrupt_corpus(corpus, s, starts)
-        return Calibration(s, noisy, corpus_wer(corpus, noisy))
+    run_pass = partial(_calibration_pass, corpus,
+                       _start_states(spec, len(corpus)))
 
     other = spec.p_repeat + spec.p_abbreviate + spec.p_casual
     if spec.p_delete == 0 and spec.p_substitute == 0:
@@ -289,22 +308,29 @@ def calibrate(corpus: list[str | list[str]], spec: NoiseSpec) -> Calibration:
     hi_scale = min(1.0 / max(spec.p_delete, spec.p_substitute),
                    (1.0 - other) / destructive)
     lo, hi = 0.0, hi_scale
-    best_wer = run_pass(_scaled(spec, hi)).wer[0]
-    if best_wer < target - WER_TOLERANCE:
-        raise CalibrationError(target, best_wer)
+    # edits only grow: a pass past a bound stays past it to its end
+    top = run_pass(_scaled(spec, hi),
+                   lambda wer: not wer < target - WER_TOLERANCE)
+    if top is not None:
+        raise CalibrationError(target, top.wer[0])
+    # each scale tried, with its full pass or None where the pass stopped
+    tried = [(hi, None)]
     for _ in range(MAX_BISECTIONS):
         mid = (lo + hi) / 2.0
-        result = run_pass(_scaled(spec, mid))
-        got = result.wer[0]
-        if abs(got - target) < abs(best_wer - target):
-            best_wer = got
-        if abs(got - target) <= WER_TOLERANCE:
+        result = run_pass(_scaled(spec, mid),
+                          lambda wer: wer - target > WER_TOLERANCE)
+        tried.append((mid, result))
+        if result is None:
+            hi = mid
+        elif abs(result.wer[0] - target) <= WER_TOLERANCE:
             return result
-        if got < target:
+        elif result.wer[0] < target:
             lo = mid
         else:
             hi = mid
-    raise CalibrationError(target, best_wer)
+    wers = [(run_pass(_scaled(spec, scale)) if result is None
+             else result).wer[0] for scale, result in tried]
+    raise CalibrationError(target, min(wers, key=lambda w: abs(w - target)))
 
 
 def load_stt_fixture_pairs() -> list[tuple[str, str, str]]:

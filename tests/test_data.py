@@ -161,14 +161,17 @@ class TestMakeDataset:
 
             def wrapper(*args, **kwargs):
                 events.append(name)
-                if name == "corrupt_corpus":
-                    specs.append(args[1])
+                if name == "_calibration_pass":
+                    specs.append(args[2])
                 return original(*args, **kwargs)
             monkeypatch.setattr(module, name, wrapper)
 
-        for module in (data, noise):
-            spy(module, "corrupt_corpus")
-            spy(module, "corpus_wer")
+        # a pass corrupts and scores each sentence itself; make_dataset
+        # neither corrupts nor scores the corpus again
+        spy(data, "corrupt_corpus")
+        spy(data, "corpus_wer")
+        spy(noise, "corrupt_corpus")
+        spy(noise, "_calibration_pass")
         calibrate = data.calibrate
 
         def calibrate_spy(*args, **kwargs):
@@ -180,9 +183,9 @@ class TestMakeDataset:
         monkeypatch.setattr(data, "calibrate", calibrate_spy)
         train, test, manifest = self.make(tmp_path)
         passes = len(specs)
-        assert passes >= 2
-        assert events == (["calibrate"] + ["corrupt_corpus", "corpus_wer"]
-                          * passes + ["returned"])
+        assert passes >= 3
+        assert events == (["calibrate"] + ["_calibration_pass"] * passes
+                          + ["returned"])
         # every pass tries a new scale; the last one is the written spec
         assert len({(s.p_delete, s.p_substitute) for s in specs}) == passes
         assert specs[-1].p_delete == manifest["p_delete"]

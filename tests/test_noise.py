@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from denoiseclf.errors import DataError, UndefinedReferenceError
 from denoiseclf.metrics import corpus_wer
 from denoiseclf.noise import (CalibrationError, NoiseSpec, _substitute,
                               calibrate, corrupt, corrupt_corpus, pool_of)
@@ -169,4 +170,20 @@ class TestCalibrate:
     def test_missing_target_rejected(self):
         with pytest.raises(ValueError):
             calibrate(["a b"], NoiseSpec(p_delete=0.1))
+
+    # a pass may stop before a bad sentence, and the running WER divides by
+    # the corpus's word count, so the corpus is checked before any pass
+    def test_empty_corpus_rejected(self):
+        spec = NoiseSpec(p_delete=0.5, seed=1, target_wer=0.3)
+        with pytest.raises(DataError, match="^empty corpus$"):
+            calibrate([], spec)
+
+    @pytest.mark.parametrize("empty", ["", "?!", []])
+    def test_empty_reference_rejected(self, empty):
+        # every pass would stop long before the last sentence
+        corpus = sample_corpus(seed=5) + [empty]
+        spec = NoiseSpec(p_delete=0.5, seed=1, target_wer=0.3)
+        with pytest.raises(UndefinedReferenceError,
+                           match=r"^empty reference \[\] at position 60$"):
+            calibrate(corpus, spec)
 

@@ -2,10 +2,13 @@
 counting every n-gram order in one pass against the per-order loop,
 ``corrupt_corpus`` replaying saved generator starts against one fresh
 generator per sentence, the start states computed in one vectorized pass
-against ``default_rng``, and the clean corpus normalized once per dataset."""
+against ``default_rng``, the clean corpus normalized once per dataset, and
+``calibrate``'s passes that stop once their step is decided against the
+bisection of full passes."""
 
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ import pytest
 from denoiseclf import data, metrics, noise, tokenizer
 from denoiseclf.data import make_dataset, split_corpus, synthetic_corpus
 from denoiseclf.metrics import bleu, corpus_wer
+from denoiseclf.errors import CalibrationError
 from denoiseclf.noise import (NoiseSpec, _start_states, calibrate, corrupt,
                               corrupt_corpus, pool_of)
 from denoiseclf.tokenizer import normalize
@@ -106,17 +110,19 @@ class TestCorruptCorpusReplay:
         corpus = random_corpus(rng, 40, 0, 12) + ["?!", "", "... the cat"]
         want = [corrupt(s, spec, i) for i, s in enumerate(corpus)]
         starts = _start_states(spec, len(corpus))
-        assert corrupt_corpus(corpus, spec, starts) == want
+        tokens = [normalize(s) for s in corpus]
+        assert list(noise._replay(tokens, spec, starts)) == want
         assert corrupt_corpus(corpus, spec) == want
         # the starts depend only on the seed, so a rescaled spec replays them
         scaled = noise._scaled(spec, 0.5)
-        assert corrupt_corpus(corpus, scaled, starts) == \
+        assert list(noise._replay(tokens, scaled, starts)) == \
             [corrupt(s, scaled, i) for i, s in enumerate(corpus)]
 
     def test_starts_of_another_length_are_refused(self):
         spec = SPECS["all-five"]
         with pytest.raises(ValueError):
-            corrupt_corpus(["a b", "c d"], spec, _start_states(spec, 1))
+            list(noise._replay([["a", "b"], ["c", "d"]], spec,
+                               _start_states(spec, 1)))
 
 
 class TestStartStates:
@@ -153,7 +159,7 @@ def _counting(monkeypatch, module, name):
 
 def test_calibrate_seeds_each_sentence_once(monkeypatch):
     seedings = _counting(monkeypatch, noise, "_start_states")
-    passes = _counting(monkeypatch, noise, "corrupt_corpus")
+    passes = _counting(monkeypatch, noise, "_calibration_pass")
     corpus = random_corpus(np.random.default_rng(5), 50, 3, 9)
     spec = NoiseSpec(p_delete=0.1, p_substitute=0.1, pool=WORDS, seed=7,
                      target_wer=0.3)
@@ -175,7 +181,7 @@ def test_make_dataset_normalizes_each_clean_sentence_once(monkeypatch,
     # every module that calls normalize by its own name
     calls = [_counting(monkeypatch, module, "normalize")
              for module in (tokenizer, noise, metrics, data)]
-    passes = _counting(monkeypatch, noise, "corrupt_corpus")
+    passes = _counting(monkeypatch, noise, "_calibration_pass")
     make_dataset(train, test, spec, tmp_path)
     assert len(passes) >= 3
     counts = Counter(id(args[0]) for record in calls for args in record)
@@ -203,3 +209,114 @@ class TestTokenInputs:
         tokens = [normalize(s) for s in corpus]
         assert corrupt_corpus(tokens, SPECS[name]) == \
             corrupt_corpus(corpus, SPECS[name])
+
+
+def reference_calibrate(corpus, spec):
+    """``calibrate`` as it was written before: every pass one
+    ``corrupt_corpus`` and one ``corpus_wer`` over the whole corpus."""
+    target = spec.target_wer
+    corpus = [normalize(s) for s in corpus]
+
+    def run_pass(s):
+        noisy = corrupt_corpus(corpus, s)
+        return noise.Calibration(s, noisy, corpus_wer(corpus, noisy))
+
+    other = spec.p_repeat + spec.p_abbreviate + spec.p_casual
+    if spec.p_delete == 0 and spec.p_substitute == 0:
+        start = min(0.25, (1.0 - other) / 2.0)
+        if start <= 0:
+            raise CalibrationError(target, run_pass(spec).wer[0])
+        spec = replace(spec, p_delete=start, p_substitute=start)
+    destructive = spec.p_delete + spec.p_substitute
+    hi_scale = min(1.0 / max(spec.p_delete, spec.p_substitute),
+                   (1.0 - other) / destructive)
+    lo, hi = 0.0, hi_scale
+    best_wer = run_pass(noise._scaled(spec, hi)).wer[0]
+    if best_wer < target - noise.WER_TOLERANCE:
+        raise CalibrationError(target, best_wer)
+    for _ in range(noise.MAX_BISECTIONS):
+        mid = (lo + hi) / 2.0
+        result = run_pass(noise._scaled(spec, mid))
+        got = result.wer[0]
+        if abs(got - target) < abs(best_wer - target):
+            best_wer = got
+        if abs(got - target) <= noise.WER_TOLERANCE:
+            return result
+        if got < target:
+            lo = mid
+        else:
+            hi = mid
+    raise CalibrationError(target, best_wer)
+
+
+def _outcome(calibrate_fn, corpus, spec):
+    try:
+        return calibrate_fn(corpus, spec)
+    except CalibrationError as error:
+        return str(error), error.target, error.achieved
+
+
+CALIBRATION_WORDS = WORDS + ("you", "please", "going", "night", "people")
+
+# name: (spec, MAX_BISECTIONS, whether some pass stops early)
+CALIBRATIONS = {
+    "all-five": (NoiseSpec(
+        p_delete=0.1, p_substitute=0.1, p_repeat=0.05, p_abbreviate=0.1,
+        p_casual=0.1, pool=CALIBRATION_WORDS, seed=3, target_wer=0.35),
+        30, True),
+    "low-target": (NoiseSpec(
+        p_delete=0.02, p_substitute=0.3, p_casual=0.1, pool=WORDS, seed=4,
+        target_wer=0.08), 30, True),
+    "empty-pool": (NoiseSpec(p_delete=0.2, p_substitute=0.3, seed=9,
+                             target_wer=0.25), 30, True),
+    "zero-start": (NoiseSpec(
+        p_repeat=0.2, p_abbreviate=0.1, p_casual=0.1, pool=WORDS, seed=5,
+        target_wer=0.3), 30, True),
+    "nothing-to-scale": (NoiseSpec(
+        p_repeat=0.5, p_abbreviate=0.3, p_casual=0.2, seed=11,
+        target_wer=0.3), 30, False),
+    "unreachable": (NoiseSpec(p_delete=0.2, seed=17, target_wer=1.8),
+                    30, False),
+    # the bisection runs out, so the passes that stopped run again in full;
+    # the later one also has a bisection pass that ran to the end
+    "runs-out": (NoiseSpec(p_delete=0.1, p_substitute=0.1, pool=WORDS,
+                           seed=7, target_wer=0.3), 1, True),
+    "runs-out-later": (NoiseSpec(p_delete=0.1, p_substitute=0.1, pool=WORDS,
+                                 seed=7, target_wer=0.2), 3, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CALIBRATIONS))
+def test_calibrate_matches_the_bisection_of_full_passes(name, monkeypatch):
+    spec, max_bisections, stops = CALIBRATIONS[name]
+    rng = np.random.default_rng(6)
+    corpus = random_corpus(rng, 80, 1, 12, CALIBRATION_WORDS)
+    corpus += ["The Cat, sat!", "PLEASE... you're going"]
+    monkeypatch.setattr(noise, "MAX_BISECTIONS", max_bisections)
+    want = _outcome(reference_calibrate, corpus, spec)
+    results, real = [], noise._calibration_pass
+
+    def recording(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(noise, "_calibration_pass", recording)
+    assert _outcome(calibrate, corpus, spec) == want
+    # None is a pass that stopped once its step was decided
+    assert (None in results) == stops
+
+
+def test_prepare_workload_corrupts_fewer_than_four_full_passes(
+        monkeypatch, tmp_path):
+    """The benchmark's prepare inputs at seed 101: four full passes would
+    corrupt 4 x 1500 sentences; passes that stop once their step is decided
+    corrupt 514 + 1319 + 1500 + 1500."""
+    corpus = synthetic_corpus(500, 3, 101)
+    train, test = split_corpus(corpus, 0.25, 101)
+    spec = NoiseSpec(p_delete=0.1, p_substitute=0.1, p_repeat=0.02,
+                     p_abbreviate=0.05, p_casual=0.05,
+                     pool=pool_of(s for _, s in corpus), seed=101,
+                     target_wer=0.35)
+    corruptions = _counting(monkeypatch, noise, "_corrupt_tokens")
+    make_dataset(train, test, spec, tmp_path)
+    assert len(corruptions) < 4 * len(corpus)
