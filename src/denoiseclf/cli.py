@@ -22,7 +22,7 @@ import numpy as np
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (atomic_write_text, config_lines, format_config,
                    load_corpus, make_dataset, parse_config, sentences_of,
-                   split_corpus, synthetic_corpus)
+                   split_corpus, synthetic_corpus, text_lines)
 from .encoder import EncoderConfig
 from .errors import (CalibrationError, CheckpointError, ConfigError,
                      DataError, LabelError, NonFiniteError, ParseError,
@@ -239,7 +239,7 @@ def _read_counts(path: str) -> np.ndarray:
     cells as the first, and every cell must be a whole number that fits
     int64, so a fractional count is rejected, not truncated, and nan, inf
     or 1e300 cannot cast to garbage."""
-    reader = csv.reader(io.StringIO(Path(path).read_text(encoding="utf-8")))
+    reader = csv.reader(text_lines(path))
     rows = []
     for row in reader:
         try:
@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 _ERROR_CATEGORIES = (
     (ParseError, 3), (LabelError, 4), (DataError, 5),
-    (CalibrationError, 6), (FileNotFoundError, 7), (CheckpointError, 9),
+    (CalibrationError, 6), (OSError, 7), (CheckpointError, 9),
     (NonFiniteError, 10), (ValueError, 8),
 )
 

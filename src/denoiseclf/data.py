@@ -31,6 +31,20 @@ class PairedExample:
     complete: str | None = None
 
 
+def text_lines(path: str | Path) -> list[str]:
+    """The lines of a UTF-8 text file; a byte that is not UTF-8 is a
+    ``ParseError`` naming the file and its line."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        # the bytes before the bad one decode; its line is their last
+        before = raw[:exc.start].decode("utf-8") + "?"
+        raise ParseError(path, len(before.splitlines()),
+                         f"not UTF-8: {exc.reason} "
+                         f"0x{raw[exc.start]:02x}") from None
+
+
 def load_corpus(path: str | Path, split: str = "train",
                 num_classes: int | None = None) -> list[PairedExample]:
     """Parse a corpus TSV. For ``split="test"`` the complete column is
@@ -39,8 +53,7 @@ def load_corpus(path: str | Path, split: str = "train",
     if split not in ("train", "test"):
         raise ValueError(f"split must be 'train' or 'test', got {split!r}")
     examples = []
-    for lineno, line in enumerate(
-            path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text_lines(path), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -188,8 +201,7 @@ def config_lines(path: str | Path) -> dict[str, tuple[int, str]]:
     its (line number, value); blank lines and ``#`` comments are skipped,
     and a key set twice is a ``ParseError`` at its second line."""
     lines = {}
-    for lineno, line in enumerate(
-            Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text_lines(path), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

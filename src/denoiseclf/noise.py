@@ -7,11 +7,17 @@ replacement, or casual-spelling replacement. A substitution is a uniform
 pick from the spec's pool (``pool_of`` the clean corpus, each word once),
 or the token itself when the pool is empty. The channel is a pure function
 of (sentence, spec, position in corpus), so regenerating a corpus is
-byte-identical under a fixed seed. ``calibrate`` scales the destructive
-probabilities by bisection until a corpus hits a target word error rate; it
-normalizes the corpus and seeds each sentence's generator once, and replays
-those tokens and that stream on every pass, which stops as soon as its
-bisection step is decided.
+byte-identical under a fixed seed.
+
+The channel draws from ``np.random.default_rng((spec.seed, i))``'s stream
+for sentence ``i``, but reads it through ``_Stream``, which takes the raw
+PCG64 outputs and returns what the Generator's ``random`` and ``integers``
+would, bit for bit, without a numpy call per draw. ``corrupt_corpus`` and
+``calibrate`` draw every sentence's outputs once, into one flat array.
+``calibrate`` scales the destructive probabilities by bisection until a
+corpus hits a target word error rate; it normalizes the corpus and draws the
+streams once, and replays those tokens and outputs on every pass, which
+stops as soon as its bisection step is decided.
 """
 
 from __future__ import annotations
@@ -116,6 +122,7 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL_WORDS = 4
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
+_DOUBLE_STEP = 2.0 ** -53
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -180,20 +187,123 @@ def _start_states(spec: NoiseSpec, n: int) -> list[tuple[int, int]]:
     return starts
 
 
-def _substitute(spec: NoiseSpec, token: str, rng: np.random.Generator) -> str:
+class _Stream:
+    """One sentence's PCG64 outputs read as ``np.random.Generator`` reads
+    them: from the same start, ``random`` and ``integers`` return the same
+    values, bit for bit.
+
+    ``raw`` is the first outputs after ``start`` (a ``(state, inc)`` pair);
+    when a draw needs more, the stream extends from ``start`` with
+    ``advance``. ``integers`` takes one 32-bit half of an output by Lemire's
+    method and keeps the other half for the next, as PCG64's
+    ``has_uint32``/``uinteger`` buffer does; ``random`` skips that buffer.
+    """
+
+    __slots__ = ("_next", "_start", "_drawn", "_half")
+
+    def __init__(self, raw: list[int], start: tuple[int, int]):
+        self._next = iter(raw).__next__
+        self._start = start
+        self._drawn = len(raw)
+        self._half = None
+
+    def _extend(self) -> int:
+        """The next output once the block is used up, as a rejection may
+        do: draws as many again past it and returns the first."""
+        more = self._drawn + 1
+        pcg = _pcg_at(np.random.PCG64(0), self._start)
+        pcg.advance(self._drawn)
+        self._next = iter(pcg.random_raw(more).tolist()).__next__
+        self._drawn += more
+        return self._next()
+
+    def _next32(self) -> int:
+        if self._half is not None:
+            half, self._half = self._half, None
+            return half
+        try:
+            raw = self._next()
+        except StopIteration:
+            raw = self._extend()
+        self._half = raw >> 32
+        return raw & _MASK32
+
+    def random(self) -> float:
+        """A float in [0, 1) from the top 53 bits of one output."""
+        try:
+            raw = self._next()
+        except StopIteration:
+            raw = self._extend()
+        return (raw >> 11) * _DOUBLE_STEP
+
+    def integers(self, low: int, high: int | None = None) -> int:
+        """An int in [low, high), or [0, low) when ``high`` is None."""
+        if high is None:
+            low, high = 0, low
+        n = high - low
+        if not 0 < n < 1 << 32:
+            # numpy draws 2**32 values or more by another method
+            raise ValueError(f"range must hold 1 to 2**32 - 1 values, "
+                             f"got {n}")
+        if n == 1:  # numpy makes no draw
+            return low
+        scaled = self._next32() * n
+        if scaled & _MASK32 < n:
+            threshold = (1 << 32) % n
+            while scaled & _MASK32 < threshold:
+                scaled = self._next32() * n
+        return low + (scaled >> 32)
+
+
+def _pcg_at(pcg: np.random.PCG64,
+            start: tuple[int, int]) -> np.random.PCG64:
+    """``pcg`` set to ``start``, as a fresh ``default_rng`` is."""
+    state, inc = start
+    pcg.state = {"bit_generator": "PCG64",
+                 "state": {"state": state, "inc": inc},
+                 "has_uint32": 0, "uinteger": 0}
+    return pcg
+
+
+def _block_size(tokens: list[str]) -> int:
+    """The outputs a sentence's channel reads unless Lemire's method
+    rejects: one per token's ``random``, a half per ``integers``."""
+    return len(tokens) + (len(tokens) + 1) // 2
+
+
+class _Blocks:
+    """Every sentence's first PCG64 outputs, drawn once: sentence ``i``'s
+    block is ``raw[offsets[i]:offsets[i + 1]]``, from ``starts[i]``
+    (``_start_states``). Iterating yields one fresh ``_Stream`` per
+    sentence, so every pass replays the same streams."""
+
+    def __init__(self, corpus: list[list[str]], spec: NoiseSpec):
+        self.starts = _start_states(spec, len(corpus))
+        self.offsets = [0, *accumulate(map(_block_size, corpus))]
+        self.raw = np.empty(self.offsets[-1], dtype=np.uint64)
+        pcg = np.random.PCG64(0)
+        for start, a, b in zip(self.starts, self.offsets, self.offsets[1:]):
+            self.raw[a:b] = _pcg_at(pcg, start).random_raw(b - a)
+
+    def __iter__(self):
+        for start, a, b in zip(self.starts, self.offsets, self.offsets[1:]):
+            yield _Stream(self.raw[a:b].tolist(), start)
+
+
+def _substitute(spec: NoiseSpec, token: str, rng: _Stream) -> str:
     """A uniform pick from the pool words other than ``token``, or from the
     whole pool when it holds nothing else. It makes the one
     ``rng.integers`` draw and returns the word that indexing the list
     ``[w for w in spec.pool if w != token]`` would, without building it."""
     k = spec._pool_index.get(token)
     if k is None or len(spec.pool) == 1:
-        return spec.pool[int(rng.integers(len(spec.pool)))]
-    j = int(rng.integers(len(spec.pool) - 1))
+        return spec.pool[rng.integers(len(spec.pool))]
+    j = rng.integers(len(spec.pool) - 1)
     return spec.pool[j + (j >= k)]
 
 
 def _corrupt_tokens(tokens: list[str], spec: NoiseSpec,
-                    rng: np.random.Generator) -> str:
+                    rng: _Stream) -> str:
     out: list[str] = []
     thresholds = spec._thresholds
     for token in tokens:
@@ -203,7 +313,7 @@ def _corrupt_tokens(tokens: list[str], spec: NoiseSpec,
         if category == 1:  # substitution
             out.append(_substitute(spec, token, rng) if spec.pool else token)
         elif category == 2:  # repeated-letter stretching
-            out.append(token + token[-1] * int(rng.integers(2, 6)))
+            out.append(token + token[-1] * rng.integers(2, 6))
         elif category == 3:
             out.append(ABBREVIATIONS.get(token, token))
         elif category == 4:
@@ -219,29 +329,27 @@ def corrupt(sentence: str, spec: NoiseSpec, index: int = 0) -> str:
     ``index`` is the sentence's position in its corpus; together with the
     spec's seed it fully determines the output.
     """
-    return _corrupt_tokens(normalize(sentence), spec,
-                           np.random.default_rng((spec.seed, index)))
+    tokens = normalize(sentence)
+    pcg = np.random.PCG64((spec.seed, index))
+    start = pcg.state["state"]
+    stream = _Stream(pcg.random_raw(_block_size(tokens)).tolist(),
+                     (start["state"], start["inc"]))
+    return _corrupt_tokens(tokens, spec, stream)
 
 
 def corrupt_corpus(sentences: list[str | list[str]],
                    spec: NoiseSpec) -> list[str]:
     """``corrupt(s, spec, i)`` for each sentence ``s`` at position ``i``; a
     sentence may be given as its ``normalize`` tokens."""
-    starts = _start_states(spec, len(sentences))
-    return list(_replay(map(as_tokens, sentences), spec, starts))
+    corpus = [as_tokens(s) for s in sentences]
+    return list(_replay(corpus, spec, _Blocks(corpus, spec)))
 
 
-def _replay(corpus, spec: NoiseSpec, starts: list[tuple[int, int]]):
-    """Yield each token list of ``corpus`` corrupted. One generator is reset
-    to each sentence's start in ``starts`` (``_start_states``), which
-    replays a fresh generator's stream bit for bit."""
-    rng = np.random.Generator(np.random.PCG64())
-    pcg = rng.bit_generator
-    for tokens, (state, inc) in zip(corpus, starts, strict=True):
-        pcg.state = {"bit_generator": "PCG64",
-                     "state": {"state": state, "inc": inc},
-                     "has_uint32": 0, "uinteger": 0}
-        yield _corrupt_tokens(tokens, spec, rng)
+def _replay(corpus, spec: NoiseSpec, streams):
+    """Yield each token list of ``corpus`` corrupted, reading the
+    sentence's stream from ``streams`` (a ``_Blocks``)."""
+    for tokens, stream in zip(corpus, streams, strict=True):
+        yield _corrupt_tokens(tokens, spec, stream)
 
 
 def _scaled(spec: NoiseSpec, scale: float) -> NoiseSpec:
@@ -260,15 +368,14 @@ class Calibration(NamedTuple):
     wer: tuple[float, float]
 
 
-def _calibration_pass(corpus: list[list[str]],
-                      starts: list[tuple[int, int]], spec: NoiseSpec,
-                      stop=None) -> Calibration | None:
+def _calibration_pass(corpus: list[list[str]], streams: _Blocks,
+                      spec: NoiseSpec, stop=None) -> Calibration | None:
     """Corrupt and score ``corpus`` at ``spec`` sentence by sentence; None
     as soon as ``stop`` holds for the running WER, the edits so far over
     all the corpus's words, which only grows to the pass's pooled WER."""
     words = sum(map(len, corpus))
     noisy, distances, edits = [], [], 0
-    for tokens, out in zip(corpus, _replay(corpus, spec, starts)):
+    for tokens, out in zip(corpus, _replay(corpus, spec, streams)):
         distances.append(edit_distance(tokens, normalize(out)))
         edits += distances[-1]
         if stop is not None and stop(edits / words):
@@ -292,9 +399,8 @@ def calibrate(corpus: list[str | list[str]], spec: NoiseSpec) -> Calibration:
     # checked before any pass, since a pass may stop short of a bad sentence
     corpus = reference_tokens([as_tokens(s) for s in corpus])
 
-    # the scaled specs keep spec.seed, so every pass replays these starts
-    run_pass = partial(_calibration_pass, corpus,
-                       _start_states(spec, len(corpus)))
+    # the scaled specs keep spec.seed, so every pass replays these streams
+    run_pass = partial(_calibration_pass, corpus, _Blocks(corpus, spec))
 
     other = spec.p_repeat + spec.p_abbreviate + spec.p_casual
     if spec.p_delete == 0 and spec.p_substitute == 0:

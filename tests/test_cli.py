@@ -450,6 +450,16 @@ class TestEvalAndReport:
         assert f"{counts}:4: expected 2 counts" in capsys.readouterr().err
         assert not (tmp_path / "report").exists()
 
+    def test_report_rejects_a_counts_byte_that_is_not_utf8(self, tmp_path,
+                                                           capsys):
+        counts = tmp_path / "confusion_counts.csv"
+        counts.write_bytes(b"3,1\n1,\xff4\n")
+        assert main(["report", "--confusion", str(counts),
+                     "--outdir", str(tmp_path / "report")]) == 3
+        assert capsys.readouterr().err == \
+            f"error: {counts}:2: not UTF-8: invalid start byte 0xff\n"
+        assert not (tmp_path / "report").exists()
+
     def test_report_closes_the_counts_file(self, tmp_path):
         counts = tmp_path / "confusion_counts.csv"
         counts.write_text("15,5\n10,20\n")
@@ -528,6 +538,17 @@ class TestBadCorpus:
                      "--num-classes", "2"] + TRAIN_FAST) == 4
         assert not out.exists()   # rejected before training wrote anything
 
+    def test_a_byte_that_is_not_utf8_exits_3_naming_the_line(self, tmp_path,
+                                                            capsys):
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"0\tgood day\n0\tbad \xff\n")
+        out = tmp_path / "run"
+        assert main(["train", "--train", str(bad),
+                     "--outdir", str(out)] + TRAIN_FAST) == 3
+        assert capsys.readouterr().err == \
+            f"error: {bad}:2: not UTF-8: invalid start byte 0xff\n"
+        assert not out.exists()
+
     def test_empty_corpus_exits_5(self, tmp_path, capsys):
         # the same data error as eval on an empty test file
         empty = tmp_path / "empty.tsv"
@@ -591,6 +612,40 @@ def test_each_error_category_exits_with_its_code(code, argv, workspace,
     out = tmp_path / "out"
     assert main(argv(workspace, tmp_path) + ["--outdir", str(out)]) == code
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# A path of the wrong kind for its option: each an OSError other than
+# FileNotFoundError, reported on one error line, and the run stops before
+# writing (train reports its truncation line first).
+PATH_CASES = [
+    pytest.param(lambda ws, tmp: [
+        "prepare", "--synthetic-per-class", "5",
+        "--outdir", _file(tmp, "")], id="prepare-outdir-is-a-file"),
+    pytest.param(lambda ws, tmp: [
+        "prepare", "--input", str(tmp), "--outdir", str(tmp / "out")],
+        id="prepare-input-is-a-directory"),
+    pytest.param(lambda ws, tmp: [
+        "train", "--train", str(tmp), "--outdir", str(tmp / "out")],
+        id="train-train-is-a-directory"),
+    pytest.param(lambda ws, tmp: [
+        "train", "--train", str(ws / "data" / "train.tsv"),
+        "--outdir", _file(tmp, "")] + TRAIN_FAST,
+        id="train-outdir-is-a-file"),
+    pytest.param(lambda ws, tmp: [
+        "eval", "--checkpoint", str(tmp),
+        "--test", str(ws / "data" / "test.tsv"),
+        "--outdir", str(tmp / "out")], id="eval-checkpoint-is-a-directory"),
+]
+
+
+@pytest.mark.parametrize("argv", PATH_CASES)
+def test_a_path_of_the_wrong_kind_exits_7(argv, workspace, tmp_path,
+                                          capsys):
+    assert main(argv(workspace, tmp_path)) == 7
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("error: ")] == err[-1:]
+    assert err[-1].startswith("error: [Errno ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_readme_exit_code_table_matches_the_error_categories():
@@ -715,6 +770,20 @@ class TestModuleEntryPoint:
                             "--outdir", "out"], tmp_path)
         assert done.returncode == 7
         assert done.stderr.startswith("error: ")
+
+    def test_prepare_writes_the_same_bytes_under_any_hash_seed(
+            self, tmp_path, monkeypatch):
+        written = []
+        for hash_seed in ("0", "1"):
+            monkeypatch.setenv("PYTHONHASHSEED", hash_seed)
+            out = tmp_path / f"hash-seed-{hash_seed}"
+            done = _module_run(["prepare", "--synthetic-per-class", "20",
+                                "--target-wer", "0.3", "--outdir", str(out)],
+                               tmp_path)
+            assert done.returncode == 0, done.stderr
+            written.append([(out / name).read_bytes() for name in
+                            ("train.tsv", "test.tsv", "manifest.txt")])
+        assert written[0] == written[1]
 
     def test_a_diverging_run_reports_only_its_error(self, workspace,
                                                     tmp_path):

@@ -38,6 +38,18 @@ class TestLoadCorpus:
         with pytest.raises(ParseError, match=":2:"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("payload,line", [
+        (b"0\tbad \xff\n", 1),
+        (b"0\tok fine\r\n\n1\tcaf\xe9 au lait\n", 3),
+        (b"0\tok fine\n1\tend \xe2\x82", 2),   # cut inside a character
+    ], ids=["first", "after-crlf-and-blank", "truncated"])
+    def test_a_byte_that_is_not_utf8_names_its_line(self, tmp_path,
+                                                    payload, line):
+        path = tmp_path / "c.tsv"
+        path.write_bytes(payload)
+        with pytest.raises(ParseError, match=f"c.tsv:{line}: not UTF-8: "):
+            load_corpus(path)
+
     @pytest.mark.parametrize("split", ["train", "test"])
     def test_a_fourth_column_reports_line_number(self, tmp_path, split):
         path = tmp_path / "c.tsv"
@@ -277,6 +289,13 @@ class TestConfigFiles:
         path = tmp_path / "run.cfg"
         path.write_text("seed 7\n")
         with pytest.raises(ParseError, match=":1:"):
+            parse_config(path)
+
+    def test_a_byte_that_is_not_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"seed = 7\n# caf\xe9\n")
+        with pytest.raises(ParseError, match=r"run.cfg:2: not UTF-8: "
+                           r"invalid continuation byte 0xe9"):
             parse_config(path)
 
 

@@ -1,12 +1,14 @@
 """The fast paths of ``prepare`` against the code they replace: ``bleu``
-counting every n-gram order in one pass against the per-order loop,
-``corrupt_corpus`` replaying saved generator starts against one fresh
-generator per sentence, the start states computed in one vectorized pass
-against ``default_rng``, the clean corpus normalized once per dataset, and
-``calibrate``'s passes that stop once their step is decided against the
-bisection of full passes."""
+counting every n-gram order in one pass against the per-order loop, the
+channel reading raw PCG64 outputs through ``noise._Stream`` against the
+channel driven by one fresh ``default_rng`` per sentence, the stream reader
+against ``np.random.Generator``, the start states computed in one
+vectorized pass against ``default_rng``, the clean corpus normalized once
+per dataset, and ``calibrate``'s passes that stop once their step is
+decided against the bisection of full passes."""
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import replace
 
@@ -102,27 +104,147 @@ SPECS = {
 }
 
 
+def reference_corrupt(sentence, spec, index=0):
+    """The channel as it was written before: one fresh
+    ``default_rng((spec.seed, index))`` per sentence, called once per
+    category draw and once per substitution or stretch."""
+    rng = np.random.default_rng((spec.seed, index))
+    thresholds = np.cumsum(spec.probabilities()).tolist()
+    out = []
+    for token in normalize(sentence):
+        category = bisect_right(thresholds, rng.random())
+        if category == 0:
+            continue
+        if category == 1 and spec.pool:
+            choices = [w for w in spec.pool if w != token] or list(spec.pool)
+            out.append(choices[int(rng.integers(len(choices)))])
+        elif category == 2:
+            out.append(token + token[-1] * int(rng.integers(2, 6)))
+        elif category == 3:
+            out.append(noise.ABBREVIATIONS.get(token, token))
+        elif category == 4:
+            out.append(noise.CASUAL_SPELLINGS.get(token, token))
+        else:
+            out.append(token)
+    return " ".join(out)
+
+
 class TestCorruptCorpusReplay:
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_matches_one_fresh_generator_per_sentence(self, name):
         spec = SPECS[name]
         rng = np.random.default_rng(21)
         corpus = random_corpus(rng, 40, 0, 12) + ["?!", "", "... the cat"]
-        want = [corrupt(s, spec, i) for i, s in enumerate(corpus)]
-        starts = _start_states(spec, len(corpus))
+        want = [reference_corrupt(s, spec, i) for i, s in enumerate(corpus)]
+        assert [corrupt(s, spec, i) for i, s in enumerate(corpus)] == want
         tokens = [normalize(s) for s in corpus]
-        assert list(noise._replay(tokens, spec, starts)) == want
+        streams = noise._Blocks(tokens, spec)
+        assert list(noise._replay(tokens, spec, streams)) == want
         assert corrupt_corpus(corpus, spec) == want
-        # the starts depend only on the seed, so a rescaled spec replays them
+        # the streams depend only on the seed, so a rescaled spec replays
+        # them
         scaled = noise._scaled(spec, 0.5)
-        assert list(noise._replay(tokens, scaled, starts)) == \
-            [corrupt(s, scaled, i) for i, s in enumerate(corpus)]
+        assert list(noise._replay(tokens, scaled, streams)) == \
+            [reference_corrupt(s, scaled, i) for i, s in enumerate(corpus)]
 
     def test_starts_of_another_length_are_refused(self):
         spec = SPECS["all-five"]
         with pytest.raises(ValueError):
             list(noise._replay([["a", "b"], ["c", "d"]], spec,
-                               _start_states(spec, 1)))
+                               noise._Blocks([["a", "b"]], spec)))
+
+    def test_blocks_hold_one_output_per_token_and_half_per_integer(self):
+        tokens = [["a"] * n for n in (0, 1, 2, 7)]
+        blocks = noise._Blocks(tokens, NoiseSpec(seed=4))
+        assert blocks.offsets == [0, 0, 2, 5, 16]
+        assert blocks.raw.dtype == np.uint64
+        for i, (start, a, b) in enumerate(zip(
+                blocks.starts, blocks.offsets, blocks.offsets[1:])):
+            pcg = np.random.default_rng((4, i)).bit_generator
+            assert blocks.raw[a:b].tolist() == \
+                pcg.random_raw(b - a).tolist()
+
+
+def _stream(seed, block):
+    """A ``_Stream`` holding the first ``block`` outputs of
+    ``default_rng(seed)``, and that generator."""
+    generator = np.random.default_rng(seed)
+    start = generator.bit_generator.state["state"]
+    raw = np.random.default_rng(seed).bit_generator.random_raw(block)
+    return (noise._Stream(raw.tolist(), (start["state"], start["inc"])),
+            generator)
+
+
+# one draw each: a float, then integers over ranges of 1 (no draw), 2, 3,
+# 45 (a pool), 2**31 (never rejects), 2**31 + 1 (rejects about half the
+# time), 2**32 - 1 (the largest range Lemire's method takes), and a stretch
+DRAWS = {
+    "random": lambda rng: rng.random(),
+    "1": lambda rng: int(rng.integers(1)),
+    "2": lambda rng: int(rng.integers(2)),
+    "3": lambda rng: int(rng.integers(3)),
+    "45": lambda rng: int(rng.integers(45)),
+    "2**31": lambda rng: int(rng.integers(2**31)),
+    "2**31+1": lambda rng: int(rng.integers(2**31 + 1)),
+    "2**32-1": lambda rng: int(rng.integers(2**32 - 1)),
+    "2..6": lambda rng: int(rng.integers(2, 6)),
+}
+
+
+class TestStream:
+    """``noise._Stream`` reads raw PCG64 outputs as ``np.random.Generator``
+    does: the same values, and the same position after them."""
+
+    @pytest.mark.parametrize("draw", sorted(DRAWS))
+    @pytest.mark.parametrize("seed", [0, 17, (101, 5)])
+    def test_each_draw_matches_the_generator(self, seed, draw):
+        stream, generator = _stream(seed, 400)
+        for _ in range(300):
+            assert DRAWS[draw](stream) == DRAWS[draw](generator)
+        # still in step: the kept half and the position agree
+        assert [stream.integers(45), stream.random()] == \
+            [generator.integers(45), generator.random()]
+
+    @pytest.mark.parametrize("block", [0, 3, 40, 2000])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mixed_draws_match_the_generator(self, seed, block):
+        # blocks of 0, 3 and 40 outputs run out and are extended
+        order = np.random.default_rng(seed + 50).choice(sorted(DRAWS), 1000)
+        stream, generator = _stream(seed, block)
+        got = [DRAWS[name](stream) for name in order]
+        assert got == [DRAWS[name](generator) for name in order]
+
+    def test_a_rejection_that_uses_the_block_up_extends_it(self):
+        # 400 draws over 2**31 + 1 values take 400 halves when none is
+        # rejected, so a block of 200 outputs runs out only by rejections
+        stream, generator = _stream(9, 200)
+        got = [stream.integers(2**31 + 1) for _ in range(400)]
+        assert got == [int(generator.integers(2**31 + 1))
+                       for _ in range(400)]
+        assert stream._drawn > 200
+        assert stream.random() == generator.random()
+
+    def test_a_hand_built_block_takes_the_rejection_branch(self):
+        # over 3 values Lemire's method rejects a 32-bit draw whose product
+        # with 3 has low half below 2**32 % 3 = 1: only the draw 0
+        low, high, after = 0, 2**31, 0x0123456789ABCDEF
+        stream = noise._Stream([high << 32 | low, after], (0, 1))
+        assert stream.integers(3) == (3 * high) >> 32 == 1
+        # both halves of the first output are used; the next draw takes
+        # the second output whole
+        assert stream.random() == (after >> 11) * 2.0**-53
+
+    def test_a_range_of_one_value_makes_no_draw(self):
+        stream, generator = _stream(3, 4)
+        assert stream.integers(1) == 0 and stream.integers(7, 8) == 7
+        assert stream.random() == generator.random()
+
+    @pytest.mark.parametrize("low,high", [(2**32, None), (0, None),
+                                          (5, 5), (6, 2), (0, 2**40)])
+    def test_ranges_outside_lemires_method_are_refused(self, low, high):
+        stream, _ = _stream(0, 4)
+        with pytest.raises(ValueError):
+            stream.integers(low, high)
 
 
 class TestStartStates:
