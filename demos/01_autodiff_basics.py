@@ -1,5 +1,6 @@
-"""A walk through the autodiff core: tensors, backward passes, finite
-differences and the Adam optimizer.
+"""A walk through the autodiff core (``tensor.py``): tensors, backward passes
+and the Adam optimizer, with the gradients checked against finite
+differences by ``gradcheck.py``.
 
 Run with:  python3 demos/01_autodiff_basics.py
 """
@@ -7,7 +8,8 @@ Run with:  python3 demos/01_autodiff_basics.py
 import numpy as np
 
 from denoiseclf import tensor as T
-from denoiseclf.tensor import Adam, Tensor, finite_difference_check
+from denoiseclf.gradcheck import finite_difference_check, run_op_checks
+from denoiseclf.tensor import Adam, Tensor
 
 # ---------------------------------------------------------------------------
 # 1. Tensors record the graph; backward() fills .grad
@@ -59,11 +61,11 @@ for step in range(1, 101):
 print("  (w converges to 3.0)")
 
 # ---------------------------------------------------------------------------
-# 4. The full verification suite used by `denoiseclf gradcheck`
+# 4. The kernel checks of the verification suite
 # ---------------------------------------------------------------------------
-print("\n== built-in gradient verification suite ==")
-from denoiseclf.gradcheck import run_all
-
-for result in run_all(seed=0):
+print("\n== built-in gradient verification suite: the kernels ==")
+for result in run_op_checks(seed=0):
     status = "PASS" if result.passed else "FAIL"
     print(f"  {status} {result.name}: max rel err {result.max_rel_err:.2e}")
+print("  (the whole suite, with the encoder block, the denoise stack and the")
+print("   training objectives: python -m denoiseclf gradcheck)")

@@ -130,8 +130,7 @@ class TextClassifier:
         reconstruction MSE counts the pad positions.
         """
         with T.no_grad():
-            probs = T.softmax(self.logits(trim_to_longest(seqs)),
-                              axis=-1).values
+            probs = T.softmax(self.logits(trim_to_longest(seqs))).values
         return probs, np.argmax(probs, axis=-1)
 
     def predict_sentence(self, sentence: str) -> tuple[np.ndarray, int]:

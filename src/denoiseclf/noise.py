@@ -236,23 +236,20 @@ class _Stream:
             raw = self._extend()
         return (raw >> 11) * _DOUBLE_STEP
 
-    def integers(self, low: int, high: int | None = None) -> int:
-        """An int in [low, high), or [0, low) when ``high`` is None."""
-        if high is None:
-            low, high = 0, low
-        n = high - low
+    def integers(self, n: int) -> int:
+        """An int in [0, n)."""
         if not 0 < n < 1 << 32:
             # numpy draws 2**32 values or more by another method
             raise ValueError(f"range must hold 1 to 2**32 - 1 values, "
                              f"got {n}")
         if n == 1:  # numpy makes no draw
-            return low
+            return 0
         scaled = self._next32() * n
         if scaled & _MASK32 < n:
             threshold = (1 << 32) % n
             while scaled & _MASK32 < threshold:
                 scaled = self._next32() * n
-        return low + (scaled >> 32)
+        return scaled >> 32
 
 
 def _pcg_at(pcg: np.random.PCG64,
@@ -313,7 +310,8 @@ def _corrupt_tokens(tokens: list[str], spec: NoiseSpec,
         if category == 1:  # substitution
             out.append(_substitute(spec, token, rng) if spec.pool else token)
         elif category == 2:  # repeated-letter stretching
-            out.append(token + token[-1] * rng.integers(2, 6))
+            # 2 to 5 more letters, drawn as Generator.integers(2, 6) draws
+            out.append(token + token[-1] * (2 + rng.integers(4)))
         elif category == 3:
             out.append(ABBREVIATIONS.get(token, token))
         elif category == 4:

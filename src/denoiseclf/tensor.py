@@ -565,23 +565,23 @@ def tanh(x: Tensor) -> Tensor:
     return _make(values, (x, vjp))
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stabilized softmax along ``axis``; other axes are batch."""
-    y = x.values - x.values.max(axis=axis, keepdims=True)
+def softmax(x: Tensor) -> Tensor:
+    """Numerically stabilized softmax over the last axis; others are batch."""
+    y = x.values - x.values.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
-    y /= y.sum(axis=axis, keepdims=True)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
+        dot = (g * y).sum(axis=-1, keepdims=True)
         return y * (g - dot)
     return _make(y, (x, vjp))
 
 
-def layernorm(x: Tensor, gain: Tensor, bias: Tensor, axis: int = -1) -> Tensor:
-    """Normalize to zero mean / unit variance along ``axis``, then scale+shift.
-
-    Other axes are batch axes; ``gain`` and ``bias`` broadcast over them."""
-    n = x.shape[axis]
+def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize to zero mean / unit variance along the last axis, then
+    scale+shift. Other axes are batch axes; ``gain`` and ``bias`` broadcast
+    over them."""
+    n = x.shape[-1]
     if n < 2:
         raise DegenerateAxisError(
             f"layernorm: axis length {n} cannot be normalized")
@@ -589,7 +589,7 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, axis: int = -1) -> Tensor:
 
     def mean(v):
         # np.mean's own arithmetic: add.reduce, then divide by the count
-        return v.sum(axis=axis, keepdims=True) / n
+        return v.sum(axis=-1, keepdims=True) / n
     xhat = x.values - mean(x.values)
     values = xhat * xhat
     inv = 1.0 / np.sqrt(mean(values) + 1e-5)   # eps
@@ -736,47 +736,3 @@ class Adam:
         ends = np.cumsum([p.values.size for p in self.params])
         bad = np.flatnonzero(~np.isfinite(flat))
         return np.unique(np.searchsorted(ends, bad, side="right")).tolist()
-
-
-def finite_difference_check(loss_fn: Callable[[], Tensor],
-                            params: Sequence[Tensor],
-                            h: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients,
-    ``D(h) = (L(x + h) - L(x - h)) / 2h`` per element.
-
-    ``loss_fn`` must rebuild the graph from ``params`` on every call.
-    """
-    return _max_rel_err(loss_fn, params,
-                        lambda loss_at: (loss_at(h) - loss_at(-h)) / (2.0 * h))
-
-
-def _max_rel_err(loss_fn: Callable[[], Tensor], params: Sequence[Tensor],
-                 estimate: Callable[[Callable[[float], float]], float]) -> float:
-    """Max relative error between the analytic gradient and ``estimate``,
-    which returns one element's numeric derivative from ``loss_at(d)``, the
-    loss with that element moved by ``d``."""
-    loss = loss_fn()
-    for p in params:
-        p.grad = None
-    loss.backward()
-    analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.values)
-                for p in params]
-    worst = 0.0
-    for p, ana in zip(params, analytic):
-        flat = p.values.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-
-            def loss_at(d: float) -> float:
-                flat[i] = orig + d
-                with no_grad():
-                    return float(loss_fn().values)
-
-            num = estimate(loss_at)
-            flat[i] = orig
-            a = ana.reshape(-1)[i]
-            # floor the denominator so double-precision FD noise on near-zero
-            # gradients does not register as relative error
-            scale = max(abs(num), abs(a), 1e-5)
-            worst = max(worst, abs(num - a) / scale)
-    return worst

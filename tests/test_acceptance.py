@@ -50,7 +50,10 @@ def test_criterion_1_gradient_integrity():
     results = run_all(seed=0)
     elapsed = time.time() - start
     worst = max(r.max_rel_err for r in results)
-    ok = all(r.passed for r in results) and elapsed < 60.0
+    names = {r.name for r in results}
+    ok = (all(r.passed for r in results) and elapsed < 60.0
+          and len(results) >= 12
+          and {"phase2_loss_affine", "phase2_loss_gelu_richardson"} <= names)
     _report(1, "gradcheck passes for every op and the end-to-end loss",
             ok, f"max rel err {worst:.2e}, {elapsed:.1f}s")
 

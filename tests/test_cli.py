@@ -19,6 +19,7 @@ from denoiseclf import cli
 from denoiseclf.checkpoint import load_checkpoint
 from denoiseclf.cli import main
 from denoiseclf.data import load_corpus, make_dataset, parse_config
+from denoiseclf.gradcheck import CheckResult
 from denoiseclf.noise import pool_of
 from denoiseclf.tokenizer import normalize
 
@@ -488,14 +489,23 @@ class TestEvalAndReport:
 
 
 class TestGradcheckCommand:
-    def test_passes_and_prints_per_check_lines(self, capsys):
+    def test_passes_and_prints_per_check_lines(self, capsys, monkeypatch):
+        # the real suite's lines are checked by acceptance criterion 1
+        results = [CheckResult("matmul", 2.5e-11),
+                   CheckResult("phase2_loss_gelu_richardson", 7.1e-6)]
+        passing = ["PASS matmul: max rel err 2.500e-11",
+                   "PASS phase2_loss_gelu_richardson: max rel err 7.100e-06"]
+        monkeypatch.setattr(cli, "run_all", lambda seed: results)
         assert main(["gradcheck", "--seed", "0"]) == 0
-        out = capsys.readouterr().out
-        lines = [l for l in out.splitlines() if l.startswith("PASS")]
-        assert len(lines) >= 12
-        names = {l.split()[1] for l in lines}
-        assert {"phase2_loss_affine:", "phase2_loss_gelu_richardson:"} <= names
-        assert not any(l.startswith("FAIL") for l in out.splitlines())
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:-1] == passing
+        assert re.fullmatch(r"total \d+\.\ds", lines[-1])
+        # a check at the tolerance fails; the lines after it still print
+        results.insert(0, CheckResult("softmax", 1e-4))
+        assert main(["gradcheck", "--seed", "0"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:-1] == ["FAIL softmax: max rel err 1.000e-04"] + passing
+        assert re.fullmatch(r"total \d+\.\ds", lines[-1])
 
     def test_config_file_seed_and_flag_precedence(self, tmp_path,
                                                   monkeypatch):

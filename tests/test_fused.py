@@ -58,7 +58,7 @@ def ref_attention(x, mask, num_heads, wq, bq, wk, bk, wv, bv, wo, bo,
     k = heads(x, wk, bk, keys_last)
     v = heads(x, wv, bv, heads_first)
     scores = T.mul(T.matmul(q, k), Tensor(1.0 / math.sqrt(dh)))
-    att = T.softmax(scores + Tensor(ref_mask_bias(mask)), axis=-1)
+    att = T.softmax(scores + Tensor(ref_mask_bias(mask)))
     ctx = T.reshape(T.transpose(T.matmul(att, v), heads_first), rows.shape)
     return T.affine(ctx, wo, bo)
 

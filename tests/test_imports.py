@@ -2,7 +2,8 @@
 module of ``src/denoiseclf`` imports is read there, and every top-level
 function or class and every public method of one is used by the program.
 ``__init__.py`` and an import whose first line says ``# noqa: F401``
-re-export on purpose."""
+re-export on purpose. No module imports another's underscore-prefixed
+name: what one module keeps private, no other depends on."""
 
 import ast
 import re
@@ -46,6 +47,32 @@ def test_the_scan_finds_an_unused_import():
     assert unused_imports("import os\nimport sys\nsys.exit()\n") == \
         ["line 1: os"]
     assert unused_imports("from a import b  # noqa: F401\n") == []
+
+
+def private_imports(source: str) -> list[str]:
+    """The underscore-prefixed names ``source`` imports from a module of
+    the package, by a relative or a ``denoiseclf`` import."""
+    return [f"line {node.lineno}: {alias.name}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0]
+                 == "denoiseclf")
+            for alias in node.names if alias.name.startswith("_")]
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in SRC.glob("*.py") if p.name != "__init__.py"))
+def test_no_private_name_is_imported_from_another_module(module):
+    assert private_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def test_the_scan_finds_a_private_import():
+    assert private_imports("from .tensor import (Tensor,\n"
+                           "                     _coerce)\n"
+                           "from denoiseclf.noise import _Stream\n"
+                           "from numpy import _private, public\n"
+                           "from __future__ import annotations\n") == \
+        ["line 1: _coerce", "line 3: _Stream"]
 
 
 def definitions(tree: ast.Module):

@@ -56,7 +56,7 @@ def model(request):
 
 def full_width_predict(model, seqs):
     with T.no_grad():
-        probs = T.softmax(model.logits(seqs), axis=-1).values
+        probs = T.softmax(model.logits(seqs)).values
     return probs, np.argmax(probs, axis=-1)
 
 

@@ -65,25 +65,25 @@ def ref_gelu(x):
     return values, vjp
 
 
-def ref_softmax(x, axis):
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    y = e / e.sum(axis=axis, keepdims=True)
+def ref_softmax(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        return y * (g - (g * y).sum(axis=axis, keepdims=True))
+        return y * (g - (g * y).sum(axis=-1, keepdims=True))
     return y, vjp
 
 
-def ref_layernorm(x, gain, bias, axis, eps=1e-5):
-    xc = x - x.mean(axis=axis, keepdims=True)
-    inv = 1.0 / np.sqrt((xc ** 2).mean(axis=axis, keepdims=True) + eps)
+def ref_layernorm(x, gain, bias, eps=1e-5):
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc ** 2).mean(axis=-1, keepdims=True) + eps)
     xhat = xc * inv
     values = xhat * gain + bias
 
     def x_vjp(g):
         gx = g * gain
-        return inv * (gx - gx.mean(axis=axis, keepdims=True)
-                      - xhat * (gx * xhat).mean(axis=axis, keepdims=True))
+        return inv * (gx - gx.mean(axis=-1, keepdims=True)
+                      - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
     return values, (x_vjp, lambda g: T._unbroadcast(g * xhat, gain.shape),
                     lambda g: T._unbroadcast(g, bias.shape))
 
@@ -153,17 +153,15 @@ def test_gelu_forward_and_vjp(scale):
     assert same_bits(grads_of(out, g)[id(x)], vjp(g))
 
 
-@pytest.mark.parametrize("shape,axis", [((2, 3, 12), -1), ((12, 5), 0)])
-def test_layernorm_forward_and_three_vjps(shape, axis):
+def test_layernorm_forward_and_three_vjps():
     rng = np.random.default_rng(2)
-    x = Tensor(rng.normal(1.0, 3.0, size=shape), requires_grad=True)
-    gshape = (12,) if axis == -1 else (12, 1)
-    gain = Tensor(rng.normal(size=gshape), requires_grad=True)
-    bias = Tensor(rng.normal(size=gshape), requires_grad=True)
-    g = rng.normal(size=shape)
-    out = T.layernorm(x, gain, bias, axis=axis)
+    x = Tensor(rng.normal(1.0, 3.0, size=(2, 3, 12)), requires_grad=True)
+    gain = Tensor(rng.normal(size=(12,)), requires_grad=True)
+    bias = Tensor(rng.normal(size=(12,)), requires_grad=True)
+    g = rng.normal(size=x.shape)
+    out = T.layernorm(x, gain, bias)
     values, (x_vjp, gain_vjp, bias_vjp) = ref_layernorm(
-        x.values, gain.values, bias.values, axis)
+        x.values, gain.values, bias.values)
     assert same_bits(out.values, values)
     grads = grads_of(out, g)
     assert same_bits(grads[id(x)], x_vjp(g))
@@ -171,15 +169,14 @@ def test_layernorm_forward_and_three_vjps(shape, axis):
     assert same_bits(grads[id(bias)], bias_vjp(g))
 
 
-@pytest.mark.parametrize("axis", [-1, 0, 1])
-def test_softmax_forward_and_vjp(axis):
+def test_softmax_forward_and_vjp():
     rng = np.random.default_rng(3)
     raw = rng.normal(0.0, 4.0, size=(3, 5, 7))
     raw[..., -2:] += -1e9   # masked keys, as attention adds them
     x = Tensor(raw, requires_grad=True)
     g = rng.normal(size=raw.shape)
-    out = T.softmax(x, axis=axis)
-    values, vjp = ref_softmax(raw, axis)
+    out = T.softmax(x)
+    values, vjp = ref_softmax(raw)
     assert same_bits(out.values, values)
     assert same_bits(grads_of(out, g)[id(x)], vjp(g))
 

@@ -177,7 +177,8 @@ def _stream(seed, block):
 
 # one draw each: a float, then integers over ranges of 1 (no draw), 2, 3,
 # 45 (a pool), 2**31 (never rejects), 2**31 + 1 (rejects about half the
-# time), 2**32 - 1 (the largest range Lemire's method takes), and a stretch
+# time), 2**32 - 1 (the largest range Lemire's method takes), and a stretch;
+# the stream draws the stretch as ``2 + integers(4)``
 DRAWS = {
     "random": lambda rng: rng.random(),
     "1": lambda rng: int(rng.integers(1)),
@@ -189,6 +190,7 @@ DRAWS = {
     "2**32-1": lambda rng: int(rng.integers(2**32 - 1)),
     "2..6": lambda rng: int(rng.integers(2, 6)),
 }
+STREAM_DRAWS = {**DRAWS, "2..6": lambda stream: 2 + stream.integers(4)}
 
 
 class TestStream:
@@ -200,7 +202,7 @@ class TestStream:
     def test_each_draw_matches_the_generator(self, seed, draw):
         stream, generator = _stream(seed, 400)
         for _ in range(300):
-            assert DRAWS[draw](stream) == DRAWS[draw](generator)
+            assert STREAM_DRAWS[draw](stream) == DRAWS[draw](generator)
         # still in step: the kept half and the position agree
         assert [stream.integers(45), stream.random()] == \
             [generator.integers(45), generator.random()]
@@ -211,7 +213,7 @@ class TestStream:
         # blocks of 0, 3 and 40 outputs run out and are extended
         order = np.random.default_rng(seed + 50).choice(sorted(DRAWS), 1000)
         stream, generator = _stream(seed, block)
-        got = [DRAWS[name](stream) for name in order]
+        got = [STREAM_DRAWS[name](stream) for name in order]
         assert got == [DRAWS[name](generator) for name in order]
 
     def test_a_rejection_that_uses_the_block_up_extends_it(self):
@@ -236,15 +238,14 @@ class TestStream:
 
     def test_a_range_of_one_value_makes_no_draw(self):
         stream, generator = _stream(3, 4)
-        assert stream.integers(1) == 0 and stream.integers(7, 8) == 7
+        assert stream.integers(1) == 0
         assert stream.random() == generator.random()
 
-    @pytest.mark.parametrize("low,high", [(2**32, None), (0, None),
-                                          (5, 5), (6, 2), (0, 2**40)])
-    def test_ranges_outside_lemires_method_are_refused(self, low, high):
+    @pytest.mark.parametrize("n", [2**32, 0, -4, 2**40])
+    def test_ranges_outside_lemires_method_are_refused(self, n):
         stream, _ = _stream(0, 4)
         with pytest.raises(ValueError):
-            stream.integers(low, high)
+            stream.integers(n)
 
 
 class TestStartStates:

@@ -10,9 +10,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from denoiseclf import tensor as T
+from denoiseclf.gradcheck import finite_difference_check
 from denoiseclf.tensor import (Adam, DegenerateAxisError, DimensionError,
                                LabelError, NonFiniteError, OptimizerError,
-                               Tensor, finite_difference_check)
+                               Tensor)
 
 
 def rand_tensor(rng, shape):
@@ -67,18 +68,18 @@ class TestAdd:
 
 class TestSoftmax:
     def test_symmetry(self):
-        out = T.softmax(Tensor([0.0, 0.0]), axis=0)
+        out = T.softmax(Tensor([0.0, 0.0]))
         np.testing.assert_allclose(out.values, [0.5, 0.5])
 
     def test_direct_oracle(self):
         x = np.array([1.0, 2.0, 3.0])
         expected = np.exp(x) / np.exp(x).sum()
-        out = T.softmax(Tensor(x), axis=0)
+        out = T.softmax(Tensor(x))
         np.testing.assert_allclose(out.values, expected, rtol=1e-12)
 
     @given(st.lists(st.floats(-50, 50), min_size=2, max_size=8))
     def test_argmax_monotonicity_and_row_sum(self, xs):
-        out = T.softmax(Tensor(xs), axis=0).values
+        out = T.softmax(Tensor(xs)).values
         assert abs(out.sum() - 1.0) < 1e-9
         # exp rounding can tie values closer than one ulp, so compare the
         # attained maximum rather than the index
@@ -88,7 +89,7 @@ class TestSoftmax:
            st.floats(-100, 100))
     @example(xs=[-2.220446049250313e-16, 0.0], c=3.0)
     def test_shift_invariant_argmax(self, xs, c):
-        shifted = T.softmax(Tensor(np.array(xs) + c), axis=0).values
+        shifted = T.softmax(Tensor(np.array(xs) + c)).values
         # adding c can round two near-equal inputs to a tie, so compare the
         # attained maximum rather than the index
         assert xs[int(np.argmax(shifted))] == pytest.approx(max(xs),
@@ -605,7 +606,7 @@ class TestBatchAxes:
         g, b = rand_tensor(rng, (4,)), rand_tensor(rng, (4,))
         w = Tensor(rng.normal(size=(2, 3, 4)))
         assert finite_difference_check(
-            lambda: T.sum_all(T.mul(T.softmax(s, axis=-1), w)), [s]) < 1e-6
+            lambda: T.sum_all(T.mul(T.softmax(s), w)), [s]) < 1e-6
         assert finite_difference_check(
             lambda: T.sum_all(T.mul(T.layernorm(s, g, b), w)),
             [s, g, b]) < 1e-6
