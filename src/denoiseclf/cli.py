@@ -21,8 +21,8 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (atomic_write_text, config_lines, format_config,
-                   load_corpus, make_dataset, parse_config, sentences_of,
-                   split_corpus, synthetic_corpus, text_lines)
+                   load_corpus, make_dataset, sentences_of, split_corpus,
+                   synthetic_corpus, text_lines)
 from .encoder import EncoderConfig
 from .errors import (CalibrationError, CheckpointError, ConfigError,
                      DataError, LabelError, NonFiniteError, ParseError,
@@ -166,9 +166,7 @@ def cmd_train(args) -> int:
                              num_classes=args.num_classes)
     sentences = sentences_of(train_data)
     vocab = build_vocab(sentences)
-    ff_size = 2 * args.hidden_size if args.ff_size is None else args.ff_size
-    encoder = _from_options(EncoderConfig, args, vocab_size=len(vocab),
-                            ff_size=ff_size)
+    encoder = _from_options(EncoderConfig, args, vocab_size=len(vocab))
     config = _from_options(ModelConfig, args, encoder=encoder)
     model = TextClassifier(config, vocab, seed=args.seed)
     cfg = _from_options(TrainConfig, args)
@@ -201,18 +199,31 @@ def _write_confusion_csv(path: Path, matrix: np.ndarray) -> None:
     atomic_write_text(path, buf.getvalue())
 
 
+def _manifest_scores(path: str) -> tuple[float, float]:
+    """The manifest's ``wer_pooled`` and ``ibleu``, nan where a key is
+    missing; a value that is not a float is a ParseError naming its line."""
+    lines = config_lines(path)
+    scores = []
+    for key in ("wer_pooled", "ibleu"):
+        lineno, text = lines.get(key, (0, "nan"))
+        try:
+            scores.append(float(text))
+        except ValueError:
+            raise ParseError(path, lineno,
+                             f"{key}: invalid value {text!r}") from None
+    return tuple(scores)
+
+
 def cmd_eval(args) -> int:
+    wer_pooled = ibleu_score = None
+    if args.manifest:
+        wer_pooled, ibleu_score = _manifest_scores(args.manifest)
     model = load_checkpoint(args.checkpoint)
     test = load_corpus(args.test, split="test",
                        num_classes=model.config.encoder.num_classes)
     cm = evaluate(test, model)
     _report_truncation([ex.incomplete for ex in test],
                        model.config.encoder.seq_len, "test")
-    wer_pooled = ibleu_score = None
-    if args.manifest:
-        manifest = parse_config(args.manifest)
-        wer_pooled = float(manifest.get("wer_pooled", "nan"))
-        ibleu_score = float(manifest.get("ibleu", "nan"))
     macro = macro_scores(cm)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

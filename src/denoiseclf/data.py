@@ -215,10 +215,6 @@ def config_lines(path: str | Path) -> dict[str, tuple[int, str]]:
     return lines
 
 
-def parse_config(path: str | Path) -> dict[str, str]:
-    return {key: value for key, (_, value) in config_lines(path).items()}
-
-
 def format_config(mapping: dict) -> str:
     return "".join(f"{k} = {v}\n" for k, v in mapping.items())
 

@@ -4,10 +4,11 @@ The compression stack maps each position's H-wide embedding down through
 three stages (each a pair of affine maps) to a narrow latent code; the
 reconstruction stack mirrors the chain back up to H. Trained against the
 clean-sentence embedding under MSE, then refined by post-reconstruction
-transformer blocks. ``DenoiseStack`` and ``refine`` take and return
-[B, L, H] rows; only inside the stack (``compress``, ``reconstruct``) do the
-stages run over [H, B*L] columns, the layout of the paper's notation and of
-the stored [out, in] weights.
+transformer blocks. ``DenoiseStack`` takes and returns [B, L, H] rows;
+only inside the stack (``compress``, ``reconstruct``) do the stages run over
+[H, B*L] columns, the layout of the paper's notation and of the stored
+[out, in] weights. A wrong input width fails in ``tensor.mlp``. ``refine``
+takes [B, L, H] rows and returns the [B, 1, H] [CLS] rows the head reads.
 
 The stage maps are affine by default; an optional smooth nonlinearity can be
 switched in between the two affine maps of each stage.
@@ -89,10 +90,6 @@ class DenoiseStack:
 
     def compress(self, h_inc: Tensor) -> tuple[Tensor, Tensor, Tensor]:
         """[H, N] columns -> latent codes (z1, z2, z) of widths d1, d2, d3."""
-        if h_inc.shape[0] != self.cfg.dims[0]:
-            raise ConfigError(
-                f"compress expects hidden dim {self.cfg.dims[0]}, "
-                f"got {h_inc.shape[0]}")
         z1 = self._stage(h_inc, self.down[0])
         z2 = self._stage(z1, self.down[1])
         z = self._stage(z2, self.down[2])
@@ -100,10 +97,6 @@ class DenoiseStack:
 
     def reconstruct(self, z: Tensor) -> Tensor:
         """Latent [d3, N] -> reconstructed embedding [H, N]."""
-        if z.shape[0] != self.cfg.dims[3]:
-            raise ConfigError(
-                f"reconstruct expects latent dim {self.cfg.dims[3]}, "
-                f"got {z.shape[0]}")
         rec2 = self._stage(z, self.up[0])
         rec1 = self._stage(rec2, self.up[1])
         return self._stage(rec1, self.up[2])
@@ -123,9 +116,9 @@ class DenoiseStack:
                           target.reshape(-1, target.shape[-1]).T)
 
 
-def refine(x: Tensor, mask, blocks, num_heads: int,
-           cls_only: bool = False) -> Tensor:
+def refine(x: Tensor, mask, blocks, num_heads: int) -> Tensor:
     """Run [B, L, H] rows (mask [B, L]) through the post ``blocks``, a list
-    of ``BlockParams``; with ``cls_only`` and at least one block, only the
-    [CLS] row of the last (see ``encoder.run_blocks``)."""
-    return run_blocks(x, mask, blocks, num_heads, cls_only)
+    of ``BlockParams``, for the classifier head: the last block computes
+    only the [CLS] row, so the output is [B, 1, H]; with no block it is x
+    (see ``encoder.run_blocks``)."""
+    return run_blocks(x, mask, blocks, num_heads, cls_only=True)

@@ -31,12 +31,14 @@ class EncoderConfig:
     seq_len: int = 32
     num_layers: int = 2
     num_heads: int = 4
-    ff_size: int = 128
+    ff_size: int | None = None  # default: 2 * hidden_size
     vocab_size: int = 1000
     num_classes: int = 2
 
     def __post_init__(self):
         check_fields(self)
+        if self.ff_size is None:
+            object.__setattr__(self, "ff_size", 2 * self.hidden_size)
         for f in fields(self):
             if getattr(self, f.name) <= 0:
                 raise ConfigError(f"{f.name} must be positive")

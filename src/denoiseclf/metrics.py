@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, UndefinedReferenceError
-from .tokenizer import as_tokens, normalize
+from .tokenizer import as_tokens
 
 
 # -- word error rate --------------------------------------------------------
@@ -57,11 +57,7 @@ def edit_distance(a: list[str], b: list[str]) -> int:
 
 def wer(reference: str, hypothesis: str) -> float:
     """(substitutions + deletions + insertions) / reference length."""
-    ref = normalize(reference)
-    if not ref:
-        raise UndefinedReferenceError(
-            f"WER undefined for empty reference {reference!r}")
-    return edit_distance(ref, normalize(hypothesis)) / len(ref)
+    return corpus_wer([reference], [hypothesis])[0]
 
 
 def corpus_wer(references: list[str | list[str]],

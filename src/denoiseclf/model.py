@@ -115,7 +115,7 @@ class TextClassifier:
             if partial is None:
                 partial = self.stack(self.intermediate(seqs))
             h = refine(partial, field_rows(seqs, "attention_mask"), self.post,
-                       self.config.encoder.num_heads, cls_only=True)
+                       self.config.encoder.num_heads)
         return T.affine(h[:, 0], self.head_w, self.head_b)
 
     def predict(self, seqs: Sequence[TokenSequence]

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CalibrationError, check_fields
+from .errors import CalibrationError, ConfigError, check_fields
 from .metrics import edit_distance, pooled_and_mean, reference_tokens
 from .tokenizer import as_tokens, normalize
 
@@ -83,13 +83,13 @@ class NoiseSpec:
         check_fields(self)
         probs = self.probabilities()
         if any(not 0.0 <= p <= 1.0 for p in probs):
-            raise ValueError(f"probabilities must lie in [0, 1]: {probs}")
+            raise ConfigError(f"probabilities must lie in [0, 1]: {probs}")
         if sum(probs) > 1.0 + 1e-12:
-            raise ValueError(
+            raise ConfigError(
                 f"category probabilities sum to {sum(probs):.3f} > 1")
         if len(self._pool_index) < len(self.pool):
             repeated = next(w for w in self.pool if self.pool.count(w) > 1)
-            raise ValueError(f"pool repeats the word {repeated!r}")
+            raise ConfigError(f"pool repeats the word {repeated!r}")
 
     def probabilities(self) -> tuple[float, ...]:
         return (self.p_delete, self.p_substitute, self.p_repeat,

@@ -319,8 +319,6 @@ def attention(x, mask, num_heads: int, wq, bq, wk, bk, wv, bv, wo,
             grads[8] = _unbroadcast(g, bov.shape)
         if need[4]:
             grads[4] = np.zeros_like(bkv)
-        if not any(need[:4] + need[5:7] + need[9:]):
-            return grads
         g_ctx = np.matmul(g, wov.T).reshape(
             *qv.shape[:-1], num_heads, dh).transpose(heads_first)
         g_v = np.matmul(np.swapaxes(att, -1, -2), g_ctx)

@@ -48,11 +48,11 @@ class TrainConfig:
     def __post_init__(self):
         check_fields(self)
         if self.phase1_epochs <= 0 or self.phase2_epochs <= 0:
-            raise ValueError("epoch counts must be positive")
+            raise ConfigError("epoch counts must be positive")
         if not 0.0 <= self.warmup_proportion <= 1.0:
-            raise ValueError("warmup proportion must lie in [0, 1]")
+            raise ConfigError("warmup proportion must lie in [0, 1]")
         if self.batch_size < 1:
-            raise ValueError("batch size must be >= 1")
+            raise ConfigError("batch size must be >= 1")
         for name in ("phase1_lr", "phase2_lr", "weight_decay",
                      "aux_mse_weight"):
             value = getattr(self, name)
@@ -62,15 +62,12 @@ class TrainConfig:
 
 
 def warmup_linear(step: int, total_steps: int, warmup_proportion: float) -> float:
-    """Piecewise-linear schedule factor: 0 -> 1 over the warmup steps, then
-    1 -> 0 over the remainder. Continuous, peaks exactly once."""
-    if total_steps <= 0:
-        return 0.0
+    """Piecewise-linear schedule factor at a step in 0..``total_steps``
+    (>= 1): 0 -> 1 over the warmup steps, then 1 -> 0 over the remainder.
+    Continuous, peaks exactly once."""
     w = max(1, math.ceil(warmup_proportion * total_steps))
     if step <= w:
         return step / w
-    if total_steps == w:
-        return 1.0
     return max(0.0, (total_steps - step) / (total_steps - w))
 
 

@@ -18,8 +18,8 @@ import pytest
 
 from denoiseclf.checkpoint import (CheckpointError, load_checkpoint,
                                    save_checkpoint)
-from denoiseclf.data import (PairedExample, load_corpus, make_dataset,
-                             parse_config, sentences_of, split_corpus,
+from denoiseclf.data import (PairedExample, config_lines, load_corpus,
+                             make_dataset, sentences_of, split_corpus,
                              synthetic_corpus)
 from denoiseclf.denoise import DenoiseConfig, DenoiseStack
 from denoiseclf.encoder import EncoderConfig, ParamTable
@@ -259,9 +259,9 @@ def test_criterion_7_noise_calibration(tmp_path):
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"
     code_a = main(argv + ["--outdir", str(dir_a)])
     code_b = main(argv + ["--outdir", str(dir_b)])
-    manifest = parse_config(dir_a / "manifest.txt")
-    pooled = float(manifest["wer_pooled"])
-    noise_ibleu = float(manifest["ibleu"])
+    manifest = config_lines(dir_a / "manifest.txt")
+    pooled = float(manifest["wer_pooled"][1])
+    noise_ibleu = float(manifest["ibleu"][1])
     identical = all(
         (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
         for name in ("train.tsv", "test.tsv", "manifest.txt"))

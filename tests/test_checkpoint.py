@@ -15,10 +15,11 @@ from denoiseclf.model import ModelConfig, TextClassifier
 from denoiseclf.tokenizer import build_vocab
 
 
-def tiny_model(seed=0, mode="stacked", activation=None, n_post=1):
+def tiny_model(seed=0, mode="stacked", activation=None, n_post=1,
+               ff_size=12):
     cfg = ModelConfig(
         encoder=EncoderConfig(hidden_size=8, seq_len=6, num_layers=1,
-                              num_heads=2, ff_size=12, vocab_size=32,
+                              num_heads=2, ff_size=ff_size, vocab_size=32,
                               num_classes=2),
         denoise=DenoiseConfig(dims=(8, 6, 4, 2), activation=activation),
         n_post=n_post,
@@ -64,6 +65,22 @@ class TestRoundTrip:
         path = tmp_path / "m.ckpt"
         save_checkpoint(model, path)
         assert load_checkpoint(path).config.mode == "baseline"
+
+    def test_null_optional_fields_load_as_their_defaults(self, tmp_path):
+        # ff_size 2 * hidden and n_post the encoder depth: what null means
+        model = tiny_model(seed=7, ff_size=16, n_post=1)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        body = path.read_bytes()[:-32]
+        (length,) = struct.unpack_from("<I", body, 8)
+        header = json.loads(body[12:12 + length])
+        header["config"]["encoder"]["ff_size"] = None
+        header["config"]["n_post"] = None
+        encoded = json.dumps(header).encode()
+        body = (body[:8] + struct.pack("<I", len(encoded)) + encoded
+                + body[12 + length:])
+        path.write_bytes(body + hashlib.sha256(body).digest())
+        assert_models_equal(model, load_checkpoint(path))
 
     def test_save_is_deterministic(self, tmp_path):
         model = tiny_model(seed=6)

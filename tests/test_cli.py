@@ -18,7 +18,7 @@ import pytest
 from denoiseclf import cli
 from denoiseclf.checkpoint import load_checkpoint
 from denoiseclf.cli import main
-from denoiseclf.data import load_corpus, make_dataset, parse_config
+from denoiseclf.data import config_lines, load_corpus, make_dataset
 from denoiseclf.gradcheck import CheckResult
 from denoiseclf.noise import pool_of
 from denoiseclf.tokenizer import normalize
@@ -49,8 +49,8 @@ class TestPrepare:
         data = workspace / "data"
         assert (data / "train.tsv").exists()
         assert (data / "test.tsv").exists()
-        manifest = parse_config(data / "manifest.txt")
-        assert abs(float(manifest["wer_pooled"]) - 0.25) <= 0.05
+        manifest = config_lines(data / "manifest.txt")
+        assert abs(float(manifest["wer_pooled"][1]) - 0.25) <= 0.05
         train = load_corpus(data / "train.tsv", split="train")
         assert all(ex.complete is not None for ex in train)
 
@@ -124,10 +124,10 @@ class TestPrepare:
         for ex in train:
             assert ex.incomplete == " ".join(normalize(ex.complete))
         assert {ex.incomplete for ex in train + test} == clean
-        manifest = parse_config(out / "manifest.txt")
-        assert float(manifest["wer_pooled"]) == 0.0
-        assert float(manifest["wer_mean"]) == 0.0
-        assert float(manifest["ibleu"]) == 0.0
+        manifest = config_lines(out / "manifest.txt")
+        assert float(manifest["wer_pooled"][1]) == 0.0
+        assert float(manifest["wer_mean"][1]) == 0.0
+        assert float(manifest["ibleu"][1]) == 0.0
 
     def test_unreachable_target_exit_code(self, tmp_path):
         assert main(["prepare", "--target-wer", "1.9",
@@ -284,7 +284,7 @@ class TestConfigFile:
         out = tmp_path / "data"
         assert main(["prepare", "--config", cfg, "--outdir", str(out),
                      "--synthetic-per-class", "5"]) == 0
-        assert parse_config(out / "manifest.txt")["seed"] == "4"
+        assert config_lines(out / "manifest.txt")["seed"][1] == "4"
 
     @pytest.mark.parametrize("text,line,message", [
         ("seed = 1\nphase_1_epochs = 3\n", 2,
@@ -411,6 +411,28 @@ class TestEvalAndReport:
         header, row = list(csv.reader(captured.out.splitlines()))
         assert header == ["dataset", "mode", "seed", "micro_f1", "macro_p",
                           "macro_r", "macro_f1", "wer", "ibleu"]
+
+    def test_a_manifest_value_not_a_float_exits_3_before_any_scoring(
+            self, workspace, tmp_path, capsys):
+        # the checkpoint does not exist: the manifest is read first
+        manifest = _file(tmp_path, "seed = 3\nwer_pooled = abc\n")
+        out = tmp_path / "eval"
+        assert main(["eval", "--checkpoint", str(tmp_path / "missing.ckpt"),
+                     "--test", str(workspace / "data" / "test.tsv"),
+                     "--manifest", manifest, "--outdir", str(out)]) == 3
+        assert capsys.readouterr().err == \
+            f"error: {manifest}:2: wer_pooled: invalid value 'abc'\n"
+        assert not out.exists()
+
+    def test_a_manifest_key_left_out_reads_as_nan(self, workspace, tmp_path):
+        out = tmp_path / "eval"
+        assert main(["eval", "--checkpoint", _checkpoint(workspace),
+                     "--test", str(workspace / "data" / "test.tsv"),
+                     "--manifest", _file(tmp_path, "wer_pooled = 0.5\n"),
+                     "--outdir", str(out)]) == 0
+        with (out / "metrics.csv").open() as fh:
+            record = dict(zip(*csv.reader(fh)))
+        assert (record["wer"], record["ibleu"]) == ("0.500000", "nan")
 
     def test_report_from_counts(self, tmp_path):
         counts = tmp_path / "confusion_counts.csv"
@@ -793,6 +815,22 @@ class TestModuleEntryPoint:
             assert done.returncode == 0, done.stderr
             written.append([(out / name).read_bytes() for name in
                             ("train.tsv", "test.tsv", "manifest.txt")])
+        assert written[0] == written[1]
+
+    def test_train_writes_the_same_bytes_under_any_hash_seed_and_blas_threads(
+            self, workspace, tmp_path, monkeypatch):
+        written = []
+        for hash_seed, threads in (("0", "1"), ("1", "2")):
+            monkeypatch.setenv("PYTHONHASHSEED", hash_seed)
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+            out = tmp_path / f"hash-seed-{hash_seed}"
+            done = _module_run(
+                ["train", "--train", str(workspace / "data" / "train.tsv"),
+                 "--outdir", str(out), "--aux-mse-weight", "0.2"]
+                + TRAIN_FAST, tmp_path)
+            assert done.returncode == 0, done.stderr
+            written.append([(out / name).read_bytes() for name in
+                            ("model-stacked.ckpt", "train-stacked.log")])
         assert written[0] == written[1]
 
     def test_a_diverging_run_reports_only_its_error(self, workspace,

@@ -90,6 +90,8 @@ def test_wrongly_typed_configs_do_not_construct(cls, args, message):
 def test_optional_fields_parse_an_empty_value_as_none():
     assert cli._KINDS["n_post"]("") is None
     assert cli._KINDS["n_post"]("3") == 3
+    assert cli._KINDS["ff_size"]("") is None
+    assert cli._KINDS["ff_size"]("48") == 48
     assert cli._KINDS["target_wer"]("") is None
     assert cli._KINDS["target_wer"]("0.25") == 0.25
 

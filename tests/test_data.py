@@ -2,8 +2,8 @@ import pytest
 
 from denoiseclf import data, noise
 from denoiseclf.data import (LabelError, PairedExample, ParseError,
-                             atomic_write_text, format_config, load_corpus,
-                             make_dataset, parse_config, save_corpus,
+                             atomic_write_text, config_lines, format_config,
+                             load_corpus, make_dataset, save_corpus,
                              sentences_of, split_corpus, synthetic_corpus)
 from denoiseclf.errors import DataError
 from denoiseclf.metrics import corpus_wer
@@ -149,8 +149,8 @@ class TestMakeDataset:
         assert manifest["test_size"] == len(test)
         assert abs(manifest["wer_pooled"] - 0.25) <= 0.05
         assert 0.0 < manifest["ibleu"] <= 1.0
-        on_disk = parse_config(tmp_path / "manifest.txt")
-        assert float(on_disk["wer_pooled"]) == manifest["wer_pooled"]
+        on_disk = config_lines(tmp_path / "manifest.txt")
+        assert float(on_disk["wer_pooled"][1]) == manifest["wer_pooled"]
 
     def test_train_pairs_noisy_with_clean(self, tmp_path):
         self.make(tmp_path)
@@ -270,12 +270,13 @@ class TestConfigFiles:
         mapping = {"hidden_size": "64", "phase1_lr": "0.001", "mode": "stacked"}
         path = tmp_path / "run.cfg"
         atomic_write_text(path, format_config(mapping))
-        assert parse_config(path) == mapping
+        assert config_lines(path) == {key: (i, value) for i, (key, value)
+                                      in enumerate(mapping.items(), start=1)}
 
     def test_comments_and_blanks(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("# a comment\n\nseed = 7\n")
-        assert parse_config(path) == {"seed": "7"}
+        assert config_lines(path) == {"seed": (3, "7")}
 
     def test_a_key_set_twice_names_its_second_line(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -283,20 +284,20 @@ class TestConfigFiles:
         with pytest.raises(ParseError,
                            match=":3: key 'hidden_size' is already set on "
                            "line 1"):
-            parse_config(path)
+            config_lines(path)
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("seed 7\n")
         with pytest.raises(ParseError, match=":1:"):
-            parse_config(path)
+            config_lines(path)
 
     def test_a_byte_that_is_not_utf8_names_its_line(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_bytes(b"seed = 7\n# caf\xe9\n")
         with pytest.raises(ParseError, match=r"run.cfg:2: not UTF-8: "
                            r"invalid continuation byte 0xe9"):
-            parse_config(path)
+            config_lines(path)
 
 
 class TestSyntheticCorpus:

@@ -22,6 +22,11 @@ def vocab():
     return build_vocab(["good night sweet dreams", "bad day hard work"])
 
 
+def test_feed_forward_width_defaults_to_twice_the_hidden_size():
+    assert EncoderConfig(hidden_size=16).ff_size == 32
+    assert EncoderConfig().ff_size == 128
+
+
 def test_config_validates_head_divisibility():
     with pytest.raises(ConfigError):
         tiny_config(hidden_size=10, num_heads=4)

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from denoiseclf import tensor as T
-from denoiseclf.denoise import DenoiseConfig, refine
-from denoiseclf.encoder import EncoderConfig, field_rows
+from denoiseclf.denoise import DenoiseConfig
+from denoiseclf.encoder import EncoderConfig, field_rows, run_blocks
 from denoiseclf.model import ModelConfig, TextClassifier
 from denoiseclf.tokenizer import build_vocab
 
@@ -36,9 +36,9 @@ def full_row_logits(model, seqs):
     if model.config.mode == "baseline":
         h = model.intermediate(seqs)
     else:
-        h = refine(model.stack(model.intermediate(seqs)),
-                   field_rows(seqs, "attention_mask"), model.post,
-                   model.config.encoder.num_heads)
+        h = run_blocks(model.stack(model.intermediate(seqs)),
+                       field_rows(seqs, "attention_mask"), model.post,
+                       model.config.encoder.num_heads, cls_only=False)
     return T.affine(h[:, 0], model.head_w, model.head_b)
 
 

@@ -145,3 +145,51 @@ def test_the_scan_finds_orphaned_code():
     user = "SPANS = ('lib.traced',)\nprint(x.shown())\n"
     assert orphans({"lib.py": lib, "user.py": user}, ["lib.py"]) == \
         ["lib.py: Report", "lib.py: Report.build", "lib.py: helper"]
+
+
+def config_rejections(source: str) -> list[str]:
+    """Each ``raise`` in the ``__post_init__`` of a config dataclass, one
+    that checks its fields with ``check_fields``, whose exception is not
+    ``ConfigError``: a config rejects its values with one error class."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for method in cls.body:
+            if not (isinstance(method, ast.FunctionDef)
+                    and method.name == "__post_init__"
+                    and any(isinstance(node, ast.Name)
+                            and node.id == "check_fields"
+                            for node in ast.walk(method))):
+                continue
+            for node in ast.walk(method):
+                if isinstance(node, ast.Raise):
+                    exc = getattr(node.exc, "func", node.exc)
+                    if getattr(exc, "id", None) != "ConfigError":
+                        found.append(f"line {node.lineno}: {cls.name} raises "
+                                     f"{ast.unparse(exc)}")
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in SRC.glob("*.py") if p.name != "__init__.py"))
+def test_every_config_rejects_with_config_error(module):
+    assert config_rejections((SRC / module).read_text(encoding="utf-8")) \
+        == []
+
+
+def test_the_scan_finds_a_config_that_raises_another_error():
+    source = ("@dataclass(frozen=True)\n"
+              "class RunConfig:\n"
+              "    epochs: int = 1\n"
+              "    def __post_init__(self):\n"
+              "        check_fields(self)\n"
+              "        if self.epochs < 1:\n"
+              "            raise ValueError('epochs')\n"
+              "        if self.epochs > 9:\n"
+              "            raise ConfigError('epochs')\n"
+              "@dataclass\n"
+              "class Table:\n"
+              "    def __post_init__(self):\n"
+              "        raise VocabError('not a config')\n")
+    assert config_rejections(source) == ["line 7: RunConfig raises ValueError"]

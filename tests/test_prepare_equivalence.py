@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from denoiseclf import data, metrics, noise, tokenizer
+from denoiseclf import data, noise, tokenizer
 from denoiseclf.data import make_dataset, split_corpus, synthetic_corpus
 from denoiseclf.metrics import bleu, corpus_wer
 from denoiseclf.errors import CalibrationError
@@ -303,7 +303,7 @@ def test_make_dataset_normalizes_each_clean_sentence_once(monkeypatch,
     assert len(clean) == len(corpus)
     # every module that calls normalize by its own name
     calls = [_counting(monkeypatch, module, "normalize")
-             for module in (tokenizer, noise, metrics, data)]
+             for module in (tokenizer, noise, data)]
     passes = _counting(monkeypatch, noise, "_calibration_pass")
     make_dataset(train, test, spec, tmp_path)
     assert len(passes) >= 3
