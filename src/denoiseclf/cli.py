@@ -177,16 +177,16 @@ def cmd_train(args) -> int:
     _report_truncation(sentences, config.encoder.seq_len, "training")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    log_lines: list[str] = []
+    # one line per epoch as it ends, so a run that fails keeps its record
+    with open(outdir / f"train-{config.mode}.log", "w",
+              encoding="utf-8") as log_file:
+        def log(record):
+            log_file.write(json.dumps(record) + "\n")
+            log_file.flush()
 
-    def log(record):
-        log_lines.append(json.dumps(record))
-
-    fit(train_data, model, cfg, log=log)
+        fit(train_data, model, cfg, log=log)
     checkpoint_path = outdir / f"model-{config.mode}.ckpt"
     save_checkpoint(model, checkpoint_path)
-    atomic_write_text(outdir / f"train-{config.mode}.log",
-                      "\n".join(log_lines) + "\n")
     print(f"checkpoint written to {checkpoint_path}")
     return 0
 

@@ -5,12 +5,16 @@ All functions are pure; word-level metrics share the tokenizer's
 normalization rule (lower-case, punctuation stripped, inner apostrophes
 kept). The corpus metrics also take each sentence as its ``normalize``
 tokens, so a caller scoring one corpus many times normalizes it once.
+BLEU counts n-grams in numpy, as sorted integer keys (pair, gram id), over
+chunks of at most 256 sentence pairs, so its memory does not grow with the
+corpus; the counts, and so every score, are those of per-sentence
+``Counter``s.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from itertools import chain
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,11 +97,8 @@ def pooled_and_mean(refs: list[list[str]],
 
 # -- BLEU / iBLEU -----------------------------------------------------------
 
-def _ngram_counts(tokens: list[str], max_n: int) -> Counter:
-    """Every n-gram of orders 1..``max_n``, keyed by its tuple, whose
-    length is its order."""
-    return Counter(tuple(tokens[i:i + n]) for n in range(1, max_n + 1)
-                   for i in range(len(tokens) - n + 1))
+# sentence pairs counted per pass, so the arrays stay small on any corpus
+_CHUNK = 256
 
 
 def bleu(references: list[str | list[str]],
@@ -113,6 +114,8 @@ def bleu(references: list[str | list[str]],
             f"{len(references)} references vs {len(hypotheses)} hypotheses")
     if not references:
         raise DataError("empty corpus")
+    if max_n < 1:
+        raise DataError(f"max_n must be at least 1, got {max_n}")
     refs = [as_tokens(r) for r in references]
     hyps = [as_tokens(h) for h in hypotheses]
     hyp_len = sum(len(h) for h in hyps)
@@ -123,13 +126,9 @@ def bleu(references: list[str | list[str]],
     # clipped matches and hypothesis n-grams, indexed by order
     matches = [0] * (max_n + 1)
     totals = [0] * (max_n + 1)
-    for ref, hyp in zip(refs, hyps):
-        ref_counts = _ngram_counts(ref, max_n)
-        for gram, count in _ngram_counts(hyp, max_n).items():
-            totals[len(gram)] += count
-            in_ref = ref_counts.get(gram)
-            if in_ref:
-                matches[len(gram)] += min(count, in_ref)
+    for start in range(0, len(refs), _CHUNK):
+        _count_ngrams(refs[start:start + _CHUNK], hyps[start:start + _CHUNK],
+                      matches, totals)
     log_sum = 0.0
     for n in range(1, max_n + 1):
         if totals[n] == 0:
@@ -142,6 +141,47 @@ def bleu(references: list[str | list[str]],
         log_sum += math.log(matches[n] / totals[n]) / max_n
     bp = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
     return bp * math.exp(log_sum)
+
+
+def _count_ngrams(refs: list[list[str]], hyps: list[list[str]],
+                  matches: list[int], totals: list[int]) -> None:
+    """Add the pairs' clipped matches and hypothesis n-grams of orders
+    1..len(matches) - 1 into ``matches`` and ``totals``.
+
+    The tokens of every reference, then every hypothesis, lie in one flat
+    int array. An order-1 gram's id is its token's id; an order-n gram's
+    id is the rank of (its order-(n-1) prefix's id, its last token), so one
+    id names one n-gram. Keyed by pair and gram, each side's n-grams are
+    counted by one sort, and the two sides meet by one intersection.
+    """
+    sentences = refs + hyps
+    words = list(chain.from_iterable(sentences))
+    # any numbering will do: no count depends on it
+    ids = {w: i for i, w in enumerate(set(words))}
+    tokens = np.fromiter(map(ids.__getitem__, words), np.int64, len(words))
+    lengths = np.array([len(s) for s in sentences], dtype=np.int64)
+    pair = np.repeat(np.arange(len(sentences)) % len(refs), lengths)
+    # tokens from each position to the end of its sentence
+    left = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(tokens))
+    ref_tokens = int(lengths[:len(refs)].sum())
+    width = len(tokens) + 1  # more than any gram id
+    pos, gram = np.arange(len(tokens)), tokens
+    for n in range(1, len(matches)):
+        if n > 1:
+            fits = left[pos] >= n
+            pos = pos[fits]
+            gram = np.unique(gram[fits] * len(ids) + tokens[pos + n - 1],
+                             return_inverse=True)[1]
+        split = int(np.searchsorted(pos, ref_tokens))
+        keys = pair[pos] * width + gram
+        ref_keys, ref_counts = np.unique(keys[:split], return_counts=True)
+        hyp_keys, hyp_counts = np.unique(keys[split:], return_counts=True)
+        _, in_ref, in_hyp = np.intersect1d(ref_keys, hyp_keys,
+                                           assume_unique=True,
+                                           return_indices=True)
+        matches[n] += int(np.minimum(ref_counts[in_ref],
+                                     hyp_counts[in_hyp]).sum())
+        totals[n] += len(pos) - split
 
 
 def ibleu(references: list[str | list[str]],

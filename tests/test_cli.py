@@ -191,7 +191,12 @@ class TestTrain:
             assert main(argv) == 10
         assert "error: phase 2, epoch 0, step 2: batch loss is nan" in \
             capsys.readouterr().err
-        assert list(run.iterdir()) == []
+        # no checkpoint; the log streams, so it keeps the finished epochs
+        assert [p.name for p in run.iterdir()] == ["train-stacked.log"]
+        records = [json.loads(line) for line in
+                   (run / "train-stacked.log").read_text().splitlines()]
+        assert [(r["phase"], r["epoch"]) for r in records] == \
+            [(1, epoch) for epoch in range(5)]
 
     def test_reports_truncated_training_sentences_on_stderr(
             self, tmp_path, capsys):

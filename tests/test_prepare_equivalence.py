@@ -1,13 +1,14 @@
 """The fast paths of ``prepare`` against the code they replace: ``bleu``
-counting every n-gram order in one pass against the per-order loop, the
-channel reading raw PCG64 outputs through ``noise._Stream`` against the
-channel driven by one fresh ``default_rng`` per sentence, the stream reader
-against ``np.random.Generator``, the start states computed in one
-vectorized pass against ``default_rng``, the clean corpus normalized once
-per dataset, and ``calibrate``'s passes that stop once their step is
-decided against the bisection of full passes."""
+counting n-grams as sorted integer keys against one ``Counter`` per
+sentence and order, the channel reading raw PCG64 outputs through
+``noise._Stream`` against the channel driven by one fresh ``default_rng``
+per sentence, the stream reader against ``np.random.Generator``, the start
+states computed in one vectorized pass against ``default_rng``, the clean
+corpus normalized once per dataset, and ``calibrate``'s passes that stop
+once their step is decided against the bisection of full passes."""
 
 import math
+import tracemalloc
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import replace
@@ -15,10 +16,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from denoiseclf import data, noise, tokenizer
+from denoiseclf import data, metrics, noise, tokenizer
 from denoiseclf.data import make_dataset, split_corpus, synthetic_corpus
 from denoiseclf.metrics import bleu, corpus_wer
-from denoiseclf.errors import CalibrationError
+from denoiseclf.errors import CalibrationError, DataError
 from denoiseclf.noise import (NoiseSpec, _start_states, calibrate, corrupt,
                               corrupt_corpus, pool_of)
 from denoiseclf.tokenizer import normalize
@@ -90,6 +91,75 @@ class TestBleuOnePass:
     @pytest.mark.parametrize("max_n", [1, 2, 3, 4])
     def test_edge_corpora(self, refs, hyps, max_n):
         assert bleu(refs, hyps, max_n) == reference_bleu(refs, hyps, max_n)
+
+    @pytest.mark.parametrize("max_n", range(1, 7))
+    @pytest.mark.parametrize("seed", range(2))
+    def test_corpora_across_chunks(self, seed, max_n):
+        rng = np.random.default_rng(40 + seed)
+        refs = random_corpus(rng, 700 + 60 * seed, 0, 12)
+        hyps = [edited(rng, ref) for ref in refs]
+        assert len(refs) > 2 * metrics._CHUNK  # at least three chunks
+        assert "" in refs and "" in hyps
+        score = bleu(refs, hyps, max_n)
+        assert score == reference_bleu(refs, hyps, max_n)
+        assert score > 0  # no order is without matches
+
+    def test_prepare_workload_corpus(self, prepare_scored):
+        refs, hyps = prepare_scored
+        assert bleu(refs, hyps) == reference_bleu(*(
+            [" ".join(tokens) for tokens in side] for side in (refs, hyps)))
+
+    def test_prepare_workload_corpus_peaks_under_one_megabyte(
+            self, prepare_scored):
+        # all of the corpus in one pass peaks at about 2.3 MB
+        tracemalloc.start()
+        try:
+            bleu(*prepare_scored)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("max_n", [0, -2])
+    def test_max_n_below_one_is_rejected(self, max_n):
+        with pytest.raises(DataError, match=f"got {max_n}$"):
+            bleu(["a b c"], ["x y"], max_n=max_n)
+
+
+def edited(rng, sentence):
+    """``sentence`` with each word kept, dropped, doubled or replaced by one
+    of three words, so n-grams repeat and clipping matters."""
+    out = []
+    for word in sentence.split():
+        r = rng.random()
+        if r < 0.15:
+            out += [word, word]
+        elif r < 0.75:
+            out.append(word)
+        elif r < 0.9:
+            out.append(str(rng.choice(WORDS[:3])))
+    return " ".join(out)
+
+
+@pytest.fixture(scope="module")
+def prepare_scored(tmp_path_factory):
+    """The clean and noisy tokens that ``make_dataset`` scores with
+    ``ibleu`` on the benchmark's prepare inputs at seed 101."""
+    corpus = synthetic_corpus(500, 3, 101)
+    train, test = split_corpus(corpus, 0.25, 101)
+    spec = NoiseSpec(p_delete=0.1, p_substitute=0.1, p_repeat=0.02,
+                     p_abbreviate=0.05, p_casual=0.05,
+                     pool=pool_of(s for _, s in corpus), seed=101,
+                     target_wer=0.35)
+    scored = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data, "ibleu",
+                      lambda refs, hyps: scored.append((refs, hyps)) or 0.0)
+        make_dataset(train, test, spec, tmp_path_factory.mktemp("prepare"))
+    [(refs, hyps)] = scored
+    assert len(refs) == 1500 and all(refs) and all(hyps)
+    assert all(normalize(" ".join(tokens)) == tokens for tokens in refs + hyps)
+    return refs, hyps
 
 
 SPECS = {
