@@ -34,11 +34,14 @@ print("\n== calibration to WER 0.25 ==")
 corpus = [s for _, s in synthetic_corpus(40, num_classes=2, seed=0)]
 spec = NoiseSpec(p_delete=0.1, p_substitute=0.1, pool=pool_of(corpus),
                  seed=0, target_wer=0.25)
-# the last bisection pass comes back with the spec: its corpus and WER
-calibrated, noisy, (pooled, mean) = calibrate(corpus, spec)
+# the last bisection pass comes back with the spec: its corpus, its WER,
+# its tokens and the tokens each category drew and changed
+calibrated, noisy, (pooled, mean), _, counts = calibrate(corpus, spec)
 print(f"  calibrated p_delete={calibrated.p_delete:.3f} "
       f"p_substitute={calibrated.p_substitute:.3f}")
 print(f"  pooled WER = {pooled:.3f}  per-sentence mean = {mean:.3f}")
+print(f"  of {counts['tokens']} tokens: {counts['delete_changed']} deleted, "
+      f"{counts['substitute_changed']} substituted")
 print(f"  corpus iBLEU (1 - BLEU, higher = noisier) = "
       f"{ibleu(corpus, noisy):.3f}")
 print(f"  sample: {corpus[0]!r}\n      ->  {noisy[0]!r}")

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import io
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 from typing import get_args
 
@@ -177,14 +179,22 @@ def cmd_train(args) -> int:
     _report_truncation(sentences, config.encoder.seq_len, "training")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    # one line per epoch as it ends, so a run that fails keeps its record
+    # a header naming the run, then one line per epoch as it ends, so a
+    # run that fails keeps its record and ends it with its error
     with open(outdir / f"train-{config.mode}.log", "w",
               encoding="utf-8") as log_file:
         def log(record):
             log_file.write(json.dumps(record) + "\n")
             log_file.flush()
 
-        fit(train_data, model, cfg, log=log)
+        log({"model": asdict(config), "train": asdict(cfg),
+             "seed": args.seed, "train_sha256": hashlib.sha256(
+                 Path(args.train).read_bytes()).hexdigest()})
+        try:
+            fit(train_data, model, cfg, log=log)
+        except Exception as exc:
+            log({"error": type(exc).__name__, "message": str(exc)})
+            raise
     checkpoint_path = outdir / f"model-{config.mode}.ckpt"
     save_checkpoint(model, checkpoint_path)
     print(f"checkpoint written to {checkpoint_path}")

@@ -18,9 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, LabelError, ParseError
+from .errors import CalibrationError, DataError, LabelError, ParseError
 from .metrics import corpus_wer, ibleu
-from .noise import NoiseSpec, calibrate, corrupt_corpus
+from .noise import WER_TOLERANCE, NoiseSpec, calibrate, channel_pass
 from .tokenizer import normalize
 
 
@@ -132,22 +132,24 @@ def make_dataset(train_clean: list[tuple[int, str]],
 
     The train split keeps the clean sentence as the complete column; the
     test split ships only the corrupted text. Emits ``train.tsv``,
-    ``test.tsv`` and ``manifest.txt`` and returns the manifest mapping.
+    ``test.tsv``, ``manifest.txt`` and ``channel.txt`` (the pass's
+    per-category counts) and returns the manifest mapping.
     """
+    target = spec.target_wer
     # the clean corpus normalized once, for every pass and metric reading it
     clean = [normalize(s) for _, s in train_clean + test_clean]
-    if spec.target_wer is not None:
-        # calibration's last pass is this dataset; it is not run again
-        spec, noisy, (pooled, mean) = calibrate(clean, spec)
-    else:
-        noisy = corrupt_corpus(clean, spec)
-        pooled, mean = corpus_wer(clean, noisy)
-    noisy_tokens = [normalize(s) for s in noisy]
+    # with a target, calibration's last pass is this dataset; it is not run
+    # again
+    spec, noisy, (pooled, mean), noisy_tokens, counts = (
+        channel_pass(clean, spec) if target is None
+        else calibrate(clean, spec))
     emptied = [i for i, tokens in enumerate(noisy_tokens) if not tokens]
     for i in emptied:  # a sentence the channel emptied is written clean
         noisy[i], noisy_tokens[i] = " ".join(clean[i]), clean[i]
     if emptied:  # the manifest scores the corpus as written
         pooled, mean = corpus_wer(clean, noisy_tokens)
+        if target is not None and abs(pooled - target) > WER_TOLERANCE:
+            raise CalibrationError(target, pooled)
     train = [PairedExample(label, noisy[i], s)
              for i, (label, s) in enumerate(train_clean)]
     test = [PairedExample(label, noisy[i], None)
@@ -171,6 +173,8 @@ def make_dataset(train_clean: list[tuple[int, str]],
         "test_size": len(test),
     }
     atomic_write_text(out_dir / "manifest.txt", format_config(manifest))
+    atomic_write_text(out_dir / "channel.txt", format_config(
+        counts | {"emptied_written_clean": len(emptied)}))
     return manifest
 
 

@@ -5,6 +5,13 @@ All functions are pure; word-level metrics share the tokenizer's
 normalization rule (lower-case, punctuation stripped, inner apostrophes
 kept). The corpus metrics also take each sentence as its ``normalize``
 tokens, so a caller scoring one corpus many times normalizes it once.
+
+Word edit distance is Hyyrö's bit-parallel form of Myers' algorithm.
+``edit_distances`` runs it over many sentence pairs at once, one uint64
+lane per pair, on word-id arrays; ``corpus_wer`` and the noise channel's
+calibration passes score with it, in batches of consecutive sentences that
+stay within a fixed cell budget (``lane_batches``). A pair with a side over
+``LANE_WORDS`` words keeps the Python-int routine ``edit_distance``.
 BLEU counts n-grams in numpy, as sorted integer keys (pair, gram id), over
 chunks of at most 256 sentence pairs, so its memory does not grow with the
 corpus; the counts, and so every score, are those of per-sentence
@@ -24,6 +31,10 @@ from .tokenizer import as_tokens
 
 
 # -- word error rate --------------------------------------------------------
+
+LANE_WORDS = 64       # the longest sentence one uint64 lane holds
+_LANE_CELLS = 1 << 15  # lanes x widest lane of one batch of arrays
+
 
 def edit_distance(a: list[str], b: list[str]) -> int:
     """Word-level Levenshtein distance with unit costs.
@@ -59,6 +70,77 @@ def edit_distance(a: list[str], b: list[str]) -> int:
     return score
 
 
+def edit_distances(refs: np.ndarray, hyps: np.ndarray) -> np.ndarray:
+    """``edit_distance`` of each row of ``refs`` against the same row of
+    ``hyps``, as int64.
+
+    Rows hold word ids. A reference row is 1 to ``LANE_WORDS`` ids padded
+    with -1; in a hypothesis row -1 is no word wherever it stands, so a
+    column skips the lanes it holds -1 in. Each row pair is one uint64
+    lane of ``edit_distance``'s column update: the low ``len(ref)`` bits
+    are its bit vectors, and the carries and shifts past them never reach
+    back down.
+    """
+    lengths = np.count_nonzero(refs >= 0, axis=1)
+    top = np.uint64(1) << (lengths - 1).astype(np.uint64)  # last DP row
+    mask = (top - np.uint64(1)) | top
+    # bit i of eq[s, j]: hypothesis word j of row s is reference word i
+    eq = np.zeros(hyps.shape, dtype=np.uint64)
+    for i in range(min(refs.shape[1], LANE_WORDS)):
+        eq |= np.left_shift(refs[:, i, None] == hyps, np.uint64(i),
+                            dtype=np.uint64)
+    pv, mv = mask, np.zeros_like(mask)
+    score = lengths.astype(np.int64)
+    for j in range(hyps.shape[1]):
+        word, e = hyps[:, j] >= 0, eq[:, j]
+        xv = e | mv
+        xh = (((e & pv) + pv) ^ pv) | e
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        score += word & ((ph & top) != 0)
+        score -= word & ((mh & top) != 0)
+        ph = (ph << np.uint64(1)) | np.uint64(1)
+        mh = mh << np.uint64(1)
+        pv = np.where(word, (mh | ~(xv | ph)) & mask, pv)
+        mv = np.where(word, ph & xv, mv)
+    return score
+
+
+def word_ids(sentences: list[list[str]],
+             index: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Every word of ``sentences`` as its id in ``index``, where a word not
+    yet in it takes the next id, in one flat int64 array; and the bounds
+    of each sentence in it, ``len(sentences) + 1`` of them."""
+    for word in dict.fromkeys(chain.from_iterable(sentences)):
+        index.setdefault(word, len(index))
+    lengths = np.fromiter(map(len, sentences), np.int64, len(sentences))
+    bounds = np.zeros(len(sentences) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=bounds[1:])
+    flat = np.fromiter(map(index.__getitem__, chain.from_iterable(sentences)),
+                       np.int64, int(bounds[-1]))
+    return flat, bounds
+
+
+def padded(flat: np.ndarray, bounds: np.ndarray,
+           lanes: np.ndarray) -> np.ndarray:
+    """The sentences at positions ``lanes`` of ``word_ids``'s ``flat`` and
+    ``bounds``, one row each, padded with -1 to the longest."""
+    first, lengths = bounds[lanes], bounds[lanes + 1] - bounds[lanes]
+    columns = np.arange(lengths.max(initial=0))
+    return np.where(columns < lengths[:, None],
+                    flat.take(first[:, None] + columns, mode="clip"), -1)
+
+
+def lane_batches(widths: np.ndarray) -> list[np.ndarray]:
+    """The positions of ``widths`` no wider than ``LANE_WORDS``, in order,
+    cut into runs of equal count whose count times widest width stays
+    within a fixed cell budget, so one batch's arrays stay small on any
+    corpus."""
+    short = np.flatnonzero(widths <= LANE_WORDS)
+    count = _LANE_CELLS // max(1, int(widths[short].max(initial=0)))
+    return [short[i:i + count] for i in range(0, len(short), count)]
+
+
 def wer(reference: str, hypothesis: str) -> float:
     """(substitutions + deletions + insertions) / reference length."""
     return corpus_wer([reference], [hypothesis])[0]
@@ -71,8 +153,21 @@ def corpus_wer(references: list[str | list[str]],
         raise DataError(
             f"{len(references)} references vs {len(hypotheses)} hypotheses")
     refs = reference_tokens(references)
-    return pooled_and_mean(refs, [edit_distance(ref, as_tokens(hyp))
-                                  for ref, hyp in zip(refs, hypotheses)])
+    hyps = [as_tokens(hyp) for hyp in hypotheses]
+    ids: dict[str, int] = {}
+    (ref_ids, ref_bounds), (hyp_ids, hyp_bounds) = (
+        word_ids(refs, ids), word_ids(hyps, ids))
+    widths = np.maximum(np.diff(ref_bounds), np.diff(hyp_bounds))
+    distances = np.zeros(len(refs), dtype=np.int64)
+    for lanes in lane_batches(widths):
+        distances[lanes] = edit_distances(
+            padded(ref_ids, ref_bounds, lanes),
+            padded(hyp_ids, hyp_bounds, lanes))
+    distances = distances.tolist()
+    # a pair wider than a lane keeps the Python-int routine
+    for i in np.flatnonzero(widths > LANE_WORDS).tolist():
+        distances[i] = edit_distance(refs[i], hyps[i])
+    return pooled_and_mean(refs, distances)
 
 
 def reference_tokens(references: list[str | list[str]]) -> list[list[str]]:

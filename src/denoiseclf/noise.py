@@ -10,14 +10,18 @@ of (sentence, spec, position in corpus), so regenerating a corpus is
 byte-identical under a fixed seed.
 
 The channel draws from ``np.random.default_rng((spec.seed, i))``'s stream
-for sentence ``i``, but reads it through ``_Stream``, which takes the raw
-PCG64 outputs and returns what the Generator's ``random`` and ``integers``
-would, bit for bit, without a numpy call per draw. ``corrupt_corpus`` and
-``calibrate`` draw every sentence's outputs once, into one flat array.
+for sentence ``i``, but reads the raw PCG64 outputs itself and gets what
+the Generator's ``random`` and ``integers`` would, bit for bit.
+``corrupt_corpus`` and ``calibrate`` draw every sentence's outputs once,
+into one flat array, intern the corpus and every word the channel can
+write to integer ids, and run the channel over all sentences at once: one
+set of array ops per token position, one lane per sentence, scored by
+``metrics.edit_distances``. A sentence over ``LANE_WORDS`` words, or one
+whose draw Lemire's method would reject, takes the scalar path: ``_Stream``
+and ``_corrupt_tokens``, which ``corrupt`` runs on one sentence.
 ``calibrate`` scales the destructive probabilities by bisection until a
-corpus hits a target word error rate; it normalizes the corpus and draws the
-streams once, and replays those tokens and outputs on every pass, which
-stops as soon as its bisection step is decided.
+corpus hits a target word error rate; every pass runs to its end, and it
+returns the last one, with its noisy tokens and per-category counts.
 """
 
 from __future__ import annotations
@@ -32,7 +36,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CalibrationError, ConfigError, check_fields
-from .metrics import edit_distance, pooled_and_mean, reference_tokens
+from .metrics import (LANE_WORDS, edit_distance, edit_distances,
+                      lane_batches, padded, pooled_and_mean,
+                      reference_tokens, word_ids)
 from .tokenizer import as_tokens, normalize
 
 # Built-in replacement tables mirroring common informal-text mistakes:
@@ -63,6 +69,10 @@ CASUAL_SPELLINGS = {
     "good": "goonite",
     "dreams": "dreamz",
 }
+
+# the channel's categories, in the order a token's draw picks them; a draw
+# past the last keeps the token
+CATEGORIES = ("delete", "substitute", "repeat", "abbreviate", "casual")
 
 WER_TOLERANCE = 0.05   # calibrate stops within this of the target WER
 MAX_BISECTIONS = 30
@@ -271,8 +281,7 @@ def _block_size(tokens: list[str]) -> int:
 class _Blocks:
     """Every sentence's first PCG64 outputs, drawn once: sentence ``i``'s
     block is ``raw[offsets[i]:offsets[i + 1]]``, from ``starts[i]``
-    (``_start_states``). Iterating yields one fresh ``_Stream`` per
-    sentence, so every pass replays the same streams."""
+    (``_start_states``), so every pass reads the same streams."""
 
     def __init__(self, corpus: list[list[str]], spec: NoiseSpec):
         self.starts = _start_states(spec, len(corpus))
@@ -282,9 +291,10 @@ class _Blocks:
         for start, a, b in zip(self.starts, self.offsets, self.offsets[1:]):
             self.raw[a:b] = _pcg_at(pcg, start).random_raw(b - a)
 
-    def __iter__(self):
-        for start, a, b in zip(self.starts, self.offsets, self.offsets[1:]):
-            yield _Stream(self.raw[a:b].tolist(), start)
+    def stream(self, i: int) -> _Stream:
+        """A fresh ``_Stream`` over sentence ``i``'s block."""
+        return _Stream(self.raw[self.offsets[i]:self.offsets[i + 1]].tolist(),
+                       self.starts[i])
 
 
 def _substitute(spec: NoiseSpec, token: str, rng: _Stream) -> str:
@@ -299,12 +309,16 @@ def _substitute(spec: NoiseSpec, token: str, rng: _Stream) -> str:
     return spec.pool[j + (j >= k)]
 
 
-def _corrupt_tokens(tokens: list[str], spec: NoiseSpec,
-                    rng: _Stream) -> str:
+def _corrupt_tokens(tokens: list[str], spec: NoiseSpec, rng: _Stream,
+                    categories: list[int] | None = None) -> list[str]:
+    """The words ``tokens`` become, deleted ones left out; each token's
+    category is appended to ``categories`` when it is given."""
     out: list[str] = []
     thresholds = spec._thresholds
     for token in tokens:
         category = bisect_right(thresholds, rng.random())
+        if categories is not None:
+            categories.append(category)
         if category == 0:  # deletion
             continue
         if category == 1:  # substitution
@@ -318,7 +332,7 @@ def _corrupt_tokens(tokens: list[str], spec: NoiseSpec,
             out.append(CASUAL_SPELLINGS.get(token, token))
         else:
             out.append(token)
-    return " ".join(out)
+    return out
 
 
 def corrupt(sentence: str, spec: NoiseSpec, index: int = 0) -> str:
@@ -332,7 +346,184 @@ def corrupt(sentence: str, spec: NoiseSpec, index: int = 0) -> str:
     start = pcg.state["state"]
     stream = _Stream(pcg.random_raw(_block_size(tokens)).tolist(),
                      (start["state"], start["inc"]))
-    return _corrupt_tokens(tokens, spec, stream)
+    return " ".join(_corrupt_tokens(tokens, spec, stream))
+
+
+# the category a token whose draw falls past every threshold takes: kept
+_KEEP = len(CATEGORIES)
+
+
+class _Interned:
+    """A corpus, and every word its channel can write, as integer ids.
+
+    ``words[i]`` is the word of id i; the corpus's own words come first,
+    as ids 0..n-1. Per corpus word (a column; column n is a padding lane
+    that writes nothing and draws nothing), ``writes[c]`` is the id
+    category c writes without a draw (-1: none), ``stretched[:, r]`` the
+    word with ``2 + r`` more last letters, ``ranges`` and ``limits`` the
+    range of its substitution or stretch draw and the low products
+    Lemire's method rejects, and ``skip`` the pool position a substitute
+    of it passes over. ``batches`` are the sentences of at most
+    ``LANE_WORDS`` words as ``(positions, word ids padded with -1)``.
+    The tables depend on the pool and not on the probabilities, so the
+    scaled specs of one calibration share them.
+    """
+
+    def __init__(self, corpus: list[list[str]], spec: NoiseSpec):
+        index: dict[str, int] = {}
+        flat, bounds = word_ids(corpus, index)
+        vocab = list(index)
+
+        def intern(word: str) -> int:
+            return index.setdefault(word, len(index))
+
+        n, size = len(vocab), len(spec.pool)
+        self.tokens = corpus
+        self.pool = np.array([intern(w) for w in spec.pool], dtype=np.int64)
+        # a substitute that is not one normalize token would change how its
+        # sentence splits, so that sentence takes the scalar path
+        odd = [normalize(w) != [w] for w in spec.pool]
+        self.odd_pool = np.array(odd) if any(odd) else None
+        own = np.arange(n + 1)
+        own[n] = -1
+        self.writes = np.full((_KEEP + 1, n + 1), -1, dtype=np.int64)
+        self.writes[1] = self.writes[_KEEP] = own
+        self.writes[3, :n] = [intern(ABBREVIATIONS.get(w, w)) for w in vocab]
+        self.writes[4, :n] = [intern(CASUAL_SPELLINGS.get(w, w))
+                              for w in vocab]
+        self.stretched = np.full((n + 1, 4), -1, dtype=np.int64)
+        self.stretched[:n] = np.array(
+            [[intern(w + w[-1] * extra) for extra in range(2, 6)]
+             for w in vocab], dtype=np.int64).reshape(n, 4)
+        # the draw _substitute makes: over the pool less the token's own
+        # word when the pool holds it and more; one value makes no draw
+        at = np.array([spec._pool_index.get(w, size) for w in vocab] + [size],
+                      dtype=np.int64)
+        held = (at < size) & (size > 1)
+        self.skip = np.where(held, at, size)
+        span = np.where(held, size - 1, size).astype(np.uint64)
+        span[n] = 0
+        self.ranges = np.zeros((_KEEP + 1, n + 1), dtype=np.uint64)
+        self.ranges[1], self.ranges[2, :n] = span, 4
+        self.limits = np.zeros_like(self.ranges)
+        self.limits[1] = [(1 << 32) % r if r > 1 else 0
+                          for r in span.tolist()]
+        self.words = list(index)
+        self.batches = [(lanes, padded(flat, bounds, lanes))
+                        for lanes in lane_batches(np.diff(bounds))]
+
+
+class _Run:
+    """The channel run once over an ``_Interned`` corpus at ``spec``.
+
+    A batch runs as one set of array ops per token position j, one lane per
+    sentence: with k the integer draws the sentence has made, its category
+    draw reads output ``j + ceil(k / 2)`` of its block, and a substitution
+    or stretch draw the low half of the next output when k is even, or the
+    high half kept from the last one when k is odd, scaled by Lemire's
+    ``half * n >> 32``. ``batches`` holds each batch's categories, written
+    ids (-1: none) and the lanes left to the scalar path: a sentence whose
+    draw Lemire's method would reject, or whose substitute is not one
+    normalize token. ``scalar`` maps those sentences, and every one over
+    ``LANE_WORDS`` words, to their categories and ``_corrupt_tokens`` of
+    their ``_Stream``.
+    """
+
+    def __init__(self, corpus: _Interned, blocks: _Blocks, spec: NoiseSpec):
+        if len(blocks.starts) != len(corpus.tokens):
+            raise ValueError(f"{len(blocks.starts)} random blocks for "
+                             f"{len(corpus.tokens)} sentences")
+        self.corpus, self.spec, self.batches = corpus, spec, []
+        thresholds = np.array(spec._thresholds)
+        offsets = np.array(blocks.offsets[:-1], dtype=np.int64)
+        raw = blocks.raw
+        scalar = {i for i, tokens in enumerate(corpus.tokens)
+                  if len(tokens) > LANE_WORDS}
+        for lanes, ids in corpus.batches:
+            first = offsets[lanes]
+            drawn = np.zeros(len(lanes), dtype=np.int64)
+            half = np.zeros(len(lanes), dtype=np.uint64)
+            aside = np.zeros(len(lanes), dtype=bool)
+            cats = np.empty(ids.shape, dtype=np.int8)
+            outs = np.empty(ids.shape, dtype=np.int64)
+            for j in range(ids.shape[1]):
+                token = ids[:, j]
+                at = first + j + (drawn + 1) // 2
+                cat = np.searchsorted(
+                    thresholds, (raw.take(at, mode="clip") >> np.uint64(11))
+                    * _DOUBLE_STEP, side="right")
+                span = corpus.ranges[cat, token]
+                draws = span > 1
+                fresh = (drawn & 1) == 0
+                nxt = raw.take(at + 1, mode="clip")
+                low = np.where(fresh, nxt & np.uint64(_MASK32), half)
+                half = np.where(fresh & draws, nxt >> np.uint64(32), half)
+                scaled = low * span
+                aside |= (scaled & np.uint64(_MASK32)) < \
+                    corpus.limits[cat, token]
+                value = (scaled >> np.uint64(32)).view(np.int64)
+                drawn += draws
+                out = corpus.writes[cat, token]
+                if len(corpus.pool):
+                    pick = value + (value >= corpus.skip[token])
+                    substitutes = (cat == 1) & (token >= 0)
+                    out = np.where(substitutes,
+                                   corpus.pool.take(pick, mode="clip"), out)
+                    if corpus.odd_pool is not None:
+                        aside |= substitutes & corpus.odd_pool.take(
+                            pick, mode="clip")
+                out = np.where(cat == 2, corpus.stretched[token, value & 3],
+                               out)
+                cats[:, j], outs[:, j] = cat, out
+            self.batches.append((cats, outs, aside))
+            scalar.update(lanes[aside].tolist())
+        self.scalar = {}
+        for i in sorted(scalar):
+            categories: list[int] = []
+            self.scalar[i] = categories, _corrupt_tokens(
+                corpus.tokens[i], spec, blocks.stream(i), categories)
+
+    def distances(self) -> list[int]:
+        """Each sentence's word edit distance from its clean tokens."""
+        corpus = self.corpus
+        distances = np.zeros(len(corpus.tokens), dtype=np.int64)
+        for (lanes, ids), (_, outs, _) in zip(corpus.batches, self.batches):
+            distances[lanes] = edit_distances(ids, outs)
+        distances = distances.tolist()
+        for i, (_, out) in self.scalar.items():
+            distances[i] = edit_distance(corpus.tokens[i],
+                                         normalize(" ".join(out)))
+        return distances
+
+    def written(self) -> tuple[list[str], list[list[str]], dict[str, int]]:
+        """Each noisy sentence, its tokens, and per category the tokens
+        that drew it and the tokens it changed."""
+        corpus, words = self.corpus, self.corpus.words
+        noisy: list = [None] * len(corpus.tokens)
+        tokens: list = [None] * len(corpus.tokens)
+        draws = np.zeros(_KEEP + 1, dtype=np.int64)
+        changed = np.zeros(_KEEP + 1, dtype=np.int64)
+        for (lanes, ids), (cats, outs, aside) in zip(corpus.batches,
+                                                      self.batches):
+            live = (ids >= 0) & ~aside[:, None]
+            draws += np.bincount(cats[live], minlength=_KEEP + 1)
+            changed += np.bincount(cats[live & (outs != ids)],
+                                   minlength=_KEEP + 1)
+            for i, row in zip(lanes.tolist(), outs.tolist()):
+                tokens[i] = [words[o] for o in row if o >= 0]
+                noisy[i] = " ".join(tokens[i])
+        draws, changed = draws.tolist(), changed.tolist()
+        for i, (categories, out) in self.scalar.items():
+            noisy[i] = " ".join(out)
+            tokens[i] = normalize(noisy[i])
+            kept = iter(out)
+            for category, token in zip(categories, corpus.tokens[i]):
+                draws[category] += 1
+                changed[category] += category == 0 or next(kept) != token
+        counts = {"tokens": sum(draws)}
+        for name, n, m in zip(CATEGORIES, draws, changed):
+            counts[f"{name}_draws"], counts[f"{name}_changed"] = n, m
+        return noisy, tokens, counts
 
 
 def corrupt_corpus(sentences: list[str | list[str]],
@@ -340,14 +531,8 @@ def corrupt_corpus(sentences: list[str | list[str]],
     """``corrupt(s, spec, i)`` for each sentence ``s`` at position ``i``; a
     sentence may be given as its ``normalize`` tokens."""
     corpus = [as_tokens(s) for s in sentences]
-    return list(_replay(corpus, spec, _Blocks(corpus, spec)))
-
-
-def _replay(corpus, spec: NoiseSpec, streams):
-    """Yield each token list of ``corpus`` corrupted, reading the
-    sentence's stream from ``streams`` (a ``_Blocks``)."""
-    for tokens, stream in zip(corpus, streams, strict=True):
-        yield _corrupt_tokens(tokens, spec, stream)
+    return _Run(_Interned(corpus, spec), _Blocks(corpus, spec),
+                spec).written()[0]
 
 
 def _scaled(spec: NoiseSpec, scale: float) -> NoiseSpec:
@@ -357,84 +542,83 @@ def _scaled(spec: NoiseSpec, scale: float) -> NoiseSpec:
                    target_wer=None)
 
 
-class Calibration(NamedTuple):
-    """What ``calibrate`` found: the spec within tolerance of the target,
-    the corpus its last pass corrupted with that spec, and the
-    ``(pooled, mean)`` WER of that corpus."""
+class ChannelPass(NamedTuple):
+    """One run of the channel over a clean corpus: the spec it ran at, each
+    noisy sentence, the ``(pooled, mean)`` WER against the clean corpus,
+    each noisy sentence's tokens, and ``counts``: the corpus's tokens and,
+    per category, the tokens that drew it and the tokens it changed."""
     spec: NoiseSpec
     noisy: list[str]
     wer: tuple[float, float]
+    tokens: list[list[str]]
+    counts: dict[str, int]
 
 
-def _calibration_pass(corpus: list[list[str]], streams: _Blocks,
-                      spec: NoiseSpec, stop=None) -> Calibration | None:
-    """Corrupt and score ``corpus`` at ``spec`` sentence by sentence; None
-    as soon as ``stop`` holds for the running WER, the edits so far over
-    all the corpus's words, which only grows to the pass's pooled WER."""
-    words = sum(map(len, corpus))
-    noisy, distances, edits = [], [], 0
-    for tokens, out in zip(corpus, _replay(corpus, spec, streams)):
-        distances.append(edit_distance(tokens, normalize(out)))
-        edits += distances[-1]
-        if stop is not None and stop(edits / words):
-            return None
-        noisy.append(out)
-    return Calibration(spec, noisy, pooled_and_mean(corpus, distances))
+def _calibration_pass(corpus: _Interned, blocks: _Blocks,
+                      spec: NoiseSpec) -> tuple[_Run, tuple[float, float]]:
+    """Corrupt and score ``corpus`` at ``spec``: the run and its
+    ``(pooled, mean)`` WER."""
+    run = _Run(corpus, blocks, spec)
+    return run, pooled_and_mean(corpus.tokens, run.distances())
 
 
-def calibrate(corpus: list[str | list[str]], spec: NoiseSpec) -> Calibration:
+def _passed(run: _Run, wer: tuple[float, float]) -> ChannelPass:
+    noisy, tokens, counts = run.written()
+    return ChannelPass(run.spec, noisy, wer, tokens, counts)
+
+
+def channel_pass(corpus: list[str | list[str]],
+                 spec: NoiseSpec) -> ChannelPass:
+    """Corrupt ``corpus`` at ``spec`` and score it: what
+    ``corrupt_corpus`` and ``corpus_wer`` give, with the noisy tokens and
+    the category counts."""
+    corpus = reference_tokens([as_tokens(s) for s in corpus])
+    return _passed(*_calibration_pass(_Interned(corpus, spec),
+                                      _Blocks(corpus, spec), spec))
+
+
+def calibrate(corpus: list[str | list[str]], spec: NoiseSpec) -> ChannelPass:
     """Scale deletion/substitution probabilities by bisection until the
     corrupted corpus's pooled WER is within ``WER_TOLERANCE`` of the target,
-    in at most ``MAX_BISECTIONS`` passes after the first.
-
-    A pass stops as soon as its running WER decides the bisection step;
-    the last one runs to the end and is returned with its spec, so the
-    caller need not repeat it. When the target is out of reach, the passes
-    that stopped run again in full to name the closest pooled WER."""
+    in at most ``MAX_BISECTIONS`` passes after the first, and return the
+    last pass with its spec, so the caller need not repeat it."""
     target = spec.target_wer
     if target is None or not (0.0 < target <= 2.0):
         raise ValueError(f"target WER must lie in (0, 2], got {target}")
-    # checked before any pass, since a pass may stop short of a bad sentence
     corpus = reference_tokens([as_tokens(s) for s in corpus])
 
-    # the scaled specs keep spec.seed, so every pass replays these streams
-    run_pass = partial(_calibration_pass, corpus, _Blocks(corpus, spec))
+    # the scaled specs keep spec.seed and spec.pool, so every pass reads
+    # these streams and these tables
+    run_pass = partial(_calibration_pass, _Interned(corpus, spec),
+                       _Blocks(corpus, spec))
 
     other = spec.p_repeat + spec.p_abbreviate + spec.p_casual
     if spec.p_delete == 0 and spec.p_substitute == 0:
         # nothing to scale; split what the other categories leave evenly
         start = min(0.25, (1.0 - other) / 2.0)
         if start <= 0:
-            raise CalibrationError(target, run_pass(spec).wer[0])
+            raise CalibrationError(target, run_pass(spec)[1][0])
         spec = replace(spec, p_delete=start, p_substitute=start)
     # largest scale keeping every probability valid and the category mass <= 1
     destructive = spec.p_delete + spec.p_substitute
     hi_scale = min(1.0 / max(spec.p_delete, spec.p_substitute),
                    (1.0 - other) / destructive)
     lo, hi = 0.0, hi_scale
-    # edits only grow: a pass past a bound stays past it to its end
-    top = run_pass(_scaled(spec, hi),
-                   lambda wer: not wer < target - WER_TOLERANCE)
-    if top is not None:
-        raise CalibrationError(target, top.wer[0])
-    # each scale tried, with its full pass or None where the pass stopped
-    tried = [(hi, None)]
+    best = run_pass(_scaled(spec, hi))[1][0]
+    if best < target - WER_TOLERANCE:
+        raise CalibrationError(target, best)
     for _ in range(MAX_BISECTIONS):
         mid = (lo + hi) / 2.0
-        result = run_pass(_scaled(spec, mid),
-                          lambda wer: wer - target > WER_TOLERANCE)
-        tried.append((mid, result))
-        if result is None:
-            hi = mid
-        elif abs(result.wer[0] - target) <= WER_TOLERANCE:
-            return result
-        elif result.wer[0] < target:
+        run, wer = run_pass(_scaled(spec, mid))
+        if abs(wer[0] - target) < abs(best - target):
+            best = wer[0]
+        if abs(wer[0] - target) <= WER_TOLERANCE:
+            return _passed(run, wer)
+        if wer[0] < target:
             lo = mid
         else:
             hi = mid
-    wers = [(run_pass(_scaled(spec, scale)) if result is None
-             else result).wer[0] for scale, result in tried]
-    raise CalibrationError(target, min(wers, key=lambda w: abs(w - target)))
+    raise CalibrationError(target, best)
 
 
 def load_stt_fixture_pairs() -> list[tuple[str, str, str]]:

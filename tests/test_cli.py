@@ -1,27 +1,36 @@
 """End-to-end command-line tests: prepare -> train -> eval -> report on a
 tiny synthetic dataset, plus exit-code and precedence behaviour."""
 
+import contextlib
 import csv
 import gc
 import hashlib
+import io
 import json
 import os
 import re
 import struct
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from denoiseclf import cli
 from denoiseclf.checkpoint import load_checkpoint
 from denoiseclf.cli import main
 from denoiseclf.data import config_lines, load_corpus, make_dataset
+from denoiseclf.denoise import DenoiseConfig
+from denoiseclf.encoder import EncoderConfig
 from denoiseclf.gradcheck import CheckResult
+from denoiseclf.model import ModelConfig
 from denoiseclf.noise import pool_of
 from denoiseclf.tokenizer import normalize
+from denoiseclf.train import TrainConfig
 
 PREPARE = ["prepare", "--target-wer", "0.25", "--synthetic-per-class", "20",
            "--seed", "3"]
@@ -134,6 +143,37 @@ class TestPrepare:
                      "--synthetic-per-class", "5", "--seed", "3",
                      "--outdir", str(tmp_path / "x")]) == 6
 
+    def test_a_target_the_written_corpus_misses_exits_6(self, tmp_path,
+                                                         capsys):
+        # calibration reaches pooled WER 0.25 by emptying one of the four
+        # one-word sentences; written clean, the corpus scores 0
+        src = _file(tmp_path, "0\ta\n1\tb\n0\ta\n1\tb\n")
+        out = tmp_path / "o"
+        assert main(["prepare", "--input", src, "--target-wer", "0.3",
+                     "--outdir", str(out)]) == 6
+        assert capsys.readouterr().err == \
+            "error: could not reach target WER 0.300; closest achieved 0.000\n"
+        assert not out.exists()
+
+    def test_channel_counts_show_an_abbreviation_that_changes_nothing(
+            self, tmp_path):
+        # no synthetic word has an abbreviation
+        out = tmp_path / "o"
+        assert main(["prepare", "--synthetic-per-class", "20", "--seed", "3",
+                     "--p-delete", "0", "--p-substitute", "0",
+                     "--p-repeat", "0", "--p-abbreviate", "0.5",
+                     "--p-casual", "0", "--outdir", str(out)]) == 0
+        counts = {key: int(value) for key, (_, value) in
+                  config_lines(out / "channel.txt").items()}
+        assert counts["tokens"] == 40 * 7
+        assert counts["abbreviate_draws"] > 0
+        assert counts["abbreviate_changed"] == 0
+        assert counts["emptied_written_clean"] == 0
+        assert sum(counts[f"{name}_draws"] for name in
+                   ("delete", "substitute", "repeat", "casual")) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "channel.txt", "manifest.txt", "test.tsv", "train.tsv"]
+
 
     @pytest.mark.parametrize("argv,code,line", [
         (["--target-wer", "nan"], 8,
@@ -159,11 +199,22 @@ class TestTrain:
         run = workspace / "run"
         assert (run / "model-stacked.ckpt").exists()
         log = (run / "train-stacked.log").read_text().splitlines()
-        import json
-        records = [json.loads(line) for line in log if line]
+        header, *records = [json.loads(line) for line in log if line]
         phases = {r["phase"] for r in records}
         assert phases == {1, 2}
         assert all({"epoch", "loss", "lr"} <= set(r) for r in records)
+        # the header names the run: its configs rebuild, the seed and the
+        # train file's digest
+        assert set(header) == {"model", "train", "seed", "train_sha256"}
+        model = header["model"]
+        config = ModelConfig(
+            **model | {"encoder": EncoderConfig(**model["encoder"]),
+                       "denoise": DenoiseConfig(**model["denoise"])})
+        assert config == load_checkpoint(run / "model-stacked.ckpt").config
+        assert TrainConfig(**header["train"]).phase1_epochs == 5
+        assert header["seed"] == 3
+        assert header["train_sha256"] == hashlib.sha256(
+            (workspace / "data" / "train.tsv").read_bytes()).hexdigest()
 
     def test_baseline_mode_skips_phase1(self, workspace, tmp_path):
         data = workspace / "data"
@@ -171,10 +222,10 @@ class TestTrain:
         assert main(["train", "--train", str(data / "train.tsv"),
                      "--outdir", str(run), "--mode", "baseline"]
                     + TRAIN_FAST) == 0
-        import json
-        records = [json.loads(line) for line in
-                   (run / "train-baseline.log").read_text().splitlines()
-                   if line]
+        header, *records = [
+            json.loads(line) for line in
+            (run / "train-baseline.log").read_text().splitlines() if line]
+        assert header["model"]["mode"] == "baseline"
         assert {r["phase"] for r in records} == {2}
         assert (run / "model-baseline.ckpt").exists()
 
@@ -191,12 +242,17 @@ class TestTrain:
             assert main(argv) == 10
         assert "error: phase 2, epoch 0, step 2: batch loss is nan" in \
             capsys.readouterr().err
-        # no checkpoint; the log streams, so it keeps the finished epochs
+        # no checkpoint; the log streams, so it keeps its header, the
+        # finished epochs and the error that ended the run
         assert [p.name for p in run.iterdir()] == ["train-stacked.log"]
-        records = [json.loads(line) for line in
-                   (run / "train-stacked.log").read_text().splitlines()]
+        header, *records, error = [
+            json.loads(line) for line in
+            (run / "train-stacked.log").read_text().splitlines()]
+        assert header["train"]["phase2_lr"] == 1e300
         assert [(r["phase"], r["epoch"]) for r in records] == \
             [(1, epoch) for epoch in range(5)]
+        assert error == {"error": "NonFiniteError", "message":
+                         "phase 2, epoch 0, step 2: batch loss is nan"}
 
     def test_reports_truncated_training_sentences_on_stderr(
             self, tmp_path, capsys):
@@ -252,10 +308,10 @@ class TestTrain:
         assert main(["train", "--train", str(data / "train.tsv"),
                      "--outdir", str(run), "--config", str(cfg),
                      "--phase1-epochs", "2"]) == 0
-        import json
-        records = [json.loads(line) for line in
-                   (run / "train-stacked.log").read_text().splitlines()
-                   if line]
+        header, *records = [
+            json.loads(line) for line in
+            (run / "train-stacked.log").read_text().splitlines() if line]
+        assert header["train"]["phase1_epochs"] == 2
         assert sum(r["phase"] == 1 for r in records) == 2
         assert sum(r["phase"] == 2 for r in records) == 1
 
@@ -545,6 +601,82 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--config", str(cfg), "--seed", "5"]) == 0
         assert main(["gradcheck"]) == 0
         assert seeds == [3, 5, 0]
+
+
+# words in several cases and with punctuation, and tokens that normalize
+# to nothing
+_FUZZ_WORDS = ("cat", "Cat", "CAT!", "dog,", "you're", "please", "night",
+               "the", "a", "...", "?", "x1")
+
+
+@st.composite
+def _corpus_bytes(draw):
+    """A clean corpus file: labeled sentences, ragged, some over 64 words,
+    with blank lines; sometimes of one word only, and now and then with
+    one fault: a sentence that normalizes to nothing, a bad label, a
+    fourth column or a byte that is not UTF-8."""
+    words = (st.sampled_from(["cat", "Dog!"]) if draw(st.integers(0, 5)) == 0
+             else st.sampled_from(_FUZZ_WORDS))
+    fault = draw(st.sampled_from([None] * 8 + ["empty", "label", "columns",
+                                               "byte"]))
+    lines = []
+    for _ in range(draw(st.integers(2, 12))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "   "])))
+            continue
+        if draw(st.integers(0, 4)) == 0:
+            sentence = [draw(words)] * draw(st.integers(60, 140))
+        else:
+            sentence = draw(st.lists(words, min_size=1, max_size=9))
+        columns = [draw(st.sampled_from(["0", "1", "2"])),
+                   " ".join(sentence + ["cat"])]
+        if draw(st.booleans()):
+            columns.append(draw(st.sampled_from(["", "The cat."])))
+        lines.append("\t".join(columns))
+    at = draw(st.integers(0, len(lines) - 1))
+    if fault == "empty":
+        lines[at] = "0\t... ?"
+    elif fault == "label":
+        lines[at] = draw(st.sampled_from(["-1", "x", "1.5"])) + "\tcat"
+    elif fault == "columns":
+        lines[at] = "0\tcat\tcat\tz"
+    raw = "\n".join(lines).encode("utf-8")
+    if fault == "byte":
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + b"\xff" + raw[at:]
+    return raw
+
+
+class TestPrepareInputContract:
+    """``prepare --input`` on generated corpus files keeps the failure
+    contract: exit 0, or a code from ``_ERROR_CATEGORIES`` with exactly
+    one ``error:`` line and no traceback."""
+
+    @settings(derandomize=True, max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(raw=_corpus_bytes(),
+           target=st.sampled_from([None, "0.1", "0.3", "0.9"]),
+           seed=st.integers(0, 3))
+    def test_exits_with_a_category_code(self, raw, target, seed):
+        codes = {code for _, code in cli._ERROR_CATEGORIES}
+        with tempfile.TemporaryDirectory() as root:
+            src = Path(root) / "clean.tsv"
+            src.write_bytes(raw)
+            argv = ["prepare", "--input", str(src), "--seed", str(seed),
+                    "--outdir", str(Path(root) / "out")]
+            if target is not None:
+                argv += ["--target-wer", target]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+        lines = err.getvalue().splitlines()
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            assert not [line for line in lines if line.startswith("error:")]
+        else:
+            assert code in codes
+            assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 class TestBadCorpus:

@@ -180,7 +180,7 @@ class TestMakeDataset:
 
         # a pass corrupts and scores each sentence itself; make_dataset
         # neither corrupts nor scores the corpus again
-        spy(data, "corrupt_corpus")
+        spy(data, "channel_pass")
         spy(data, "corpus_wer")
         spy(noise, "corrupt_corpus")
         spy(noise, "_calibration_pass")

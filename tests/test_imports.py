@@ -6,6 +6,7 @@ re-export on purpose. No module imports another's underscore-prefixed
 name: what one module keeps private, no other depends on."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -193,3 +194,24 @@ def test_the_scan_finds_a_config_that_raises_another_error():
               "    def __post_init__(self):\n"
               "        raise VocabError('not a config')\n")
     assert config_rejections(source) == ["line 7: RunConfig raises ValueError"]
+
+
+def tracer_spans() -> list[tuple[str, str]]:
+    """The ``(module, attribute path)`` pairs of ``perfbench/tracer.py``'s
+    ``SPANS``, read from its source, not imported."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(
+        encoding="utf-8"))
+    [spans] = [node.value for node in tree.body
+               if isinstance(node, ast.Assign)
+               and [getattr(t, "id", None) for t in node.targets] == ["SPANS"]]
+    return ast.literal_eval(spans)
+
+
+@pytest.mark.parametrize("module,path", tracer_spans())
+def test_every_traced_name_resolves(module, path):
+    # the tracer wraps these by name, so a rename would otherwise fail only
+    # inside the benchmark's smoke run
+    owner = importlib.import_module(f"denoiseclf.{module}")
+    for attr in path.split("."):
+        owner = getattr(owner, attr)
+    assert callable(owner)

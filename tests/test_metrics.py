@@ -9,10 +9,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from denoiseclf.metrics import (ConfusionMatrix, DataError,
+from denoiseclf import metrics
+from denoiseclf.metrics import (LANE_WORDS, ConfusionMatrix, DataError,
                                 UndefinedReferenceError, bleu, corpus_wer,
-                                edit_distance, ibleu, macro_scores,
-                                micro_scores, normalize_matrix, wer)
+                                edit_distance, edit_distances, ibleu,
+                                lane_batches, macro_scores, micro_scores,
+                                normalize_matrix, padded, pooled_and_mean,
+                                wer, word_ids)
 from denoiseclf.noise import load_stt_fixture_pairs
 
 
@@ -83,6 +86,63 @@ class TestWer:
         pooled, mean = corpus_wer(["a b", "a b c d"], ["a x", "a b c d"])
         assert pooled == pytest.approx(1 / 6)
         assert mean == pytest.approx(0.25)
+
+
+class TestEditDistances:
+    """The batch scorer, one uint64 lane per sentence pair, against the
+    Wagner-Fischer table."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lanes_match_dp(self, seed):
+        # references of 1 to 64 words; -1 in a hypothesis is no word, so
+        # skipped columns fall anywhere, as the channel's deletions do
+        rng = np.random.default_rng(seed)
+        refs = [rng.integers(0, 1 + seed * 3, rng.integers(1, 65)).tolist()
+                for _ in range(60)]
+        hyps = [rng.integers(-1, 2 + seed * 3, rng.integers(0, 80)).tolist()
+                for _ in range(60)]
+        flat, bounds = (np.array(sum(refs, []), dtype=np.int64),
+                        np.cumsum([0] + [len(r) for r in refs]))
+        lanes = np.arange(len(refs))
+        hyp_rows = np.full((60, 80), -1, dtype=np.int64)
+        for row, hyp in zip(hyp_rows, hyps):
+            row[:len(hyp)] = hyp
+        got = edit_distances(padded(flat, bounds, lanes), hyp_rows)
+        assert got.tolist() == [
+            dp_edit_distance(ref, [w for w in hyp if w >= 0])
+            for ref, hyp in zip(refs, hyps)]
+
+    @pytest.mark.parametrize("length", [1, 63, 64, 65, 130])
+    def test_corpus_wer_across_the_lane_width(self, length):
+        # sentences over LANE_WORDS words keep the Python-int routine; the
+        # others share batches with them
+        rng = np.random.default_rng(length)
+        words = [f"w{i}" for i in range(5)]
+        refs = [list(rng.choice(words, size=n))
+                for n in (length, 3, length, 64, 1)]
+        hyps = [list(rng.choice(words, size=n))
+                for n in (length - 1, 70, length + 2, 64, 0)]
+        assert corpus_wer(refs, hyps) == pooled_and_mean(
+            refs, [dp_edit_distance(r, h) for r, h in zip(refs, hyps)])
+
+    def test_word_ids_number_new_words_in_order(self):
+        index = {"b": 0}
+        flat, bounds = word_ids([["a", "b"], [], ["c", "a"]], index)
+        assert index == {"b": 0, "a": 1, "c": 2}
+        assert flat.tolist() == [1, 0, 2, 1]
+        assert bounds.tolist() == [0, 2, 2, 4]
+        assert padded(flat, bounds, np.array([2, 1, 0])).tolist() == \
+            [[2, 1], [-1, -1], [1, 0]]
+
+    def test_batches_keep_the_cell_budget(self):
+        widths = np.array([3] * 5000 + [LANE_WORDS + 1] + [40] * 900
+                          + [2000])
+        batches = lane_batches(widths)
+        assert np.concatenate(batches).tolist() == \
+            np.flatnonzero(widths <= LANE_WORDS).tolist()
+        for lanes in batches:
+            assert len(lanes) * widths[lanes].max() <= metrics._LANE_CELLS
+        assert lane_batches(np.array([], dtype=np.int64)) == []
 
 
 class TestBleu:

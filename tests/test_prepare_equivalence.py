@@ -1,12 +1,14 @@
 """The fast paths of ``prepare`` against the code they replace: ``bleu``
 counting n-grams as sorted integer keys against one ``Counter`` per
-sentence and order, the channel reading raw PCG64 outputs through
-``noise._Stream`` against the channel driven by one fresh ``default_rng``
-per sentence, the stream reader against ``np.random.Generator``, the start
+sentence and order, the channel run over a whole corpus as array ops per
+token position against the channel driven by one fresh ``default_rng`` per
+sentence, the stream reader against ``np.random.Generator``, the start
 states computed in one vectorized pass against ``default_rng``, the clean
-corpus normalized once per dataset, and ``calibrate``'s passes that stop
-once their step is decided against the bisection of full passes."""
+corpus normalized once per dataset, and ``calibrate``'s array passes
+against a bisection whose passes corrupt and score one sentence at a
+time."""
 
+import hashlib
 import math
 import tracemalloc
 from bisect import bisect_right
@@ -171,57 +173,83 @@ SPECS = {
         p_casual=0.1, pool=WORDS, seed=8),
     "empty-pool": NoiseSpec(p_delete=0.2, p_substitute=0.5, p_repeat=0.2,
                             seed=11),
+    # a pool of one word, or of two where a token is one of them, makes
+    # no draw
+    "one-word-pool": NoiseSpec(p_substitute=0.6, p_repeat=0.2,
+                               pool=("cat",), seed=12),
+    "two-word-pool": NoiseSpec(p_substitute=0.6, p_casual=0.2,
+                               pool=("a", "b"), seed=13),
+    # substitutes that are not one normalize token of themselves send
+    # their sentence down the scalar path
+    "odd-pool": NoiseSpec(p_delete=0.1, p_substitute=0.5,
+                          pool=("Cat!", "two words", "?", "b"), seed=14),
 }
 
 
-def reference_corrupt(sentence, spec, index=0):
+def reference_channel(sentence, spec, index=0):
     """The channel as it was written before: one fresh
     ``default_rng((spec.seed, index))`` per sentence, called once per
-    category draw and once per substitution or stretch."""
+    category draw and once per substitution or stretch. Each token's
+    category and the word it became, None if deleted."""
     rng = np.random.default_rng((spec.seed, index))
     thresholds = np.cumsum(spec.probabilities()).tolist()
     out = []
     for token in normalize(sentence):
         category = bisect_right(thresholds, rng.random())
+        word = token
         if category == 0:
-            continue
-        if category == 1 and spec.pool:
+            word = None
+        elif category == 1 and spec.pool:
             choices = [w for w in spec.pool if w != token] or list(spec.pool)
-            out.append(choices[int(rng.integers(len(choices)))])
+            word = choices[int(rng.integers(len(choices)))]
         elif category == 2:
-            out.append(token + token[-1] * int(rng.integers(2, 6)))
+            word = token + token[-1] * int(rng.integers(2, 6))
         elif category == 3:
-            out.append(noise.ABBREVIATIONS.get(token, token))
+            word = noise.ABBREVIATIONS.get(token, token)
         elif category == 4:
-            out.append(noise.CASUAL_SPELLINGS.get(token, token))
-        else:
-            out.append(token)
-    return " ".join(out)
+            word = noise.CASUAL_SPELLINGS.get(token, token)
+        out.append((category, word))
+    return out
+
+
+def reference_corrupt(sentence, spec, index=0):
+    return " ".join(word for _, word in reference_channel(sentence, spec,
+                                                          index)
+                    if word is not None)
+
+
+def _corpus(seed):
+    """Random sentences with empty ones, punctuation, and two over
+    ``LANE_WORDS`` words, which take the scalar path."""
+    rng = np.random.default_rng(seed)
+    corpus = random_corpus(rng, 40, 0, 12) + ["?!", "", "... the cat"]
+    corpus[7] = " ".join(["the cat sat"] * 30)
+    corpus[20] = " ".join(rng.choice(WORDS, size=65))
+    return corpus
 
 
 class TestCorruptCorpusReplay:
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_matches_one_fresh_generator_per_sentence(self, name):
         spec = SPECS[name]
-        rng = np.random.default_rng(21)
-        corpus = random_corpus(rng, 40, 0, 12) + ["?!", "", "... the cat"]
+        corpus = _corpus(21)
         want = [reference_corrupt(s, spec, i) for i, s in enumerate(corpus)]
         assert [corrupt(s, spec, i) for i, s in enumerate(corpus)] == want
-        tokens = [normalize(s) for s in corpus]
-        streams = noise._Blocks(tokens, spec)
-        assert list(noise._replay(tokens, spec, streams)) == want
         assert corrupt_corpus(corpus, spec) == want
-        # the streams depend only on the seed, so a rescaled spec replays
-        # them
+        # the streams and tables depend only on the seed and the pool, so
+        # a rescaled spec runs on them
+        tokens = [normalize(s) for s in corpus]
         scaled = noise._scaled(spec, 0.5)
-        assert list(noise._replay(tokens, scaled, streams)) == \
+        run = noise._Run(noise._Interned(tokens, spec),
+                         noise._Blocks(tokens, spec), scaled)
+        assert run.written()[0] == corrupt_corpus(corpus, scaled) == \
             [reference_corrupt(s, scaled, i) for i, s in enumerate(corpus)]
 
     def test_starts_of_another_length_are_refused(self):
         spec = SPECS["all-five"]
         with pytest.raises(ValueError):
-            list(noise._replay([["a", "b"], ["c", "d"]], spec,
-                               noise._Blocks([["a", "b"]], spec)))
+            noise._Run(noise._Interned([["a", "b"], ["c", "d"]], spec),
+                       noise._Blocks([["a", "b"]], spec), spec)
 
     def test_blocks_hold_one_output_per_token_and_half_per_integer(self):
         tokens = [["a"] * n for n in (0, 1, 2, 7)]
@@ -233,6 +261,55 @@ class TestCorruptCorpusReplay:
             pcg = np.random.default_rng((4, i)).bit_generator
             assert blocks.raw[a:b].tolist() == \
                 pcg.random_raw(b - a).tolist()
+
+    # sentence 1's block is [category, integers, category]: its first
+    # token's draw takes the low half of the middle output, and its second
+    # token's draw the high half, kept from the first
+    @pytest.mark.parametrize("token,keep", [(0, 0xFFFFFFFF00000000),
+                                            (1, 0x00000000FFFFFFFF)],
+                             ids=["low-half", "high-half"])
+    def test_a_rejected_substitution_takes_the_scalar_path(
+            self, monkeypatch, token, keep):
+        # every token substitutes, over the 44 pool words other than
+        # itself; Lemire's method rejects a 32-bit draw x whose product
+        # 44 * x has low half below 2**32 % 44 = 4, as x = 0 has
+        pool = tuple(f"w{i}" for i in range(45))
+        spec = NoiseSpec(p_substitute=1.0, pool=pool, seed=5)
+        tokens = [["w1", "w2", "w3"], ["w4", "w5"], ["w6", "w7", "w8"]]
+        blocks = noise._Blocks(tokens, spec)
+        first = blocks.offsets[1]
+        blocks.raw[first + 1] &= np.uint64(keep)
+        scalar = _counting(monkeypatch, noise, "_corrupt_tokens")
+        run = noise._Run(noise._Interned(tokens, spec), blocks, spec)
+        assert list(run.scalar) == [1] and len(scalar) == 1
+        stream = noise._Stream(blocks.raw[first:blocks.offsets[2]].tolist(),
+                               blocks.starts[1])
+        want = [" ".join(noise._corrupt_tokens(tokens[i], spec,
+                                               blocks.stream(i)))
+                for i in range(3)]
+        want[1] = " ".join(noise._corrupt_tokens(tokens[1], spec, stream))
+        assert run.written()[0] == want
+        # x = 0 unrejected would pick pool[0]; the scalar path draws again
+        assert want[1].split()[token] != "w0"
+
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_counts_are_the_reference_channel_counts(self, name):
+        spec = SPECS[name]
+        corpus = [s for s in _corpus(22) if normalize(s)]
+        draws, changed = Counter(), Counter()
+        for i, sentence in enumerate(corpus):
+            pairs = reference_channel(sentence, spec, i)
+            draws.update(c for c, _ in pairs)
+            changed.update(c for (c, w), t in zip(pairs, normalize(sentence))
+                           if w != t)
+        result = noise.channel_pass(corpus, spec)
+        assert result.counts == {"tokens": sum(draws.values())} | {
+            f"{name}_{kind}": counter[c]
+            for c, name in enumerate(noise.CATEGORIES)
+            for kind, counter in (("draws", draws), ("changed", changed))}
+        assert result.tokens == [normalize(s) for s in result.noisy]
+        assert result.wer == corpus_wer(corpus, result.noisy)
 
 
 def _stream(seed, block):
@@ -405,32 +482,36 @@ class TestTokenInputs:
 
 
 def reference_calibrate(corpus, spec):
-    """``calibrate`` as it was written before: every pass one
-    ``corrupt_corpus`` and one ``corpus_wer`` over the whole corpus."""
+    """``calibrate`` as it was written before passes stopped early: every
+    pass runs the channel one sentence at a time (``reference_corrupt``)
+    and scores each sentence with the Python-int ``edit_distance``."""
     target = spec.target_wer
     corpus = [normalize(s) for s in corpus]
 
     def run_pass(s):
-        noisy = corrupt_corpus(corpus, s)
-        return noise.Calibration(s, noisy, corpus_wer(corpus, noisy))
+        noisy = [reference_corrupt(" ".join(tokens), s, i)
+                 for i, tokens in enumerate(corpus)]
+        return s, noisy, metrics.pooled_and_mean(corpus, [
+            metrics.edit_distance(tokens, normalize(out))
+            for tokens, out in zip(corpus, noisy)])
 
     other = spec.p_repeat + spec.p_abbreviate + spec.p_casual
     if spec.p_delete == 0 and spec.p_substitute == 0:
         start = min(0.25, (1.0 - other) / 2.0)
         if start <= 0:
-            raise CalibrationError(target, run_pass(spec).wer[0])
+            raise CalibrationError(target, run_pass(spec)[2][0])
         spec = replace(spec, p_delete=start, p_substitute=start)
     destructive = spec.p_delete + spec.p_substitute
     hi_scale = min(1.0 / max(spec.p_delete, spec.p_substitute),
                    (1.0 - other) / destructive)
     lo, hi = 0.0, hi_scale
-    best_wer = run_pass(noise._scaled(spec, hi)).wer[0]
+    best_wer = run_pass(noise._scaled(spec, hi))[2][0]
     if best_wer < target - noise.WER_TOLERANCE:
         raise CalibrationError(target, best_wer)
     for _ in range(noise.MAX_BISECTIONS):
         mid = (lo + hi) / 2.0
         result = run_pass(noise._scaled(spec, mid))
-        got = result.wer[0]
+        got = result[2][0]
         if abs(got - target) < abs(best_wer - target):
             best_wer = got
         if abs(got - target) <= noise.WER_TOLERANCE:
@@ -451,65 +532,110 @@ def _outcome(calibrate_fn, corpus, spec):
 
 CALIBRATION_WORDS = WORDS + ("you", "please", "going", "night", "people")
 
-# name: (spec, MAX_BISECTIONS, whether some pass stops early)
+# name: (spec, MAX_BISECTIONS)
 CALIBRATIONS = {
     "all-five": (NoiseSpec(
         p_delete=0.1, p_substitute=0.1, p_repeat=0.05, p_abbreviate=0.1,
-        p_casual=0.1, pool=CALIBRATION_WORDS, seed=3, target_wer=0.35),
-        30, True),
+        p_casual=0.1, pool=CALIBRATION_WORDS, seed=3, target_wer=0.35), 30),
     "low-target": (NoiseSpec(
         p_delete=0.02, p_substitute=0.3, p_casual=0.1, pool=WORDS, seed=4,
-        target_wer=0.08), 30, True),
+        target_wer=0.08), 30),
     "empty-pool": (NoiseSpec(p_delete=0.2, p_substitute=0.3, seed=9,
-                             target_wer=0.25), 30, True),
+                             target_wer=0.25), 30),
     "zero-start": (NoiseSpec(
         p_repeat=0.2, p_abbreviate=0.1, p_casual=0.1, pool=WORDS, seed=5,
-        target_wer=0.3), 30, True),
+        target_wer=0.3), 30),
     "nothing-to-scale": (NoiseSpec(
         p_repeat=0.5, p_abbreviate=0.3, p_casual=0.2, seed=11,
-        target_wer=0.3), 30, False),
-    "unreachable": (NoiseSpec(p_delete=0.2, seed=17, target_wer=1.8),
-                    30, False),
-    # the bisection runs out, so the passes that stopped run again in full;
-    # the later one also has a bisection pass that ran to the end
+        target_wer=0.3), 30),
+    "unreachable": (NoiseSpec(p_delete=0.2, seed=17, target_wer=1.8), 30),
+    # the bisection runs out: achieved is the closest pass's WER
     "runs-out": (NoiseSpec(p_delete=0.1, p_substitute=0.1, pool=WORDS,
-                           seed=7, target_wer=0.3), 1, True),
+                           seed=7, target_wer=0.3), 1),
     "runs-out-later": (NoiseSpec(p_delete=0.1, p_substitute=0.1, pool=WORDS,
-                                 seed=7, target_wer=0.2), 3, True),
+                                 seed=7, target_wer=0.2), 3),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CALIBRATIONS))
 def test_calibrate_matches_the_bisection_of_full_passes(name, monkeypatch):
-    spec, max_bisections, stops = CALIBRATIONS[name]
+    spec, max_bisections = CALIBRATIONS[name]
     rng = np.random.default_rng(6)
     corpus = random_corpus(rng, 80, 1, 12, CALIBRATION_WORDS)
     corpus += ["The Cat, sat!", "PLEASE... you're going"]
     monkeypatch.setattr(noise, "MAX_BISECTIONS", max_bisections)
     want = _outcome(reference_calibrate, corpus, spec)
-    results, real = [], noise._calibration_pass
-
-    def recording(*args):
-        results.append(real(*args))
-        return results[-1]
-
-    monkeypatch.setattr(noise, "_calibration_pass", recording)
-    assert _outcome(calibrate, corpus, spec) == want
-    # None is a pass that stopped once its step was decided
-    assert (None in results) == stops
+    got = _outcome(calibrate, corpus, spec)
+    if isinstance(got, noise.ChannelPass):
+        assert got.tokens == [normalize(s) for s in got.noisy]
+        got = tuple(got[:3])
+    assert got == want
 
 
-def test_prepare_workload_corrupts_fewer_than_four_full_passes(
-        monkeypatch, tmp_path):
-    """The benchmark's prepare inputs at seed 101: four full passes would
-    corrupt 4 x 1500 sentences; passes that stop once their step is decided
-    corrupt 514 + 1319 + 1500 + 1500."""
-    corpus = synthetic_corpus(500, 3, 101)
-    train, test = split_corpus(corpus, 0.25, 101)
+def _prepare_inputs(seed=101):
+    """The benchmark's prepare inputs: train and test splits and spec."""
+    corpus = synthetic_corpus(500, 3, seed)
+    train, test = split_corpus(corpus, 0.25, seed)
     spec = NoiseSpec(p_delete=0.1, p_substitute=0.1, p_repeat=0.02,
                      p_abbreviate=0.05, p_casual=0.05,
-                     pool=pool_of(s for _, s in corpus), seed=101,
+                     pool=pool_of(s for _, s in corpus), seed=seed,
                      target_wer=0.35)
-    corruptions = _counting(monkeypatch, noise, "_corrupt_tokens")
+    return train, test, spec
+
+
+def test_prepare_workload_runs_exactly_four_passes(monkeypatch, tmp_path):
+    """Each pass runs to its end; on the benchmark's prepare inputs at
+    seed 101 the bisection takes the top-scale pass and three more, and no
+    draw there is rejected, so no sentence takes the scalar path."""
+    train, test, spec = _prepare_inputs()
+    passes = _counting(monkeypatch, noise, "_calibration_pass")
+    scalar = _counting(monkeypatch, noise, "_corrupt_tokens")
     make_dataset(train, test, spec, tmp_path)
-    assert len(corruptions) < 4 * len(corpus)
+    assert len(passes) == 4
+    assert scalar == []
+
+
+# the first 16 hex digits of each seed's digest; the channel driven one
+# sentence at a time writes the same bytes
+PREPARE_DIGESTS = [
+    "9cc58b66d83614b8", "c6a8f4a09d124197", "187e9522d538d790",
+    "226be4d203453589", "2f891f2f60f076da", "1a59e8950f83b9cc",
+    "19b8a1ecd66116be", "3041eeafe4ef4606", "3bb4a2824f867620",
+    "23cdce5d1a729899"]
+
+
+def test_prepare_workload_datasets_are_the_pinned_bytes(tmp_path):
+    """The digest of the prepare workload's train.tsv, test.tsv and
+    manifest.txt at seeds 101 to 110."""
+    digests = []
+    for seed in range(101, 111):
+        out = tmp_path / str(seed)
+        make_dataset(*_prepare_inputs(seed), out)
+        files = b"".join((out / name).read_bytes() for name in
+                         ("train.tsv", "test.tsv", "manifest.txt"))
+        digests.append(hashlib.sha256(files).hexdigest()[:16])
+    assert digests == PREPARE_DIGESTS
+
+
+# the short sentences alone peak at about 2.6 MB and the long one adds about
+# 0.2 MB; one int64 array of 3001 x 2000 cells would take 48 MB
+PEAK_BYTES = 4_000_000
+
+
+def test_a_long_sentence_keeps_the_pass_small():
+    """One 2000-word sentence among short ones: it takes the scalar path,
+    and the batches of the others stay within the cell budget."""
+    rng = np.random.default_rng(8)
+    corpus = random_corpus(rng, 3000, 3, 9)
+    corpus.insert(1500, " ".join(rng.choice(WORDS, size=2000)))
+    tokens = [normalize(s) for s in corpus]
+    spec = NoiseSpec(p_delete=0.1, p_substitute=0.2, p_repeat=0.1,
+                     pool=WORDS, seed=2, target_wer=0.3)
+    tracemalloc.start()
+    try:
+        result = calibrate(tokens, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tuple(result[:3]) == reference_calibrate(corpus, spec)
+    assert peak < PEAK_BYTES
