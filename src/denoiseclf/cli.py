@@ -115,7 +115,8 @@ def _command(sub, name: str, func, summary: str) -> argparse.ArgumentParser:
 def _fill_options(args: argparse.Namespace) -> None:
     """Set each option not given as a flag from the config file, else from
     its default. A config key that is no subcommand's option, or a value
-    not of its type or choices, is a ParseError naming the line."""
+    not of its type or choices, is a ParseError naming the line; a negative
+    seed is a ConfigError."""
     given = {}
     lines = config_lines(args.config) if args.config else {}
     for key, (lineno, text) in lines.items():
@@ -131,6 +132,10 @@ def _fill_options(args: argparse.Namespace) -> None:
     for name, default, *_ in OPTIONS[args.command]:
         if getattr(args, name) is None:
             setattr(args, name, given.get(name, default))
+    # numpy's seeding would refuse it without naming the option, and eval
+    # would write it into metrics.csv
+    if getattr(args, "seed", 0) < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
 
 
 def _from_options(cls, args, **given):
@@ -180,12 +185,26 @@ def cmd_train(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     # a header naming the run, then one line per epoch as it ends, so a
-    # run that fails keeps its record and ends it with its error
+    # run that fails keeps its record and ends it with its error; the side
+    # file times each epoch record from the record before it, so the first
+    # epoch of a phase includes that phase's set-up
     with open(outdir / f"train-{config.mode}.log", "w",
-              encoding="utf-8") as log_file:
+              encoding="utf-8") as log_file, \
+            open(outdir / f"train-{config.mode}.times", "w",
+                 encoding="utf-8") as times_file:
+        last = time.perf_counter()
+
         def log(record):
+            nonlocal last
             log_file.write(json.dumps(record) + "\n")
             log_file.flush()
+            now = time.perf_counter()
+            if "epoch" in record:
+                times_file.write(json.dumps(
+                    {"phase": record["phase"], "epoch": record["epoch"],
+                     "seconds": now - last}) + "\n")
+                times_file.flush()
+            last = now
 
         log({"model": asdict(config), "train": asdict(cfg),
              "seed": args.seed, "train_sha256": hashlib.sha256(
@@ -259,9 +278,10 @@ def _read_counts(path: str) -> np.ndarray:
     """The counts CSV that ``eval`` writes. Every row must have as many
     cells as the first, and every cell must be a whole number that fits
     int64, so a fractional count is rejected, not truncated, and nan, inf
-    or 1e300 cannot cast to garbage."""
+    or 1e300 cannot cast to garbage. The counts' magnitudes must total
+    below 2**63 too, or the matrix's int64 sums would wrap."""
     reader = csv.reader(text_lines(path))
-    rows = []
+    rows, total = [], 0
     for row in reader:
         try:
             cells = [float(v) for v in row]
@@ -275,7 +295,13 @@ def _read_counts(path: str) -> np.ndarray:
         if rows and len(cells) != len(rows[0]):
             raise ParseError(path, reader.line_num, f"expected {len(rows[0])} "
                              f"counts like the first row, got {len(cells)}")
+        total += sum(abs(int(v)) for v in cells)
+        if total >= 2 ** 63:
+            raise ParseError(path, reader.line_num, "counts must total "
+                             f"below 2**63, got {total} by this row")
         rows.append(cells)
+    if not rows:
+        raise DataError(f"{path}: no counts")
     return np.array(rows).astype(np.int64)
 
 

@@ -9,16 +9,18 @@ or the token itself when the pool is empty. The channel is a pure function
 of (sentence, spec, position in corpus), so regenerating a corpus is
 byte-identical under a fixed seed.
 
-The channel draws from ``np.random.default_rng((spec.seed, i))``'s stream
-for sentence ``i``, but reads the raw PCG64 outputs itself and gets what
-the Generator's ``random`` and ``integers`` would, bit for bit.
-``corrupt_corpus`` and ``calibrate`` draw every sentence's outputs once,
-into one flat array, intern the corpus and every word the channel can
-write to integer ids, and run the channel over all sentences at once: one
-set of array ops per token position, one lane per sentence, scored by
-``metrics.edit_distances``. A sentence over ``LANE_WORDS`` words, or one
-whose draw Lemire's method would reject, takes the scalar path: ``_Stream``
-and ``_corrupt_tokens``, which ``corrupt`` runs on one sentence.
+Sentence ``i`` draws from ``np.random.default_rng((spec.seed, i))``.
+``corrupt`` runs the scalar path on one sentence: ``_corrupt_tokens``
+calls that Generator once per category draw and once per substitution or
+stretch. ``corrupt_corpus`` and ``calibrate`` instead draw every sentence's
+raw PCG64 outputs once, into one flat array (``_Blocks``), intern the corpus
+and every word the channel can write to integer ids, and run the channel
+over all sentences at once (``_Run``): one set of array ops per token
+position, one lane per sentence, reading the outputs as the Generator's
+``random`` and ``integers`` would, bit for bit, scored by
+``metrics.edit_distances``. Three kinds of sentence take the scalar path
+instead: one over ``LANE_WORDS`` words, one whose draw Lemire's method
+would reject, and one whose substitute is not one ``normalize`` token.
 ``calibrate`` scales the destructive probabilities by bisection until a
 corpus hits a target word error rate; every pass runs to its end, and it
 returns the last one, with its noisy tokens and per-category counts.
@@ -197,81 +199,6 @@ def _start_states(spec: NoiseSpec, n: int) -> list[tuple[int, int]]:
     return starts
 
 
-class _Stream:
-    """One sentence's PCG64 outputs read as ``np.random.Generator`` reads
-    them: from the same start, ``random`` and ``integers`` return the same
-    values, bit for bit.
-
-    ``raw`` is the first outputs after ``start`` (a ``(state, inc)`` pair);
-    when a draw needs more, the stream extends from ``start`` with
-    ``advance``. ``integers`` takes one 32-bit half of an output by Lemire's
-    method and keeps the other half for the next, as PCG64's
-    ``has_uint32``/``uinteger`` buffer does; ``random`` skips that buffer.
-    """
-
-    __slots__ = ("_next", "_start", "_drawn", "_half")
-
-    def __init__(self, raw: list[int], start: tuple[int, int]):
-        self._next = iter(raw).__next__
-        self._start = start
-        self._drawn = len(raw)
-        self._half = None
-
-    def _extend(self) -> int:
-        """The next output once the block is used up, as a rejection may
-        do: draws as many again past it and returns the first."""
-        more = self._drawn + 1
-        pcg = _pcg_at(np.random.PCG64(0), self._start)
-        pcg.advance(self._drawn)
-        self._next = iter(pcg.random_raw(more).tolist()).__next__
-        self._drawn += more
-        return self._next()
-
-    def _next32(self) -> int:
-        if self._half is not None:
-            half, self._half = self._half, None
-            return half
-        try:
-            raw = self._next()
-        except StopIteration:
-            raw = self._extend()
-        self._half = raw >> 32
-        return raw & _MASK32
-
-    def random(self) -> float:
-        """A float in [0, 1) from the top 53 bits of one output."""
-        try:
-            raw = self._next()
-        except StopIteration:
-            raw = self._extend()
-        return (raw >> 11) * _DOUBLE_STEP
-
-    def integers(self, n: int) -> int:
-        """An int in [0, n)."""
-        if not 0 < n < 1 << 32:
-            # numpy draws 2**32 values or more by another method
-            raise ValueError(f"range must hold 1 to 2**32 - 1 values, "
-                             f"got {n}")
-        if n == 1:  # numpy makes no draw
-            return 0
-        scaled = self._next32() * n
-        if scaled & _MASK32 < n:
-            threshold = (1 << 32) % n
-            while scaled & _MASK32 < threshold:
-                scaled = self._next32() * n
-        return scaled >> 32
-
-
-def _pcg_at(pcg: np.random.PCG64,
-            start: tuple[int, int]) -> np.random.PCG64:
-    """``pcg`` set to ``start``, as a fresh ``default_rng`` is."""
-    state, inc = start
-    pcg.state = {"bit_generator": "PCG64",
-                 "state": {"state": state, "inc": inc},
-                 "has_uint32": 0, "uinteger": 0}
-    return pcg
-
-
 def _block_size(tokens: list[str]) -> int:
     """The outputs a sentence's channel reads unless Lemire's method
     rejects: one per token's ``random``, a half per ``integers``."""
@@ -288,16 +215,17 @@ class _Blocks:
         self.offsets = [0, *accumulate(map(_block_size, corpus))]
         self.raw = np.empty(self.offsets[-1], dtype=np.uint64)
         pcg = np.random.PCG64(0)
-        for start, a, b in zip(self.starts, self.offsets, self.offsets[1:]):
-            self.raw[a:b] = _pcg_at(pcg, start).random_raw(b - a)
+        for (state, inc), a, b in zip(self.starts, self.offsets,
+                                      self.offsets[1:]):
+            # as a fresh default_rng((spec.seed, i)) starts
+            pcg.state = {"bit_generator": "PCG64",
+                         "state": {"state": state, "inc": inc},
+                         "has_uint32": 0, "uinteger": 0}
+            self.raw[a:b] = pcg.random_raw(b - a)
 
-    def stream(self, i: int) -> _Stream:
-        """A fresh ``_Stream`` over sentence ``i``'s block."""
-        return _Stream(self.raw[self.offsets[i]:self.offsets[i + 1]].tolist(),
-                       self.starts[i])
 
-
-def _substitute(spec: NoiseSpec, token: str, rng: _Stream) -> str:
+def _substitute(spec: NoiseSpec, token: str,
+                rng: np.random.Generator) -> str:
     """A uniform pick from the pool words other than ``token``, or from the
     whole pool when it holds nothing else. It makes the one
     ``rng.integers`` draw and returns the word that indexing the list
@@ -309,7 +237,8 @@ def _substitute(spec: NoiseSpec, token: str, rng: _Stream) -> str:
     return spec.pool[j + (j >= k)]
 
 
-def _corrupt_tokens(tokens: list[str], spec: NoiseSpec, rng: _Stream,
+def _corrupt_tokens(tokens: list[str], spec: NoiseSpec,
+                    rng: np.random.Generator,
                     categories: list[int] | None = None) -> list[str]:
     """The words ``tokens`` become, deleted ones left out; each token's
     category is appended to ``categories`` when it is given."""
@@ -324,8 +253,7 @@ def _corrupt_tokens(tokens: list[str], spec: NoiseSpec, rng: _Stream,
         if category == 1:  # substitution
             out.append(_substitute(spec, token, rng) if spec.pool else token)
         elif category == 2:  # repeated-letter stretching
-            # 2 to 5 more letters, drawn as Generator.integers(2, 6) draws
-            out.append(token + token[-1] * (2 + rng.integers(4)))
+            out.append(token + token[-1] * rng.integers(2, 6))
         elif category == 3:
             out.append(ABBREVIATIONS.get(token, token))
         elif category == 4:
@@ -341,12 +269,8 @@ def corrupt(sentence: str, spec: NoiseSpec, index: int = 0) -> str:
     ``index`` is the sentence's position in its corpus; together with the
     spec's seed it fully determines the output.
     """
-    tokens = normalize(sentence)
-    pcg = np.random.PCG64((spec.seed, index))
-    start = pcg.state["state"]
-    stream = _Stream(pcg.random_raw(_block_size(tokens)).tolist(),
-                     (start["state"], start["inc"]))
-    return " ".join(_corrupt_tokens(tokens, spec, stream))
+    return " ".join(_corrupt_tokens(normalize(sentence), spec,
+                                    np.random.default_rng((spec.seed, index))))
 
 
 # the category a token whose draw falls past every threshold takes: kept
@@ -422,11 +346,12 @@ class _Run:
     or stretch draw the low half of the next output when k is even, or the
     high half kept from the last one when k is odd, scaled by Lemire's
     ``half * n >> 32``. ``batches`` holds each batch's categories, written
-    ids (-1: none) and the lanes left to the scalar path: a sentence whose
-    draw Lemire's method would reject, or whose substitute is not one
-    normalize token. ``scalar`` maps those sentences, and every one over
-    ``LANE_WORDS`` words, to their categories and ``_corrupt_tokens`` of
-    their ``_Stream``.
+    ids (-1: none) and the lanes left to the scalar path. ``scalar`` maps
+    each sentence on the scalar path to its categories and the words
+    ``_corrupt_tokens`` writes from its own ``default_rng((spec.seed, i))``.
+    Three kinds of sentence take that path: one over ``LANE_WORDS`` words,
+    one whose draw Lemire's method would reject, and one whose substitute
+    is not one normalize token.
     """
 
     def __init__(self, corpus: _Interned, blocks: _Blocks, spec: NoiseSpec):
@@ -481,7 +406,8 @@ class _Run:
         for i in sorted(scalar):
             categories: list[int] = []
             self.scalar[i] = categories, _corrupt_tokens(
-                corpus.tokens[i], spec, blocks.stream(i), categories)
+                corpus.tokens[i], spec,
+                np.random.default_rng((spec.seed, i)), categories)
 
     def distances(self) -> list[int]:
         """Each sentence's word edit distance from its clean tokens."""

@@ -7,6 +7,7 @@ import gc
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import struct
@@ -216,6 +217,18 @@ class TestTrain:
         assert header["train_sha256"] == hashlib.sha256(
             (workspace / "data" / "train.tsv").read_bytes()).hexdigest()
 
+    def test_times_file_has_one_line_per_epoch_record(self, workspace):
+        run = workspace / "run"
+        records = [json.loads(line) for line in
+                   (run / "train-stacked.log").read_text().splitlines()[1:]]
+        times = [json.loads(line) for line in
+                 (run / "train-stacked.times").read_text().splitlines()]
+        assert [(t["phase"], t["epoch"]) for t in times] == \
+            [(r["phase"], r["epoch"]) for r in records]
+        assert len(times) == 5 + 2
+        assert all(math.isfinite(t["seconds"]) and t["seconds"] >= 0
+                   for t in times)
+
     def test_baseline_mode_skips_phase1(self, workspace, tmp_path):
         data = workspace / "data"
         run = tmp_path / "run-b"
@@ -244,7 +257,8 @@ class TestTrain:
             capsys.readouterr().err
         # no checkpoint; the log streams, so it keeps its header, the
         # finished epochs and the error that ended the run
-        assert [p.name for p in run.iterdir()] == ["train-stacked.log"]
+        assert sorted(p.name for p in run.iterdir()) == [
+            "train-stacked.log", "train-stacked.times"]
         header, *records, error = [
             json.loads(line) for line in
             (run / "train-stacked.log").read_text().splitlines()]
@@ -323,7 +337,8 @@ class TestConfigFile:
         assert main(["train", "--train", str(workspace / "data" / "train.tsv"),
                      "--outdir", str(run), "--config", cfg] + TRAIN_FAST) == 0
         assert sorted(p.name for p in run.iterdir()) == [
-            "model-baseline.ckpt", "train-baseline.log"]
+            "model-baseline.ckpt", "train-baseline.log",
+            "train-baseline.times"]
 
     def test_empty_n_post_means_encoder_depth(self, workspace, tmp_path):
         cfg = _file(tmp_path, "n_post =\n")
@@ -378,6 +393,29 @@ class TestConfigFile:
         assert capsys.readouterr().err == \
             f"error: {cfg}:2: unknown key 'outdir'\n"
         assert seeds == []
+
+
+# each subcommand with a seed option, and the arguments it requires
+# besides --outdir, naming files that need not exist
+SEEDED = {"prepare": [], "train": ["--train", "missing.tsv"],
+          "eval": ["--checkpoint", "missing.ckpt", "--test", "missing.tsv"],
+          "gradcheck": None}
+
+
+@pytest.mark.parametrize("given", ["flag", "config"])
+@pytest.mark.parametrize("command", sorted(SEEDED))
+def test_a_negative_seed_exits_8_naming_the_option(command, given, tmp_path,
+                                                   capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_all", lambda seed: pytest.fail("ran"))
+    out = tmp_path / "out"
+    argv = [command]
+    if SEEDED[command] is not None:
+        argv += SEEDED[command] + ["--outdir", str(out)]
+    argv += ["--seed", "-1"] if given == "flag" else \
+        ["--config", _file(tmp_path, "seed = -1\n")]
+    assert main(argv) == 8
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()
 
 
 class TestBadHyperparameters:
@@ -544,6 +582,26 @@ class TestEvalAndReport:
             f"error: {counts}:2: not UTF-8: invalid start byte 0xff\n"
         assert not (tmp_path / "report").exists()
 
+    def test_report_names_a_counts_file_without_counts(self, tmp_path,
+                                                       capsys):
+        counts = _file(tmp_path, "\n\n")
+        assert main(["report", "--confusion", counts,
+                     "--outdir", str(tmp_path / "report")]) == 5
+        assert capsys.readouterr().err == f"error: {counts}: no counts\n"
+
+    def test_report_rejects_counts_whose_total_wraps_int64(self, tmp_path,
+                                                           capsys):
+        # each count fits int64, but their sum would wrap and the micro F1
+        # come out negative
+        counts = tmp_path / "confusion_counts.csv"
+        counts.write_text("9e18,1\n9e18,1\n")
+        assert main(["report", "--confusion", str(counts),
+                     "--outdir", str(tmp_path / "report")]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {counts}:2: counts must total below 2**63, got "
+            f"{2 * 9 * 10**18 + 2} by this row\n")
+        assert not (tmp_path / "report").exists()
+
     def test_report_closes_the_counts_file(self, tmp_path):
         counts = tmp_path / "confusion_counts.csv"
         counts.write_text("15,5\n10,20\n")
@@ -609,6 +667,12 @@ _FUZZ_WORDS = ("cat", "Cat", "CAT!", "dog,", "you're", "please", "night",
                "the", "a", "...", "?", "x1")
 
 
+def _with_byte(draw, raw: bytes) -> bytes:
+    """``raw`` with a byte that is not UTF-8 put in at a drawn place."""
+    at = draw(st.integers(0, len(raw)))
+    return raw[:at] + b"\xff" + raw[at:]
+
+
 @st.composite
 def _corpus_bytes(draw):
     """A clean corpus file: labeled sentences, ragged, some over 64 words,
@@ -641,16 +705,34 @@ def _corpus_bytes(draw):
     elif fault == "columns":
         lines[at] = "0\tcat\tcat\tz"
     raw = "\n".join(lines).encode("utf-8")
-    if fault == "byte":
-        at = draw(st.integers(0, len(raw)))
-        raw = raw[:at] + b"\xff" + raw[at:]
-    return raw
+    return _with_byte(draw, raw) if fault == "byte" else raw
+
+
+def _keeps_the_failure_contract(argv, name, raw):
+    """Run ``argv`` with ``raw`` written to the file ``name`` in a fresh
+    directory, whose path replaces ``name`` in ``argv`` (``OUT`` names an
+    outdir there): exit 0, or a code from ``_ERROR_CATEGORIES`` with
+    exactly one ``error:`` line and no traceback."""
+    codes = {code for _, code in cli._ERROR_CATEGORIES}
+    with tempfile.TemporaryDirectory() as root:
+        (Path(root) / name).write_bytes(raw)
+        paths = {name: str(Path(root) / name), "OUT": str(Path(root) / "out")}
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main([paths.get(arg, arg) for arg in argv])
+    lines = err.getvalue().splitlines()
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert not [line for line in lines if line.startswith("error:")]
+    else:
+        assert code in codes
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 class TestPrepareInputContract:
     """``prepare --input`` on generated corpus files keeps the failure
-    contract: exit 0, or a code from ``_ERROR_CATEGORIES`` with exactly
-    one ``error:`` line and no traceback."""
+    contract."""
 
     @settings(derandomize=True, max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -658,25 +740,120 @@ class TestPrepareInputContract:
            target=st.sampled_from([None, "0.1", "0.3", "0.9"]),
            seed=st.integers(0, 3))
     def test_exits_with_a_category_code(self, raw, target, seed):
-        codes = {code for _, code in cli._ERROR_CATEGORIES}
-        with tempfile.TemporaryDirectory() as root:
-            src = Path(root) / "clean.tsv"
-            src.write_bytes(raw)
-            argv = ["prepare", "--input", str(src), "--seed", str(seed),
-                    "--outdir", str(Path(root) / "out")]
-            if target is not None:
-                argv += ["--target-wer", target]
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err), \
-                    contextlib.redirect_stdout(io.StringIO()):
-                code = main(argv)
-        lines = err.getvalue().splitlines()
-        assert "Traceback" not in err.getvalue()
-        if code == 0:
-            assert not [line for line in lines if line.startswith("error:")]
-        else:
-            assert code in codes
-            assert len(lines) == 1 and lines[0].startswith("error: ")
+        argv = ["prepare", "--input", "clean.tsv", "--seed", str(seed),
+                "--outdir", "OUT"]
+        if target is not None:
+            argv += ["--target-wer", target]
+        _keeps_the_failure_contract(argv, "clean.tsv", raw)
+
+
+@st.composite
+def _counts_bytes(draw, fault):
+    """A counts file of 1 to 4 classes, with blank lines and the exponent
+    form ``eval`` writes, and the ``fault`` named: a ragged row, a column
+    or a row too many, a negative, fractional, nan or 1e300 cell, counts
+    whose total passes 2**63, no rows, or a byte that is not UTF-8."""
+    n = draw(st.integers(1, 4))
+    cell = st.sampled_from(["0", "1", "7", "12", "3e2", "1e+12"])
+    rows = [[draw(cell) for _ in range(n)] for _ in range(n)]
+    at = draw(st.integers(0, n - 1))
+    if fault == "ragged":
+        rows[at] = rows[at][:-1] if n > 1 else ["1", "2"]
+    elif fault == "wide":
+        rows = [row + ["1"] for row in rows]
+    elif fault == "tall":
+        rows.append(["1"] * n)
+    elif fault == "overflow":  # two cells once there are two classes
+        rows[at][-1] = rows[-1][0] = "9e18"
+    elif fault == "empty":
+        rows = []
+    elif fault in _BAD_CELLS:
+        rows[at][draw(st.integers(0, n - 1))] = _BAD_CELLS[fault]
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    raw = "".join(line + "\n" for line in lines).encode("utf-8")
+    return _with_byte(draw, raw) if fault == "byte" else raw
+
+
+_BAD_CELLS = {"negative": "-3", "fractional": "2.5", "nan": "nan",
+              "1e300": "1e300"}
+
+# per option key, values of its type: some the command takes, some it
+# rejects once the file is read
+_CONFIG_VALUES = {
+    "seed": ("0", "3", "-1"),
+    "p_delete": ("0", "0.3", "1.5", "nan"),
+    "p_substitute": ("0.2", "1", "inf"),
+    "target_wer": ("", "0.3", "1.9", "1e300"),
+    "test_fraction": ("0.25", "0.9", "1"),
+    "synthetic_per_class": ("-1", "0", "2", "3"),
+    "hidden_size": ("0", "16"),
+    "mode": ("stacked", "baseline"),
+    "n_post": ("", "1"),
+}
+# lines that break a config file: a key that is no option's, a value not
+# of its option's type or choices, and a line without "="
+_CONFIG_FAULTS = {
+    "unknown-key": ("phase_1_epochs = 3", "outdir = x", "= 2"),
+    "bad-value": ("seed = 1.5", "hidden_size = abc", "mode = bogus",
+                  "p_delete = 0.1 = 3"),
+    "bare": ("seed", "hidden_size 16"),
+}
+
+
+@st.composite
+def _config_bytes(draw, fault):
+    """A config file of ``key = value`` lines, each key once, with comments
+    and blank lines, and the ``fault`` named: one of ``_CONFIG_FAULTS``, a
+    key set twice, or a byte that is not UTF-8."""
+    keys = sorted(_CONFIG_VALUES)
+    lines = [f"{key} = {draw(st.sampled_from(_CONFIG_VALUES[key]))}"
+             for key in draw(st.lists(st.sampled_from(keys), max_size=5,
+                                      unique=True))]
+    if fault == "repeated":
+        key = draw(st.sampled_from(keys))
+        lines += [f"{key} = {value}" for value in draw(st.lists(
+            st.sampled_from(_CONFIG_VALUES[key]), min_size=2, max_size=2))]
+    elif fault in _CONFIG_FAULTS:
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(_CONFIG_FAULTS[fault])))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(
+            ["", "   ", "# seed = 2", "  # no = here"])))
+    raw = "".join(line + "\n" for line in lines).encode("utf-8")
+    return _with_byte(draw, raw) if fault == "byte" else raw
+
+
+class TestReportAndConfigContract:
+    """``report --confusion`` on generated counts files, and ``prepare`` and
+    ``gradcheck`` on generated ``--config`` files, keep the failure
+    contract, a few examples for each kind of fault."""
+
+    @pytest.mark.parametrize("fault", [
+        None, "ragged", "wide", "tall", "overflow", "empty", "byte",
+        *_BAD_CELLS])
+    @settings(derandomize=True, max_examples=3, deadline=None)
+    @given(data=st.data())
+    def test_report_exits_with_a_category_code(self, fault, data):
+        _keeps_the_failure_contract(
+            ["report", "--confusion", "counts.csv", "--outdir", "OUT"],
+            "counts.csv", data.draw(_counts_bytes(fault)))
+
+    @pytest.mark.parametrize("fault", [None, "repeated", "byte",
+                                       *_CONFIG_FAULTS])
+    @settings(derandomize=True, max_examples=5, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data(), command=st.sampled_from(["prepare", "gradcheck"]))
+    def test_config_exits_with_a_category_code(self, fault, data, command):
+        # the gradient suite itself is not under test
+        argv = [command, "--config", "run.cfg"]
+        if command == "prepare":
+            argv += ["--outdir", "OUT"]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "run_all", lambda seed: [])
+            _keeps_the_failure_contract(argv, "run.cfg",
+                                        data.draw(_config_bytes(fault)))
 
 
 class TestBadCorpus:

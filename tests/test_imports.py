@@ -3,11 +3,14 @@ module of ``src/denoiseclf`` imports is read there, and every top-level
 function or class and every public method of one is used by the program.
 ``__init__.py`` and an import whose first line says ``# noqa: F401``
 re-export on purpose. No module imports another's underscore-prefixed
-name: what one module keeps private, no other depends on."""
+name: what one module keeps private, no other depends on, and every one
+that README names is still defined."""
 
 import ast
 import importlib
+import io
 import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -215,3 +218,32 @@ def test_every_traced_name_resolves(module, path):
     for attr in path.split("."):
         owner = getattr(owner, attr)
     assert callable(owner)
+
+
+def readme_private_names(text: str) -> set[str]:
+    """The underscore-prefixed names that ``text`` puts in backticks, alone
+    or after a dotted owner (`` `_make` ``, `` `noise._Blocks` ``)."""
+    return set(re.findall(r"`(?:[A-Za-z]\w*\.)*(_\w+)(?:\(\))?`", text))
+
+
+def identifiers(source: str) -> set[str]:
+    """Every name token of ``source``; strings and comments hold none."""
+    return {token.string for token in
+            tokenize.generate_tokens(io.StringIO(source).readline)
+            if token.type == tokenize.NAME}
+
+
+def test_every_private_name_readme_gives_is_in_the_package():
+    defined = set().union(*(identifiers(p.read_text(encoding="utf-8"))
+                            for p in SRC.glob("*.py")))
+    named = readme_private_names(
+        (ROOT / "README.md").read_text(encoding="utf-8"))
+    assert sorted(named - defined) == []
+
+
+def test_the_scan_finds_a_private_name_readme_gives():
+    assert readme_private_names(
+        "`_make` and `noise._Blocks`, `_erf()`, not `<category>_draws`, "
+        "has_uint32, _bare or `x + _y`") == {"_make", "_Blocks", "_erf"}
+    assert identifiers("def _f():  # _comment\n    return '_text'\n") == \
+        {"def", "_f", "return"}

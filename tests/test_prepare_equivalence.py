@@ -2,11 +2,10 @@
 counting n-grams as sorted integer keys against one ``Counter`` per
 sentence and order, the channel run over a whole corpus as array ops per
 token position against the channel driven by one fresh ``default_rng`` per
-sentence, the stream reader against ``np.random.Generator``, the start
-states computed in one vectorized pass against ``default_rng``, the clean
-corpus normalized once per dataset, and ``calibrate``'s array passes
-against a bisection whose passes corrupt and score one sentence at a
-time."""
+sentence, the start states computed in one vectorized pass against
+``default_rng``, the clean corpus normalized once per dataset, and
+``calibrate``'s array passes against a bisection whose passes corrupt and
+score one sentence at a time."""
 
 import hashlib
 import math
@@ -262,36 +261,27 @@ class TestCorruptCorpusReplay:
             assert blocks.raw[a:b].tolist() == \
                 pcg.random_raw(b - a).tolist()
 
-    # sentence 1's block is [category, integers, category]: its first
-    # token's draw takes the low half of the middle output, and its second
-    # token's draw the high half, kept from the first
-    @pytest.mark.parametrize("token,keep", [(0, 0xFFFFFFFF00000000),
-                                            (1, 0x00000000FFFFFFFF)],
-                             ids=["low-half", "high-half"])
+    @pytest.mark.parametrize("word", ["cat", "the"])
     def test_a_rejected_substitution_takes_the_scalar_path(
-            self, monkeypatch, token, keep):
-        # every token substitutes, over the 44 pool words other than
-        # itself; Lemire's method rejects a 32-bit draw x whose product
-        # 44 * x has low half below 2**32 % 44 = 4, as x = 0 has
-        pool = tuple(f"w{i}" for i in range(45))
-        spec = NoiseSpec(p_substitute=1.0, pool=pool, seed=5)
-        tokens = [["w1", "w2", "w3"], ["w4", "w5"], ["w6", "w7", "w8"]]
-        blocks = noise._Blocks(tokens, spec)
-        first = blocks.offsets[1]
-        blocks.raw[first + 1] &= np.uint64(keep)
+            self, monkeypatch, word):
+        # Lemire's method rejects a low product below 2**32 % n, under
+        # 1e-8 per draw here; a limit of 2**32 rejects every draw, so each
+        # sentence that substitutes ``word`` leaves its lane
+        spec = SPECS["all-five"]
+        corpus = random_corpus(np.random.default_rng(23), 40, 0, 12)
+        tokens = [normalize(s) for s in corpus]
+        interned = noise._Interned(tokens, spec)
+        interned.limits[1, interned.words.index(word)] = 2**32
+        rejected = [i for i, sentence in enumerate(corpus)
+                    if any(c == 1 and t == word for (c, _), t in zip(
+                        reference_channel(sentence, spec, i), tokens[i]))]
+        assert 0 < len(rejected) < len(corpus)
         scalar = _counting(monkeypatch, noise, "_corrupt_tokens")
-        run = noise._Run(noise._Interned(tokens, spec), blocks, spec)
-        assert list(run.scalar) == [1] and len(scalar) == 1
-        stream = noise._Stream(blocks.raw[first:blocks.offsets[2]].tolist(),
-                               blocks.starts[1])
-        want = [" ".join(noise._corrupt_tokens(tokens[i], spec,
-                                               blocks.stream(i)))
-                for i in range(3)]
-        want[1] = " ".join(noise._corrupt_tokens(tokens[1], spec, stream))
-        assert run.written()[0] == want
-        # x = 0 unrejected would pick pool[0]; the scalar path draws again
-        assert want[1].split()[token] != "w0"
-
+        run = noise._Run(interned, noise._Blocks(tokens, spec), spec)
+        assert list(run.scalar) == rejected
+        assert [args[0] for args in scalar] == [tokens[i] for i in rejected]
+        assert run.written()[0] == [reference_corrupt(s, spec, i)
+                                    for i, s in enumerate(corpus)]
 
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_counts_are_the_reference_channel_counts(self, name):
@@ -310,89 +300,6 @@ class TestCorruptCorpusReplay:
             for kind, counter in (("draws", draws), ("changed", changed))}
         assert result.tokens == [normalize(s) for s in result.noisy]
         assert result.wer == corpus_wer(corpus, result.noisy)
-
-
-def _stream(seed, block):
-    """A ``_Stream`` holding the first ``block`` outputs of
-    ``default_rng(seed)``, and that generator."""
-    generator = np.random.default_rng(seed)
-    start = generator.bit_generator.state["state"]
-    raw = np.random.default_rng(seed).bit_generator.random_raw(block)
-    return (noise._Stream(raw.tolist(), (start["state"], start["inc"])),
-            generator)
-
-
-# one draw each: a float, then integers over ranges of 1 (no draw), 2, 3,
-# 45 (a pool), 2**31 (never rejects), 2**31 + 1 (rejects about half the
-# time), 2**32 - 1 (the largest range Lemire's method takes), and a stretch;
-# the stream draws the stretch as ``2 + integers(4)``
-DRAWS = {
-    "random": lambda rng: rng.random(),
-    "1": lambda rng: int(rng.integers(1)),
-    "2": lambda rng: int(rng.integers(2)),
-    "3": lambda rng: int(rng.integers(3)),
-    "45": lambda rng: int(rng.integers(45)),
-    "2**31": lambda rng: int(rng.integers(2**31)),
-    "2**31+1": lambda rng: int(rng.integers(2**31 + 1)),
-    "2**32-1": lambda rng: int(rng.integers(2**32 - 1)),
-    "2..6": lambda rng: int(rng.integers(2, 6)),
-}
-STREAM_DRAWS = {**DRAWS, "2..6": lambda stream: 2 + stream.integers(4)}
-
-
-class TestStream:
-    """``noise._Stream`` reads raw PCG64 outputs as ``np.random.Generator``
-    does: the same values, and the same position after them."""
-
-    @pytest.mark.parametrize("draw", sorted(DRAWS))
-    @pytest.mark.parametrize("seed", [0, 17, (101, 5)])
-    def test_each_draw_matches_the_generator(self, seed, draw):
-        stream, generator = _stream(seed, 400)
-        for _ in range(300):
-            assert STREAM_DRAWS[draw](stream) == DRAWS[draw](generator)
-        # still in step: the kept half and the position agree
-        assert [stream.integers(45), stream.random()] == \
-            [generator.integers(45), generator.random()]
-
-    @pytest.mark.parametrize("block", [0, 3, 40, 2000])
-    @pytest.mark.parametrize("seed", range(4))
-    def test_mixed_draws_match_the_generator(self, seed, block):
-        # blocks of 0, 3 and 40 outputs run out and are extended
-        order = np.random.default_rng(seed + 50).choice(sorted(DRAWS), 1000)
-        stream, generator = _stream(seed, block)
-        got = [STREAM_DRAWS[name](stream) for name in order]
-        assert got == [DRAWS[name](generator) for name in order]
-
-    def test_a_rejection_that_uses_the_block_up_extends_it(self):
-        # 400 draws over 2**31 + 1 values take 400 halves when none is
-        # rejected, so a block of 200 outputs runs out only by rejections
-        stream, generator = _stream(9, 200)
-        got = [stream.integers(2**31 + 1) for _ in range(400)]
-        assert got == [int(generator.integers(2**31 + 1))
-                       for _ in range(400)]
-        assert stream._drawn > 200
-        assert stream.random() == generator.random()
-
-    def test_a_hand_built_block_takes_the_rejection_branch(self):
-        # over 3 values Lemire's method rejects a 32-bit draw whose product
-        # with 3 has low half below 2**32 % 3 = 1: only the draw 0
-        low, high, after = 0, 2**31, 0x0123456789ABCDEF
-        stream = noise._Stream([high << 32 | low, after], (0, 1))
-        assert stream.integers(3) == (3 * high) >> 32 == 1
-        # both halves of the first output are used; the next draw takes
-        # the second output whole
-        assert stream.random() == (after >> 11) * 2.0**-53
-
-    def test_a_range_of_one_value_makes_no_draw(self):
-        stream, generator = _stream(3, 4)
-        assert stream.integers(1) == 0
-        assert stream.random() == generator.random()
-
-    @pytest.mark.parametrize("n", [2**32, 0, -4, 2**40])
-    def test_ranges_outside_lemires_method_are_refused(self, n):
-        stream, _ = _stream(0, 4)
-        with pytest.raises(ValueError):
-            stream.integers(n)
 
 
 class TestStartStates:
