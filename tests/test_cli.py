@@ -418,6 +418,31 @@ def test_a_negative_seed_exits_8_naming_the_option(command, given, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("given", ["flag", "config"])
+@pytest.mark.parametrize("command", sorted(SEEDED))
+def test_seed_0_gets_past_the_seed_check(command, given, tmp_path, capsys,
+                                         monkeypatch):
+    # the bound is inclusive: seed 0 reaches the command, which stops on
+    # its missing input (exit 7), or, for gradcheck, runs at seed 0
+    seeds = []
+    monkeypatch.setattr(cli, "run_all", lambda seed: seeds.append(seed) or [])
+    monkeypatch.chdir(tmp_path)
+    argv = [command]
+    if SEEDED[command] is not None:
+        argv += (SEEDED[command] or ["--input", "missing.tsv"]) + \
+            ["--outdir", "out"]
+    argv += ["--seed", "0"] if given == "flag" else \
+        ["--config", _file(tmp_path, "seed = 0\n")]
+    code, err = main(argv), capsys.readouterr().err
+    if SEEDED[command] is None:
+        assert (code, seeds, err) == (0, [0], "")
+    else:
+        assert code == 7
+        assert err.startswith("error: [Errno 2] No such file or directory: "
+                              "'missing.")
+        assert not (tmp_path / "out").exists()
+
+
 class TestBadHyperparameters:
     @pytest.mark.parametrize("flag,value", [
         ("--phase1-lr", "-1"), ("--phase2-lr", "nan"),

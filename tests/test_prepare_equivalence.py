@@ -302,6 +302,56 @@ class TestCorruptCorpusReplay:
         assert result.wer == corpus_wer(corpus, result.noisy)
 
 
+def _lane_run(corpus, spec):
+    """The lane pass over ``corpus``, and every sentence as the reference
+    channel writes it."""
+    tokens = [normalize(s) for s in corpus]
+    run = noise._Run(noise._Interned(tokens, spec),
+                     noise._Blocks(tokens, spec), spec)
+    return run, [reference_corrupt(s, spec, i) for i, s in enumerate(corpus)]
+
+
+class TestLaneDraws:
+    """The lane pass reads each substitution and stretch draw as
+    ``np.random.Generator.integers`` does, over every range a pool gives,
+    from the low half of an output or the high half kept from the one
+    before, and leaves no sentence to the scalar path."""
+
+    @pytest.mark.parametrize("seed", [0, 17, 101])
+    @pytest.mark.parametrize("size", [2, 3, 4, 7, 45, 300])
+    def test_each_pool_size_matches_the_generator(self, size, seed):
+        # a token in the pool draws over the size - 1 other words, one
+        # outside it over all of them; stretches between substitutions
+        # move a sentence's next draw between halves
+        pool = tuple(f"w{i}" for i in range(size))
+        spec = NoiseSpec(p_substitute=0.5, p_repeat=0.3, pool=pool,
+                         seed=seed)
+        corpus = random_corpus(np.random.default_rng(size), 40, 0,
+                               noise.LANE_WORDS, WORDS + pool[:3])
+        run, want = _lane_run(corpus, spec)
+        assert run.scalar == {}
+        assert run.written()[0] == want
+        assert [corrupt(s, spec, i) for i, s in enumerate(corpus)] == want
+        drawn = Counter((c, t in pool) for i, s in enumerate(corpus)
+                        for (c, _), t in zip(reference_channel(s, spec, i),
+                                             normalize(s)))
+        assert {(1, True), (1, False), (2, True), (2, False)} <= set(drawn)
+
+    @pytest.mark.parametrize("seed", [0, 17, 101])
+    def test_stretches_in_either_half_match_the_generator(self, seed):
+        # every token stretches, so token j of a sentence draws from the
+        # low half of an output when j is even and the high half when odd
+        spec = NoiseSpec(p_repeat=1.0, seed=seed)
+        corpus = random_corpus(np.random.default_rng(seed), 40, 0,
+                               noise.LANE_WORDS)
+        run, want = _lane_run(corpus, spec)
+        assert run.scalar == {}
+        assert run.written()[0] == want
+        extra = {len(w) - len(t) for clean, noisy in zip(corpus, want)
+                 for t, w in zip(normalize(clean), noisy.split())}
+        assert extra == {2, 3, 4, 5}
+
+
 class TestStartStates:
     @pytest.mark.parametrize("n", [0, 1, 600])
     @pytest.mark.parametrize("seed", [0, 7, 101, 2**32 - 1, 2**32,
