@@ -9,9 +9,10 @@ tokens, so a caller scoring one corpus many times normalizes it once.
 Word edit distance is Hyyrö's bit-parallel form of Myers' algorithm.
 ``edit_distances`` runs it over many sentence pairs at once, one uint64
 lane per pair, on word-id arrays; ``corpus_wer`` and the noise channel's
-calibration passes score with it, in batches of consecutive sentences that
-stay within a fixed cell budget (``lane_batches``). A pair with a side over
-``LANE_WORDS`` words keeps the Python-int routine ``edit_distance``.
+calibration passes score with it, in batches of sentences that stay within
+a fixed cell budget (``lane_batches``). A batch whose references are over
+``LANE_WORDS`` words wide is scored pair by pair with the Python-int
+routine ``edit_distance``, so a distance is exact at any width.
 BLEU counts n-grams in numpy, as sorted integer keys (pair, gram id), over
 chunks of at most 256 sentence pairs, so its memory does not grow with the
 corpus; the counts, and so every score, are those of per-sentence
@@ -74,19 +75,24 @@ def edit_distances(refs: np.ndarray, hyps: np.ndarray) -> np.ndarray:
     """``edit_distance`` of each row of ``refs`` against the same row of
     ``hyps``, as int64.
 
-    Rows hold word ids. A reference row is 1 to ``LANE_WORDS`` ids padded
-    with -1; in a hypothesis row -1 is no word wherever it stands, so a
-    column skips the lanes it holds -1 in. Each row pair is one uint64
-    lane of ``edit_distance``'s column update: the low ``len(ref)`` bits
-    are its bit vectors, and the carries and shifts past them never reach
-    back down.
+    Rows hold word ids. A reference row is at least 1 id, padded with -1;
+    in a hypothesis row -1 is no word wherever it stands, so a column
+    skips the lanes it holds -1 in. When ``refs`` is at most
+    ``LANE_WORDS`` wide, each row pair is one uint64 lane of
+    ``edit_distance``'s column update: the low ``len(ref)`` bits are its
+    bit vectors, and the carries and shifts past them never reach back
+    down. A wider batch runs ``edit_distance`` on each pair.
     """
+    if refs.shape[1] > LANE_WORDS:
+        return np.array([edit_distance(ref[ref >= 0].tolist(),
+                                       hyp[hyp >= 0].tolist())
+                         for ref, hyp in zip(refs, hyps)], dtype=np.int64)
     lengths = np.count_nonzero(refs >= 0, axis=1)
     top = np.uint64(1) << (lengths - 1).astype(np.uint64)  # last DP row
     mask = (top - np.uint64(1)) | top
     # bit i of eq[s, j]: hypothesis word j of row s is reference word i
     eq = np.zeros(hyps.shape, dtype=np.uint64)
-    for i in range(min(refs.shape[1], LANE_WORDS)):
+    for i in range(refs.shape[1]):
         eq |= np.left_shift(refs[:, i, None] == hyps, np.uint64(i),
                             dtype=np.uint64)
     pv, mv = mask, np.zeros_like(mask)
@@ -132,13 +138,17 @@ def padded(flat: np.ndarray, bounds: np.ndarray,
 
 
 def lane_batches(widths: np.ndarray) -> list[np.ndarray]:
-    """The positions of ``widths`` no wider than ``LANE_WORDS``, in order,
-    cut into runs of equal count whose count times widest width stays
-    within a fixed cell budget, so one batch's arrays stay small on any
-    corpus."""
-    short = np.flatnonzero(widths <= LANE_WORDS)
-    count = _LANE_CELLS // max(1, int(widths[short].max(initial=0)))
-    return [short[i:i + count] for i in range(0, len(short), count)]
+    """Every position of ``widths`` once: those no wider than
+    ``LANE_WORDS`` in order, then the wider ones in order, each group cut
+    into runs of equal count whose count times widest width stays within
+    a fixed cell budget, or of one position wider than it, so one batch's
+    arrays stay small on any corpus."""
+    short = widths <= LANE_WORDS
+    batches = []
+    for group in (np.flatnonzero(short), np.flatnonzero(~short)):
+        count = max(1, _LANE_CELLS // int(widths[group].max(initial=1)))
+        batches += [group[i:i + count] for i in range(0, len(group), count)]
+    return batches
 
 
 def wer(reference: str, hypothesis: str) -> float:
@@ -163,11 +173,7 @@ def corpus_wer(references: list[str | list[str]],
         distances[lanes] = edit_distances(
             padded(ref_ids, ref_bounds, lanes),
             padded(hyp_ids, hyp_bounds, lanes))
-    distances = distances.tolist()
-    # a pair wider than a lane keeps the Python-int routine
-    for i in np.flatnonzero(widths > LANE_WORDS).tolist():
-        distances[i] = edit_distance(refs[i], hyps[i])
-    return pooled_and_mean(refs, distances)
+    return pooled_and_mean(refs, distances.tolist())
 
 
 def reference_tokens(references: list[str | list[str]]) -> list[list[str]]:

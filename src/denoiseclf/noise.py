@@ -18,9 +18,11 @@ and every word the channel can write to integer ids, and run the channel
 over all sentences at once (``_Run``): one set of array ops per token
 position, one lane per sentence, reading the outputs as the Generator's
 ``random`` and ``integers`` would, bit for bit, scored by
-``metrics.edit_distances``. Three kinds of sentence take the scalar path
-instead: one over ``LANE_WORDS`` words, one whose draw Lemire's method
-would reject, and one whose substitute is not one ``normalize`` token.
+``metrics.edit_distances``. Two kinds of sentence take the scalar path
+instead, which writes their categories and word ids into the same arrays:
+one over ``LANE_WORDS`` words, and one whose draw Lemire's method would
+reject. A pool word must be one ``normalize`` token, so every word the
+channel writes is a token with an id.
 ``calibrate`` scales the destructive probabilities by bisection until a
 corpus hits a target word error rate; every pass runs to its end, and it
 returns the last one, with its noisy tokens and per-category counts.
@@ -38,9 +40,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CalibrationError, ConfigError, check_fields
-from .metrics import (LANE_WORDS, edit_distance, edit_distances,
-                      lane_batches, padded, pooled_and_mean,
-                      reference_tokens, word_ids)
+from .metrics import (LANE_WORDS, edit_distances, lane_batches, padded,
+                      pooled_and_mean, reference_tokens, word_ids)
 from .tokenizer import as_tokens, normalize
 
 # Built-in replacement tables mirroring common informal-text mistakes:
@@ -102,6 +103,16 @@ class NoiseSpec:
         if len(self._pool_index) < len(self.pool):
             repeated = next(w for w in self.pool if self.pool.count(w) > 1)
             raise ConfigError(f"pool repeats the word {repeated!r}")
+        # no token spans a space, so the joined pool splits back into the
+        # pool exactly when each word is one token
+        if normalize(" ".join(self.pool)) != list(self.pool):
+            odd = next(w for w in self.pool if normalize(w) != [w])
+            raise ConfigError(f"pool word {odd!r} is not one normalize token")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.target_wer is not None and not 0.0 < self.target_wer <= 2.0:
+            raise ConfigError(
+                f"target WER must lie in (0, 2], got {self.target_wer}")
 
     def probabilities(self) -> tuple[float, ...]:
         return (self.p_delete, self.p_substitute, self.p_repeat,
@@ -138,9 +149,7 @@ _DOUBLE_STEP = 2.0 ** -53
 
 
 def _uint32_words(n: int) -> list[int]:
-    """``n`` as SeedSequence reads an int: 32-bit words, least first."""
-    if n < 0:
-        raise ValueError(f"expected non-negative integer, got {n}")
+    """``n`` >= 0 as SeedSequence reads an int: 32-bit words, least first."""
     words = [n & _MASK32]
     while n := n >> 32:
         words.append(n & _MASK32)
@@ -238,28 +247,24 @@ def _substitute(spec: NoiseSpec, token: str,
 
 
 def _corrupt_tokens(tokens: list[str], spec: NoiseSpec,
-                    rng: np.random.Generator,
-                    categories: list[int] | None = None) -> list[str]:
-    """The words ``tokens`` become, deleted ones left out; each token's
-    category is appended to ``categories`` when it is given."""
-    out: list[str] = []
+                    rng: np.random.Generator) -> list[tuple[int, str | None]]:
+    """Each token's category and the word it becomes, None if deleted."""
+    out: list[tuple[int, str | None]] = []
     thresholds = spec._thresholds
     for token in tokens:
         category = bisect_right(thresholds, rng.random())
-        if categories is not None:
-            categories.append(category)
+        word = token
         if category == 0:  # deletion
-            continue
-        if category == 1:  # substitution
-            out.append(_substitute(spec, token, rng) if spec.pool else token)
+            word = None
+        elif category == 1 and spec.pool:  # substitution
+            word = _substitute(spec, token, rng)
         elif category == 2:  # repeated-letter stretching
-            out.append(token + token[-1] * rng.integers(2, 6))
+            word = token + token[-1] * rng.integers(2, 6)
         elif category == 3:
-            out.append(ABBREVIATIONS.get(token, token))
+            word = ABBREVIATIONS.get(token, token)
         elif category == 4:
-            out.append(CASUAL_SPELLINGS.get(token, token))
-        else:
-            out.append(token)
+            word = CASUAL_SPELLINGS.get(token, token)
+        out.append((category, word))
     return out
 
 
@@ -269,8 +274,9 @@ def corrupt(sentence: str, spec: NoiseSpec, index: int = 0) -> str:
     ``index`` is the sentence's position in its corpus; together with the
     spec's seed it fully determines the output.
     """
-    return " ".join(_corrupt_tokens(normalize(sentence), spec,
-                                    np.random.default_rng((spec.seed, index))))
+    pairs = _corrupt_tokens(normalize(sentence), spec,
+                            np.random.default_rng((spec.seed, index)))
+    return " ".join([word for _, word in pairs if word is not None])
 
 
 # the category a token whose draw falls past every threshold takes: kept
@@ -280,17 +286,17 @@ _KEEP = len(CATEGORIES)
 class _Interned:
     """A corpus, and every word its channel can write, as integer ids.
 
-    ``words[i]`` is the word of id i; the corpus's own words come first,
-    as ids 0..n-1. Per corpus word (a column; column n is a padding lane
-    that writes nothing and draws nothing), ``writes[c]`` is the id
-    category c writes without a draw (-1: none), ``stretched[:, r]`` the
-    word with ``2 + r`` more last letters, ``ranges`` and ``limits`` the
-    range of its substitution or stretch draw and the low products
-    Lemire's method rejects, and ``skip`` the pool position a substitute
-    of it passes over. ``batches`` are the sentences of at most
-    ``LANE_WORDS`` words as ``(positions, word ids padded with -1)``.
-    The tables depend on the pool and not on the probabilities, so the
-    scaled specs of one calibration share them.
+    ``words[i]`` is the word of id i, and ``index`` maps it back; the
+    corpus's own words come first, as ids 0..n-1. Per corpus word (a
+    column; column n is a padding lane that writes nothing and draws
+    nothing), ``writes[c]`` is the id category c writes without a draw
+    (-1: none), ``stretched[:, r]`` the word with ``2 + r`` more last
+    letters, ``ranges`` and ``limits`` the range of its substitution or
+    stretch draw and the low products Lemire's method rejects, and
+    ``skip`` the pool position a substitute of it passes over. ``batches``
+    are the corpus's ``lane_batches`` as ``(positions, word ids padded
+    with -1)``. The tables depend on the pool and not on the
+    probabilities, so the scaled specs of one calibration share them.
     """
 
     def __init__(self, corpus: list[list[str]], spec: NoiseSpec):
@@ -304,10 +310,6 @@ class _Interned:
         n, size = len(vocab), len(spec.pool)
         self.tokens = corpus
         self.pool = np.array([intern(w) for w in spec.pool], dtype=np.int64)
-        # a substitute that is not one normalize token would change how its
-        # sentence splits, so that sentence takes the scalar path
-        odd = [normalize(w) != [w] for w in spec.pool]
-        self.odd_pool = np.array(odd) if any(odd) else None
         own = np.arange(n + 1)
         own[n] = -1
         self.writes = np.full((_KEEP + 1, n + 1), -1, dtype=np.int64)
@@ -332,7 +334,7 @@ class _Interned:
         self.limits = np.zeros_like(self.ranges)
         self.limits[1] = [(1 << 32) % r if r > 1 else 0
                           for r in span.tolist()]
-        self.words = list(index)
+        self.index, self.words = index, list(index)
         self.batches = [(lanes, padded(flat, bounds, lanes))
                         for lanes in lane_batches(np.diff(bounds))]
 
@@ -345,13 +347,11 @@ class _Run:
     draw reads output ``j + ceil(k / 2)`` of its block, and a substitution
     or stretch draw the low half of the next output when k is even, or the
     high half kept from the last one when k is odd, scaled by Lemire's
-    ``half * n >> 32``. ``batches`` holds each batch's categories, written
-    ids (-1: none) and the lanes left to the scalar path. ``scalar`` maps
-    each sentence on the scalar path to its categories and the words
-    ``_corrupt_tokens`` writes from its own ``default_rng((spec.seed, i))``.
-    Three kinds of sentence take that path: one over ``LANE_WORDS`` words,
-    one whose draw Lemire's method would reject, and one whose substitute
-    is not one normalize token.
+    ``half * n >> 32``. ``batches`` holds each batch's categories and
+    written ids (-1: none). A lane whose draw Lemire's method would reject,
+    and every lane of a batch wider than ``LANE_WORDS``, takes its row
+    from ``_corrupt_tokens`` instead, on its own
+    ``default_rng((spec.seed, i))``.
     """
 
     def __init__(self, corpus: _Interned, blocks: _Blocks, spec: NoiseSpec):
@@ -362,16 +362,16 @@ class _Run:
         thresholds = np.array(spec._thresholds)
         offsets = np.array(blocks.offsets[:-1], dtype=np.int64)
         raw = blocks.raw
-        scalar = {i for i, tokens in enumerate(corpus.tokens)
-                  if len(tokens) > LANE_WORDS}
         for lanes, ids in corpus.batches:
             first = offsets[lanes]
             drawn = np.zeros(len(lanes), dtype=np.int64)
             half = np.zeros(len(lanes), dtype=np.uint64)
-            aside = np.zeros(len(lanes), dtype=bool)
-            cats = np.empty(ids.shape, dtype=np.int8)
-            outs = np.empty(ids.shape, dtype=np.int64)
-            for j in range(ids.shape[1]):
+            # a batch wider than a lane goes to the scalar path whole
+            wide = ids.shape[1] > LANE_WORDS
+            aside = np.full(len(lanes), wide)
+            cats = np.zeros(ids.shape, dtype=np.int8)
+            outs = np.full(ids.shape, -1, dtype=np.int64)
+            for j in range(0 if wide else ids.shape[1]):
                 token = ids[:, j]
                 at = first + j + (drawn + 1) // 2
                 cat = np.searchsorted(
@@ -394,32 +394,25 @@ class _Run:
                     substitutes = (cat == 1) & (token >= 0)
                     out = np.where(substitutes,
                                    corpus.pool.take(pick, mode="clip"), out)
-                    if corpus.odd_pool is not None:
-                        aside |= substitutes & corpus.odd_pool.take(
-                            pick, mode="clip")
                 out = np.where(cat == 2, corpus.stretched[token, value & 3],
                                out)
                 cats[:, j], outs[:, j] = cat, out
-            self.batches.append((cats, outs, aside))
-            scalar.update(lanes[aside].tolist())
-        self.scalar = {}
-        for i in sorted(scalar):
-            categories: list[int] = []
-            self.scalar[i] = categories, _corrupt_tokens(
-                corpus.tokens[i], spec,
-                np.random.default_rng((spec.seed, i)), categories)
+            for row, i in zip(np.flatnonzero(aside).tolist(),
+                              lanes[aside].tolist()):
+                pairs = _corrupt_tokens(corpus.tokens[i], spec,
+                                        np.random.default_rng((spec.seed, i)))
+                cats[row, :len(pairs)] = [c for c, _ in pairs]
+                outs[row, :len(pairs)] = [-1 if w is None else corpus.index[w]
+                                          for _, w in pairs]
+            self.batches.append((cats, outs))
 
     def distances(self) -> list[int]:
         """Each sentence's word edit distance from its clean tokens."""
         corpus = self.corpus
         distances = np.zeros(len(corpus.tokens), dtype=np.int64)
-        for (lanes, ids), (_, outs, _) in zip(corpus.batches, self.batches):
+        for (lanes, ids), (_, outs) in zip(corpus.batches, self.batches):
             distances[lanes] = edit_distances(ids, outs)
-        distances = distances.tolist()
-        for i, (_, out) in self.scalar.items():
-            distances[i] = edit_distance(corpus.tokens[i],
-                                         normalize(" ".join(out)))
-        return distances
+        return distances.tolist()
 
     def written(self) -> tuple[list[str], list[list[str]], dict[str, int]]:
         """Each noisy sentence, its tokens, and per category the tokens
@@ -429,25 +422,16 @@ class _Run:
         tokens: list = [None] * len(corpus.tokens)
         draws = np.zeros(_KEEP + 1, dtype=np.int64)
         changed = np.zeros(_KEEP + 1, dtype=np.int64)
-        for (lanes, ids), (cats, outs, aside) in zip(corpus.batches,
-                                                      self.batches):
-            live = (ids >= 0) & ~aside[:, None]
+        for (lanes, ids), (cats, outs) in zip(corpus.batches, self.batches):
+            live = ids >= 0
             draws += np.bincount(cats[live], minlength=_KEEP + 1)
             changed += np.bincount(cats[live & (outs != ids)],
                                    minlength=_KEEP + 1)
             for i, row in zip(lanes.tolist(), outs.tolist()):
                 tokens[i] = [words[o] for o in row if o >= 0]
                 noisy[i] = " ".join(tokens[i])
-        draws, changed = draws.tolist(), changed.tolist()
-        for i, (categories, out) in self.scalar.items():
-            noisy[i] = " ".join(out)
-            tokens[i] = normalize(noisy[i])
-            kept = iter(out)
-            for category, token in zip(categories, corpus.tokens[i]):
-                draws[category] += 1
-                changed[category] += category == 0 or next(kept) != token
-        counts = {"tokens": sum(draws)}
-        for name, n, m in zip(CATEGORIES, draws, changed):
+        counts = {"tokens": int(draws.sum())}
+        for name, n, m in zip(CATEGORIES, draws.tolist(), changed.tolist()):
             counts[f"{name}_draws"], counts[f"{name}_changed"] = n, m
         return noisy, tokens, counts
 
@@ -509,8 +493,8 @@ def calibrate(corpus: list[str | list[str]], spec: NoiseSpec) -> ChannelPass:
     in at most ``MAX_BISECTIONS`` passes after the first, and return the
     last pass with its spec, so the caller need not repeat it."""
     target = spec.target_wer
-    if target is None or not (0.0 < target <= 2.0):
-        raise ValueError(f"target WER must lie in (0, 2], got {target}")
+    if target is None:
+        raise ValueError("calibrate needs a target WER")
     corpus = reference_tokens([as_tokens(s) for s in corpus])
 
     # the scaled specs keep spec.seed and spec.pool, so every pass reads

@@ -53,6 +53,8 @@ class TrainConfig:
             raise ConfigError("warmup proportion must lie in [0, 1]")
         if self.batch_size < 1:
             raise ConfigError("batch size must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for name in ("phase1_lr", "phase2_lr", "weight_decay",
                      "aux_mse_weight"):
             value = getattr(self, name)

@@ -1,8 +1,11 @@
 """Each config dataclass checks its fields against their annotations."""
 
 import dataclasses
+import math
+import re
 import typing
 
+import numpy as np
 import pytest
 
 from denoiseclf import cli
@@ -10,7 +13,7 @@ from denoiseclf.denoise import DenoiseConfig
 from denoiseclf.encoder import EncoderConfig
 from denoiseclf.errors import ConfigError
 from denoiseclf.model import ModelConfig
-from denoiseclf.noise import NoiseSpec
+from denoiseclf.noise import NoiseSpec, pool_of
 from denoiseclf.train import TrainConfig
 
 # each config class with the arguments of one valid instance
@@ -100,3 +103,46 @@ def test_only_options_without_a_field_state_a_type():
     stated = {name for opts in cli.OPTIONS.values()
               for name, _, _, *own in opts if own}
     assert stated == {"test_fraction", "synthetic_per_class", "mode"}
+
+
+@pytest.mark.parametrize("cls,args,message", [
+    (NoiseSpec, {"seed": -1}, "seed must be >= 0, got -1"),
+    (TrainConfig, {"seed": -1}, "seed must be >= 0, got -1"),
+    (NoiseSpec, {"target_wer": math.inf},
+     r"target WER must lie in \(0, 2\], got inf"),
+    (NoiseSpec, {"target_wer": math.nan},
+     r"target WER must lie in \(0, 2\], got nan"),
+    (NoiseSpec, {"target_wer": 0.0},
+     r"target WER must lie in \(0, 2\], got 0.0"),
+    (NoiseSpec, {"target_wer": 2.5},
+     r"target WER must lie in \(0, 2\], got 2.5"),
+], ids=["noise-seed-negative", "train-seed-negative", "target-inf",
+        "target-nan", "target-zero", "target-past-two"])
+def test_out_of_range_configs_do_not_construct(cls, args, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        cls(**args)
+
+
+def test_range_bounds_construct():
+    assert NoiseSpec(seed=0, target_wer=2.0).target_wer == 2.0
+    assert NoiseSpec(target_wer=1e-9).seed == 0
+    assert TrainConfig(seed=0).seed == 0
+
+
+@pytest.mark.parametrize("word", ["Cat!", "two words", "?", "", "cat "])
+def test_a_pool_word_that_is_not_one_token_is_refused(word):
+    with pytest.raises(ConfigError, match=f"^pool word {re.escape(repr(word))}"
+                                          " is not one normalize token$"):
+        NoiseSpec(pool=("a", word, "b"))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_the_pool_of_any_corpus_is_accepted(seed):
+    # pool_of keeps the normalize tokens of text with capitals,
+    # punctuation, digits and apostrophes
+    rng = np.random.default_rng(seed)
+    chars = list("abcXYZ019'.,!? -\t")
+    corpus = ["".join(rng.choice(chars, size=rng.integers(0, 40)))
+              for _ in range(30)]
+    pool = pool_of(corpus)
+    assert pool and NoiseSpec(pool=pool).pool == pool

@@ -112,10 +112,32 @@ class TestEditDistances:
             dp_edit_distance(ref, [w for w in hyp if w >= 0])
             for ref, hyp in zip(refs, hyps)]
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rows_of_any_width_match_edit_distance(self, seed):
+        # references of 64, 65 and 130 words with trailing pads, and
+        # hypotheses with -1 gaps anywhere, scored as one batch
+        rng = np.random.default_rng(seed)
+        for widths in ((64, 30), (65, 64, 1), (130, 65, 3)):
+            refs = [rng.integers(0, 6, n).tolist() for n in widths]
+            hyps = [rng.integers(-1, 6, n + 5).tolist() for n in widths]
+            hyps[0] = refs[0] + [-1] * 5
+            ref_rows = np.full((len(widths), widths[0]), -1, dtype=np.int64)
+            hyp_rows = np.full((len(widths), widths[0] + 5), -1,
+                               dtype=np.int64)
+            for row, ref in zip(ref_rows, refs):
+                row[:len(ref)] = ref
+            for row, hyp in zip(hyp_rows, hyps):
+                row[:len(hyp)] = hyp
+            got = edit_distances(ref_rows, hyp_rows).tolist()
+            want = [edit_distance(ref, [w for w in hyp if w >= 0])
+                    for ref, hyp in zip(refs, hyps)]
+            assert got == want
+            assert got[0] == 0
+
     @pytest.mark.parametrize("length", [1, 63, 64, 65, 130])
     def test_corpus_wer_across_the_lane_width(self, length):
-        # sentences over LANE_WORDS words keep the Python-int routine; the
-        # others share batches with them
+        # batches wider than LANE_WORDS are scored pair by pair; the others
+        # run as lanes
         rng = np.random.default_rng(length)
         words = [f"w{i}" for i in range(5)]
         refs = [list(rng.choice(words, size=n))
@@ -136,12 +158,14 @@ class TestEditDistances:
 
     def test_batches_keep_the_cell_budget(self):
         widths = np.array([3] * 5000 + [LANE_WORDS + 1] + [40] * 900
-                          + [2000])
+                          + [2000] + [70] * 600 + [40000])
         batches = lane_batches(widths)
+        short = widths <= LANE_WORDS
         assert np.concatenate(batches).tolist() == \
-            np.flatnonzero(widths <= LANE_WORDS).tolist()
+            np.flatnonzero(short).tolist() + np.flatnonzero(~short).tolist()
         for lanes in batches:
-            assert len(lanes) * widths[lanes].max() <= metrics._LANE_CELLS
+            assert len(lanes) == 1 or \
+                len(lanes) * widths[lanes].max() <= metrics._LANE_CELLS
         assert lane_batches(np.array([], dtype=np.int64)) == []
 
 

@@ -20,7 +20,7 @@ import pytest
 from denoiseclf import data, metrics, noise, tokenizer
 from denoiseclf.data import make_dataset, split_corpus, synthetic_corpus
 from denoiseclf.metrics import bleu, corpus_wer
-from denoiseclf.errors import CalibrationError, DataError
+from denoiseclf.errors import CalibrationError, ConfigError, DataError
 from denoiseclf.noise import (NoiseSpec, _start_states, calibrate, corrupt,
                               corrupt_corpus, pool_of)
 from denoiseclf.tokenizer import normalize
@@ -178,10 +178,6 @@ SPECS = {
                                pool=("cat",), seed=12),
     "two-word-pool": NoiseSpec(p_substitute=0.6, p_casual=0.2,
                                pool=("a", "b"), seed=13),
-    # substitutes that are not one normalize token of themselves send
-    # their sentence down the scalar path
-    "odd-pool": NoiseSpec(p_delete=0.1, p_substitute=0.5,
-                          pool=("Cat!", "two words", "?", "b"), seed=14),
 }
 
 
@@ -209,6 +205,22 @@ def reference_channel(sentence, spec, index=0):
             word = noise.CASUAL_SPELLINGS.get(token, token)
         out.append((category, word))
     return out
+
+
+def reference_counts(corpus, spec):
+    """The ``counts`` of the reference channel over ``corpus``: its tokens
+    and, per category, the tokens that drew it and the tokens it
+    changed."""
+    draws, changed = Counter(), Counter()
+    for i, sentence in enumerate(corpus):
+        pairs = reference_channel(sentence, spec, i)
+        draws.update(c for c, _ in pairs)
+        changed.update(c for (c, w), t in zip(pairs, normalize(sentence))
+                       if w != t)
+    return {"tokens": sum(draws.values())} | {
+        f"{name}_{kind}": counter[c]
+        for c, name in enumerate(noise.CATEGORIES)
+        for kind, counter in (("draws", draws), ("changed", changed))}
 
 
 def reference_corrupt(sentence, spec, index=0):
@@ -266,22 +278,26 @@ class TestCorruptCorpusReplay:
             self, monkeypatch, word):
         # Lemire's method rejects a low product below 2**32 % n, under
         # 1e-8 per draw here; a limit of 2**32 rejects every draw, so each
-        # sentence that substitutes ``word`` leaves its lane
+        # sentence that substitutes ``word`` takes its row from the scalar
+        # path, categories included. A skip of 0 makes the lanes' own
+        # substitute for ``word`` wrong, so only that row is right.
         spec = SPECS["all-five"]
         corpus = random_corpus(np.random.default_rng(23), 40, 0, 12)
         tokens = [normalize(s) for s in corpus]
         interned = noise._Interned(tokens, spec)
         interned.limits[1, interned.words.index(word)] = 2**32
+        interned.skip[interned.words.index(word)] = 0
         rejected = [i for i, sentence in enumerate(corpus)
                     if any(c == 1 and t == word for (c, _), t in zip(
                         reference_channel(sentence, spec, i), tokens[i]))]
         assert 0 < len(rejected) < len(corpus)
         scalar = _counting(monkeypatch, noise, "_corrupt_tokens")
         run = noise._Run(interned, noise._Blocks(tokens, spec), spec)
-        assert list(run.scalar) == rejected
         assert [args[0] for args in scalar] == [tokens[i] for i in rejected]
-        assert run.written()[0] == [reference_corrupt(s, spec, i)
-                                    for i, s in enumerate(corpus)]
+        noisy, _, counts = run.written()
+        assert noisy == [reference_corrupt(s, spec, i)
+                         for i, s in enumerate(corpus)]
+        assert counts == reference_counts(corpus, spec)
 
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_counts_are_the_reference_channel_counts(self, name):
@@ -302,12 +318,15 @@ class TestCorruptCorpusReplay:
         assert result.wer == corpus_wer(corpus, result.noisy)
 
 
-def _lane_run(corpus, spec):
-    """The lane pass over ``corpus``, and every sentence as the reference
-    channel writes it."""
+def _lane_run(monkeypatch, corpus, spec):
+    """The lane pass over ``corpus``, once no sentence of it has taken the
+    scalar path, and every sentence as the reference channel writes it."""
     tokens = [normalize(s) for s in corpus]
-    run = noise._Run(noise._Interned(tokens, spec),
-                     noise._Blocks(tokens, spec), spec)
+    with monkeypatch.context() as patch:
+        scalar = _counting(patch, noise, "_corrupt_tokens")
+        run = noise._Run(noise._Interned(tokens, spec),
+                         noise._Blocks(tokens, spec), spec)
+    assert scalar == []
     return run, [reference_corrupt(s, spec, i) for i, s in enumerate(corpus)]
 
 
@@ -319,7 +338,8 @@ class TestLaneDraws:
 
     @pytest.mark.parametrize("seed", [0, 17, 101])
     @pytest.mark.parametrize("size", [2, 3, 4, 7, 45, 300])
-    def test_each_pool_size_matches_the_generator(self, size, seed):
+    def test_each_pool_size_matches_the_generator(self, monkeypatch, size,
+                                                  seed):
         # a token in the pool draws over the size - 1 other words, one
         # outside it over all of them; stretches between substitutions
         # move a sentence's next draw between halves
@@ -328,8 +348,7 @@ class TestLaneDraws:
                          seed=seed)
         corpus = random_corpus(np.random.default_rng(size), 40, 0,
                                noise.LANE_WORDS, WORDS + pool[:3])
-        run, want = _lane_run(corpus, spec)
-        assert run.scalar == {}
+        run, want = _lane_run(monkeypatch, corpus, spec)
         assert run.written()[0] == want
         assert [corrupt(s, spec, i) for i, s in enumerate(corpus)] == want
         drawn = Counter((c, t in pool) for i, s in enumerate(corpus)
@@ -338,14 +357,14 @@ class TestLaneDraws:
         assert {(1, True), (1, False), (2, True), (2, False)} <= set(drawn)
 
     @pytest.mark.parametrize("seed", [0, 17, 101])
-    def test_stretches_in_either_half_match_the_generator(self, seed):
+    def test_stretches_in_either_half_match_the_generator(self, monkeypatch,
+                                                          seed):
         # every token stretches, so token j of a sentence draws from the
         # low half of an output when j is even and the high half when odd
         spec = NoiseSpec(p_repeat=1.0, seed=seed)
         corpus = random_corpus(np.random.default_rng(seed), 40, 0,
                                noise.LANE_WORDS)
-        run, want = _lane_run(corpus, spec)
-        assert run.scalar == {}
+        run, want = _lane_run(monkeypatch, corpus, spec)
         assert run.written()[0] == want
         extra = {len(w) - len(t) for clean, noisy in zip(corpus, want)
                  for t, w in zip(normalize(clean), noisy.split())}
@@ -364,10 +383,11 @@ class TestStartStates:
         assert _start_states(NoiseSpec(seed=seed), n) == want
 
     def test_negative_seed_is_refused(self):
+        # numpy refuses it, and the spec refuses it before any stream starts
         with pytest.raises(ValueError):
             np.random.default_rng((-1, 0))
-        with pytest.raises(ValueError):
-            _start_states(NoiseSpec(seed=-1), 3)
+        with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
+            NoiseSpec(seed=-1)
 
 
 def _counting(monkeypatch, module, name):
