@@ -34,9 +34,10 @@ print("\n== calibration to WER 0.25 ==")
 corpus = [s for _, s in synthetic_corpus(40, num_classes=2, seed=0)]
 spec = NoiseSpec(p_delete=0.1, p_substitute=0.1, pool=pool_of(corpus),
                  seed=0, target_wer=0.25)
-# the last bisection pass comes back with the spec: its corpus, its WER,
-# its tokens and the tokens each category drew and changed
-calibrated, noisy, (pooled, mean), _, counts = calibrate(corpus, spec)
+# the last bisection pass comes back with the spec: each noisy sentence's
+# tokens, their WER and the tokens each category drew and changed
+calibrated, tokens, (pooled, mean), counts = calibrate(corpus, spec)
+noisy = [" ".join(t) for t in tokens]
 print(f"  calibrated p_delete={calibrated.p_delete:.3f} "
       f"p_substitute={calibrated.p_substitute:.3f}")
 print(f"  pooled WER = {pooled:.3f}  per-sentence mean = {mean:.3f}")

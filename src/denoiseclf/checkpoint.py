@@ -138,7 +138,9 @@ def load_checkpoint(path: str | Path) -> TextClassifier:
             raise CorruptionError(
                 "parameter payload does not match state hash")
         model = TextClassifier(config, vocab, arrays=arrays)
-    except (ValueError, KeyError, TypeError, AttributeError) as err:
+    # json.loads raises RecursionError on a header nested too deep
+    except (ValueError, KeyError, TypeError, AttributeError,
+            RecursionError) as err:
         raise CorruptionError(
             f"malformed checkpoint: {type(err).__name__}: {err}") from err
     if len(model.params.tensors) != count:

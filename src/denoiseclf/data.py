@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import CalibrationError, DataError, LabelError, ParseError
 from .metrics import corpus_wer, ibleu
-from .noise import WER_TOLERANCE, NoiseSpec, calibrate, channel_pass
+from .noise import WER_TOLERANCE, NoiseSpec, calibrate
 from .tokenizer import normalize
 
 
@@ -138,18 +138,17 @@ def make_dataset(train_clean: list[tuple[int, str]],
     target = spec.target_wer
     # the clean corpus normalized once, for every pass and metric reading it
     clean = [normalize(s) for _, s in train_clean + test_clean]
-    # with a target, calibration's last pass is this dataset; it is not run
-    # again
-    spec, noisy, (pooled, mean), noisy_tokens, counts = (
-        channel_pass(clean, spec) if target is None
-        else calibrate(clean, spec))
+    # calibration's last pass (with no target, its only one) is this
+    # dataset; it is not run again
+    spec, noisy_tokens, (pooled, mean), counts = calibrate(clean, spec)
     emptied = [i for i, tokens in enumerate(noisy_tokens) if not tokens]
     for i in emptied:  # a sentence the channel emptied is written clean
-        noisy[i], noisy_tokens[i] = " ".join(clean[i]), clean[i]
+        noisy_tokens[i] = clean[i]
     if emptied:  # the manifest scores the corpus as written
         pooled, mean = corpus_wer(clean, noisy_tokens)
         if target is not None and abs(pooled - target) > WER_TOLERANCE:
             raise CalibrationError(target, pooled)
+    noisy = [" ".join(tokens) for tokens in noisy_tokens]
     train = [PairedExample(label, noisy[i], s)
              for i, (label, s) in enumerate(train_clean)]
     test = [PairedExample(label, noisy[i], None)

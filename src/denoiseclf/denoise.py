@@ -48,6 +48,9 @@ class DenoiseConfig:
                 for a, b in zip(self.dims[:-1], self.dims[1:])))
         if len(self.hidden_dims) != 3:
             raise ConfigError("hidden_dims must have one width per stage")
+        if min(self.hidden_dims) < 1:
+            raise ConfigError(
+                f"hidden_dims must be >= 1, got {self.hidden_dims}")
         if self.activation not in (None, "tanh", "gelu"):
             raise ConfigError(f"unknown activation {self.activation!r}")
 

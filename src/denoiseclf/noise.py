@@ -12,10 +12,10 @@ byte-identical under a fixed seed.
 Sentence ``i`` draws from ``np.random.default_rng((spec.seed, i))``.
 ``corrupt`` runs the scalar path on one sentence: ``_corrupt_tokens``
 calls that Generator once per category draw and once per substitution or
-stretch. ``corrupt_corpus`` and ``calibrate`` instead draw every sentence's
-raw PCG64 outputs once, into one flat array (``_Blocks``), intern the corpus
-and every word the channel can write to integer ids, and run the channel
-over all sentences at once (``_Run``): one set of array ops per token
+stretch. ``corrupt_corpus`` and ``calibrate`` instead prepare the corpus
+once (``_Interned``): every word the channel can write as an integer id,
+and every sentence's raw PCG64 outputs in one flat array. They run the
+channel over all sentences at once (``_Run``): one set of array ops per token
 position, one lane per sentence, reading the outputs as the Generator's
 ``random`` and ``integers`` would, bit for bit, scored by
 ``metrics.edit_distances``. Two kinds of sentence take the scalar path
@@ -25,7 +25,8 @@ reject. A pool word must be one ``normalize`` token, so every word the
 channel writes is a token with an id.
 ``calibrate`` scales the destructive probabilities by bisection until a
 corpus hits a target word error rate; every pass runs to its end, and it
-returns the last one, with its noisy tokens and per-category counts.
+returns the last one, with its noisy tokens and per-category counts. With
+no target it returns the one pass at the spec itself.
 """
 
 from __future__ import annotations
@@ -208,31 +209,6 @@ def _start_states(spec: NoiseSpec, n: int) -> list[tuple[int, int]]:
     return starts
 
 
-def _block_size(tokens: list[str]) -> int:
-    """The outputs a sentence's channel reads unless Lemire's method
-    rejects: one per token's ``random``, a half per ``integers``."""
-    return len(tokens) + (len(tokens) + 1) // 2
-
-
-class _Blocks:
-    """Every sentence's first PCG64 outputs, drawn once: sentence ``i``'s
-    block is ``raw[offsets[i]:offsets[i + 1]]``, from ``starts[i]``
-    (``_start_states``), so every pass reads the same streams."""
-
-    def __init__(self, corpus: list[list[str]], spec: NoiseSpec):
-        self.starts = _start_states(spec, len(corpus))
-        self.offsets = [0, *accumulate(map(_block_size, corpus))]
-        self.raw = np.empty(self.offsets[-1], dtype=np.uint64)
-        pcg = np.random.PCG64(0)
-        for (state, inc), a, b in zip(self.starts, self.offsets,
-                                      self.offsets[1:]):
-            # as a fresh default_rng((spec.seed, i)) starts
-            pcg.state = {"bit_generator": "PCG64",
-                         "state": {"state": state, "inc": inc},
-                         "has_uint32": 0, "uinteger": 0}
-            self.raw[a:b] = pcg.random_raw(b - a)
-
-
 def _substitute(spec: NoiseSpec, token: str,
                 rng: np.random.Generator) -> str:
     """A uniform pick from the pool words other than ``token``, or from the
@@ -284,7 +260,8 @@ _KEEP = len(CATEGORIES)
 
 
 class _Interned:
-    """A corpus, and every word its channel can write, as integer ids.
+    """A corpus, and every word its channel can write, as integer ids, with
+    every sentence's first PCG64 outputs.
 
     ``words[i]`` is the word of id i, and ``index`` maps it back; the
     corpus's own words come first, as ids 0..n-1. Per corpus word (a
@@ -295,7 +272,9 @@ class _Interned:
     stretch draw and the low products Lemire's method rejects, and
     ``skip`` the pool position a substitute of it passes over. ``batches``
     are the corpus's ``lane_batches`` as ``(positions, word ids padded
-    with -1)``. The tables depend on the pool and not on the
+    with -1)``. Sentence ``i``'s block, ``raw[offsets[i]:offsets[i + 1]]``,
+    holds the first outputs of ``default_rng((spec.seed, i))``, drawn once.
+    The tables and outputs depend on the seed and the pool and not on the
     probabilities, so the scaled specs of one calibration share them.
     """
 
@@ -337,6 +316,18 @@ class _Interned:
         self.index, self.words = index, list(index)
         self.batches = [(lanes, padded(flat, bounds, lanes))
                         for lanes in lane_batches(np.diff(bounds))]
+        # what a sentence reads unless Lemire's method rejects: one output
+        # per token's ``random``, a half per ``integers``
+        self.offsets = [0, *accumulate(len(t) + (len(t) + 1) // 2
+                                       for t in corpus)]
+        self.raw = np.empty(self.offsets[-1], dtype=np.uint64)
+        pcg = np.random.PCG64(0)
+        for (state, inc), a, b in zip(_start_states(spec, len(corpus)),
+                                      self.offsets, self.offsets[1:]):
+            pcg.state = {"bit_generator": "PCG64",
+                         "state": {"state": state, "inc": inc},
+                         "has_uint32": 0, "uinteger": 0}
+            self.raw[a:b] = pcg.random_raw(b - a)
 
 
 class _Run:
@@ -354,14 +345,11 @@ class _Run:
     ``default_rng((spec.seed, i))``.
     """
 
-    def __init__(self, corpus: _Interned, blocks: _Blocks, spec: NoiseSpec):
-        if len(blocks.starts) != len(corpus.tokens):
-            raise ValueError(f"{len(blocks.starts)} random blocks for "
-                             f"{len(corpus.tokens)} sentences")
+    def __init__(self, corpus: _Interned, spec: NoiseSpec):
         self.corpus, self.spec, self.batches = corpus, spec, []
         thresholds = np.array(spec._thresholds)
-        offsets = np.array(blocks.offsets[:-1], dtype=np.int64)
-        raw = blocks.raw
+        offsets = np.array(corpus.offsets[:-1], dtype=np.int64)
+        raw = corpus.raw
         for lanes, ids in corpus.batches:
             first = offsets[lanes]
             drawn = np.zeros(len(lanes), dtype=np.int64)
@@ -414,11 +402,10 @@ class _Run:
             distances[lanes] = edit_distances(ids, outs)
         return distances.tolist()
 
-    def written(self) -> tuple[list[str], list[list[str]], dict[str, int]]:
-        """Each noisy sentence, its tokens, and per category the tokens
-        that drew it and the tokens it changed."""
+    def written(self) -> tuple[list[list[str]], dict[str, int]]:
+        """Each noisy sentence's tokens, and per category the tokens that
+        drew it and the tokens it changed."""
         corpus, words = self.corpus, self.corpus.words
-        noisy: list = [None] * len(corpus.tokens)
         tokens: list = [None] * len(corpus.tokens)
         draws = np.zeros(_KEEP + 1, dtype=np.int64)
         changed = np.zeros(_KEEP + 1, dtype=np.int64)
@@ -429,11 +416,10 @@ class _Run:
                                    minlength=_KEEP + 1)
             for i, row in zip(lanes.tolist(), outs.tolist()):
                 tokens[i] = [words[o] for o in row if o >= 0]
-                noisy[i] = " ".join(tokens[i])
         counts = {"tokens": int(draws.sum())}
         for name, n, m in zip(CATEGORIES, draws.tolist(), changed.tolist()):
             counts[f"{name}_draws"], counts[f"{name}_changed"] = n, m
-        return noisy, tokens, counts
+        return tokens, counts
 
 
 def corrupt_corpus(sentences: list[str | list[str]],
@@ -441,8 +427,8 @@ def corrupt_corpus(sentences: list[str | list[str]],
     """``corrupt(s, spec, i)`` for each sentence ``s`` at position ``i``; a
     sentence may be given as its ``normalize`` tokens."""
     corpus = [as_tokens(s) for s in sentences]
-    return _Run(_Interned(corpus, spec), _Blocks(corpus, spec),
-                spec).written()[0]
+    return [" ".join(tokens) for tokens in
+            _Run(_Interned(corpus, spec), spec).written()[0]]
 
 
 def _scaled(spec: NoiseSpec, scale: float) -> NoiseSpec:
@@ -454,53 +440,42 @@ def _scaled(spec: NoiseSpec, scale: float) -> NoiseSpec:
 
 class ChannelPass(NamedTuple):
     """One run of the channel over a clean corpus: the spec it ran at, each
-    noisy sentence, the ``(pooled, mean)`` WER against the clean corpus,
-    each noisy sentence's tokens, and ``counts``: the corpus's tokens and,
-    per category, the tokens that drew it and the tokens it changed."""
+    noisy sentence's tokens, their ``(pooled, mean)`` WER against the clean
+    corpus, and ``counts``: the corpus's tokens and, per category, the
+    tokens that drew it and the tokens it changed."""
     spec: NoiseSpec
-    noisy: list[str]
-    wer: tuple[float, float]
     tokens: list[list[str]]
+    wer: tuple[float, float]
     counts: dict[str, int]
 
 
-def _calibration_pass(corpus: _Interned, blocks: _Blocks,
+def _calibration_pass(corpus: _Interned,
                       spec: NoiseSpec) -> tuple[_Run, tuple[float, float]]:
     """Corrupt and score ``corpus`` at ``spec``: the run and its
     ``(pooled, mean)`` WER."""
-    run = _Run(corpus, blocks, spec)
+    run = _Run(corpus, spec)
     return run, pooled_and_mean(corpus.tokens, run.distances())
 
 
 def _passed(run: _Run, wer: tuple[float, float]) -> ChannelPass:
-    noisy, tokens, counts = run.written()
-    return ChannelPass(run.spec, noisy, wer, tokens, counts)
-
-
-def channel_pass(corpus: list[str | list[str]],
-                 spec: NoiseSpec) -> ChannelPass:
-    """Corrupt ``corpus`` at ``spec`` and score it: what
-    ``corrupt_corpus`` and ``corpus_wer`` give, with the noisy tokens and
-    the category counts."""
-    corpus = reference_tokens([as_tokens(s) for s in corpus])
-    return _passed(*_calibration_pass(_Interned(corpus, spec),
-                                      _Blocks(corpus, spec), spec))
+    tokens, counts = run.written()
+    return ChannelPass(run.spec, tokens, wer, counts)
 
 
 def calibrate(corpus: list[str | list[str]], spec: NoiseSpec) -> ChannelPass:
     """Scale deletion/substitution probabilities by bisection until the
     corrupted corpus's pooled WER is within ``WER_TOLERANCE`` of the target,
     in at most ``MAX_BISECTIONS`` passes after the first, and return the
-    last pass with its spec, so the caller need not repeat it."""
-    target = spec.target_wer
-    if target is None:
-        raise ValueError("calibrate needs a target WER")
+    last pass with its spec, so the caller need not repeat it. With no
+    target, the one pass at ``spec``: what ``corrupt_corpus`` and
+    ``corpus_wer`` give, with the category counts."""
     corpus = reference_tokens([as_tokens(s) for s in corpus])
-
     # the scaled specs keep spec.seed and spec.pool, so every pass reads
     # these streams and these tables
-    run_pass = partial(_calibration_pass, _Interned(corpus, spec),
-                       _Blocks(corpus, spec))
+    run_pass = partial(_calibration_pass, _Interned(corpus, spec))
+    target = spec.target_wer
+    if target is None:
+        return _passed(*run_pass(spec))
 
     other = spec.p_repeat + spec.p_abbreviate + spec.p_casual
     if spec.p_delete == 0 and spec.p_substitute == 0:

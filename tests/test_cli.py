@@ -16,21 +16,25 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from functools import partial
+
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from denoiseclf import cli
-from denoiseclf.checkpoint import load_checkpoint
+from denoiseclf.checkpoint import (_config_from_dict, load_checkpoint,
+                                   save_checkpoint)
 from denoiseclf.cli import main
 from denoiseclf.data import config_lines, load_corpus, make_dataset
 from denoiseclf.denoise import DenoiseConfig
 from denoiseclf.encoder import EncoderConfig
 from denoiseclf.gradcheck import CheckResult
-from denoiseclf.model import ModelConfig
+from denoiseclf.model import ModelConfig, TextClassifier
 from denoiseclf.noise import pool_of
-from denoiseclf.tokenizer import normalize
+from denoiseclf.tokenizer import Vocabulary, build_vocab, normalize
 from denoiseclf.train import TrainConfig
 
 PREPARE = ["prepare", "--target-wer", "0.25", "--synthetic-per-class", "20",
@@ -1032,20 +1036,24 @@ def test_readme_exit_code_table_matches_the_error_categories():
 DROP = object()
 
 
+def _set_field(keys, value, header):
+    """``header`` with the field at the path ``keys`` set to ``value``, or
+    deleted if ``value`` is ``DROP``."""
+    record = json.loads(header)
+    target = record
+    for key in keys[:-1]:
+        target = target[key]
+    if value is DROP:
+        del target[keys[-1]]
+    else:
+        target[keys[-1]] = value
+    return json.dumps(record).encode()
+
+
 def _set(keys, value):
     """A header edit that sets the field at the path ``keys``, or deletes
     it if ``value`` is ``DROP``."""
-    def edit(header):
-        record = json.loads(header)
-        target = record
-        for key in keys[:-1]:
-            target = target[key]
-        if value is DROP:
-            del target[keys[-1]]
-        else:
-            target[keys[-1]] = value
-        return json.dumps(record).encode()
-    return edit
+    return partial(_set_field, keys, value)
 
 
 VOCAB_IDS = "VocabError: vocabulary ids must be the embedding rows 0..44"
@@ -1089,6 +1097,10 @@ HEADER_FAULTS = [
     pytest.param(_set(["config", "n_post"], -1),
                  "ConfigError: n_post must be >= 0, got -1",
                  id="n-post-negative"),
+    # a zero width would divide by zero in the stage's fan-in init
+    pytest.param(_set(["config", "denoise", "hidden_dims"], [0, 5, 3]),
+                 "ConfigError: hidden_dims must be >= 1, got (0, 5, 3)",
+                 id="hidden-width-zero"),
     # a field left out must not load as its default: a tanh chain whose
     # activation went missing would run as affine
     pytest.param(_set(["config", "denoise", "activation"], DROP),
@@ -1097,6 +1109,9 @@ HEADER_FAULTS = [
                  id="no-mode"),
     pytest.param(_set(["config", "encoder", "ff_size"], DROP),
                  "config omits encoder.ff_size", id="no-ff-size"),
+    # json.loads gives up on nesting this deep
+    pytest.param(lambda header: b"[" * 100_000 + b"]" * 100_000,
+                 "RecursionError: ", id="nested-too-deep"),
 ]
 
 
@@ -1116,6 +1131,149 @@ def test_eval_with_a_malformed_header_exits_9(edit, message, workspace,
     err = capsys.readouterr().err
     assert err.startswith("error: malformed checkpoint: ")
     assert message in err
+
+
+def _state_hash(arrays):
+    """The header's ``state_hash`` of ``arrays`` (name -> array)."""
+    digest = hashlib.sha256()
+    for name, values in arrays.items():
+        digest.update(name.encode())
+        digest.update(values.tobytes())
+    return digest.hexdigest()
+
+
+def _checkpoint_bytes(header, arrays):
+    """A checkpoint file in ``save_checkpoint``'s layout: the JSON
+    ``header`` bytes, then ``arrays``, then the file digest."""
+    out = bytearray(b"DNCF" + struct.pack("<II", 1, len(header)) + header)
+    out += struct.pack("<I", len(arrays))
+    for name, values in arrays.items():
+        out += struct.pack("<I", len(name.encode())) + name.encode()
+        out += struct.pack(f"<BB{values.ndim}Q", 1, values.ndim,
+                           *values.shape)
+        out += values.astype("<f8").tobytes()
+    return bytes(out) + hashlib.sha256(out).digest()
+
+
+class _Tiny(NamedTuple):
+    header: bytes
+    arrays: dict
+    test: str
+
+    def __repr__(self):   # a failing example prints it
+        return "<tiny checkpoint>"
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    """An untrained stacked model at H=8 saved as a checkpoint, its header
+    and arrays, and a test file to evaluate it on."""
+    root = tmp_path_factory.mktemp("tiny")
+    vocab = build_vocab(["good day", "bad day", "good night"])
+    config = ModelConfig(
+        encoder=EncoderConfig(hidden_size=8, seq_len=8, num_layers=1,
+                              num_heads=2, vocab_size=len(vocab),
+                              num_classes=2),
+        denoise=DenoiseConfig(dims=(8, 4, 2, 1)), n_post=1)
+    save_checkpoint(TextClassifier(config, vocab), root / "model.ckpt")
+    payload = (root / "model.ckpt").read_bytes()
+    (length,) = struct.unpack_from("<I", payload, 8)
+    header = payload[12:12 + length]
+    arrays = {name: t.values for name, t in
+              load_checkpoint(root / "model.ckpt").named_parameters()}
+    assert _checkpoint_bytes(header, arrays) == payload
+    (root / "test.tsv").write_text("0\tgood day\n1\tbad night\n")
+    return _Tiny(header, arrays, str(root / "test.tsv"))
+
+
+def _edited_checkpoint(tiny, edit):
+    """The tiny checkpoint with ``edit`` applied to its header. When the
+    edited header still builds a model, the arrays become that model's
+    and, unless the edit set it, the state hash theirs; the file digest is
+    always recomputed."""
+    header, arrays = tiny.header, tiny.arrays
+    edited = edit(header)
+    try:
+        record = json.loads(edited)
+        model = TextClassifier(_config_from_dict(record["config"]),
+                               Vocabulary.from_lines(record["vocabulary"]))
+    except Exception:   # eval meets the same header, and must fail cleanly
+        return _checkpoint_bytes(edited, arrays)
+    rebuilt = {name: t.values for name, t in model.named_parameters()}
+    if record.get("state_hash") == json.loads(header)["state_hash"]:
+        record["state_hash"] = _state_hash(rebuilt)
+    return _checkpoint_bytes(json.dumps(record).encode(), rebuilt)
+
+
+# per header field of the tiny checkpoint's config, values its type admits
+# and its range may not; every shape they give is tiny
+_HEADER_VALUES = {
+    ("config", "encoder", "hidden_size"): (0, -1, 4, 6),
+    ("config", "encoder", "seq_len"): (0, 1, 2, 3),
+    ("config", "encoder", "num_layers"): (0, -2, 2),
+    ("config", "encoder", "num_heads"): (0, 1, 3, 8),
+    ("config", "encoder", "ff_size"): (0, -1, 1, None),
+    ("config", "encoder", "vocab_size"): (0, 1, 3, 20),
+    ("config", "encoder", "num_classes"): (0, 1, 3),
+    ("config", "denoise", "dims"): ([8, 4, 2, 0], [8, 2, 4, 1], [8, 4, 2],
+                                    [4, 2, 1, 1], [8, 8, 8, 8]),
+    ("config", "denoise", "hidden_dims"): ([0, 5, 3], [1, 1, 1],
+                                           [-1, 2, 2], [3, 3], []),
+    ("config", "denoise", "activation"): ("relu", "tanh", "gelu", None),
+    ("config", "n_post"): (-1, 0, 2, None),
+    ("config", "mode"): ("baseline", "bogus", ""),
+    ("state_hash",): ("", "0" * 64, 7, None),
+}
+_RETYPED = ("x", 1.5, True, None, [], {}, [1])
+# edits of the vocabulary text: a renumbered, negative, repeated or
+# non-numeric id, a line without its tab, a blank line, a third column
+_VOCABULARY_EDITS = (("\t5\n", "\t9\n"), ("\t5\n", "\t-1\n"),
+                     ("\t5\n", "\t4\n"), ("\t5\n", "\tx\n"),
+                     ("\t", " "), ("\n", "\n\n"),
+                     ("\t5\n", "\t5\t6\n"))
+
+
+def _edit_vocabulary(old, new, header):
+    """``header`` with the first ``old`` of its vocabulary text made
+    ``new``."""
+    record = json.loads(header)
+    record["vocabulary"] = record["vocabulary"].replace(old, new, 1)
+    return json.dumps(record).encode()
+
+
+@st.composite
+def _header_edits(draw):
+    """One edit of the tiny checkpoint's header: a field dropped, given
+    another type or a value out of range, or the vocabulary text edited."""
+    kind = draw(st.sampled_from(["drop", "retype", "value", "vocabulary"]))
+    if kind == "vocabulary":
+        return partial(_edit_vocabulary,
+                       *draw(st.sampled_from(_VOCABULARY_EDITS)))
+    paths = sorted(_HEADER_VALUES)
+    if kind != "value":   # whole sections are dropped or retyped too
+        paths += [("config",), ("config", "encoder"), ("config", "denoise"),
+                  ("vocabulary",)]
+    keys = draw(st.sampled_from(paths))
+    if kind == "drop":
+        return _set(keys, DROP)
+    return _set(keys, draw(st.sampled_from(
+        _RETYPED if kind == "retype" else _HEADER_VALUES[keys])))
+
+
+class TestCheckpointHeaderContract:
+    """``eval`` on checkpoints whose JSON header was edited, with their
+    hashes made to match, keeps the failure contract."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(edit=_header_edits())
+    @example(edit=_set(["config", "denoise", "hidden_dims"], [0, 5, 3]))
+    @example(edit=lambda header: b"[" * 100_000 + b"]" * 100_000)
+    def test_eval_exits_with_a_category_code(self, tiny_checkpoint, edit):
+        _keeps_the_failure_contract(
+            ["eval", "--checkpoint", "model.ckpt", "--test",
+             tiny_checkpoint.test, "--outdir", "OUT"],
+            "model.ckpt", _edited_checkpoint(tiny_checkpoint, edit))
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

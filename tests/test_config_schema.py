@@ -116,8 +116,11 @@ def test_only_options_without_a_field_state_a_type():
      r"target WER must lie in \(0, 2\], got 0.0"),
     (NoiseSpec, {"target_wer": 2.5},
      r"target WER must lie in \(0, 2\], got 2.5"),
+    # a zero width would divide by zero in the stage's fan-in init
+    (DenoiseConfig, {"dims": (16, 8, 4, 2), "hidden_dims": (0, 5, 3)},
+     r"hidden_dims must be >= 1, got \(0, 5, 3\)"),
 ], ids=["noise-seed-negative", "train-seed-negative", "target-inf",
-        "target-nan", "target-zero", "target-past-two"])
+        "target-nan", "target-zero", "target-past-two", "hidden-width-zero"])
 def test_out_of_range_configs_do_not_construct(cls, args, message):
     with pytest.raises(ConfigError, match=f"^{message}$"):
         cls(**args)

@@ -174,13 +174,12 @@ class TestMakeDataset:
             def wrapper(*args, **kwargs):
                 events.append(name)
                 if name == "_calibration_pass":
-                    specs.append(args[2])
+                    specs.append(args[1])
                 return original(*args, **kwargs)
             monkeypatch.setattr(module, name, wrapper)
 
         # a pass corrupts and scores each sentence itself; make_dataset
         # neither corrupts nor scores the corpus again
-        spy(data, "channel_pass")
         spy(data, "corpus_wer")
         spy(noise, "corrupt_corpus")
         spy(noise, "_calibration_pass")

@@ -220,10 +220,13 @@ def test_every_traced_name_resolves(module, path):
     assert callable(owner)
 
 
-def readme_private_names(text: str) -> set[str]:
-    """The underscore-prefixed names that ``text`` puts in backticks, alone
-    or after a dotted owner (`` `_make` ``, `` `noise._Blocks` ``)."""
-    return set(re.findall(r"`(?:[A-Za-z]\w*\.)*(_\w+)(?:\(\))?`", text))
+def readme_code_names(text: str) -> set[str]:
+    """The names that ``text`` puts in backticks as code: an
+    underscore-prefixed name, alone or after a dotted owner (`` `_make` ``,
+    `` `noise._Interned` ``), and the name a backticked call opens with
+    (`` `calibrate(corpus, `` or `` `np.cumsum(x)` ``)."""
+    return (set(re.findall(r"`(?:[A-Za-z]\w*\.)*(_\w+)(?:\(\))?`", text))
+            | set(re.findall(r"`(?:[A-Za-z_]\w*\.)*([A-Za-z_]\w*)\(", text)))
 
 
 def identifiers(source: str) -> set[str]:
@@ -236,14 +239,19 @@ def identifiers(source: str) -> set[str]:
 def test_every_private_name_readme_gives_is_in_the_package():
     defined = set().union(*(identifiers(p.read_text(encoding="utf-8"))
                             for p in SRC.glob("*.py")))
-    named = readme_private_names(
+    named = readme_code_names(
         (ROOT / "README.md").read_text(encoding="utf-8"))
     assert sorted(named - defined) == []
 
 
 def test_the_scan_finds_a_private_name_readme_gives():
-    assert readme_private_names(
-        "`_make` and `noise._Blocks`, `_erf()`, not `<category>_draws`, "
-        "has_uint32, _bare or `x + _y`") == {"_make", "_Blocks", "_erf"}
+    assert readme_code_names(
+        "`_make` and `noise._Interned`, `_erf()`, not `<category>_draws`, "
+        "has_uint32, _bare or `x + _y`") == {"_make", "_Interned", "_erf"}
+    # a call form names its function, however the call goes on
+    assert readme_code_names(
+        "`retired_pass(corpus,\nspec)` and `np.cumsum(x)`, not "
+        "retired_pass(x), `(a + b)` or `x + f(y)`") == {"retired_pass",
+                                                        "cumsum"}
     assert identifiers("def _f():  # _comment\n    return '_text'\n") == \
         {"def", "_f", "return"}

@@ -5,6 +5,8 @@ from denoiseclf.errors import DataError, UndefinedReferenceError
 from denoiseclf.metrics import corpus_wer
 from denoiseclf.noise import (CalibrationError, NoiseSpec, _substitute,
                               calibrate, corrupt, corrupt_corpus, pool_of)
+from denoiseclf.tokenizer import normalize
+from test_prepare_equivalence import SPECS, _corpus
 
 
 def sample_corpus(n=60, seed=0):
@@ -153,7 +155,8 @@ class TestCalibrate:
         corpus = sample_corpus(seed=4)
         spec = NoiseSpec(p_delete=0.1, p_substitute=0.1, p_casual=0.1,
                          pool=("zz", "qq"), seed=19, target_wer=0.3)
-        calibrated, noisy, wers = calibrate(corpus, spec)[:3]
+        calibrated, tokens, wers, _ = calibrate(corpus, spec)
+        noisy = [" ".join(t) for t in tokens]
         assert noisy == corrupt_corpus(corpus, calibrated)
         assert wers == corpus_wer(corpus, noisy)
         assert abs(wers[0] - 0.3) <= 0.05
@@ -167,9 +170,16 @@ class TestCalibrate:
         assert exc.value.target == 1.8
         assert exc.value.achieved <= 1.0 + 1e-9
 
-    def test_missing_target_rejected(self):
-        with pytest.raises(ValueError):
-            calibrate(["a b"], NoiseSpec(p_delete=0.1))
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_without_a_target_is_the_one_pass_at_the_spec(self, name):
+        spec = SPECS[name]
+        corpus = [s for s in _corpus(24) if normalize(s)]
+        result = calibrate(corpus, spec)
+        noisy = corrupt_corpus(corpus, spec)
+        assert result.spec is spec
+        assert [" ".join(t) for t in result.tokens] == noisy
+        assert result.tokens == [normalize(s) for s in noisy]
+        assert result.wer == corpus_wer(corpus, noisy)
 
     # the corpus is checked before any pass
     def test_empty_corpus_rejected(self):

@@ -251,24 +251,16 @@ class TestCorruptCorpusReplay:
         # a rescaled spec runs on them
         tokens = [normalize(s) for s in corpus]
         scaled = noise._scaled(spec, 0.5)
-        run = noise._Run(noise._Interned(tokens, spec),
-                         noise._Blocks(tokens, spec), scaled)
-        assert run.written()[0] == corrupt_corpus(corpus, scaled) == \
-            [reference_corrupt(s, scaled, i) for i, s in enumerate(corpus)]
-
-    def test_starts_of_another_length_are_refused(self):
-        spec = SPECS["all-five"]
-        with pytest.raises(ValueError):
-            noise._Run(noise._Interned([["a", "b"], ["c", "d"]], spec),
-                       noise._Blocks([["a", "b"]], spec), spec)
+        run = noise._Run(noise._Interned(tokens, spec), scaled)
+        assert _joined(run.written()[0]) == corrupt_corpus(corpus, scaled) \
+            == [reference_corrupt(s, scaled, i) for i, s in enumerate(corpus)]
 
     def test_blocks_hold_one_output_per_token_and_half_per_integer(self):
         tokens = [["a"] * n for n in (0, 1, 2, 7)]
-        blocks = noise._Blocks(tokens, NoiseSpec(seed=4))
+        blocks = noise._Interned(tokens, NoiseSpec(seed=4))
         assert blocks.offsets == [0, 0, 2, 5, 16]
         assert blocks.raw.dtype == np.uint64
-        for i, (start, a, b) in enumerate(zip(
-                blocks.starts, blocks.offsets, blocks.offsets[1:])):
+        for i, (a, b) in enumerate(zip(blocks.offsets, blocks.offsets[1:])):
             pcg = np.random.default_rng((4, i)).bit_generator
             assert blocks.raw[a:b].tolist() == \
                 pcg.random_raw(b - a).tolist()
@@ -292,11 +284,11 @@ class TestCorruptCorpusReplay:
                         reference_channel(sentence, spec, i), tokens[i]))]
         assert 0 < len(rejected) < len(corpus)
         scalar = _counting(monkeypatch, noise, "_corrupt_tokens")
-        run = noise._Run(interned, noise._Blocks(tokens, spec), spec)
+        run = noise._Run(interned, spec)
         assert [args[0] for args in scalar] == [tokens[i] for i in rejected]
-        noisy, _, counts = run.written()
-        assert noisy == [reference_corrupt(s, spec, i)
-                         for i, s in enumerate(corpus)]
+        noisy, counts = run.written()
+        assert _joined(noisy) == [reference_corrupt(s, spec, i)
+                                  for i, s in enumerate(corpus)]
         assert counts == reference_counts(corpus, spec)
 
     @pytest.mark.parametrize("name", sorted(SPECS))
@@ -309,25 +301,29 @@ class TestCorruptCorpusReplay:
             draws.update(c for c, _ in pairs)
             changed.update(c for (c, w), t in zip(pairs, normalize(sentence))
                            if w != t)
-        result = noise.channel_pass(corpus, spec)
-        assert result.counts == {"tokens": sum(draws.values())} | {
+        assert calibrate(corpus, spec).counts == {
+            "tokens": sum(draws.values())} | {
             f"{name}_{kind}": counter[c]
             for c, name in enumerate(noise.CATEGORIES)
             for kind, counter in (("draws", draws), ("changed", changed))}
-        assert result.tokens == [normalize(s) for s in result.noisy]
-        assert result.wer == corpus_wer(corpus, result.noisy)
+
+
+def _joined(tokens):
+    """Each noisy sentence's tokens as the sentence ``corrupt`` writes."""
+    return [" ".join(t) for t in tokens]
 
 
 def _lane_run(monkeypatch, corpus, spec):
-    """The lane pass over ``corpus``, once no sentence of it has taken the
-    scalar path, and every sentence as the reference channel writes it."""
+    """The noisy sentences of the lane pass over ``corpus``, once no
+    sentence of it has taken the scalar path, and every sentence as the
+    reference channel writes it."""
     tokens = [normalize(s) for s in corpus]
     with monkeypatch.context() as patch:
         scalar = _counting(patch, noise, "_corrupt_tokens")
-        run = noise._Run(noise._Interned(tokens, spec),
-                         noise._Blocks(tokens, spec), spec)
+        run = noise._Run(noise._Interned(tokens, spec), spec)
     assert scalar == []
-    return run, [reference_corrupt(s, spec, i) for i, s in enumerate(corpus)]
+    return (_joined(run.written()[0]),
+            [reference_corrupt(s, spec, i) for i, s in enumerate(corpus)])
 
 
 class TestLaneDraws:
@@ -348,8 +344,8 @@ class TestLaneDraws:
                          seed=seed)
         corpus = random_corpus(np.random.default_rng(size), 40, 0,
                                noise.LANE_WORDS, WORDS + pool[:3])
-        run, want = _lane_run(monkeypatch, corpus, spec)
-        assert run.written()[0] == want
+        noisy, want = _lane_run(monkeypatch, corpus, spec)
+        assert noisy == want
         assert [corrupt(s, spec, i) for i, s in enumerate(corpus)] == want
         drawn = Counter((c, t in pool) for i, s in enumerate(corpus)
                         for (c, _), t in zip(reference_channel(s, spec, i),
@@ -364,8 +360,8 @@ class TestLaneDraws:
         spec = NoiseSpec(p_repeat=1.0, seed=seed)
         corpus = random_corpus(np.random.default_rng(seed), 40, 0,
                                noise.LANE_WORDS)
-        run, want = _lane_run(monkeypatch, corpus, spec)
-        assert run.written()[0] == want
+        noisy, want = _lane_run(monkeypatch, corpus, spec)
+        assert noisy == want
         extra = {len(w) - len(t) for clean, noisy in zip(corpus, want)
                  for t, w in zip(normalize(clean), noisy.split())}
         assert extra == {2, 3, 4, 5}
@@ -500,6 +496,15 @@ def reference_calibrate(corpus, spec):
     raise CalibrationError(target, best_wer)
 
 
+def _as_reference(result):
+    """A ``ChannelPass`` as ``reference_calibrate`` gives it: the spec, the
+    noisy sentences and their WER; each sentence's tokens are its
+    ``normalize`` tokens."""
+    noisy = _joined(result.tokens)
+    assert result.tokens == [normalize(s) for s in noisy]
+    return result.spec, noisy, result.wer
+
+
 def _outcome(calibrate_fn, corpus, spec):
     try:
         return calibrate_fn(corpus, spec)
@@ -544,8 +549,7 @@ def test_calibrate_matches_the_bisection_of_full_passes(name, monkeypatch):
     want = _outcome(reference_calibrate, corpus, spec)
     got = _outcome(calibrate, corpus, spec)
     if isinstance(got, noise.ChannelPass):
-        assert got.tokens == [normalize(s) for s in got.noisy]
-        got = tuple(got[:3])
+        got = _as_reference(got)
     assert got == want
 
 
@@ -614,5 +618,5 @@ def test_a_long_sentence_keeps_the_pass_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert tuple(result[:3]) == reference_calibrate(corpus, spec)
+    assert _as_reference(result) == reference_calibrate(corpus, spec)
     assert peak < PEAK_BYTES
