@@ -14,6 +14,7 @@ central differences read about 3e-3 and the Richardson estimate about 7e-6.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -57,9 +58,12 @@ def finite_difference_check(loss_fn: Callable[[], Tensor],
                             estimate=_central) -> float:
     """Max relative error between the analytic gradient and ``estimate``,
     which returns one element's numeric derivative from ``loss_at(d)``, the
-    loss with that element moved by ``d``.
+    loss with that element moved by ``d``. A NaN or infinite error is the
+    result, so a non-finite gradient fails.
 
-    ``loss_fn`` must rebuild the graph from ``params`` on every call.
+    ``loss_fn`` must rebuild the graph from ``params`` on every call. Each
+    element is moved in the parameter's own storage, whatever its memory
+    layout, and put back bit for bit.
     """
     loss = loss_fn()
     for p in params:
@@ -67,25 +71,24 @@ def finite_difference_check(loss_fn: Callable[[], Tensor],
     loss.backward()
     analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.values)
                 for p in params]
-    worst = 0.0
+    errors = []
     for p, ana in zip(params, analytic):
-        flat = p.values.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
+        for i in range(p.values.size):
+            orig = p.values.flat[i]
 
             def loss_at(d: float) -> float:
-                flat[i] = orig + d
+                p.values.flat[i] = orig + d
                 with T.no_grad():
                     return float(loss_fn().values)
 
             num = estimate(loss_at)
-            flat[i] = orig
-            a = ana.reshape(-1)[i]
+            p.values.flat[i] = orig
+            a = ana.flat[i]
             # floor the denominator so double-precision FD noise on near-zero
             # gradients does not register as relative error
             scale = max(abs(num), abs(a), 1e-5)
-            worst = max(worst, abs(num - a) / scale)
-    return worst
+            errors.append(abs(num - a) / scale)
+    return np.max(errors, initial=0.0)
 
 
 def _param(rng, shape) -> Tensor:
@@ -97,93 +100,68 @@ def _check_op(name, loss_fn, params, estimate=_central) -> CheckResult:
                                                      estimate))
 
 
+def _summed(op):
+    """The loss ``sum(op(*operands))``."""
+    return lambda operands, _: T.sum_all(op(*operands))
+
+
+def _weighted(op):
+    """The loss ``sum(op(*operands) * w)`` for the row's constant ``w``."""
+    return lambda operands, w: T.sum_all(T.mul(op(*operands), w))
+
+
+_ATTENTION_WEIGHTS = ((4, 4), (4,)) * 4  # wq, bq, wk, bk, wv, bv, wo, bo
+
+# One row per op check: (name, loss(operands, constant), operand shapes,
+# constant shape or None). ``run_op_checks`` draws each row's operands,
+# then its constant, from one seeded stream in table order, so a row
+# added anywhere but the end changes the draws of every row after it.
+OP_CASES = (
+    ("matmul", _summed(T.matmul), ((3, 4), (4, 2)), None),
+    ("add_broadcast", _summed(lambda x, b: T.mul(x + b, x + b)),
+     ((3, 5), (5,)), None),
+    ("mul", _summed(lambda u, v: T.mul(T.mul(u, v), v)), ((4, 4), (4, 4)),
+     None),
+    ("softmax", _weighted(T.softmax), ((3, 6),), (3, 6)),
+    ("layernorm", _weighted(T.layernorm), ((4, 6), (6,), (6,)), (4, 6)),
+    ("mse_loss", lambda ops, target: T.mse_loss(*ops, target), ((3, 4),),
+     (3, 4)),
+    ("cross_entropy", lambda ops, _: T.cross_entropy(*ops, [0, 2, 1, 1]),
+     ((4, 3),), None),
+    ("gelu", _summed(T.gelu), ((3, 4),), None),
+    ("tanh", _summed(T.tanh), ((3, 4),), None),
+    ("affine", _weighted(T.affine), ((2, 3, 4), (4, 5), (5,)), (2, 3, 5)),
+    # two leading axes; one partly and one fully masked row
+    ("attention", _weighted(lambda x, *w: T.attention(
+        x, (((1, 1, 0), (1, 1, 1)), ((0, 0, 0), (1, 0, 0))), 2, *w)),
+     ((2, 2, 3, 4),) + _ATTENTION_WEIGHTS, (2, 2, 3, 4)),
+) + tuple(
+    (f"mlp_{layout}_{activation or 'none'}",
+     _weighted(partial(T.mlp, activation=activation,
+                       columns=layout == "columns")), shapes, out_shape)
+    for layout, shapes, out_shape in (
+        ("rows", ((2, 3, 4), (4, 5), (5,), (5, 3), (3,)), (2, 3, 3)),
+        ("columns", ((4, 6), (5, 4), (5, 1), (3, 5), (3, 1)), (3, 6)))
+    for activation in (None, "tanh", "gelu")
+) + (
+    # queries and output from two separate rows, keys and values from all
+    # of x; one row with a pad and one fully masked row
+    ("attention_query_rows", _weighted(lambda x, rows, *w: T.attention(
+        x, ((1, 1, 0), (0, 0, 0)), 2, *w, queries=rows)),
+     ((2, 3, 4), (2, 2, 4)) + _ATTENTION_WEIGHTS, (2, 2, 4)),
+)
+
+
 def run_op_checks(seed: int = 0) -> list[CheckResult]:
+    """One result per ``OP_CASES`` row, in table order."""
     rng = np.random.default_rng(seed)
     results = []
-
-    a, b = _param(rng, (3, 4)), _param(rng, (4, 2))
-    results.append(_check_op(
-        "matmul", lambda: T.sum_all(T.matmul(a, b)), [a, b]))
-
-    x, bias = _param(rng, (3, 5)), _param(rng, (5,))
-    results.append(_check_op(
-        "add_broadcast",
-        lambda: T.sum_all(T.mul(x + bias, x + bias)), [x, bias]))
-
-    u, v = _param(rng, (4, 4)), _param(rng, (4, 4))
-    results.append(_check_op(
-        "mul", lambda: T.sum_all(T.mul(T.mul(u, v), v)), [u, v]))
-
-    s = _param(rng, (3, 6))
-    w = Tensor(rng.normal(size=(3, 6)))
-    results.append(_check_op(
-        "softmax",
-        lambda: T.sum_all(T.mul(T.softmax(s), w)), [s]))
-
-    ln_x = _param(rng, (4, 6))
-    ln_g, ln_b = _param(rng, (6,)), _param(rng, (6,))
-    wl = Tensor(rng.normal(size=(4, 6)))
-    results.append(_check_op(
-        "layernorm",
-        lambda: T.sum_all(T.mul(T.layernorm(ln_x, ln_g, ln_b), wl)),
-        [ln_x, ln_g, ln_b]))
-
-    pred = _param(rng, (3, 4))
-    target = Tensor(rng.normal(size=(3, 4)))
-    results.append(_check_op(
-        "mse_loss", lambda: T.mse_loss(pred, target), [pred]))
-
-    logits = _param(rng, (4, 3))
-    labels = [0, 2, 1, 1]
-    results.append(_check_op(
-        "cross_entropy", lambda: T.cross_entropy(logits, labels), [logits]))
-
-    g = _param(rng, (3, 4))
-    results.append(_check_op("gelu", lambda: T.sum_all(T.gelu(g)), [g]))
-
-    t = _param(rng, (3, 4))
-    results.append(_check_op("tanh", lambda: T.sum_all(T.tanh(t)), [t]))
-
-    aa, ab, abias = (_param(rng, (2, 3, 4)), _param(rng, (4, 5)),
-                     _param(rng, (5,)))
-    wa = Tensor(rng.normal(size=(2, 3, 5)))
-    results.append(_check_op(
-        "affine", lambda: T.sum_all(T.mul(T.affine(aa, ab, abias), wa)),
-        [aa, ab, abias]))
-
-    # two leading axes; one partly and one fully masked row
-    ax = _param(rng, (2, 2, 3, 4))
-    att_w = [_param(rng, shape) for _ in range(4) for shape in ((4, 4), (4,))]
-    att_mask = (((1, 1, 0), (1, 1, 1)), ((0, 0, 0), (1, 0, 0)))
-    wt = Tensor(rng.normal(size=(2, 2, 3, 4)))
-    results.append(_check_op(
-        "attention",
-        lambda: T.sum_all(T.mul(T.attention(ax, att_mask, 2, *att_w), wt)),
-        [ax] + att_w))
-
-    for layout, shapes, out_shape in (
-            ("rows", ((2, 3, 4), (4, 5), (5,), (5, 3), (3,)), (2, 3, 3)),
-            ("columns", ((4, 6), (5, 4), (5, 1), (3, 5), (3, 1)), (3, 6))):
-        for activation in (None, "tanh", "gelu"):
-            operands = [_param(rng, shape) for shape in shapes]
-            weights = Tensor(rng.normal(size=out_shape))
-            results.append(_check_op(
-                f"mlp_{layout}_{activation or 'none'}",
-                lambda: T.sum_all(T.mul(T.mlp(
-                    *operands, activation, columns=layout == "columns"),
-                    weights)),
-                operands))
-
-    # queries and output from two separate rows, keys and values from all
-    # of qx; one row with a pad and one fully masked row
-    qx, q_rows = _param(rng, (2, 3, 4)), _param(rng, (2, 2, 4))
-    q_w = [_param(rng, shape) for _ in range(4) for shape in ((4, 4), (4,))]
-    wq = Tensor(rng.normal(size=(2, 2, 4)))
-    results.append(_check_op(
-        "attention_query_rows",
-        lambda: T.sum_all(T.mul(T.attention(
-            qx, ((1, 1, 0), (0, 0, 0)), 2, *q_w, queries=q_rows), wq)),
-        [qx, q_rows] + q_w))
+    for name, loss, shapes, constant_shape in OP_CASES:
+        operands = [_param(rng, shape) for shape in shapes]
+        constant = (None if constant_shape is None
+                    else Tensor(rng.normal(size=constant_shape)))
+        results.append(_check_op(name, lambda: loss(operands, constant),
+                                 operands))
     return results
 
 

@@ -670,11 +670,14 @@ class TestGradcheckCommand:
         lines = capsys.readouterr().out.splitlines()
         assert lines[:-1] == passing
         assert re.fullmatch(r"total \d+\.\ds", lines[-1])
-        # a check at the tolerance fails; the lines after it still print
-        results.insert(0, CheckResult("softmax", 1e-4))
+        # a check at the tolerance fails, and so does a NaN error; the
+        # lines after them still print
+        results[:0] = [CheckResult("softmax", 1e-4),
+                       CheckResult("tanh", float("nan"))]
         assert main(["gradcheck", "--seed", "0"]) == 1
         lines = capsys.readouterr().out.splitlines()
-        assert lines[:-1] == ["FAIL softmax: max rel err 1.000e-04"] + passing
+        assert lines[:-1] == ["FAIL softmax: max rel err 1.000e-04",
+                              "FAIL tanh: max rel err nan"] + passing
         assert re.fullmatch(r"total \d+\.\ds", lines[-1])
 
     def test_config_file_seed_and_flag_precedence(self, tmp_path,

@@ -10,7 +10,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from denoiseclf import tensor as T
-from denoiseclf.gradcheck import finite_difference_check
+from denoiseclf.gradcheck import (OP_CASES, CheckResult,
+                                  finite_difference_check)
 from denoiseclf.tensor import (Adam, DegenerateAxisError, DimensionError,
                                LabelError, NonFiniteError, OptimizerError,
                                Tensor)
@@ -499,8 +500,64 @@ class TestDeterminism:
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_all_ops_pass_finite_difference_suite(seed):
     from denoiseclf.gradcheck import run_op_checks
-    for result in run_op_checks(seed):
+    results = run_op_checks(seed)
+    assert [r.name for r in results] == [case[0] for case in OP_CASES]
+    for result in results:
         assert result.passed, f"{result.name}: {result.max_rel_err}"
+
+
+def test_op_cases_are_pinned_in_order():
+    # the table's order is its draw order, so a dropped, added or moved row
+    # changes the operands of every row after it
+    assert [case[0] for case in OP_CASES] == [
+        "matmul", "add_broadcast", "mul", "softmax", "layernorm", "mse_loss",
+        "cross_entropy", "gelu", "tanh", "affine", "attention",
+        "mlp_rows_none", "mlp_rows_tanh", "mlp_rows_gelu",
+        "mlp_columns_none", "mlp_columns_tanh", "mlp_columns_gelu",
+        "attention_query_rows"]
+
+
+class TestFiniteDifferenceCheck:
+    """The checker itself: a wrong gradient fails, whatever the layout of
+    the parameters it nudges."""
+
+    @staticmethod
+    def poisoned_identity(x, poison, where):
+        """The identity as a hand-built op whose VJP writes ``poison`` at
+        ``where``."""
+        def vjp(g):
+            grad = np.array(g, dtype=np.float64)
+            grad[where] = poison
+            return grad
+        return T._make(x.values.copy(), (x, vjp))
+
+    # a NaN in the first element only must survive the finite errors after
+    # it; an infinite gradient gives inf / inf = NaN
+    @pytest.mark.parametrize("poison, where", [(np.nan, (0, 0)),
+                                               (np.inf, ...)])
+    def test_non_finite_gradient_fails(self, poison, where):
+        x = rand_tensor(np.random.default_rng(40), (2, 3))
+        with np.errstate(invalid="ignore"):
+            err = finite_difference_check(lambda: T.sum_all(
+                self.poisoned_identity(x, poison, where)), [x])
+        assert math.isnan(err)
+        assert not CheckResult("poisoned", err).passed
+
+    @pytest.mark.parametrize("layout", ["c", "transposed", "strided"])
+    def test_any_memory_layout(self, layout):
+        rng = np.random.default_rng(41)
+        a = rng.normal(size=(8, 8))
+        values = {"c": a[:3, :4].copy(), "transposed": a[:4, :3].T,
+                  "strided": a[:6:2, :4]}[layout]
+        # apart from the C layout, a flat reshape of these values is a copy
+        assert np.shares_memory(values.reshape(-1), values) == (layout == "c")
+        x = Tensor(values, requires_grad=True)
+        w = rand_tensor(rng, (3, 4))
+        before = [x.values.copy(), w.values.copy()]
+        assert finite_difference_check(
+            lambda: T.sum_all(T.mul(T.mul(x, x), w)), [x, w]) < 1e-6
+        for p, b in zip((x, w), before):
+            assert p.values.tobytes() == b.tobytes()
 
 
 class TestErf:
