@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CalibrationError, DataError, LabelError, ParseError
+from .errors import (CalibrationError, ConfigError, DataError, LabelError,
+                     ParseError)
 from .metrics import corpus_wer, ibleu
 from .noise import WER_TOLERANCE, NoiseSpec, calibrate
 from .tokenizer import normalize
@@ -242,6 +243,12 @@ def synthetic_corpus(n_per_class: int, num_classes: int = 2,
                      seed: int = 0) -> list[tuple[int, str]]:
     """Labeled sentences whose class is carried by a few indicative words
     mixed with shared filler; used by the demos and experiment harness."""
+    if n_per_class < 0:
+        raise ConfigError(
+            f"synthetic sentences per class must be >= 0, got {n_per_class}")
+    if num_classes < 1:
+        raise ConfigError(
+            f"synthetic classes must be >= 1, got {num_classes}")
     if num_classes > len(_CLASS_WORDS):
         raise ValueError(f"at most {len(_CLASS_WORDS)} synthetic classes")
     rng = np.random.default_rng(seed)

@@ -14,10 +14,12 @@ Sentence ``i`` draws from ``np.random.default_rng((spec.seed, i))``.
 calls that Generator once per category draw and once per substitution or
 stretch. ``corrupt_corpus`` and ``calibrate`` instead prepare the corpus
 once (``_Interned``): every word the channel can write as an integer id,
-and every sentence's raw PCG64 outputs in one flat array. They run the
-channel over all sentences at once (``_Run``): one set of array ops per token
-position, one lane per sentence, reading the outputs as the Generator's
-``random`` and ``integers`` would, bit for bit, scored by
+and every sentence's raw PCG64 outputs in one flat array, stepped for all
+sentences at once on 64-bit limbs (``_raw_blocks``); a sentence over
+``LANE_WORDS`` words gets an empty block, as it never reads one. They run
+the channel over all sentences at once (``_Run``): one set of array ops
+per token position, one lane per sentence, reading the outputs as the
+Generator's ``random`` and ``integers`` would, bit for bit, scored by
 ``metrics.edit_distances``. Two kinds of sentence take the scalar path
 instead, which writes their categories and word ids into the same arrays:
 one over ``LANE_WORDS`` words, and one whose draw Lemire's method would
@@ -144,9 +146,10 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL_WORDS = 4
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+_PCG_MULT = (np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645))
 _DOUBLE_STEP = 2.0 ** -53
+_LOW32 = np.uint64(_MASK32)
+_U32, _U58, _U63 = np.uint64(32), np.uint64(58), np.uint64(63)
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -157,14 +160,16 @@ def _uint32_words(n: int) -> list[int]:
     return words
 
 
-def _start_states(spec: NoiseSpec, n: int) -> list[tuple[int, int]]:
-    """The PCG64 ``(state, inc)`` pair that ``default_rng((spec.seed, i))``
-    starts from, for each sentence index ``i < n``.
+def _start_states(spec: NoiseSpec, n: int):
+    """The PCG64 ``state`` and ``inc`` that ``default_rng((spec.seed, i))``
+    starts from, for each sentence index ``i < n``, each as ``(hi, lo)``
+    uint64 arrays: the 128-bit value of lane i is ``hi[i] << 64 | lo[i]``.
 
     One pass over uint32 vectors, one lane per sentence, runs
     ``SeedSequence((spec.seed, i)).generate_state(4, np.uint64)``: hash the
     entropy words ``[seed words..., i]`` into a 4-word pool, mix the pool,
-    hash it out to 8 words. PCG64's set-seed step then runs on Python ints.
+    hash it out to 8 words. PCG64's set-seed step then runs on the limbs:
+    ``inc = seq << 1 | 1`` and ``state = (inc + seed) * MULT + inc``.
     """
     hash_const = _INIT_A
 
@@ -199,14 +204,58 @@ def _start_states(spec: NoiseSpec, n: int) -> list[tuple[int, int]]:
         value = value * np.uint32(hash_const)
         out.append(value ^ (value >> np.uint32(16)))
     # the 8 words read as 4 little-endian uint64: seed hi, lo, inc hi, lo
-    words = np.stack(out, axis=1).astype(np.uint64)
-    seeds = (words[:, 0::2] | words[:, 1::2] << np.uint64(32)).tolist()
-    starts = []
-    for seed_hi, seed_lo, inc_hi, inc_lo in seeds:
-        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
-        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK128
-        starts.append((state, inc))
-    return starts
+    words = [out[k].astype(np.uint64) | out[k + 1].astype(np.uint64) << _U32
+             for k in range(0, 8, 2)]
+    seed, seq = (words[0], words[1]), (words[2], words[3])
+    inc = (seq[0] << np.uint64(1) | seq[1] >> _U63,
+           seq[1] << np.uint64(1) | np.uint64(1))
+    state = _add128(*_mul128(*_add128(*inc, *seed), *_PCG_MULT), *inc)
+    return state, inc
+
+
+def _mul128(a_hi, a_lo, b_hi, b_lo):
+    """``a * b`` mod 2**128 on ``(hi, lo)`` uint64 limbs. The high limb of
+    ``a_lo * b_lo`` comes from its four 32 x 32-bit products."""
+    a0, a1 = a_lo & _LOW32, a_lo >> _U32
+    b0, b1 = b_lo & _LOW32, b_lo >> _U32
+    # (2**32 - 1)**2 + 2 * (2**32 - 1) < 2**64, so neither sum wraps
+    mid = a1 * b0 + (a0 * b0 >> _U32)
+    cross = (mid & _LOW32) + a0 * b1
+    return (a1 * b1 + (mid >> _U32) + (cross >> _U32)
+            + a_hi * b_lo + a_lo * b_hi, a_lo * b_lo)
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    """``a + b`` mod 2**128 on ``(hi, lo)`` uint64 limbs."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _raw_blocks(state, inc, offsets) -> np.ndarray:
+    """Lane i's first ``offsets[i + 1] - offsets[i]`` PCG64 outputs from
+    the start ``(state, inc)`` (``(hi, lo)`` limb arrays), at
+    ``raw[offsets[i]:offsets[i + 1]]``: what ``random_raw`` draws.
+
+    Output k steps every lane whose block is still open: sorted by block
+    size, largest first, those lanes are a prefix. A step is the LCG
+    ``state * MULT + inc``, and the output is O'Neill's XSL-RR of the new
+    state: ``hi ^ lo`` rotated right by ``hi >> 58``.
+    """
+    sizes = np.diff(offsets)
+    order = np.argsort(-sizes, kind="stable")
+    hi, lo = state[0][order], state[1][order]
+    inc_hi, inc_lo = inc[0][order], inc[1][order]
+    start = offsets[:-1][order]
+    raw = np.empty(offsets[-1], dtype=np.uint64)
+    open_lanes = len(sizes) - np.searchsorted(
+        np.sort(sizes), np.arange(sizes.max(initial=0)), side="right")
+    for k, m in enumerate(open_lanes.tolist()):
+        hi, lo = _add128(*_mul128(hi[:m], lo[:m], *_PCG_MULT),
+                         inc_hi[:m], inc_lo[:m])
+        turn = hi >> _U58
+        mixed = hi ^ lo
+        raw[start[:m] + k] = mixed >> turn | mixed << (-turn & _U63)
+    return raw
 
 
 def _substitute(spec: NoiseSpec, token: str,
@@ -273,7 +322,9 @@ class _Interned:
     ``skip`` the pool position a substitute of it passes over. ``batches``
     are the corpus's ``lane_batches`` as ``(positions, word ids padded
     with -1)``. Sentence ``i``'s block, ``raw[offsets[i]:offsets[i + 1]]``,
-    holds the first outputs of ``default_rng((spec.seed, i))``, drawn once.
+    holds the first outputs of ``default_rng((spec.seed, i))``, drawn once;
+    it is empty for a sentence over ``LANE_WORDS`` words, which only the
+    scalar path runs.
     The tables and outputs depend on the seed and the pool and not on the
     probabilities, so the scaled specs of one calibration share them.
     """
@@ -318,16 +369,11 @@ class _Interned:
                         for lanes in lane_batches(np.diff(bounds))]
         # what a sentence reads unless Lemire's method rejects: one output
         # per token's ``random``, a half per ``integers``
-        self.offsets = [0, *accumulate(len(t) + (len(t) + 1) // 2
-                                       for t in corpus)]
-        self.raw = np.empty(self.offsets[-1], dtype=np.uint64)
-        pcg = np.random.PCG64(0)
-        for (state, inc), a, b in zip(_start_states(spec, len(corpus)),
-                                      self.offsets, self.offsets[1:]):
-            pcg.state = {"bit_generator": "PCG64",
-                         "state": {"state": state, "inc": inc},
-                         "has_uint32": 0, "uinteger": 0}
-            self.raw[a:b] = pcg.random_raw(b - a)
+        self.offsets = [0, *accumulate(
+            len(t) + (len(t) + 1) // 2 if len(t) <= LANE_WORDS else 0
+            for t in corpus)]
+        self.raw = _raw_blocks(*_start_states(spec, len(corpus)),
+                               np.array(self.offsets, dtype=np.int64))
 
 
 class _Run:

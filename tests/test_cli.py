@@ -184,13 +184,15 @@ class TestPrepare:
         (["--target-wer", "nan"], 8,
          "error: target WER must lie in (0, 2], got nan"),
         (["--synthetic-per-class", "0"], 5, "error: empty corpus"),
+        (["--synthetic-per-class", "-3"], 8,
+         "error: synthetic sentences per class must be >= 0, got -3"),
         (["--target-wer", "1.9", "--synthetic-per-class", "5", "--seed", "3"],
          6, "error: could not reach target WER 1.900; closest achieved 0.871"),
         (["--synthetic-per-class", "1", "--test-fraction", "0.75"], 5,
          "error: test fraction 0.75 holds out all 2 sentences and leaves "
          "none to train on"),
-    ], ids=["nan-target", "empty-corpus", "unreachable-target",
-            "empty-train-split"])
+    ], ids=["nan-target", "empty-corpus", "negative-per-class",
+            "unreachable-target", "empty-train-split"])
     def test_rejected_prepare_leaves_no_outdir(self, tmp_path, capsys, argv,
                                                code, line):
         out = tmp_path / "data"

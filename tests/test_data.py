@@ -5,7 +5,7 @@ from denoiseclf.data import (LabelError, PairedExample, ParseError,
                              atomic_write_text, config_lines, format_config,
                              load_corpus, make_dataset, save_corpus,
                              sentences_of, split_corpus, synthetic_corpus)
-from denoiseclf.errors import DataError
+from denoiseclf.errors import ConfigError, DataError
 from denoiseclf.metrics import corpus_wer
 from denoiseclf.noise import NoiseSpec
 from denoiseclf.tokenizer import normalize
@@ -319,3 +319,15 @@ class TestSyntheticCorpus:
     def test_too_many_classes(self):
         with pytest.raises(ValueError):
             synthetic_corpus(5, num_classes=9)
+
+    @pytest.mark.parametrize("args,message", [
+        ((-3,), "synthetic sentences per class must be >= 0, got -3"),
+        ((5, 0), "synthetic classes must be >= 1, got 0"),
+        ((5, -2), "synthetic classes must be >= 1, got -2"),
+    ])
+    def test_negative_sizes_are_refused(self, args, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            synthetic_corpus(*args)
+
+    def test_zero_per_class_is_empty(self):
+        assert synthetic_corpus(0, num_classes=3) == []

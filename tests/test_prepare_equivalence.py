@@ -13,6 +13,7 @@ import tracemalloc
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import replace
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -367,16 +368,22 @@ class TestLaneDraws:
         assert extra == {2, 3, 4, 5}
 
 
+def _wide(limbs):
+    """Each lane's 128-bit value of ``(hi, lo)`` uint64 limb arrays."""
+    hi, lo = limbs
+    return [h << 64 | l for h, l in zip(hi.tolist(), lo.tolist())]
+
+
 class TestStartStates:
     @pytest.mark.parametrize("n", [0, 1, 600])
     @pytest.mark.parametrize("seed", [0, 7, 101, 2**32 - 1, 2**32,
                                       2**64 + 3, 2**128 + 9])
     def test_match_default_rng(self, seed, n):
-        want = []
-        for i in range(n):
-            pcg = np.random.default_rng((seed, i)).bit_generator.state
-            want.append((pcg["state"]["state"], pcg["state"]["inc"]))
-        assert _start_states(NoiseSpec(seed=seed), n) == want
+        want = [np.random.default_rng((seed, i)).bit_generator.state["state"]
+                for i in range(n)]
+        state, inc = _start_states(NoiseSpec(seed=seed), n)
+        assert _wide(state) == [pcg["state"] for pcg in want]
+        assert _wide(inc) == [pcg["inc"] for pcg in want]
 
     def test_negative_seed_is_refused(self):
         # numpy refuses it, and the spec refuses it before any stream starts
@@ -384,6 +391,78 @@ class TestStartStates:
             np.random.default_rng((-1, 0))
         with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
             NoiseSpec(seed=-1)
+
+
+_MASK64, _MASK128 = (1 << 64) - 1, (1 << 128) - 1
+# 0, 1 and the limb boundaries, and values whose low halves carry into the
+# high half when added or multiplied
+_EDGES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**64 + 1,
+          2**96 - 1, 2**127, 2**128 - 1, 2**128 - 2**64, (2**64 - 1) << 32,
+          0x2360ED051FC65DA44385DF649FCCF645]
+
+
+def _limbs(values):
+    return (np.array([v >> 64 for v in values], dtype=np.uint64),
+            np.array([v & _MASK64 for v in values], dtype=np.uint64))
+
+
+def _operand_pairs(seed):
+    """Every pair of edge values, then seeded random 128-bit pairs."""
+    rng = np.random.default_rng(seed)
+    drawn = [int(hi) << 64 | int(lo) for hi, lo in
+             rng.integers(0, 2**64, size=(400, 2), dtype=np.uint64)]
+    pairs = [(a, b) for a in _EDGES for b in _EDGES]
+    return pairs + list(zip(drawn[::2], drawn[1::2]))
+
+
+class TestLimbArithmetic:
+    """The 128-bit helpers on ``(hi, lo)`` uint64 limbs against Python ints
+    mod 2**128."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_a_product_of_low_limbs_is_exact(self, seed):
+        # below 2**128, so no high bit of the 64 x 64-bit product is lost
+        pairs = [(a & _MASK64, b & _MASK64) for a, b in _operand_pairs(seed)]
+        a, b = _limbs([a for a, _ in pairs]), _limbs([b for _, b in pairs])
+        assert _wide(noise._mul128(*a, *b)) == [x * y for x, y in pairs]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_mul128_and_add128_wrap_mod_2_128(self, seed):
+        pairs = _operand_pairs(seed)
+        a, b = _limbs([a for a, _ in pairs]), _limbs([b for _, b in pairs])
+        assert _wide(noise._mul128(*a, *b)) == \
+            [x * y & _MASK128 for x, y in pairs]
+        assert _wide(noise._add128(*a, *b)) == \
+            [x + y & _MASK128 for x, y in pairs]
+
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 3, 2**128 + 9])
+    def test_blocks_are_random_raw(self, seed):
+        # lanes out of size order, so the open lanes are a prefix only once
+        # sorted
+        sizes = [11, 0, 96, 1, 2, 11, 0, 96]
+        offsets = np.array([0, *accumulate(sizes)], dtype=np.int64)
+        raw = noise._raw_blocks(*_start_states(NoiseSpec(seed=seed),
+                                               len(sizes)), offsets)
+        assert raw.dtype == np.uint64 and len(raw) == sum(sizes)
+        for i, (a, b) in enumerate(zip(offsets, offsets[1:])):
+            pcg = np.random.default_rng((seed, i)).bit_generator
+            assert raw[a:b].tolist() == pcg.random_raw(b - a).tolist()
+
+
+def test_a_sentence_over_lane_words_draws_no_block():
+    """Only the scalar path runs a sentence over ``LANE_WORDS`` words (a
+    batch that wide runs whole on it), so it gets an empty block."""
+    lengths = [3, 65, 7, 0, 64, 130, 2]
+    rng = np.random.default_rng(12)
+    corpus = [" ".join(rng.choice(WORDS, size=n)) for n in lengths]
+    spec = SPECS["all-five"]
+    interned = noise._Interned([normalize(s) for s in corpus], spec)
+    assert interned.offsets == [0, 5, 5, 16, 16, 112, 112, 115]
+    for i, (a, b) in enumerate(zip(interned.offsets, interned.offsets[1:])):
+        pcg = np.random.default_rng((spec.seed, i)).bit_generator
+        assert interned.raw[a:b].tolist() == pcg.random_raw(b - a).tolist()
+    assert corrupt_corpus(corpus, spec) == \
+        [corrupt(s, spec, i) for i, s in enumerate(corpus)]
 
 
 def _counting(monkeypatch, module, name):
