@@ -35,8 +35,9 @@ corpus = [s for _, s in synthetic_corpus(40, num_classes=2, seed=0)]
 spec = NoiseSpec(p_delete=0.1, p_substitute=0.1, pool=pool_of(corpus),
                  seed=0, target_wer=0.25)
 # the last bisection pass comes back with the spec: each noisy sentence's
-# tokens, their WER and the tokens each category drew and changed
-calibrated, tokens, (pooled, mean), counts = calibrate(corpus, spec)
+# tokens, their WER and the tokens each category drew and changed (and the
+# word-id rows it scored)
+calibrated, tokens, (pooled, mean), counts = calibrate(corpus, spec)[:4]
 noisy = [" ".join(t) for t in tokens]
 print(f"  calibrated p_delete={calibrated.p_delete:.3f} "
       f"p_substitute={calibrated.p_substitute:.3f}")

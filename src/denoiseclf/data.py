@@ -141,7 +141,7 @@ def make_dataset(train_clean: list[tuple[int, str]],
     clean = [normalize(s) for _, s in train_clean + test_clean]
     # calibration's last pass (with no target, its only one) is this
     # dataset; it is not run again
-    spec, noisy_tokens, (pooled, mean), counts = calibrate(clean, spec)
+    spec, noisy_tokens, (pooled, mean), counts, rows = calibrate(clean, spec)
     emptied = [i for i, tokens in enumerate(noisy_tokens) if not tokens]
     for i in emptied:  # a sentence the channel emptied is written clean
         noisy_tokens[i] = clean[i]
@@ -168,7 +168,12 @@ def make_dataset(train_clean: list[tuple[int, str]],
         "p_casual": spec.p_casual,
         "wer_pooled": pooled,
         "wer_mean": mean,
-        "ibleu": ibleu(clean, noisy_tokens),
+        # scored on the pass's own word ids, where a written row with no
+        # word is its clean row, as it is written
+        "ibleu": ibleu(
+            [ids for ids, _ in rows],
+            [np.where((outs < 0).all(axis=1, keepdims=True), ids, outs)
+             for ids, outs in rows]),
         "train_size": len(train),
         "test_size": len(test),
     }

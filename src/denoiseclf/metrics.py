@@ -13,10 +13,11 @@ calibration passes score with it, in batches of sentences that stay within
 a fixed cell budget (``lane_batches``). A batch whose references are over
 ``LANE_WORDS`` words wide is scored pair by pair with the Python-int
 routine ``edit_distance``, so a distance is exact at any width.
-BLEU counts n-grams in numpy, as sorted integer keys (pair, gram id), over
-chunks of at most 256 sentence pairs, so its memory does not grow with the
-corpus; the counts, and so every score, are those of per-sentence
-``Counter``s.
+BLEU counts n-grams on the same word-id rows, which a caller holding them
+(``make_dataset``, from its channel pass) hands over as they are: per
+n-gram order one sort of (pair, gram, side) keys, over slices of at most
+512 sentence pairs, so its memory does not grow with the corpus; the
+counts, and so every score, are those of per-sentence ``Counter``s.
 """
 
 from __future__ import annotations
@@ -198,17 +199,28 @@ def pooled_and_mean(refs: list[list[str]],
 
 # -- BLEU / iBLEU -----------------------------------------------------------
 
-# sentence pairs counted per pass, so the arrays stay small on any corpus
-_CHUNK = 256
+# sentence pairs counted per pass, so the key arrays stay small on any corpus
+_SLICE = 512
+# the most an n-gram key may reach before its side bit, so it fits in int64
+_KEY_LIMIT = 1 << 62
 
 
-def bleu(references: list[str | list[str]],
-         hypotheses: list[str | list[str]], max_n: int = 4) -> float:
+def bleu(references: list[str | list[str]] | list[np.ndarray],
+         hypotheses: list[str | list[str]] | list[np.ndarray],
+         max_n: int = 4) -> float:
     """Corpus-level BLEU with modified n-gram precision and brevity penalty.
 
     A zero match count at order n >= 2 is smoothed to 1 only when no
     reference in the corpus is long enough to contain an n-gram of that
     order; otherwise BLEU is 0 as usual.
+
+    Each side is a list of sentences, or, on both sides, a list of batches
+    of word-id rows, one row per sentence, in the layout ``edit_distances``
+    reads (``ChannelPass.rows``): batch i of the references pairs with
+    batch i of the hypotheses, a word has one id on both sides, and the
+    largest id + 1 times a slice's words stays within 2**62, as it does
+    for ``word_ids``. Sentences are interned into such rows, with one
+    index for both sides.
     """
     if len(references) != len(hypotheses):
         raise DataError(
@@ -217,19 +229,33 @@ def bleu(references: list[str | list[str]],
         raise DataError("empty corpus")
     if max_n < 1:
         raise DataError(f"max_n must be at least 1, got {max_n}")
-    refs = [as_tokens(r) for r in references]
-    hyps = [as_tokens(h) for h in hypotheses]
-    hyp_len = sum(len(h) for h in hyps)
-    ref_len = sum(len(r) for r in refs)
-    if hyp_len == 0:
-        return 0.0
-    max_ref = max(len(r) for r in refs)
+    if isinstance(references[0], np.ndarray):
+        batches = zip(references, hypotheses)
+    else:
+        ids: dict[str, int] = {}
+        (ref_ids, ref_bounds), (hyp_ids, hyp_bounds) = (
+            word_ids([as_tokens(r) for r in references], ids),
+            word_ids([as_tokens(h) for h in hypotheses], ids))
+        widths = np.maximum(np.diff(ref_bounds), np.diff(hyp_bounds))
+        # padded one slice at a time, so no row array spans the corpus
+        slices = (lanes[i:i + _SLICE] for lanes in lane_batches(widths)
+                  for i in range(0, len(lanes), _SLICE))
+        batches = ((padded(ref_ids, ref_bounds, lanes),
+                    padded(hyp_ids, hyp_bounds, lanes)) for lanes in slices)
     # clipped matches and hypothesis n-grams, indexed by order
     matches = [0] * (max_n + 1)
     totals = [0] * (max_n + 1)
-    for start in range(0, len(refs), _CHUNK):
-        _count_ngrams(refs[start:start + _CHUNK], hyps[start:start + _CHUNK],
-                      matches, totals)
+    ref_len = max_ref = 0
+    for refs, hyps in batches:
+        for start in range(0, len(refs), _SLICE):
+            ref_words = _count_rows(refs[start:start + _SLICE],
+                                    hyps[start:start + _SLICE],
+                                    matches, totals)
+            ref_len += int(ref_words.sum())
+            max_ref = max(max_ref, int(ref_words.max(initial=0)))
+    hyp_len = totals[1]
+    if hyp_len == 0:
+        return 0.0
     log_sum = 0.0
     for n in range(1, max_n + 1):
         if totals[n] == 0:
@@ -244,49 +270,64 @@ def bleu(references: list[str | list[str]],
     return bp * math.exp(log_sum)
 
 
-def _count_ngrams(refs: list[list[str]], hyps: list[list[str]],
-                  matches: list[int], totals: list[int]) -> None:
-    """Add the pairs' clipped matches and hypothesis n-grams of orders
-    1..len(matches) - 1 into ``matches`` and ``totals``.
+def _count_rows(refs: np.ndarray, hyps: np.ndarray,
+                matches: list[int], totals: list[int]) -> np.ndarray:
+    """Add the row pairs' clipped matches and hypothesis n-grams of orders
+    1..len(matches) - 1 into ``matches`` and ``totals``; return each
+    reference's word count.
 
-    The tokens of every reference, then every hypothesis, lie in one flat
-    int array. An order-1 gram's id is its token's id; an order-n gram's
-    id is the rank of (its order-(n-1) prefix's id, its last token), so one
-    id names one n-gram. Keyed by pair and gram, each side's n-grams are
-    counted by one sort, and the two sides meet by one intersection.
+    The words of every reference, then every hypothesis, lie in one flat
+    array, the -1 cells dropped. The key at position p is (pair, the n
+    words from p on) in mixed radix: the key of order n - 1 at p times
+    (largest id + 1) plus word p + n - 1, where an order-0 key is the pair;
+    the keys whose words run past their sentence are dropped. When the
+    next product could pass ``_KEY_LIMIT``, the keys are first ranked down
+    by ``np.unique``, which keeps equal keys equal. With the side as a low
+    bit (reference 0), one sort per order puts each key's reference copies
+    just before its hypothesis copies, and the key's clipped matches are
+    the smaller of the two counts.
     """
-    sentences = refs + hyps
-    words = list(chain.from_iterable(sentences))
-    # any numbering will do: no count depends on it
-    ids = {w: i for i, w in enumerate(set(words))}
-    tokens = np.fromiter(map(ids.__getitem__, words), np.int64, len(words))
-    lengths = np.array([len(s) for s in sentences], dtype=np.int64)
-    pair = np.repeat(np.arange(len(sentences)) % len(refs), lengths)
-    # tokens from each position to the end of its sentence
-    left = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(tokens))
-    ref_tokens = int(lengths[:len(refs)].sum())
-    width = len(tokens) + 1  # more than any gram id
-    pos, gram = np.arange(len(tokens)), tokens
+    ref_live, hyp_live = refs >= 0, hyps >= 0
+    words = np.concatenate([refs[ref_live], hyps[hyp_live]])
+    ref_words = np.count_nonzero(ref_live, axis=1)
+    lengths = np.concatenate([ref_words, np.count_nonzero(hyp_live, axis=1)])
+    split = int(ref_words.sum())
+    # words from each position to the end of its sentence
+    left = np.repeat(np.cumsum(lengths), lengths)
+    left -= np.arange(len(words))
+    radix = int(words.max(initial=-1)) + 1
+    key = np.repeat(np.tile(np.arange(len(refs)), 2), lengths)
+    top = len(refs) - 1  # no key is larger
     for n in range(1, len(matches)):
-        if n > 1:
-            fits = left[pos] >= n
-            pos = pos[fits]
-            gram = np.unique(gram[fits] * len(ids) + tokens[pos + n - 1],
-                             return_inverse=True)[1]
-        split = int(np.searchsorted(pos, ref_tokens))
-        keys = pair[pos] * width + gram
-        ref_keys, ref_counts = np.unique(keys[:split], return_counts=True)
-        hyp_keys, hyp_counts = np.unique(keys[split:], return_counts=True)
-        _, in_ref, in_hyp = np.intersect1d(ref_keys, hyp_keys,
-                                           assume_unique=True,
-                                           return_indices=True)
-        matches[n] += int(np.minimum(ref_counts[in_ref],
-                                     hyp_counts[in_hyp]).sum())
-        totals[n] += len(pos) - split
+        if (top + 1) * radix > _KEY_LIMIT:
+            ranked, key = np.unique(key, return_inverse=True)
+            top = len(ranked) - 1
+        key = key[:len(words) - n + 1] * radix
+        key += words[n - 1:]
+        top = (top + 1) * radix - 1
+        sided = key << 1
+        sided[split:] |= 1
+        sided = sided[left[:len(key)] >= n]
+        if not len(sided):
+            break  # no sentence is this long, so none is longer
+        sided.sort()
+        # where each key's run starts, and where the last one ends: two
+        # sorted neighbours differ above the side bit
+        edges = np.ones(len(sided) + 1, dtype=bool)
+        np.greater(sided[1:] ^ sided[:-1], 1, out=edges[1:-1])
+        bounds = np.flatnonzero(edges)
+        hyps_before = np.zeros(len(sided) + 1, dtype=np.int64)
+        np.bitwise_and(sided, 1, out=hyps_before[1:])
+        np.cumsum(hyps_before, out=hyps_before)
+        hyp_count = np.diff(hyps_before[bounds])
+        ref_count = np.diff(bounds) - hyp_count
+        matches[n] += int(np.minimum(ref_count, hyp_count).sum())
+        totals[n] += int(hyps_before[-1])
+    return ref_words
 
 
-def ibleu(references: list[str | list[str]],
-          hypotheses: list[str | list[str]]) -> float:
+def ibleu(references: list[str | list[str]] | list[np.ndarray],
+          hypotheses: list[str | list[str]] | list[np.ndarray]) -> float:
     """Inverted BLEU: 1 - BLEU. Higher means noisier."""
     return 1.0 - bleu(references, hypotheses)
 

@@ -27,8 +27,8 @@ reject. A pool word must be one ``normalize`` token, so every word the
 channel writes is a token with an id.
 ``calibrate`` scales the destructive probabilities by bisection until a
 corpus hits a target word error rate; every pass runs to its end, and it
-returns the last one, with its noisy tokens and per-category counts. With
-no target it returns the one pass at the spec itself.
+returns the last one, with its noisy tokens, per-category counts and word-id
+rows. With no target it returns the one pass at the spec itself.
 """
 
 from __future__ import annotations
@@ -487,12 +487,15 @@ def _scaled(spec: NoiseSpec, scale: float) -> NoiseSpec:
 class ChannelPass(NamedTuple):
     """One run of the channel over a clean corpus: the spec it ran at, each
     noisy sentence's tokens, their ``(pooled, mean)`` WER against the clean
-    corpus, and ``counts``: the corpus's tokens and, per category, the
-    tokens that drew it and the tokens it changed."""
+    corpus, ``counts``: the corpus's tokens and, per category, the tokens
+    that drew it and the tokens it changed, and ``rows``: per lane batch,
+    its clean rows and written rows of word ids, one index for both, in
+    the layout ``edit_distances`` reads (a deleted word is -1)."""
     spec: NoiseSpec
     tokens: list[list[str]]
     wer: tuple[float, float]
     counts: dict[str, int]
+    rows: list[tuple[np.ndarray, np.ndarray]]
 
 
 def _calibration_pass(corpus: _Interned,
@@ -505,7 +508,9 @@ def _calibration_pass(corpus: _Interned,
 
 def _passed(run: _Run, wer: tuple[float, float]) -> ChannelPass:
     tokens, counts = run.written()
-    return ChannelPass(run.spec, tokens, wer, counts)
+    return ChannelPass(run.spec, tokens, wer, counts,
+                       [(ids, outs) for (_, ids), (_, outs)
+                        in zip(run.corpus.batches, run.batches)])
 
 
 def calibrate(corpus: list[str | list[str]], spec: NoiseSpec) -> ChannelPass:

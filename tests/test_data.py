@@ -1,13 +1,15 @@
+import sys
+
 import pytest
 
-from denoiseclf import data, noise
+from denoiseclf import data, metrics, noise
 from denoiseclf.data import (LabelError, PairedExample, ParseError,
                              atomic_write_text, config_lines, format_config,
                              load_corpus, make_dataset, save_corpus,
                              sentences_of, split_corpus, synthetic_corpus)
 from denoiseclf.errors import ConfigError, DataError
-from denoiseclf.metrics import corpus_wer
-from denoiseclf.noise import NoiseSpec
+from denoiseclf.metrics import corpus_wer, ibleu
+from denoiseclf.noise import NoiseSpec, pool_of
 from denoiseclf.tokenizer import normalize
 
 
@@ -132,6 +134,29 @@ class TestSaveCorpus:
         assert [p.name for p in tmp_path.iterdir()] == ["table.tsv"]
 
 
+def written_column(out_dir):
+    """The incomplete column of ``train.tsv``, then of ``test.tsv``."""
+    return [ex.incomplete for ex in
+            load_corpus(out_dir / "train.tsv", split="train")
+            + load_corpus(out_dir / "test.tsv", split="test")]
+
+
+# specs for a corpus of seed s: with and without a target, over every
+# category, and one that empties many sentences
+DATASET_SPECS = {
+    "calibrated": lambda s, pool: NoiseSpec(
+        p_delete=0.1, p_substitute=0.1, pool=("zz", "qq", "xx"), seed=s,
+        target_wer=0.25),
+    "all-five": lambda s, pool: NoiseSpec(
+        p_delete=0.1, p_substitute=0.2, p_repeat=0.1, p_abbreviate=0.1,
+        p_casual=0.2, pool=pool, seed=s),
+    "calibrated-casual": lambda s, pool: NoiseSpec(
+        p_substitute=0.2, p_casual=0.3, pool=pool, seed=s, target_wer=0.4),
+    "emptying": lambda s, pool: NoiseSpec(p_delete=0.8, p_repeat=0.1,
+                                          seed=s),
+}
+
+
 class TestMakeDataset:
     def make(self, tmp_path, seed=0, target=0.25):
         corpus = synthetic_corpus(30, num_classes=2, seed=seed)
@@ -140,6 +165,19 @@ class TestMakeDataset:
                          pool=("zz", "qq", "xx"), seed=seed,
                          target_wer=target)
         return train, test, make_dataset(train, test, spec, tmp_path)
+
+    @pytest.mark.parametrize("name", sorted(DATASET_SPECS))
+    @pytest.mark.parametrize("seed", [0, 4, 9])
+    def test_manifest_ibleu_is_the_written_columns(self, tmp_path, seed,
+                                                    name):
+        corpus = synthetic_corpus(30, num_classes=2, seed=seed)
+        # one sentence wider than a lane
+        corpus.append((1, " ".join(s for _, s in corpus[:10])))
+        train, test = split_corpus(corpus, test_fraction=0.2, seed=seed)
+        spec = DATASET_SPECS[name](seed, pool_of(s for _, s in corpus))
+        manifest = make_dataset(train, test, spec, tmp_path)
+        clean = [s for _, s in train + test]
+        assert manifest["ibleu"] == ibleu(clean, written_column(tmp_path))
 
     def test_outputs_and_manifest(self, tmp_path):
         train, test, manifest = self.make(tmp_path)
@@ -183,6 +221,15 @@ class TestMakeDataset:
         spy(data, "corpus_wer")
         spy(noise, "corrupt_corpus")
         spy(noise, "_calibration_pass")
+        # the corpus is interned once, for the passes, and iBLEU reads the
+        # last pass's ids: no metric interns it again
+        interned = []
+        for module in (noise, metrics):
+            def word_ids(*args, original=module.word_ids):
+                caller = sys._getframe(1).f_locals.get("self")
+                interned.append(type(caller).__name__)
+                return original(*args)
+            monkeypatch.setattr(module, "word_ids", word_ids)
         calibrate = data.calibrate
 
         def calibrate_spy(*args, **kwargs):
@@ -200,10 +247,11 @@ class TestMakeDataset:
         # every pass tries a new scale; the last one is the written spec
         assert len({(s.p_delete, s.p_substitute) for s in specs}) == passes
         assert specs[-1].p_delete == manifest["p_delete"]
+        channel = config_lines(tmp_path / "channel.txt")
+        assert channel["emptied_written_clean"][1] == "0"
+        assert interned == ["_Interned"]
         # the manifest's WER is the WER of the pair on disk
-        noisy = [ex.incomplete for ex in
-                 load_corpus(tmp_path / "train.tsv", split="train")
-                 + load_corpus(tmp_path / "test.tsv", split="test")]
+        noisy = written_column(tmp_path)
         clean = [s for _, s in train] + [s for _, s in test]
         assert corpus_wer(clean, noisy) == (manifest["wer_pooled"],
                                             manifest["wer_mean"])
@@ -219,13 +267,12 @@ class TestMakeDataset:
         emptied = [i for i, s in enumerate(raw) if not s.split()]
         assert 0 < len(emptied) < len(raw)  # the case mixes both kinds
         manifest = make_dataset(train, test, spec, tmp_path)
-        noisy = [ex.incomplete for ex in
-                 load_corpus(tmp_path / "train.tsv", split="train")
-                 + load_corpus(tmp_path / "test.tsv", split="test")]
+        noisy = written_column(tmp_path)
         assert noisy == [" ".join(clean[i]) if i in emptied else s
                          for i, s in enumerate(raw)]
         assert corpus_wer(clean, noisy) == (manifest["wer_pooled"],
                                             manifest["wer_mean"])
+        assert manifest["ibleu"] == ibleu(clean, noisy)
 
     def test_deterministic_regeneration(self, tmp_path):
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"

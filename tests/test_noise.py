@@ -155,7 +155,7 @@ class TestCalibrate:
         corpus = sample_corpus(seed=4)
         spec = NoiseSpec(p_delete=0.1, p_substitute=0.1, p_casual=0.1,
                          pool=("zz", "qq"), seed=19, target_wer=0.3)
-        calibrated, tokens, wers, _ = calibrate(corpus, spec)
+        calibrated, tokens, wers = calibrate(corpus, spec)[:3]
         noisy = [" ".join(t) for t in tokens]
         assert noisy == corrupt_corpus(corpus, calibrated)
         assert wers == corpus_wer(corpus, noisy)

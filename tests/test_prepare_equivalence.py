@@ -1,11 +1,11 @@
 """The fast paths of ``prepare`` against the code they replace: ``bleu``
-counting n-grams as sorted integer keys against one ``Counter`` per
-sentence and order, the channel run over a whole corpus as array ops per
-token position against the channel driven by one fresh ``default_rng`` per
-sentence, the start states computed in one vectorized pass against
-``default_rng``, the clean corpus normalized once per dataset, and
-``calibrate``'s array passes against a bisection whose passes corrupt and
-score one sentence at a time."""
+counting n-grams as sorted integer keys, of sentences or of word-id rows,
+against one ``Counter`` per sentence and order, the channel run over a
+whole corpus as array ops per token position against the channel driven
+by one fresh ``default_rng`` per sentence, the start states computed in
+one vectorized pass against ``default_rng``, the clean corpus normalized
+once per dataset, and ``calibrate``'s array passes against a bisection
+whose passes corrupt and score one sentence at a time."""
 
 import hashlib
 import math
@@ -100,7 +100,7 @@ class TestBleuOnePass:
         rng = np.random.default_rng(40 + seed)
         refs = random_corpus(rng, 700 + 60 * seed, 0, 12)
         hyps = [edited(rng, ref) for ref in refs]
-        assert len(refs) > 2 * metrics._CHUNK  # at least three chunks
+        assert len(refs) > metrics._SLICE  # at least two slices
         assert "" in refs and "" in hyps
         score = bleu(refs, hyps, max_n)
         assert score == reference_bleu(refs, hyps, max_n)
@@ -145,23 +145,91 @@ def edited(rng, sentence):
 
 @pytest.fixture(scope="module")
 def prepare_scored(tmp_path_factory):
-    """The clean and noisy tokens that ``make_dataset`` scores with
-    ``ibleu`` on the benchmark's prepare inputs at seed 101."""
-    corpus = synthetic_corpus(500, 3, 101)
-    train, test = split_corpus(corpus, 0.25, 101)
-    spec = NoiseSpec(p_delete=0.1, p_substitute=0.1, p_repeat=0.02,
-                     p_abbreviate=0.05, p_casual=0.05,
-                     pool=pool_of(s for _, s in corpus), seed=101,
-                     target_wer=0.35)
-    scored = []
+    """The clean tokens and the channel pass's written tokens whose iBLEU
+    ``make_dataset`` writes on the benchmark's prepare inputs at seed 101;
+    no sentence there is emptied, so they are the tokens on disk."""
+    train, test, spec = _prepare_inputs()
+    passes = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(data, "ibleu",
-                      lambda refs, hyps: scored.append((refs, hyps)) or 0.0)
-        make_dataset(train, test, spec, tmp_path_factory.mktemp("prepare"))
-    [(refs, hyps)] = scored
+        patch.setattr(data, "calibrate",
+                      lambda *args: passes.append(calibrate(*args))
+                      or passes[-1])
+        manifest = make_dataset(train, test, spec,
+                                tmp_path_factory.mktemp("prepare"))
+    refs = [normalize(s) for _, s in train + test]
+    hyps = passes[-1].tokens
     assert len(refs) == 1500 and all(refs) and all(hyps)
     assert all(normalize(" ".join(tokens)) == tokens for tokens in refs + hyps)
+    assert manifest["ibleu"] == metrics.ibleu(refs, hyps)
     return refs, hyps
+
+
+def id_rows(sentences, width, rng=None):
+    """Sentences of word ids as rows ``width`` wide: each sentence's words
+    in order, -1 in every other cell; the -1 cells all on the right, or,
+    given ``rng``, anywhere in the row."""
+    rows = np.full((len(sentences), width), -1, dtype=np.int64)
+    for row, words in zip(rows, sentences):
+        at = (np.arange(len(words)) if rng is None else
+              np.sort(rng.choice(width, len(words), replace=False)))
+        row[at] = words
+    return rows
+
+
+def row_case(seed, name):
+    """Reference and hypothesis id sentences for one ``TestRowBleu`` case,
+    and the first id: word k of the case's vocabulary has id first + k."""
+    rng = np.random.default_rng(seed)
+    lo, hi, first, drop = 1, 9, 0, 0.25
+    if name == "wide":
+        lo, hi = metrics.LANE_WORDS + 1, metrics.LANE_WORDS + 30
+    elif name == "ids-near-2**40":
+        # the largest id + 1 is 2**40: keys of order 2 pass int64 unless
+        # they are ranked down first
+        first = 2 ** 40 - len(WORDS)
+    elif name == "empty-hyps":
+        drop = 0.6
+    refs = [rng.integers(0, len(WORDS), rng.integers(lo, hi + 1)).tolist()
+            for _ in range(40)]
+    refs[0].append(len(WORDS) - 1)  # the largest id appears
+    hyps = [[w for w in ref if rng.random() >= drop]
+            + rng.integers(0, 3, rng.integers(0, 3)).tolist()
+            for ref in refs]
+    for i in range(0, len(hyps), 7):
+        hyps[i] = []  # all -1
+    return rng, refs, hyps, first
+
+
+class TestRowBleu:
+    """``bleu`` on word-id rows against ``reference_bleu`` of the sentences
+    the rows hold, with -1 gaps anywhere in the hypothesis rows."""
+
+    @pytest.mark.parametrize("max_n", range(1, 7))
+    @pytest.mark.parametrize("name", ["gaps", "empty-hyps", "wide",
+                                      "ids-near-2**40"])
+    def test_rows_score_as_their_compacted_sentences(self, name, max_n):
+        rng, refs, hyps, first = row_case(50 + max_n, name)
+        as_ids = [[[first + w for w in sentence] for sentence in side]
+                  for side in (refs, hyps)]
+        # two batches of their own widths, the hypotheses gapped
+        batches = []
+        for half in (slice(0, 25), slice(25, None)):
+            ref_ids, hyp_ids = as_ids[0][half], as_ids[1][half]
+            width = max(map(len, ref_ids + hyp_ids)) + 4
+            batches.append((id_rows(ref_ids, max(map(len, ref_ids))),
+                            id_rows(hyp_ids, width, rng)))
+        # a -1 cell stands before a word of its row
+        assert any((np.diff(h >= 0, axis=1) & (h[:, 1:] >= 0)).any()
+                   for _, h in batches)
+        assert max(r.max() for r, _ in batches) == first + len(WORDS) - 1
+        words = [[" ".join(f"w{w}" for w in sentence) for sentence in side]
+                 for side in (refs, hyps)]
+        assert bleu(*zip(*batches), max_n) == reference_bleu(*words, max_n)
+
+    def test_no_hypothesis_word_scores_zero(self):
+        refs = id_rows([[0, 1], [2]], 2)
+        hyps = np.full((2, 3), -1, dtype=np.int64)
+        assert bleu([refs], [hyps]) == 0.0
 
 
 SPECS = {
