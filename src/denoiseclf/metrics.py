@@ -174,7 +174,7 @@ def corpus_wer(references: list[str | list[str]],
         distances[lanes] = edit_distances(
             padded(ref_ids, ref_bounds, lanes),
             padded(hyp_ids, hyp_bounds, lanes))
-    return pooled_and_mean(refs, distances.tolist())
+    return pooled_and_mean(np.diff(ref_bounds), distances)
 
 
 def reference_tokens(references: list[str | list[str]]) -> list[list[str]]:
@@ -190,11 +190,15 @@ def reference_tokens(references: list[str | list[str]]) -> list[list[str]]:
     return refs
 
 
-def pooled_and_mean(refs: list[list[str]],
-                    distances: list[int]) -> tuple[float, float]:
-    """``corpus_wer`` of reference tokens ``refs`` at edit ``distances``."""
-    rates = [d / len(ref) for ref, d in zip(refs, distances)]
-    return sum(distances) / sum(map(len, refs)), sum(rates) / len(rates)
+def pooled_and_mean(lengths, distances) -> tuple[float, float]:
+    """``corpus_wer`` of references ``lengths`` words long at edit
+    ``distances`` (int sequences). The mean sums the rates left to right,
+    as ``sum`` did before Python 3.12 made it compensated, so it is the
+    same float on every Python."""
+    lengths, distances = np.asarray(lengths), np.asarray(distances)
+    rates = distances / lengths
+    return (int(distances.sum()) / int(lengths.sum()),
+            float(np.cumsum(rates)[-1] / len(rates)))
 
 
 # -- BLEU / iBLEU -----------------------------------------------------------

@@ -4,27 +4,31 @@ and informal-typing noise.
 Each token of a normalized sentence independently draws one corruption
 category: deletion, substitution, repeated-letter stretching, abbreviation
 replacement, or casual-spelling replacement. A substitution is a uniform
-pick from the spec's pool (``pool_of`` the clean corpus, each word once),
-or the token itself when the pool is empty. The channel is a pure function
-of (sentence, spec, position in corpus), so regenerating a corpus is
-byte-identical under a fixed seed.
+pick from the spec's pool (``pool_of`` the clean corpus, each word once)
+less the token's own word, or the token itself when the pool is empty. The
+channel is a pure function of (sentence, spec, position in corpus), so
+regenerating a corpus is byte-identical under a fixed seed.
 
-Sentence ``i`` draws from ``np.random.default_rng((spec.seed, i))``.
-``corrupt`` runs the scalar path on one sentence: ``_corrupt_tokens``
-calls that Generator once per category draw and once per substitution or
-stretch. ``corrupt_corpus`` and ``calibrate`` instead prepare the corpus
-once (``_Interned``): every word the channel can write as an integer id,
-and every sentence's raw PCG64 outputs in one flat array, stepped for all
-sentences at once on 64-bit limbs (``_raw_blocks``); a sentence over
-``LANE_WORDS`` words gets an empty block, as it never reads one. They run
-the channel over all sentences at once (``_Run``): one set of array ops
-per token position, one lane per sentence, reading the outputs as the
-Generator's ``random`` and ``integers`` would, bit for bit, scored by
-``metrics.edit_distances``. Two kinds of sentence take the scalar path
-instead, which writes their categories and word ids into the same arrays:
-one over ``LANE_WORDS`` words, and one whose draw Lemire's method would
-reject. A pool word must be one ``normalize`` token, so every word the
-channel writes is a token with an id.
+Every draw is a pure function of (seed, sentence i, token j, draw d): the
+SplitMix64 output (Steele, Lea & Flood 2014) at the counter
+``i << 32 | j << 1 | d``, ``mix64(key + (counter + 1) * GAMMA)`` with
+``key`` a hash of the seed, a counter-based stream in the sense of Salmon
+et al. 2011 ("Parallel random numbers: as easy as 1, 2, 3"). Draw 0 picks
+the category from its top 53 bits, a uniform in [0, 1); draw 1 picks a
+substitute, or a stretch of 2 to 5 letters, as ``top32 * range >> 32``,
+with no rejection, so each of the ``range`` values has probability within
+a factor of ``1 +- range / 2**32`` of ``1 / range``.
+``corrupt`` runs that stream on Python ints, one token at a time.
+``corrupt_corpus`` and ``calibrate`` prepare the corpus once
+(``_Interned``): every word the channel can write as an integer id, and
+per token of the whole corpus its category draw and the id each category
+would write there, drawn as flat arrays; none of it depends on the
+probabilities. A pass (``_Run``) is then a few array ops over every token
+at once: a ``searchsorted`` of the uniforms into the category thresholds
+and one gather of the written ids. Only for scoring are those padded into
+the ``metrics.lane_batches`` rows that ``metrics.edit_distances`` reads.
+A pool word must be one ``normalize`` token, so every word the channel
+writes is a token with an id.
 ``calibrate`` scales the destructive probabilities by bisection until a
 corpus hits a target word error rate; every pass runs to its end, and it
 returns the last one, with its noisy tokens, per-category counts and word-id
@@ -33,18 +37,19 @@ rows. With no target it returns the one pass at the spec itself.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
-from itertools import accumulate
+from itertools import accumulate, pairwise
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CalibrationError, ConfigError, check_fields
-from .metrics import (LANE_WORDS, edit_distances, lane_batches, padded,
-                      pooled_and_mean, reference_tokens, word_ids)
+from .metrics import (edit_distances, lane_batches, padded, pooled_and_mean,
+                      reference_tokens, word_ids)
 from .tokenizer import as_tokens, normalize
 
 # Built-in replacement tables mirroring common informal-text mistakes:
@@ -82,6 +87,27 @@ CATEGORIES = ("delete", "substitute", "repeat", "abbreviate", "casual")
 
 WER_TOLERANCE = 0.05   # calibrate stops within this of the target WER
 MAX_BISECTIONS = 30
+
+# SplitMix64's state increment, its output mix's multipliers, and the step
+# from a 53-bit integer to a float in [0, 1)
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+_MASK64 = (1 << 64) - 1
+_DOUBLE_STEP = 2.0 ** -53
+
+
+def _mix64(z):
+    """SplitMix64's output mix of the state ``z``: a Python int below
+    2**64, or a uint64 array."""
+    z = (z ^ z >> 30) * _MIX[0] & _MASK64
+    z = (z ^ z >> 27) * _MIX[1] & _MASK64
+    return z ^ z >> 31
+
+
+def _draw(key: int, counter):
+    """``key``'s stream at ``counter`` (a Python int or a uint64 array):
+    output ``counter + 1`` of SplitMix64 started from the state ``key``."""
+    return _mix64((key + (counter + 1) * _GAMMA) & _MASK64)
 
 
 @dataclass(frozen=True)
@@ -132,6 +158,26 @@ class NoiseSpec:
         adds them, so they are the same floats."""
         return list(accumulate(self.probabilities()))
 
+    @cached_property
+    def _key(self) -> int:
+        """The stream's 64-bit key: from 0, each 64-bit word of the seed,
+        least first, is xored into the key, which then takes one SplitMix64
+        step (add GAMMA, mix); so every seed below 2**64 has its own
+        key."""
+        key, seed = 0, self.seed
+        while True:
+            key = _mix64(((key ^ seed & _MASK64) + _GAMMA) & _MASK64)
+            seed >>= 64
+            if not seed:
+                return key
+
+    def _skip(self, word: str) -> int:
+        """The pool position a substitute of ``word`` passes over: the
+        word's own, when the pool holds it and another word; else the
+        pool's size, past every position."""
+        size = len(self.pool)
+        return self._pool_index.get(word, size) if size > 1 else size
+
 
 def pool_of(sentences) -> tuple[str, ...]:
     """The substitution pool of ``sentences``: their ``normalize`` words,
@@ -139,330 +185,144 @@ def pool_of(sentences) -> tuple[str, ...]:
     return tuple(sorted({w for s in sentences for w in normalize(s)}))
 
 
-# the constants of numpy's SeedSequence hash (``bit_generator.pyx``), whose
-# output NEP 19 keeps stable, and PCG64's 128-bit LCG multiplier
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_POOL_WORDS = 4
-_PCG_MULT = (np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645))
-_DOUBLE_STEP = 2.0 ** -53
-_LOW32 = np.uint64(_MASK32)
-_U32, _U58, _U63 = np.uint64(32), np.uint64(58), np.uint64(63)
-
-
-def _uint32_words(n: int) -> list[int]:
-    """``n`` >= 0 as SeedSequence reads an int: 32-bit words, least first."""
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
-
-def _start_states(spec: NoiseSpec, n: int):
-    """The PCG64 ``state`` and ``inc`` that ``default_rng((spec.seed, i))``
-    starts from, for each sentence index ``i < n``, each as ``(hi, lo)``
-    uint64 arrays: the 128-bit value of lane i is ``hi[i] << 64 | lo[i]``.
-
-    One pass over uint32 vectors, one lane per sentence, runs
-    ``SeedSequence((spec.seed, i)).generate_state(4, np.uint64)``: hash the
-    entropy words ``[seed words..., i]`` into a 4-word pool, mix the pool,
-    hash it out to 8 words. PCG64's set-seed step then runs on the limbs:
-    ``inc = seq << 1 | 1`` and ``state = (inc + seed) * MULT + inc``.
-    """
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x, y):
-        value = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
-        return value ^ (value >> np.uint32(16))
-
-    entropy = [np.full(n, w, dtype=np.uint32) for w in _uint32_words(spec.seed)]
-    entropy.append(np.arange(n, dtype=np.uint32))
-    # a pool word with no entropy word left hashes a zero
-    entropy += [np.zeros(n, dtype=np.uint32)] * (_POOL_WORDS - len(entropy))
-    pool = [hashmix(word) for word in entropy[:_POOL_WORDS]]
-    for src in range(_POOL_WORDS):
-        for dst in range(_POOL_WORDS):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_WORDS:]:
-        for dst in range(_POOL_WORDS):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    hash_const = _INIT_B
-    out = []
-    for i in range(8):
-        value = pool[i % _POOL_WORDS] ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * np.uint32(hash_const)
-        out.append(value ^ (value >> np.uint32(16)))
-    # the 8 words read as 4 little-endian uint64: seed hi, lo, inc hi, lo
-    words = [out[k].astype(np.uint64) | out[k + 1].astype(np.uint64) << _U32
-             for k in range(0, 8, 2)]
-    seed, seq = (words[0], words[1]), (words[2], words[3])
-    inc = (seq[0] << np.uint64(1) | seq[1] >> _U63,
-           seq[1] << np.uint64(1) | np.uint64(1))
-    state = _add128(*_mul128(*_add128(*inc, *seed), *_PCG_MULT), *inc)
-    return state, inc
-
-
-def _mul128(a_hi, a_lo, b_hi, b_lo):
-    """``a * b`` mod 2**128 on ``(hi, lo)`` uint64 limbs. The high limb of
-    ``a_lo * b_lo`` comes from its four 32 x 32-bit products."""
-    a0, a1 = a_lo & _LOW32, a_lo >> _U32
-    b0, b1 = b_lo & _LOW32, b_lo >> _U32
-    # (2**32 - 1)**2 + 2 * (2**32 - 1) < 2**64, so neither sum wraps
-    mid = a1 * b0 + (a0 * b0 >> _U32)
-    cross = (mid & _LOW32) + a0 * b1
-    return (a1 * b1 + (mid >> _U32) + (cross >> _U32)
-            + a_hi * b_lo + a_lo * b_hi, a_lo * b_lo)
-
-
-def _add128(a_hi, a_lo, b_hi, b_lo):
-    """``a + b`` mod 2**128 on ``(hi, lo)`` uint64 limbs."""
-    lo = a_lo + b_lo
-    return a_hi + b_hi + (lo < a_lo), lo
-
-
-def _raw_blocks(state, inc, offsets) -> np.ndarray:
-    """Lane i's first ``offsets[i + 1] - offsets[i]`` PCG64 outputs from
-    the start ``(state, inc)`` (``(hi, lo)`` limb arrays), at
-    ``raw[offsets[i]:offsets[i + 1]]``: what ``random_raw`` draws.
-
-    Output k steps every lane whose block is still open: sorted by block
-    size, largest first, those lanes are a prefix. A step is the LCG
-    ``state * MULT + inc``, and the output is O'Neill's XSL-RR of the new
-    state: ``hi ^ lo`` rotated right by ``hi >> 58``.
-    """
-    sizes = np.diff(offsets)
-    order = np.argsort(-sizes, kind="stable")
-    hi, lo = state[0][order], state[1][order]
-    inc_hi, inc_lo = inc[0][order], inc[1][order]
-    start = offsets[:-1][order]
-    raw = np.empty(offsets[-1], dtype=np.uint64)
-    open_lanes = len(sizes) - np.searchsorted(
-        np.sort(sizes), np.arange(sizes.max(initial=0)), side="right")
-    for k, m in enumerate(open_lanes.tolist()):
-        hi, lo = _add128(*_mul128(hi[:m], lo[:m], *_PCG_MULT),
-                         inc_hi[:m], inc_lo[:m])
-        turn = hi >> _U58
-        mixed = hi ^ lo
-        raw[start[:m] + k] = mixed >> turn | mixed << (-turn & _U63)
-    return raw
-
-
-def _substitute(spec: NoiseSpec, token: str,
-                rng: np.random.Generator) -> str:
-    """A uniform pick from the pool words other than ``token``, or from the
-    whole pool when it holds nothing else. It makes the one
-    ``rng.integers`` draw and returns the word that indexing the list
-    ``[w for w in spec.pool if w != token]`` would, without building it."""
-    k = spec._pool_index.get(token)
-    if k is None or len(spec.pool) == 1:
-        return spec.pool[rng.integers(len(spec.pool))]
-    j = rng.integers(len(spec.pool) - 1)
-    return spec.pool[j + (j >= k)]
-
-
-def _corrupt_tokens(tokens: list[str], spec: NoiseSpec,
-                    rng: np.random.Generator) -> list[tuple[int, str | None]]:
-    """Each token's category and the word it becomes, None if deleted."""
-    out: list[tuple[int, str | None]] = []
-    thresholds = spec._thresholds
-    for token in tokens:
-        category = bisect_right(thresholds, rng.random())
-        word = token
-        if category == 0:  # deletion
-            word = None
-        elif category == 1 and spec.pool:  # substitution
-            word = _substitute(spec, token, rng)
-        elif category == 2:  # repeated-letter stretching
-            word = token + token[-1] * rng.integers(2, 6)
-        elif category == 3:
-            word = ABBREVIATIONS.get(token, token)
-        elif category == 4:
-            word = CASUAL_SPELLINGS.get(token, token)
-        out.append((category, word))
-    return out
-
-
 def corrupt(sentence: str, spec: NoiseSpec, index: int = 0) -> str:
     """Apply the corruption channel to one sentence.
 
-    ``index`` is the sentence's position in its corpus; together with the
-    spec's seed it fully determines the output.
+    ``index`` is the sentence's position in its corpus, in [0, 2**32);
+    together with the spec's seed it fully determines the output. Each
+    token reads its two draws and writes what ``_Interned`` tables for it.
     """
-    pairs = _corrupt_tokens(normalize(sentence), spec,
-                            np.random.default_rng((spec.seed, index)))
-    return " ".join([word for _, word in pairs if word is not None])
+    # as a Python int, as a numpy int would overflow in the counter's
+    # arithmetic
+    index = operator.index(index)
+    if not 0 <= index < 1 << 32:
+        raise ConfigError(
+            f"sentence index must lie in [0, 2**32), got {index}")
+    pool, words = spec.pool, []
+    for j, word in enumerate(normalize(sentence)):
+        counter = index << 32 | j << 1
+        category = bisect_right(spec._thresholds, (
+            _draw(spec._key, counter) >> 11) * _DOUBLE_STEP)
+        top = _draw(spec._key, counter | 1) >> 32
+        if category == 0:  # deletion
+            continue
+        if category == 1 and pool:  # substitution
+            skip = spec._skip(word)
+            pick = top * (len(pool) - (skip < len(pool))) >> 32
+            word = pool[pick + (pick >= skip)]
+        elif category == 2:  # repeated-letter stretching
+            word += word[-1] * (2 + (top * 4 >> 32))
+        elif category == 3:
+            word = ABBREVIATIONS.get(word, word)
+        elif category == 4:
+            word = CASUAL_SPELLINGS.get(word, word)
+        words.append(word)
+    return " ".join(words)
 
 
 # the category a token whose draw falls past every threshold takes: kept
 _KEEP = len(CATEGORIES)
 
 
+def _token_draws(key: int, bounds: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Each token's category draw, as a uniform in [0, 1), and the top 32
+    bits of its second draw, for the sentences between ``bounds``: token j
+    of sentence i at the counters ``i << 32 | j << 1`` and that plus 1."""
+    lengths = np.diff(bounds)
+    first = np.repeat(bounds[:-1], lengths)
+    counter = (np.repeat(np.arange(len(lengths), dtype=np.uint64), lengths)
+               << 32 | (np.arange(len(first)) - first).astype(np.uint64) << 1)
+    return ((_draw(key, counter) >> 11) * _DOUBLE_STEP,
+            _draw(key, counter | 1) >> 32)
+
+
 class _Interned:
     """A corpus, and every word its channel can write, as integer ids, with
-    every sentence's first PCG64 outputs.
+    each token's draws.
 
-    ``words[i]`` is the word of id i, and ``index`` maps it back; the
-    corpus's own words come first, as ids 0..n-1. Per corpus word (a
-    column; column n is a padding lane that writes nothing and draws
-    nothing), ``writes[c]`` is the id category c writes without a draw
-    (-1: none), ``stretched[:, r]`` the word with ``2 + r`` more last
-    letters, ``ranges`` and ``limits`` the range of its substitution or
-    stretch draw and the low products Lemire's method rejects, and
-    ``skip`` the pool position a substitute of it passes over. ``batches``
-    are the corpus's ``lane_batches`` as ``(positions, word ids padded
-    with -1)``. Sentence ``i``'s block, ``raw[offsets[i]:offsets[i + 1]]``,
-    holds the first outputs of ``default_rng((spec.seed, i))``, drawn once;
-    it is empty for a sentence over ``LANE_WORDS`` words, which only the
-    scalar path runs.
-    The tables and outputs depend on the seed and the pool and not on the
-    probabilities, so the scaled specs of one calibration share them.
+    ``words[i]`` is the word of id i, the corpus's own words first;
+    ``flat`` and ``bounds`` are the corpus as ``word_ids`` gives it, and
+    ``batches`` its ``lane_batches`` as ``(positions, word ids padded with
+    -1)``. Per token of ``flat``, ``uniform`` is its category draw and
+    ``choices[c]`` the id category c writes there (-1: none): the
+    substitute and the stretch its second draw picks, as ``corrupt``
+    would, its abbreviation, its casual spelling, or itself. None of it
+    depends on the probabilities, so every pass of one calibration shares
+    it.
     """
 
     def __init__(self, corpus: list[list[str]], spec: NoiseSpec):
         index: dict[str, int] = {}
-        flat, bounds = word_ids(corpus, index)
+        self.flat, self.bounds = word_ids(corpus, index)
         vocab = list(index)
 
-        def intern(word: str) -> int:
-            return index.setdefault(word, len(index))
+        def ids(words) -> np.ndarray:
+            """The id of each of ``words``, a new word taking the next."""
+            return np.fromiter((index.setdefault(w, len(index))
+                                for w in words), np.int64)
 
-        n, size = len(vocab), len(spec.pool)
-        self.tokens = corpus
-        self.pool = np.array([intern(w) for w in spec.pool], dtype=np.int64)
-        own = np.arange(n + 1)
-        own[n] = -1
-        self.writes = np.full((_KEEP + 1, n + 1), -1, dtype=np.int64)
-        self.writes[1] = self.writes[_KEEP] = own
-        self.writes[3, :n] = [intern(ABBREVIATIONS.get(w, w)) for w in vocab]
-        self.writes[4, :n] = [intern(CASUAL_SPELLINGS.get(w, w))
-                              for w in vocab]
-        self.stretched = np.full((n + 1, 4), -1, dtype=np.int64)
-        self.stretched[:n] = np.array(
-            [[intern(w + w[-1] * extra) for extra in range(2, 6)]
-             for w in vocab], dtype=np.int64).reshape(n, 4)
-        # the draw _substitute makes: over the pool less the token's own
-        # word when the pool holds it and more; one value makes no draw
-        at = np.array([spec._pool_index.get(w, size) for w in vocab] + [size],
-                      dtype=np.int64)
-        held = (at < size) & (size > 1)
-        self.skip = np.where(held, at, size)
-        span = np.where(held, size - 1, size).astype(np.uint64)
-        span[n] = 0
-        self.ranges = np.zeros((_KEEP + 1, n + 1), dtype=np.uint64)
-        self.ranges[1], self.ranges[2, :n] = span, 4
-        self.limits = np.zeros_like(self.ranges)
-        self.limits[1] = [(1 << 32) % r if r > 1 else 0
-                          for r in span.tolist()]
-        self.index, self.words = index, list(index)
-        self.batches = [(lanes, padded(flat, bounds, lanes))
-                        for lanes in lane_batches(np.diff(bounds))]
-        # what a sentence reads unless Lemire's method rejects: one output
-        # per token's ``random``, a half per ``integers``
-        self.offsets = [0, *accumulate(
-            len(t) + (len(t) + 1) // 2 if len(t) <= LANE_WORDS else 0
-            for t in corpus)]
-        self.raw = _raw_blocks(*_start_states(spec, len(corpus)),
-                               np.array(self.offsets, dtype=np.int64))
+        flat, size = self.flat, len(spec.pool)
+        self.uniform, top = _token_draws(spec._key, self.bounds)
+        # int32 halves the largest table a dataset holds; no corpus has
+        # 2**31 distinct words
+        choices = self.choices = np.empty((_KEEP + 1, len(flat)),
+                                          dtype=np.int32)
+        choices[0] = -1
+        choices[1] = flat  # an empty pool keeps the word
+        if size:
+            skip = np.fromiter(map(spec._skip, vocab), np.int64)[flat]
+            pick = (top * (size - (skip < size)).astype(np.uint64)
+                    >> 32).astype(np.int64)
+            choices[1] = ids(spec.pool)[pick + (pick >= skip)]
+        # each word's four stretches, in a row
+        stretched = ids(w + w[-1] * extra
+                        for w in vocab for extra in range(2, 6))
+        choices[2] = stretched[4 * flat + (top * 4 >> 32).astype(np.int64)]
+        choices[3] = ids(ABBREVIATIONS.get(w, w) for w in vocab)[flat]
+        choices[4] = ids(CASUAL_SPELLINGS.get(w, w) for w in vocab)[flat]
+        choices[_KEEP] = flat
+        self.words = np.array(list(index), dtype=object)
+        self.batches = [(lanes, padded(flat, self.bounds, lanes))
+                        for lanes in lane_batches(np.diff(self.bounds))]
 
 
 class _Run:
-    """The channel run once over an ``_Interned`` corpus at ``spec``.
+    """The channel run once over an ``_Interned`` corpus at category
+    ``thresholds``: each token's category ``cats``, a ``searchsorted`` of
+    its uniform, and the id it writes ``outs`` (-1: none), a gather from
+    its choices; ``rows`` holds per lane batch its clean rows and the
+    written ids padded into the same layout."""
 
-    A batch runs as one set of array ops per token position j, one lane per
-    sentence: with k the integer draws the sentence has made, its category
-    draw reads output ``j + ceil(k / 2)`` of its block, and a substitution
-    or stretch draw the low half of the next output when k is even, or the
-    high half kept from the last one when k is odd, scaled by Lemire's
-    ``half * n >> 32``. ``batches`` holds each batch's categories and
-    written ids (-1: none). A lane whose draw Lemire's method would reject,
-    and every lane of a batch wider than ``LANE_WORDS``, takes its row
-    from ``_corrupt_tokens`` instead, on its own
-    ``default_rng((spec.seed, i))``.
-    """
+    def __init__(self, corpus: _Interned, thresholds: list[float]):
+        self.corpus = corpus
+        self.cats = np.searchsorted(thresholds, corpus.uniform, side="right")
+        self.outs = corpus.choices[self.cats, np.arange(len(self.cats))]
+        self.rows = [(ids, padded(self.outs, corpus.bounds, lanes))
+                     for lanes, ids in corpus.batches]
 
-    def __init__(self, corpus: _Interned, spec: NoiseSpec):
-        self.corpus, self.spec, self.batches = corpus, spec, []
-        thresholds = np.array(spec._thresholds)
-        offsets = np.array(corpus.offsets[:-1], dtype=np.int64)
-        raw = corpus.raw
-        for lanes, ids in corpus.batches:
-            first = offsets[lanes]
-            drawn = np.zeros(len(lanes), dtype=np.int64)
-            half = np.zeros(len(lanes), dtype=np.uint64)
-            # a batch wider than a lane goes to the scalar path whole
-            wide = ids.shape[1] > LANE_WORDS
-            aside = np.full(len(lanes), wide)
-            cats = np.zeros(ids.shape, dtype=np.int8)
-            outs = np.full(ids.shape, -1, dtype=np.int64)
-            for j in range(0 if wide else ids.shape[1]):
-                token = ids[:, j]
-                at = first + j + (drawn + 1) // 2
-                cat = np.searchsorted(
-                    thresholds, (raw.take(at, mode="clip") >> np.uint64(11))
-                    * _DOUBLE_STEP, side="right")
-                span = corpus.ranges[cat, token]
-                draws = span > 1
-                fresh = (drawn & 1) == 0
-                nxt = raw.take(at + 1, mode="clip")
-                low = np.where(fresh, nxt & np.uint64(_MASK32), half)
-                half = np.where(fresh & draws, nxt >> np.uint64(32), half)
-                scaled = low * span
-                aside |= (scaled & np.uint64(_MASK32)) < \
-                    corpus.limits[cat, token]
-                value = (scaled >> np.uint64(32)).view(np.int64)
-                drawn += draws
-                out = corpus.writes[cat, token]
-                if len(corpus.pool):
-                    pick = value + (value >= corpus.skip[token])
-                    substitutes = (cat == 1) & (token >= 0)
-                    out = np.where(substitutes,
-                                   corpus.pool.take(pick, mode="clip"), out)
-                out = np.where(cat == 2, corpus.stretched[token, value & 3],
-                               out)
-                cats[:, j], outs[:, j] = cat, out
-            for row, i in zip(np.flatnonzero(aside).tolist(),
-                              lanes[aside].tolist()):
-                pairs = _corrupt_tokens(corpus.tokens[i], spec,
-                                        np.random.default_rng((spec.seed, i)))
-                cats[row, :len(pairs)] = [c for c, _ in pairs]
-                outs[row, :len(pairs)] = [-1 if w is None else corpus.index[w]
-                                          for _, w in pairs]
-            self.batches.append((cats, outs))
-
-    def distances(self) -> list[int]:
+    def distances(self) -> np.ndarray:
         """Each sentence's word edit distance from its clean tokens."""
         corpus = self.corpus
-        distances = np.zeros(len(corpus.tokens), dtype=np.int64)
-        for (lanes, ids), (_, outs) in zip(corpus.batches, self.batches):
+        distances = np.zeros(len(corpus.bounds) - 1, dtype=np.int64)
+        for (lanes, _), (ids, outs) in zip(corpus.batches, self.rows):
             distances[lanes] = edit_distances(ids, outs)
-        return distances.tolist()
+        return distances
 
     def written(self) -> tuple[list[list[str]], dict[str, int]]:
         """Each noisy sentence's tokens, and per category the tokens that
         drew it and the tokens it changed."""
-        corpus, words = self.corpus, self.corpus.words
-        tokens: list = [None] * len(corpus.tokens)
-        draws = np.zeros(_KEEP + 1, dtype=np.int64)
-        changed = np.zeros(_KEEP + 1, dtype=np.int64)
-        for (lanes, ids), (cats, outs) in zip(corpus.batches, self.batches):
-            live = ids >= 0
-            draws += np.bincount(cats[live], minlength=_KEEP + 1)
-            changed += np.bincount(cats[live & (outs != ids)],
-                                   minlength=_KEEP + 1)
-            for i, row in zip(lanes.tolist(), outs.tolist()):
-                tokens[i] = [words[o] for o in row if o >= 0]
-        counts = {"tokens": int(draws.sum())}
+        corpus = self.corpus
+        kept = self.outs >= 0
+        words = corpus.words[self.outs[kept]].tolist()
+        ends = np.zeros(len(kept) + 1, dtype=np.int64)
+        np.cumsum(kept, out=ends[1:])
+        tokens = [words[a:b]
+                  for a, b in pairwise(ends[corpus.bounds].tolist())]
+        draws = np.bincount(self.cats, minlength=_KEEP + 1)
+        changed = np.bincount(self.cats[self.outs != corpus.flat],
+                              minlength=_KEEP + 1)
+        counts = {"tokens": len(self.cats)}
         for name, n, m in zip(CATEGORIES, draws.tolist(), changed.tolist()):
             counts[f"{name}_draws"], counts[f"{name}_changed"] = n, m
         return tokens, counts
@@ -474,14 +334,16 @@ def corrupt_corpus(sentences: list[str | list[str]],
     sentence may be given as its ``normalize`` tokens."""
     corpus = [as_tokens(s) for s in sentences]
     return [" ".join(tokens) for tokens in
-            _Run(_Interned(corpus, spec), spec).written()[0]]
+            _Run(_Interned(corpus, spec), spec._thresholds).written()[0]]
 
 
-def _scaled(spec: NoiseSpec, scale: float) -> NoiseSpec:
-    return replace(spec,
-                   p_delete=min(spec.p_delete * scale, 1.0),
-                   p_substitute=min(spec.p_substitute * scale, 1.0),
-                   target_wer=None)
+def _scaled(probabilities: tuple[float, ...],
+            scale: float) -> tuple[float, ...]:
+    """``probabilities`` with deletion's and substitution's times
+    ``scale``, capped at 1."""
+    p_delete, p_substitute, *rest = probabilities
+    return (min(p_delete * scale, 1.0), min(p_substitute * scale, 1.0),
+            *rest)
 
 
 class ChannelPass(NamedTuple):
@@ -498,19 +360,18 @@ class ChannelPass(NamedTuple):
     rows: list[tuple[np.ndarray, np.ndarray]]
 
 
-def _calibration_pass(corpus: _Interned,
-                      spec: NoiseSpec) -> tuple[_Run, tuple[float, float]]:
-    """Corrupt and score ``corpus`` at ``spec``: the run and its
-    ``(pooled, mean)`` WER."""
-    run = _Run(corpus, spec)
-    return run, pooled_and_mean(corpus.tokens, run.distances())
+def _calibration_pass(corpus: _Interned, thresholds: list[float]
+                      ) -> tuple[_Run, tuple[float, float]]:
+    """Corrupt and score ``corpus`` at the category ``thresholds``: the run
+    and its ``(pooled, mean)`` WER."""
+    run = _Run(corpus, thresholds)
+    return run, pooled_and_mean(np.diff(corpus.bounds), run.distances())
 
 
-def _passed(run: _Run, wer: tuple[float, float]) -> ChannelPass:
+def _passed(spec: NoiseSpec, run: _Run,
+            wer: tuple[float, float]) -> ChannelPass:
     tokens, counts = run.written()
-    return ChannelPass(run.spec, tokens, wer, counts,
-                       [(ids, outs) for (_, ids), (_, outs)
-                        in zip(run.corpus.batches, run.batches)])
+    return ChannelPass(spec, tokens, wer, counts, run.rows)
 
 
 def calibrate(corpus: list[str | list[str]], spec: NoiseSpec) -> ChannelPass:
@@ -519,37 +380,43 @@ def calibrate(corpus: list[str | list[str]], spec: NoiseSpec) -> ChannelPass:
     in at most ``MAX_BISECTIONS`` passes after the first, and return the
     last pass with its spec, so the caller need not repeat it. With no
     target, the one pass at ``spec``: what ``corrupt_corpus`` and
-    ``corpus_wer`` give, with the category counts."""
+    ``corpus_wer`` give, with the category counts. A pass runs at the
+    scaled thresholds; only the returned pass's spec is built."""
     corpus = reference_tokens([as_tokens(s) for s in corpus])
-    # the scaled specs keep spec.seed and spec.pool, so every pass reads
-    # these streams and these tables
+    # every pass keeps spec.seed and spec.pool, so it reads these draws and
+    # these tables
     run_pass = partial(_calibration_pass, _Interned(corpus, spec))
     target = spec.target_wer
     if target is None:
-        return _passed(*run_pass(spec))
+        return _passed(spec, *run_pass(spec._thresholds))
 
+    probabilities = spec.probabilities()
     other = spec.p_repeat + spec.p_abbreviate + spec.p_casual
     if spec.p_delete == 0 and spec.p_substitute == 0:
         # nothing to scale; split what the other categories leave evenly
         start = min(0.25, (1.0 - other) / 2.0)
         if start <= 0:
-            raise CalibrationError(target, run_pass(spec)[1][0])
-        spec = replace(spec, p_delete=start, p_substitute=start)
+            raise CalibrationError(target, run_pass(spec._thresholds)[1][0])
+        probabilities = (start, start, *probabilities[2:])
+    p_delete, p_substitute = probabilities[:2]
     # largest scale keeping every probability valid and the category mass <= 1
-    destructive = spec.p_delete + spec.p_substitute
-    hi_scale = min(1.0 / max(spec.p_delete, spec.p_substitute),
+    destructive = p_delete + p_substitute
+    hi_scale = min(1.0 / max(p_delete, p_substitute),
                    (1.0 - other) / destructive)
     lo, hi = 0.0, hi_scale
-    best = run_pass(_scaled(spec, hi))[1][0]
+    best = run_pass(list(accumulate(_scaled(probabilities, hi))))[1][0]
     if best < target - WER_TOLERANCE:
         raise CalibrationError(target, best)
     for _ in range(MAX_BISECTIONS):
         mid = (lo + hi) / 2.0
-        run, wer = run_pass(_scaled(spec, mid))
+        scaled = _scaled(probabilities, mid)
+        run, wer = run_pass(list(accumulate(scaled)))
         if abs(wer[0] - target) < abs(best - target):
             best = wer[0]
         if abs(wer[0] - target) <= WER_TOLERANCE:
-            return _passed(run, wer)
+            return _passed(replace(spec, p_delete=scaled[0],
+                                   p_substitute=scaled[1], target_wer=None),
+                           run, wer)
         if wer[0] < target:
             lo = mid
         else:

@@ -204,7 +204,7 @@ class TestMakeDataset:
 
     def test_each_calibration_pass_corrupts_and_scores_once(
             self, tmp_path, monkeypatch):
-        events, specs = [], []
+        events, thresholds = [], []
 
         def spy(module, name):
             original = getattr(module, name)
@@ -212,7 +212,7 @@ class TestMakeDataset:
             def wrapper(*args, **kwargs):
                 events.append(name)
                 if name == "_calibration_pass":
-                    specs.append(args[1])
+                    thresholds.append(args[1])
                 return original(*args, **kwargs)
             monkeypatch.setattr(module, name, wrapper)
 
@@ -240,13 +240,14 @@ class TestMakeDataset:
 
         monkeypatch.setattr(data, "calibrate", calibrate_spy)
         train, test, manifest = self.make(tmp_path)
-        passes = len(specs)
+        passes = len(thresholds)
         assert passes >= 3
         assert events == (["calibrate"] + ["_calibration_pass"] * passes
                           + ["returned"])
-        # every pass tries a new scale; the last one is the written spec
-        assert len({(s.p_delete, s.p_substitute) for s in specs}) == passes
-        assert specs[-1].p_delete == manifest["p_delete"]
+        # every pass tries a new scale; the last one is the written spec,
+        # whose first threshold is its deletion probability
+        assert len({tuple(t[:2]) for t in thresholds}) == passes
+        assert thresholds[-1][0] == manifest["p_delete"]
         channel = config_lines(tmp_path / "channel.txt")
         assert channel["emptied_written_clean"][1] == "0"
         assert interned == ["_Interned"]

@@ -54,20 +54,20 @@ def all_kinds_spec(**extra) -> NoiseSpec:
 
 DATASET_DIGESTS = {
     "fixed": {
-        "train.tsv": "cbe00b8501312b3d1c5d9fd655704f6225f6a14ddb6eef6235ebd2f314d17ab6",
-        "test.tsv": "7407802f501c1873ee2a485177a8b95c18da7b31be4572eb39135145e89b6033",
-        "manifest.txt": "81a89017248d940c9a9e68e55cce0d02ae3f5ec3a7fac9e01fa92fc8f0aabef5",
+        "train.tsv": "e1702346db05a4cb5cfd4f1a47cb56e4cd1cd216a0a1db0cc6f009f0e8798fd5",
+        "test.tsv": "c9ca656d0bfc8405a96ef1ebed9a2c102d22aef87813926e193404f90000e2d6",
+        "manifest.txt": "f84e7acaae573618e5ef98fc5ee24b2bd2e56162aec07724f872481946e5a065",
     },
     "target": {
-        "train.tsv": "69815c52aec5c3978b01fbece0f2cf6cf7e7c20daa44ca47f95f61392d56aa84",
-        "test.tsv": "7fd19863af3b1a9efae4c53a8d9c5b9b9753a058a3baa43ef6552215269b3e4d",
-        "manifest.txt": "6380b22ce995ee6467ed2b07b66fc38f66fae9578d29bf57c10c794d7048c76a",
+        "train.tsv": "8574911870ea521da62bf15083445b299a22d65d785ed3b2ec4b34cc8cddb7e8",
+        "test.tsv": "46d154be4c011f55be4bf48f189cd019dcb3201bb9101a665cde23bed84d485f",
+        "manifest.txt": "efbffc03acb028321535fe3cea2715dba50ea02e2dc67a67f5f431af9a702b76",
     },
     # the prepare benchmark workload's dataset at seed 101
     "prepare": {
-        "train.tsv": "5c27c81ed67100d2a515191e459f00a06c1c8ba5f6f0909248438062b12aa763",
-        "test.tsv": "965dc82f1ab4e67948e4ebbe383b1e3c5932ed90769b4dc7c3e0414899b63dfb",
-        "manifest.txt": "e870b5fc1ba4ba77813d2b11ec48fa38ba04908fe03ad4a3ebbe65ed3339f046",
+        "train.tsv": "5bdfd20ff611f5237a8f0c73f2cf0034644432cb8b6453c73cf6849b1aa1b5cf",
+        "test.tsv": "750a7f262545aab40e82e94a7443f6450015c989b0258e09121aab4c771889de",
+        "manifest.txt": "9334b1c9484ff59e837255b842ddd4df9430a0e2f3c630c083f89d3a5d3d530f",
     },
 }
 
@@ -113,7 +113,7 @@ CORPUS_DIGESTS = {
     "empty_pool": (
         NoiseSpec(p_delete=0.1, p_substitute=0.4, p_repeat=0.1,
                   p_abbreviate=0.1, p_casual=0.1, seed=6),
-        "7ef9847c951603e38488f3c07867beb02f2c491adad34c9c3011ba202d2ec7c0"),
+        "4f8c1fe18a91e902696b96cfbc836ebd36b6766c33ab7d49fc509f468684f1be"),
 }
 
 

@@ -4,7 +4,9 @@ arithmetic."""
 
 import itertools
 import math
+import operator
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -145,7 +147,20 @@ class TestEditDistances:
         hyps = [list(rng.choice(words, size=n))
                 for n in (length - 1, 70, length + 2, 64, 0)]
         assert corpus_wer(refs, hyps) == pooled_and_mean(
-            refs, [dp_edit_distance(r, h) for r, h in zip(refs, hyps)])
+            list(map(len, refs)),
+            [dp_edit_distance(r, h) for r, h in zip(refs, hyps)])
+
+    @pytest.mark.parametrize("lengths,distances", [
+        ([10] * 10, [1] * 10), ([3, 7, 10, 3, 9] * 40, [1, 2, 3, 2, 8] * 40)])
+    def test_the_mean_sums_the_rates_left_to_right(self, lengths, distances):
+        # a compensated sum (math.fsum, or sum() from Python 3.12 on) gives
+        # another float on these rates; the manifest's mean must not
+        # depend on the interpreter
+        rates = [d / n for d, n in zip(distances, lengths)]
+        left_to_right = reduce(operator.add, rates, 0.0) / len(rates)
+        assert math.fsum(rates) / len(rates) != left_to_right
+        assert pooled_and_mean(lengths, distances) == (
+            sum(distances) / sum(lengths), left_to_right)
 
     def test_word_ids_number_new_words_in_order(self):
         index = {"b": 0}

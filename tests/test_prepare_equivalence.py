@@ -1,11 +1,12 @@
-"""The fast paths of ``prepare`` against the code they replace: ``bleu``
-counting n-grams as sorted integer keys, of sentences or of word-id rows,
-against one ``Counter`` per sentence and order, the channel run over a
-whole corpus as array ops per token position against the channel driven
-by one fresh ``default_rng`` per sentence, the start states computed in
-one vectorized pass against ``default_rng``, the clean corpus normalized
-once per dataset, and ``calibrate``'s array passes against a bisection
-whose passes corrupt and score one sentence at a time."""
+"""The fast paths of ``prepare`` against the code they replace, or against
+a definition written out on its own: ``bleu`` counting n-grams as sorted
+integer keys, of sentences or of word-id rows, against one ``Counter`` per
+sentence and order; the channel's draws against SplitMix64 stepped one
+output at a time; the channel run over a whole corpus as array ops over
+every token against the channel written out one token at a time; the
+clean corpus normalized once per dataset; and ``calibrate``'s array passes
+against a bisection whose passes corrupt and score one sentence at a
+time."""
 
 import hashlib
 import math
@@ -13,7 +14,6 @@ import tracemalloc
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import replace
-from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -22,8 +22,8 @@ from denoiseclf import data, metrics, noise, tokenizer
 from denoiseclf.data import make_dataset, split_corpus, synthetic_corpus
 from denoiseclf.metrics import bleu, corpus_wer
 from denoiseclf.errors import CalibrationError, ConfigError, DataError
-from denoiseclf.noise import (NoiseSpec, _start_states, calibrate, corrupt,
-                              corrupt_corpus, pool_of)
+from denoiseclf.noise import (NoiseSpec, calibrate, corrupt, corrupt_corpus,
+                              pool_of)
 from denoiseclf.tokenizer import normalize
 
 
@@ -241,8 +241,8 @@ SPECS = {
         p_casual=0.1, pool=WORDS, seed=8),
     "empty-pool": NoiseSpec(p_delete=0.2, p_substitute=0.5, p_repeat=0.2,
                             seed=11),
-    # a pool of one word, or of two where a token is one of them, makes
-    # no draw
+    # a pool of one word, or of two where a token is one of them, leaves
+    # a substitute one choice
     "one-word-pool": NoiseSpec(p_substitute=0.6, p_repeat=0.2,
                                pool=("cat",), seed=12),
     "two-word-pool": NoiseSpec(p_substitute=0.6, p_casual=0.2,
@@ -250,24 +250,63 @@ SPECS = {
 }
 
 
+# SplitMix64 as Steele, Lea and Flood give it, written out here on its own
+_GAMMA, _MASK64 = 0x9E3779B97F4A7C15, (1 << 64) - 1
+
+
+class SplitMix64:
+    """The sequential generator: each output adds GAMMA to the state and
+    mixes the new state."""
+
+    def __init__(self, state):
+        self.state = state & _MASK64
+
+    def next(self):
+        self.state = (self.state + _GAMMA) & _MASK64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
+
+
+def stream_key(seed):
+    """The channel's key of ``seed``: its 64-bit words, least first, each
+    xored into the key so far and taken through one generator step."""
+    key = 0
+    while True:
+        key = SplitMix64(key ^ (seed & _MASK64)).next()
+        seed >>= 64
+        if not seed:
+            return key
+
+
+def reference_draw(seed, counter):
+    """The generator started at the seed's key, jumped ``counter`` steps,
+    and stepped once more."""
+    return SplitMix64(stream_key(seed) + counter * _GAMMA).next()
+
+
 def reference_channel(sentence, spec, index=0):
-    """The channel as it was written before: one fresh
-    ``default_rng((spec.seed, index))`` per sentence, called once per
-    category draw and once per substitution or stretch. Each token's
-    category and the word it became, None if deleted."""
-    rng = np.random.default_rng((spec.seed, index))
+    """The channel written out from its definition: token j of sentence
+    ``index`` reads draws ``index << 32 | j << 1`` (its category, 53 bits
+    as a uniform) and that counter + 1 (a pick from the top 32 bits), and
+    a substitute indexes the list of pool words other than the token. Each
+    token's category and the word it became, None if deleted."""
     thresholds = np.cumsum(spec.probabilities()).tolist()
     out = []
-    for token in normalize(sentence):
-        category = bisect_right(thresholds, rng.random())
+    for j, token in enumerate(normalize(sentence)):
+        counter = index << 32 | j << 1
+        uniform = (reference_draw(spec.seed, counter) >> 11) / 2 ** 53
+        top = reference_draw(spec.seed, counter + 1) >> 32
+        category = bisect_right(thresholds, uniform)
         word = token
         if category == 0:
             word = None
         elif category == 1 and spec.pool:
             choices = [w for w in spec.pool if w != token] or list(spec.pool)
-            word = choices[int(rng.integers(len(choices)))]
+            word = choices[top * len(choices) >> 32]
         elif category == 2:
-            word = token + token[-1] * int(rng.integers(2, 6))
+            word = token + token[-1] * (2 + (top * 4 >> 32))
         elif category == 3:
             word = noise.ABBREVIATIONS.get(token, token)
         elif category == 4:
@@ -300,7 +339,7 @@ def reference_corrupt(sentence, spec, index=0):
 
 def _corpus(seed):
     """Random sentences with empty ones, punctuation, and two over
-    ``LANE_WORDS`` words, which take the scalar path."""
+    ``LANE_WORDS`` words, which are scored in batches of their own."""
     rng = np.random.default_rng(seed)
     corpus = random_corpus(rng, 40, 0, 12) + ["?!", "", "... the cat"]
     corpus[7] = " ".join(["the cat sat"] * 30)
@@ -308,73 +347,62 @@ def _corpus(seed):
     return corpus
 
 
+SEEDS = [0, 7, 101, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 3, 2**128 + 9]
+
+
+class TestStream:
+    """The draws against SplitMix64 written out on its own."""
+
+    def test_the_generator_gives_the_published_outputs(self):
+        # the first outputs of the C reference seeded with 1234567
+        gen = SplitMix64(1234567)
+        assert [gen.next() for _ in range(5)] == [
+            6457827717110365317, 3203168211198807973, 9817491932198370423,
+            4593380528125082431, 16408922859458223821]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_a_draw_is_the_generator_stepped_to_its_counter(self, seed):
+        key = NoiseSpec(seed=seed)._key
+        assert key == stream_key(seed)
+        gen = SplitMix64(key)
+        stepped = [gen.next() for _ in range(300)]
+        counters = np.arange(300, dtype=np.uint64)
+        assert [noise._draw(key, c) for c in range(300)] == stepped
+        assert noise._draw(key, counters).tolist() == stepped
+        # the last counter of the layout: sentence 2**32 - 1, token
+        # 2**31 - 1, draw 1
+        assert noise._draw(key, _MASK64) == reference_draw(seed, _MASK64)
+
+    def test_seeds_below_2_64_have_their_own_keys(self):
+        seeds = set(SEEDS[:6]) | set(range(1, 200))
+        assert len({NoiseSpec(seed=s)._key for s in seeds}) == len(seeds)
+        # a seed's higher words count
+        assert NoiseSpec(seed=3)._key != NoiseSpec(seed=2**64 + 3)._key
+
+
 class TestCorruptCorpusReplay:
     @pytest.mark.parametrize("name", sorted(SPECS))
-    def test_matches_one_fresh_generator_per_sentence(self, name):
+    def test_matches_the_reference_channel(self, name):
         spec = SPECS[name]
         corpus = _corpus(21)
         want = [reference_corrupt(s, spec, i) for i, s in enumerate(corpus)]
         assert [corrupt(s, spec, i) for i, s in enumerate(corpus)] == want
         assert corrupt_corpus(corpus, spec) == want
-        # the streams and tables depend only on the seed and the pool, so
-        # a rescaled spec runs on them
+        # the draws and tables depend only on the seed and the pool, so a
+        # pass at rescaled thresholds runs on them
         tokens = [normalize(s) for s in corpus]
-        scaled = noise._scaled(spec, 0.5)
-        run = noise._Run(noise._Interned(tokens, spec), scaled)
+        scaled = replace(spec, p_delete=spec.p_delete / 2,
+                         p_substitute=spec.p_substitute / 2)
+        run = noise._Run(noise._Interned(tokens, spec), scaled._thresholds)
         assert _joined(run.written()[0]) == corrupt_corpus(corpus, scaled) \
             == [reference_corrupt(s, scaled, i) for i, s in enumerate(corpus)]
-
-    def test_blocks_hold_one_output_per_token_and_half_per_integer(self):
-        tokens = [["a"] * n for n in (0, 1, 2, 7)]
-        blocks = noise._Interned(tokens, NoiseSpec(seed=4))
-        assert blocks.offsets == [0, 0, 2, 5, 16]
-        assert blocks.raw.dtype == np.uint64
-        for i, (a, b) in enumerate(zip(blocks.offsets, blocks.offsets[1:])):
-            pcg = np.random.default_rng((4, i)).bit_generator
-            assert blocks.raw[a:b].tolist() == \
-                pcg.random_raw(b - a).tolist()
-
-    @pytest.mark.parametrize("word", ["cat", "the"])
-    def test_a_rejected_substitution_takes_the_scalar_path(
-            self, monkeypatch, word):
-        # Lemire's method rejects a low product below 2**32 % n, under
-        # 1e-8 per draw here; a limit of 2**32 rejects every draw, so each
-        # sentence that substitutes ``word`` takes its row from the scalar
-        # path, categories included. A skip of 0 makes the lanes' own
-        # substitute for ``word`` wrong, so only that row is right.
-        spec = SPECS["all-five"]
-        corpus = random_corpus(np.random.default_rng(23), 40, 0, 12)
-        tokens = [normalize(s) for s in corpus]
-        interned = noise._Interned(tokens, spec)
-        interned.limits[1, interned.words.index(word)] = 2**32
-        interned.skip[interned.words.index(word)] = 0
-        rejected = [i for i, sentence in enumerate(corpus)
-                    if any(c == 1 and t == word for (c, _), t in zip(
-                        reference_channel(sentence, spec, i), tokens[i]))]
-        assert 0 < len(rejected) < len(corpus)
-        scalar = _counting(monkeypatch, noise, "_corrupt_tokens")
-        run = noise._Run(interned, spec)
-        assert [args[0] for args in scalar] == [tokens[i] for i in rejected]
-        noisy, counts = run.written()
-        assert _joined(noisy) == [reference_corrupt(s, spec, i)
-                                  for i, s in enumerate(corpus)]
-        assert counts == reference_counts(corpus, spec)
 
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_counts_are_the_reference_channel_counts(self, name):
         spec = SPECS[name]
         corpus = [s for s in _corpus(22) if normalize(s)]
-        draws, changed = Counter(), Counter()
-        for i, sentence in enumerate(corpus):
-            pairs = reference_channel(sentence, spec, i)
-            draws.update(c for c, _ in pairs)
-            changed.update(c for (c, w), t in zip(pairs, normalize(sentence))
-                           if w != t)
-        assert calibrate(corpus, spec).counts == {
-            "tokens": sum(draws.values())} | {
-            f"{name}_{kind}": counter[c]
-            for c, name in enumerate(noise.CATEGORIES)
-            for kind, counter in (("draws", draws), ("changed", changed))}
+        assert calibrate(corpus, spec).counts == reference_counts(corpus,
+                                                                  spec)
 
 
 def _joined(tokens):
@@ -382,155 +410,107 @@ def _joined(tokens):
     return [" ".join(t) for t in tokens]
 
 
-def _lane_run(monkeypatch, corpus, spec):
-    """The noisy sentences of the lane pass over ``corpus``, once no
-    sentence of it has taken the scalar path, and every sentence as the
-    reference channel writes it."""
-    tokens = [normalize(s) for s in corpus]
-    with monkeypatch.context() as patch:
-        scalar = _counting(patch, noise, "_corrupt_tokens")
-        run = noise._Run(noise._Interned(tokens, spec), spec)
-    assert scalar == []
-    return (_joined(run.written()[0]),
-            [reference_corrupt(s, spec, i) for i, s in enumerate(corpus)])
+class TestChannel:
+    """What the stream gives the channel, on random corpora."""
 
-
-class TestLaneDraws:
-    """The lane pass reads each substitution and stretch draw as
-    ``np.random.Generator.integers`` does, over every range a pool gives,
-    from the low half of an output or the high half kept from the one
-    before, and leaves no sentence to the scalar path."""
-
-    @pytest.mark.parametrize("seed", [0, 17, 101])
-    @pytest.mark.parametrize("size", [2, 3, 4, 7, 45, 300])
-    def test_each_pool_size_matches_the_generator(self, monkeypatch, size,
-                                                  seed):
-        # a token in the pool draws over the size - 1 other words, one
-        # outside it over all of them; stretches between substitutions
-        # move a sentence's next draw between halves
+    @pytest.mark.parametrize("size", [0, 1, 2, 3, 45, 300])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_corrupt_is_corrupt_corpus(self, seed, size):
+        # sentences up to 90 words, some from the pool, so a token in the
+        # pool picks among the others and one outside it among them all
         pool = tuple(f"w{i}" for i in range(size))
-        spec = NoiseSpec(p_substitute=0.5, p_repeat=0.3, pool=pool,
+        spec = NoiseSpec(p_delete=0.1, p_substitute=0.4, p_repeat=0.2,
+                         p_abbreviate=0.1, p_casual=0.1, pool=pool,
                          seed=seed)
-        corpus = random_corpus(np.random.default_rng(size), 40, 0,
-                               noise.LANE_WORDS, WORDS + pool[:3])
-        noisy, want = _lane_run(monkeypatch, corpus, spec)
-        assert noisy == want
-        assert [corrupt(s, spec, i) for i, s in enumerate(corpus)] == want
-        drawn = Counter((c, t in pool) for i, s in enumerate(corpus)
-                        for (c, _), t in zip(reference_channel(s, spec, i),
-                                             normalize(s)))
-        assert {(1, True), (1, False), (2, True), (2, False)} <= set(drawn)
+        rng = np.random.default_rng(size)
+        corpus = random_corpus(rng, 30, 0, 90, CALIBRATION_WORDS + pool[:3])
+        assert max(len(s.split()) for s in corpus) > metrics.LANE_WORDS
+        want = [corrupt(s, spec, i) for i, s in enumerate(corpus)]
+        assert corrupt_corpus(corpus, spec) == want
+        assert want[:3] == [reference_corrupt(s, spec, i)
+                            for i, s in enumerate(corpus[:3])]
 
-    @pytest.mark.parametrize("seed", [0, 17, 101])
-    def test_stretches_in_either_half_match_the_generator(self, monkeypatch,
-                                                          seed):
-        # every token stretches, so token j of a sentence draws from the
-        # low half of an output when j is even and the high half when odd
+    @pytest.mark.parametrize("seed", [0, 2**128 + 9])
+    def test_a_sentence_depends_on_seed_index_and_tokens_alone(self, seed):
+        spec = replace(SPECS["all-five"], seed=seed)
+        rng = np.random.default_rng(9)
+        corpus = random_corpus(rng, 40, 1, 70)
+        other = random_corpus(rng, 40, 1, 70)
+        mixed = [a if i % 3 else b
+                 for i, (a, b) in enumerate(zip(corpus, other))]
+        shared = [i for i in range(40) if i % 3]
+        assert [corrupt_corpus(corpus, spec)[i] for i in shared] == \
+            [corrupt_corpus(mixed, spec)[i] for i in shared] == \
+            [corrupt(corpus[i], spec, i) for i in shared]
+        # the shorter corpus holds the same first sentences
+        assert corrupt_corpus(corpus[:5], spec) == \
+            corrupt_corpus(corpus, spec)[:5]
+
+    @pytest.mark.parametrize("seed", [1, 2**64 + 3])
+    def test_each_category_is_drawn_at_its_probability(self, seed):
+        # 24000 tokens; a count of n draws at probability p lies within
+        # 5 standard deviations, sqrt(n p (1 - p)), of n p, which a correct
+        # stream misses about once in 1.7 million
+        spec = NoiseSpec(p_delete=0.1, p_substitute=0.25, p_repeat=0.15,
+                         p_abbreviate=0.05, p_casual=0.3, pool=WORDS,
+                         seed=seed)
+        corpus = random_corpus(np.random.default_rng(seed), 3000, 8, 8)
+        counts = calibrate(corpus, spec).counts
+        n = counts["tokens"]
+        assert n == 24000
+        drawn = [counts[f"{name}_draws"] for name in noise.CATEGORIES]
+        kept = 1.0 - sum(spec.probabilities())
+        for count, p in zip(drawn + [n - sum(drawn)],
+                            spec.probabilities() + (kept,)):
+            assert abs(count - n * p) <= 5 * math.sqrt(n * p * (1 - p))
+
+    @pytest.mark.parametrize("size", [2, 3, 7, 45, 300])
+    def test_a_substitute_is_never_the_word_it_replaces(self, size):
+        # every token is a pool word, and every pool word appears
+        pool = tuple(f"w{i}" for i in range(size))
+        spec = NoiseSpec(p_substitute=1.0, pool=pool, seed=size)
+        corpus = [" ".join(pool)] * 3 + random_corpus(
+            np.random.default_rng(size), 30, 1, 70, pool)
+        noisy = corrupt_corpus(corpus, spec)
+        pairs = [(t, w) for clean, out in zip(corpus, noisy)
+                 for t, w in zip(clean.split(), out.split(), strict=True)]
+        assert all(t != w for t, w in pairs)
+        if size <= 7:  # and a word's substitutes are all the others
+            assert {w for t, w in pairs if t == "w0"} == set(pool[1:])
+
+    def test_a_pool_of_the_word_alone_keeps_it(self):
+        spec = NoiseSpec(p_substitute=1.0, pool=("cat",), seed=4)
+        assert corrupt_corpus(["the cat sat"], spec) == ["cat cat cat"]
+
+    @pytest.mark.parametrize("seed", [0, 17])
+    def test_stretches_add_two_to_five_letters(self, seed):
         spec = NoiseSpec(p_repeat=1.0, seed=seed)
-        corpus = random_corpus(np.random.default_rng(seed), 40, 0,
-                               noise.LANE_WORDS)
-        noisy, want = _lane_run(monkeypatch, corpus, spec)
-        assert noisy == want
-        extra = {len(w) - len(t) for clean, noisy in zip(corpus, want)
-                 for t, w in zip(normalize(clean), noisy.split())}
-        assert extra == {2, 3, 4, 5}
+        corpus = random_corpus(np.random.default_rng(seed), 40, 1, 12)
+        noisy = corrupt_corpus(corpus, spec)
+        extra = Counter(len(w) - len(t) for clean, out in zip(corpus, noisy)
+                        for t, w in zip(clean.split(), out.split()))
+        assert set(extra) == {2, 3, 4, 5}
 
+    @pytest.mark.parametrize("index", [-1, 2**32, 2**40])
+    def test_an_index_outside_32_bits_is_refused(self, index):
+        # 2**32 would share sentence 0's counters
+        with pytest.raises(ConfigError, match=(
+                r"^sentence index must lie in \[0, 2\*\*32\), "
+                rf"got {index}$")):
+            corrupt("the cat sat", SPECS["all-five"], index)
 
-def _wide(limbs):
-    """Each lane's 128-bit value of ``(hi, lo)`` uint64 limb arrays."""
-    hi, lo = limbs
-    return [h << 64 | l for h, l in zip(hi.tolist(), lo.tolist())]
+    def test_the_last_32_bit_index_is_taken(self):
+        spec = SPECS["all-five"]
+        assert corrupt("the cat sat", spec, 2**32 - 1) == \
+            reference_corrupt("the cat sat", spec, 2**32 - 1)
 
-
-class TestStartStates:
-    @pytest.mark.parametrize("n", [0, 1, 600])
-    @pytest.mark.parametrize("seed", [0, 7, 101, 2**32 - 1, 2**32,
-                                      2**64 + 3, 2**128 + 9])
-    def test_match_default_rng(self, seed, n):
-        want = [np.random.default_rng((seed, i)).bit_generator.state["state"]
-                for i in range(n)]
-        state, inc = _start_states(NoiseSpec(seed=seed), n)
-        assert _wide(state) == [pcg["state"] for pcg in want]
-        assert _wide(inc) == [pcg["inc"] for pcg in want]
-
-    def test_negative_seed_is_refused(self):
-        # numpy refuses it, and the spec refuses it before any stream starts
-        with pytest.raises(ValueError):
-            np.random.default_rng((-1, 0))
-        with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
-            NoiseSpec(seed=-1)
-
-
-_MASK64, _MASK128 = (1 << 64) - 1, (1 << 128) - 1
-# 0, 1 and the limb boundaries, and values whose low halves carry into the
-# high half when added or multiplied
-_EDGES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**64 + 1,
-          2**96 - 1, 2**127, 2**128 - 1, 2**128 - 2**64, (2**64 - 1) << 32,
-          0x2360ED051FC65DA44385DF649FCCF645]
-
-
-def _limbs(values):
-    return (np.array([v >> 64 for v in values], dtype=np.uint64),
-            np.array([v & _MASK64 for v in values], dtype=np.uint64))
-
-
-def _operand_pairs(seed):
-    """Every pair of edge values, then seeded random 128-bit pairs."""
-    rng = np.random.default_rng(seed)
-    drawn = [int(hi) << 64 | int(lo) for hi, lo in
-             rng.integers(0, 2**64, size=(400, 2), dtype=np.uint64)]
-    pairs = [(a, b) for a in _EDGES for b in _EDGES]
-    return pairs + list(zip(drawn[::2], drawn[1::2]))
-
-
-class TestLimbArithmetic:
-    """The 128-bit helpers on ``(hi, lo)`` uint64 limbs against Python ints
-    mod 2**128."""
-
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_a_product_of_low_limbs_is_exact(self, seed):
-        # below 2**128, so no high bit of the 64 x 64-bit product is lost
-        pairs = [(a & _MASK64, b & _MASK64) for a, b in _operand_pairs(seed)]
-        a, b = _limbs([a for a, _ in pairs]), _limbs([b for _, b in pairs])
-        assert _wide(noise._mul128(*a, *b)) == [x * y for x, y in pairs]
-
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_mul128_and_add128_wrap_mod_2_128(self, seed):
-        pairs = _operand_pairs(seed)
-        a, b = _limbs([a for a, _ in pairs]), _limbs([b for _, b in pairs])
-        assert _wide(noise._mul128(*a, *b)) == \
-            [x * y & _MASK128 for x, y in pairs]
-        assert _wide(noise._add128(*a, *b)) == \
-            [x + y & _MASK128 for x, y in pairs]
-
-    @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 3, 2**128 + 9])
-    def test_blocks_are_random_raw(self, seed):
-        # lanes out of size order, so the open lanes are a prefix only once
-        # sorted
-        sizes = [11, 0, 96, 1, 2, 11, 0, 96]
-        offsets = np.array([0, *accumulate(sizes)], dtype=np.int64)
-        raw = noise._raw_blocks(*_start_states(NoiseSpec(seed=seed),
-                                               len(sizes)), offsets)
-        assert raw.dtype == np.uint64 and len(raw) == sum(sizes)
-        for i, (a, b) in enumerate(zip(offsets, offsets[1:])):
-            pcg = np.random.default_rng((seed, i)).bit_generator
-            assert raw[a:b].tolist() == pcg.random_raw(b - a).tolist()
-
-
-def test_a_sentence_over_lane_words_draws_no_block():
-    """Only the scalar path runs a sentence over ``LANE_WORDS`` words (a
-    batch that wide runs whole on it), so it gets an empty block."""
-    lengths = [3, 65, 7, 0, 64, 130, 2]
-    rng = np.random.default_rng(12)
-    corpus = [" ".join(rng.choice(WORDS, size=n)) for n in lengths]
-    spec = SPECS["all-five"]
-    interned = noise._Interned([normalize(s) for s in corpus], spec)
-    assert interned.offsets == [0, 5, 5, 16, 16, 112, 112, 115]
-    for i, (a, b) in enumerate(zip(interned.offsets, interned.offsets[1:])):
-        pcg = np.random.default_rng((spec.seed, i)).bit_generator
-        assert interned.raw[a:b].tolist() == pcg.random_raw(b - a).tolist()
-    assert corrupt_corpus(corpus, spec) == \
-        [corrupt(s, spec, i) for i, s in enumerate(corpus)]
+    @pytest.mark.parametrize("index", [5, 2**32 - 1])
+    def test_a_numpy_index_is_its_int(self, index):
+        sentence = " ".join(WORDS * 3)
+        spec = SPECS["all-five"]
+        assert corrupt(sentence, spec, np.int64(index)) == \
+            corrupt(sentence, spec, np.uint32(index)) == \
+            corrupt(sentence, spec, index)
 
 
 def _counting(monkeypatch, module, name):
@@ -547,15 +527,35 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
-def test_calibrate_seeds_each_sentence_once(monkeypatch):
-    seedings = _counting(monkeypatch, noise, "_start_states")
+def test_calibrate_draws_each_token_once(monkeypatch):
+    # both draws of every token, as two arrays, for all of the passes
+    draws = _counting(monkeypatch, noise, "_draw")
     passes = _counting(monkeypatch, noise, "_calibration_pass")
     corpus = random_corpus(np.random.default_rng(5), 50, 3, 9)
     spec = NoiseSpec(p_delete=0.1, p_substitute=0.1, pool=WORDS, seed=7,
                      target_wer=0.3)
     calibrate(corpus, spec)
     assert len(passes) >= 3
-    assert [(s.seed, n) for s, n in seedings] == [(7, len(corpus))]
+    assert [len(counters) for _, counters in draws] == \
+        [sum(map(len, map(normalize, corpus)))] * 2
+
+
+@pytest.mark.parametrize("spec", [
+    NoiseSpec(p_delete=0.1, p_substitute=0.1, pool=WORDS, seed=7,
+              target_wer=0.3),
+    NoiseSpec(p_repeat=0.1, pool=WORDS, seed=7, target_wer=0.3)],
+    ids=["scaled", "zero-start"])
+def test_calibrate_builds_the_spec_it_returns_alone(monkeypatch, spec):
+    built = _counting(monkeypatch, NoiseSpec, "__post_init__")
+    corpus = random_corpus(np.random.default_rng(5), 50, 3, 9)
+    passes = _counting(monkeypatch, noise, "_calibration_pass")
+    result = calibrate(corpus, spec)
+    assert len(passes) >= 2
+    assert [args[0] for args in built] == [result.spec]
+    # the last pass's thresholds, and the spec a bisection over specs
+    # returns
+    assert result.spec._thresholds == passes[-1][1]
+    assert result.spec == reference_calibrate(corpus, spec)[0]
 
 
 def test_make_dataset_normalizes_each_clean_sentence_once(monkeypatch,
@@ -601,6 +601,14 @@ class TestTokenInputs:
             corrupt_corpus(corpus, SPECS[name])
 
 
+def scaled_spec(spec, scale):
+    """The spec of a pass at ``scale``, as ``calibrate`` built one for each
+    pass before its passes took thresholds."""
+    return replace(spec, p_delete=min(spec.p_delete * scale, 1.0),
+                   p_substitute=min(spec.p_substitute * scale, 1.0),
+                   target_wer=None)
+
+
 def reference_calibrate(corpus, spec):
     """``calibrate`` as it was written before passes stopped early: every
     pass runs the channel one sentence at a time (``reference_corrupt``)
@@ -611,7 +619,7 @@ def reference_calibrate(corpus, spec):
     def run_pass(s):
         noisy = [reference_corrupt(" ".join(tokens), s, i)
                  for i, tokens in enumerate(corpus)]
-        return s, noisy, metrics.pooled_and_mean(corpus, [
+        return s, noisy, metrics.pooled_and_mean(list(map(len, corpus)), [
             metrics.edit_distance(tokens, normalize(out))
             for tokens, out in zip(corpus, noisy)])
 
@@ -625,12 +633,12 @@ def reference_calibrate(corpus, spec):
     hi_scale = min(1.0 / max(spec.p_delete, spec.p_substitute),
                    (1.0 - other) / destructive)
     lo, hi = 0.0, hi_scale
-    best_wer = run_pass(noise._scaled(spec, hi))[2][0]
+    best_wer = run_pass(scaled_spec(spec, hi))[2][0]
     if best_wer < target - noise.WER_TOLERANCE:
         raise CalibrationError(target, best_wer)
     for _ in range(noise.MAX_BISECTIONS):
         mid = (lo + hi) / 2.0
-        result = run_pass(noise._scaled(spec, mid))
+        result = run_pass(scaled_spec(spec, mid))
         got = result[2][0]
         if abs(got - target) < abs(best_wer - target):
             best_wer = got
@@ -713,23 +721,20 @@ def _prepare_inputs(seed=101):
 
 def test_prepare_workload_runs_exactly_four_passes(monkeypatch, tmp_path):
     """Each pass runs to its end; on the benchmark's prepare inputs at
-    seed 101 the bisection takes the top-scale pass and three more, and no
-    draw there is rejected, so no sentence takes the scalar path."""
+    seed 101 the bisection takes the top-scale pass and three more."""
     train, test, spec = _prepare_inputs()
     passes = _counting(monkeypatch, noise, "_calibration_pass")
-    scalar = _counting(monkeypatch, noise, "_corrupt_tokens")
     make_dataset(train, test, spec, tmp_path)
     assert len(passes) == 4
-    assert scalar == []
 
 
 # the first 16 hex digits of each seed's digest; the channel driven one
 # sentence at a time writes the same bytes
 PREPARE_DIGESTS = [
-    "9cc58b66d83614b8", "c6a8f4a09d124197", "187e9522d538d790",
-    "226be4d203453589", "2f891f2f60f076da", "1a59e8950f83b9cc",
-    "19b8a1ecd66116be", "3041eeafe4ef4606", "3bb4a2824f867620",
-    "23cdce5d1a729899"]
+    "6b9e3da375e9eec0", "c13e94bad4443164", "9e64ec8a5cb67e71",
+    "6c93f062d11fdfce", "fb312b54bdff486c", "bd496e360cff9898",
+    "9e20fa384540be32", "3e76c5364c3d3bc0", "1bf904be954e5c4b",
+    "2c5c6e84a5b55a68"]
 
 
 def test_prepare_workload_datasets_are_the_pinned_bytes(tmp_path):
@@ -745,14 +750,15 @@ def test_prepare_workload_datasets_are_the_pinned_bytes(tmp_path):
     assert digests == PREPARE_DIGESTS
 
 
-# the short sentences alone peak at about 2.6 MB and the long one adds about
+# the short sentences alone peak at about 2.3 MB and the long one adds about
 # 0.2 MB; one int64 array of 3001 x 2000 cells would take 48 MB
 PEAK_BYTES = 4_000_000
 
 
 def test_a_long_sentence_keeps_the_pass_small():
-    """One 2000-word sentence among short ones: it takes the scalar path,
-    and the batches of the others stay within the cell budget."""
+    """One 2000-word sentence among short ones: it is scored in a batch
+    of its own, and the batches of the others stay within the cell
+    budget."""
     rng = np.random.default_rng(8)
     corpus = random_corpus(rng, 3000, 3, 9)
     corpus.insert(1500, " ".join(rng.choice(WORDS, size=2000)))
