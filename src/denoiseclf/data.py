@@ -91,14 +91,6 @@ def sentences_of(examples) -> list[str]:
             + [ex.complete for ex in examples if ex.complete is not None])
 
 
-def save_corpus(examples: list[PairedExample], path: str | Path) -> None:
-    """One TSV line per example, so no examples write an empty file."""
-    atomic_write_text(path, "".join(
-        f"{ex.label}\t{ex.incomplete}"
-        + ("" if ex.complete is None else f"\t{ex.complete}") + "\n"
-        for ex in examples))
-
-
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write ``text`` as UTF-8 via a temp file, then rename."""
     _atomic_write(path, text.encode("utf-8"))
@@ -126,6 +118,12 @@ def _atomic_write(path: str | Path, payload: bytes) -> None:
         raise
 
 
+def _breaks_row(text: str) -> bool:
+    """Whether ``text`` holds a tab or a boundary ``str.splitlines`` splits
+    at: a text with none is its own one line (or no line, if empty)."""
+    return "\t" in text or text.splitlines() not in ([text], [])
+
+
 def make_dataset(train_clean: list[tuple[int, str]],
                  test_clean: list[tuple[int, str]],
                  spec: NoiseSpec, out_dir: str | Path) -> dict:
@@ -134,9 +132,16 @@ def make_dataset(train_clean: list[tuple[int, str]],
     The train split keeps the clean sentence as the complete column; the
     test split ships only the corrupted text. Emits ``train.tsv``,
     ``test.tsv``, ``manifest.txt`` and ``channel.txt`` (the pass's
-    per-category counts) and returns the manifest mapping.
+    per-category counts) and returns the manifest mapping. A clean train
+    sentence holding a tab or line boundary is a ``DataError``.
     """
     target = spec.target_wer
+    # the complete column is written raw, so a tab or line boundary in it
+    # would split its row; the joined column is checked once
+    if _breaks_row("".join([s for _, s in train_clean])):
+        i = next(i for i, (_, s) in enumerate(train_clean) if _breaks_row(s))
+        raise DataError(f"clean train sentence {i} holds a tab or line "
+                        f"boundary: {train_clean[i][1]!r}")
     # the clean corpus normalized once, for every pass and metric reading it
     clean = [normalize(s) for _, s in train_clean + test_clean]
     # calibration's last pass (with no target, its only one) is this
@@ -150,15 +155,15 @@ def make_dataset(train_clean: list[tuple[int, str]],
         if target is not None and abs(pooled - target) > WER_TOLERANCE:
             raise CalibrationError(target, pooled)
     noisy = [" ".join(tokens) for tokens in noisy_tokens]
-    train = [PairedExample(label, noisy[i], s)
-             for i, (label, s) in enumerate(train_clean)]
-    test = [PairedExample(label, noisy[i], None)
-            for i, (label, _) in enumerate(test_clean, len(train_clean))]
     # made only now, so a spec or corpus rejected above leaves no outdir
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_corpus(train, out_dir / "train.tsv")
-    save_corpus(test, out_dir / "test.tsv")
+    atomic_write_text(out_dir / "train.tsv", "".join(
+        f"{label}\t{line}\t{s}\n"
+        for (label, s), line in zip(train_clean, noisy)))
+    atomic_write_text(out_dir / "test.tsv", "".join(
+        f"{label}\t{line}\n"
+        for (label, _), line in zip(test_clean, noisy[len(train_clean):])))
     manifest = {
         "seed": spec.seed,
         "p_delete": spec.p_delete,
@@ -174,8 +179,8 @@ def make_dataset(train_clean: list[tuple[int, str]],
             [ids for ids, _ in rows],
             [np.where((outs < 0).all(axis=1, keepdims=True), ids, outs)
              for ids, outs in rows]),
-        "train_size": len(train),
-        "test_size": len(test),
+        "train_size": len(train_clean),
+        "test_size": len(test_clean),
     }
     atomic_write_text(out_dir / "manifest.txt", format_config(manifest))
     atomic_write_text(out_dir / "channel.txt", format_config(

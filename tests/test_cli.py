@@ -200,6 +200,18 @@ class TestPrepare:
         assert capsys.readouterr().err == line + "\n"
         assert not out.exists()
 
+    def test_a_row_break_in_a_clean_sentence_exits_5(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # a file read by load_corpus holds none; a library corpus may
+        monkeypatch.setattr(cli, "synthetic_corpus", lambda n, seed: [
+            (i % 2, "good day\u2028to you") for i in range(8)])
+        out = tmp_path / "data"
+        assert main(["prepare", "--outdir", str(out)]) == 5
+        assert capsys.readouterr().err == (
+            "error: clean train sentence 0 holds a tab or line boundary: "
+            "'good day\\u2028to you'\n")
+        assert not out.exists()
+
 
 class TestTrain:
     def test_artifacts(self, workspace):

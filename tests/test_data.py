@@ -1,11 +1,13 @@
 import sys
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from denoiseclf import data, metrics, noise
 from denoiseclf.data import (LabelError, PairedExample, ParseError,
                              atomic_write_text, config_lines, format_config,
-                             load_corpus, make_dataset, save_corpus,
+                             load_corpus, make_dataset,
                              sentences_of, split_corpus, synthetic_corpus)
 from denoiseclf.errors import ConfigError, DataError
 from denoiseclf.metrics import corpus_wer, ibleu
@@ -85,6 +87,11 @@ class TestLoadCorpus:
         # a test split drops the column unread
         assert load_corpus(path, split="test")[1].complete is None
 
+    def test_an_empty_file_has_no_rows(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        path.write_bytes(b"")
+        assert load_corpus(path) == []
+
     def test_invalid_split(self, tmp_path):
         path = tmp_path / "c.tsv"
         path.write_text("0\tok fine\n")
@@ -92,33 +99,15 @@ class TestLoadCorpus:
             load_corpus(path, split="dev")
 
 
-class TestSaveCorpus:
-    def test_round_trip(self, tmp_path):
-        examples = [PairedExample(0, "good nite", "good night"),
-                    PairedExample(1, "bad day", None)]
-        path = tmp_path / "out.tsv"
-        save_corpus(examples, path)
-        assert load_corpus(path) == examples
-
-    def test_without_complete_column(self, tmp_path):
-        path = tmp_path / "out.tsv"
-        save_corpus([PairedExample(0, "good nite", None)], path)
-        assert path.read_text() == "0\tgood nite\n"
-
-    def test_no_rows_writes_an_empty_file(self, tmp_path):
-        path = tmp_path / "out.tsv"
-        save_corpus([], path)
-        assert path.read_bytes() == b""
-        assert load_corpus(path) == []
-
+class TestAtomicWrite:
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         atomic_write_text(tmp_path / "f.txt", "payload")
         assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
 
     @pytest.mark.parametrize("write", [
-        lambda path: save_corpus([PairedExample(0, "a b", "a c")], path),
+        lambda path: data.atomic_write_text(path, "0\ta b\ta c\n"),
         lambda path: data.atomic_write_bytes(path, b"new\n"),
-    ], ids=["data.save_corpus", "data.atomic_write_bytes"])
+    ], ids=["data.atomic_write_text", "data.atomic_write_bytes"])
     def test_failed_write_keeps_the_old_file(self, write, tmp_path,
                                              monkeypatch):
         path = tmp_path / "table.tsv"
@@ -285,6 +274,93 @@ class TestMakeDataset:
             (dir_b / "test.tsv").read_bytes()
         assert (dir_a / "manifest.txt").read_bytes() == \
             (dir_b / "manifest.txt").read_bytes()
+
+
+# clean train sentences the complete column keeps raw: capitals,
+# punctuation, apostrophes, non-ASCII text, spaces at either end, and
+# one-word sentences that a deletion empties
+RAW_SENTENCES = ["Don't STOP, it's fine!", "Café au lait… très bon",
+                 "  We'll see,  she said. ", "Naïve résumé: über 5 o'clock?",
+                 "¿Qué tal? Muy bien", "It's the dog's bone.", "Hi!",
+                 "Yes.", "No", "OK?", "Bye…", "Oui", "Ja!", "Wow"]
+
+
+def per_example_splits(train_clean, test_clean, spec, manifest):
+    """``train.tsv`` and ``test.tsv`` as one ``PairedExample`` per sentence
+    formatted line by line, with the noisy column ``corrupt_corpus`` writes
+    at the manifest's probabilities and an emptied sentence written clean,
+    and the two lists of examples."""
+    final = replace(spec, p_delete=manifest["p_delete"],
+                    p_substitute=manifest["p_substitute"], target_wer=None)
+    clean = [normalize(s) for _, s in train_clean + test_clean]
+    noisy = [line or " ".join(tokens) for line, tokens
+             in zip(noise.corrupt_corpus(clean, final), clean)]
+    train = [PairedExample(label, noisy[i], s)
+             for i, (label, s) in enumerate(train_clean)]
+    test = [PairedExample(label, noisy[i])
+            for i, (label, _) in enumerate(test_clean, len(train_clean))]
+    files = tuple("".join(
+        f"{ex.label}\t{ex.incomplete}"
+        + ("" if ex.complete is None else f"\t{ex.complete}") + "\n"
+        for ex in split).encode() for split in (train, test))
+    return files, train, test
+
+
+class TestWrittenSplits:
+    @pytest.mark.parametrize("target", [None, 0.3], ids=["one-pass",
+                                                         "calibrated"])
+    def test_splits_match_the_per_example_writer(self, tmp_path, target):
+        corpus = synthetic_corpus(20, num_classes=3, seed=5)
+        # numpy-integer labels; a test sentence is written as its noisy
+        # tokens only, so a tab or line boundary in it is no row break
+        train = [(np.int64(label), s) for label, s in
+                 corpus[:40] + [(i % 3, s) for i, s in
+                                enumerate(RAW_SENTENCES)]]
+        test = [(np.int64(label), s) for label, s in
+                corpus[40:] + [(2, "a tab\there and\na line break")]]
+        spec = NoiseSpec(p_delete=0.3, p_substitute=0.1, p_repeat=0.05,
+                         p_abbreviate=0.1, p_casual=0.1,
+                         pool=pool_of(s for _, s in train + test), seed=2,
+                         target_wer=target)
+        manifest = make_dataset(train, test, spec, tmp_path)
+        channel = config_lines(tmp_path / "channel.txt")
+        assert int(channel["emptied_written_clean"][1]) > 0
+        files, train_rows, test_rows = per_example_splits(train, test, spec,
+                                                          manifest)
+        assert ((tmp_path / "train.tsv").read_bytes(),
+                (tmp_path / "test.tsv").read_bytes()) == files
+        # read back: one row per sentence, with the columns written
+        assert manifest["train_size"] == len(train)
+        assert manifest["test_size"] == len(test)
+        assert load_corpus(tmp_path / "train.tsv") == train_rows
+        assert load_corpus(tmp_path / "test.tsv", split="test") == test_rows
+
+    @pytest.mark.parametrize("separator", list(
+        "\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))
+    def test_a_row_break_in_a_clean_train_sentence_is_refused(
+            self, tmp_path, separator):
+        train = synthetic_corpus(10, num_classes=2, seed=1)
+        test = train[15:]
+        train = train[:15]
+        train[7] = (1, f"good day to you{separator}1\tbad bad day")
+        out = tmp_path / "data"
+        with pytest.raises(DataError, match=r"^clean train sentence 7 holds "
+                           r"a tab or line boundary: 'good day to you"):
+            make_dataset(train, test, NoiseSpec(p_delete=0.1, seed=0), out)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("separator", ["\n", "\r\n", "\t", "\u2029"])
+    def test_a_row_break_ending_the_last_train_sentence_is_refused(
+            self, tmp_path, separator):
+        # the joined column then ends in it too, as its only boundary
+        train = synthetic_corpus(10, num_classes=2, seed=1)
+        test = train[15:]
+        train = train[:15]
+        train[14] = (1, f"good day{separator}")
+        out = tmp_path / "data"
+        with pytest.raises(DataError, match="^clean train sentence 14 "):
+            make_dataset(train, test, NoiseSpec(p_delete=0.1, seed=0), out)
+        assert not out.exists()
 
 
 class TestSplitCorpus:
